@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "crypto/pqc_keygen.hpp"
 #include "crypto/salt.hpp"
+#include "hash/keccak.hpp"
 
 namespace rbc::crypto {
 namespace {
@@ -69,6 +71,57 @@ TEST(KeygenDispatch, MatchesPolicyObjects) {
   EXPECT_EQ(generate_public_key(seed, KeygenAlgo::kKyberLike),
             KyberLikeKeygen{}(seed));
   EXPECT_EQ(generate_public_key(seed, KeygenAlgo::kWots), WotsKeygen{}(seed));
+}
+
+TEST(KeygenGoldenVectors, PublicKeyDigestsAreStable) {
+  // SHA3-256 of each generator's public key for fixed seeds. The lattice
+  // generators may change how they reduce and transform (table layout,
+  // reduction, NTT-domain accumulation), never what they output: every
+  // step is exact mod q, so these digests pin the keys byte for byte.
+  struct Vector {
+    KeygenAlgo algo;
+    u64 rng_seed;
+    const char* sha3;
+  };
+  const Vector vectors[] = {
+      {KeygenAlgo::kAes128, 11,
+       "c2e5bb3e6624c1183aa58b24efd91e164e1ec8a996069fbb40724d715f807519"},
+      {KeygenAlgo::kAes128, 12,
+       "741fb6bab7e4f7294524e18f0045f33ac40a1aa94ed7f34f9b2f9e3ca31ca1a1"},
+      {KeygenAlgo::kAes128, 13,
+       "6051a9cceacfcd2d18b9afaaf8821ea171b26d712751113d0663b18ef60af3f5"},
+      {KeygenAlgo::kSaberLike, 11,
+       "a946f8b09e81dda3f6beb33a7ae57243973dad9aed86e7d8805c1f8c49b52c31"},
+      {KeygenAlgo::kSaberLike, 12,
+       "7d01ea8385062a40d5cba67caad6527f2413f37e8f476f9fc3c991e8b63ce59f"},
+      {KeygenAlgo::kSaberLike, 13,
+       "4ecc878adc73d4bfb235e1f4ff324496094399bac4f63a554c6c7c98cd244fa6"},
+      {KeygenAlgo::kDilithiumLike, 11,
+       "3d3be46bcf3c16c4fce8e1e1ee5fae365a87b3ccb84c0cac96a4208ddb387959"},
+      {KeygenAlgo::kDilithiumLike, 12,
+       "4b663c6e4697c9c8b10d91d2c802b89533e887f25799d775cebf55dc6d736321"},
+      {KeygenAlgo::kDilithiumLike, 13,
+       "6b2b21016d1773d8c5e96baaba806e943261cec77fbc3ed977afd4b31eee40d0"},
+      {KeygenAlgo::kKyberLike, 11,
+       "77ff3bb2301172b8cc0751e1d37b226d468eb836ae9beeb1c7f144f583ed62c6"},
+      {KeygenAlgo::kKyberLike, 12,
+       "ebe0d65abeaafa49e45b54d6d9704a90ee24580924bcec375f5b3c593e7260b6"},
+      {KeygenAlgo::kKyberLike, 13,
+       "d33af1d2c44553e8e74dbf0f2923b60831ad80dd57dd853657d519092b5fc015"},
+      {KeygenAlgo::kWots, 11,
+       "bae82006e9e9961e4842769b07a71dfa4bf3c8a1cea89fba9a1d35d50a4232d8"},
+      {KeygenAlgo::kWots, 12,
+       "43a208535dedfa7d3f9696fa78151983d4bb9f8dd02376bba89cc0f51a063ea7"},
+      {KeygenAlgo::kWots, 13,
+       "6790c40e2824dd9ddcda34c55716bd1baf873537ad31348d0c39c2d41ffe01f6"},
+  };
+  for (const Vector& v : vectors) {
+    Xoshiro256 rng(v.rng_seed);
+    const Bytes pk = generate_public_key(Seed256::random(rng), v.algo);
+    const hash::Digest256 d = hash::sha3_256(ByteSpan{pk.data(), pk.size()});
+    EXPECT_EQ(to_hex(ByteSpan{d.bytes.data(), d.bytes.size()}), v.sha3)
+        << to_string(v.algo) << " seed " << v.rng_seed;
+  }
 }
 
 TEST(KeygenAlgoNames, AreStable) {
