@@ -84,7 +84,7 @@ int cmd_authenticate(const std::string& db_path, u64 device_id, int injected,
                  static_cast<unsigned long long>(device_id));
     return 1;
   }
-  const u32 addresses = db.load(device_id).image.num_addresses();
+  const u32 addresses = db.num_addresses(device_id);
   const auto device = make_device(device_id, addresses);
 
   RegistrationAuthority ra;

@@ -15,7 +15,11 @@
 //                        matrix over Z_8192[X]/(X^256+1), schoolbook mults,
 //                        13->10 bit rounding.
 //   * DilithiumLikeKeygen — Dilithium3-shaped module-LWE keygen [40]: 6x5
-//                        ring matrix over Z_8380417[X]/(X^256+1) via NTT.
+//                        ring matrix over Z_8380417[X]/(X^256+1); A*s1 is
+//                        accumulated in the NTT domain (41 NTTs per key).
+//
+// The generators are stateless: each call uses the process-wide ring of its
+// modulus (shared_ring<kQ>()), so constructing one per call costs nothing.
 //
 // The lattice generators reproduce the real schemes' dimensions and sampling
 // structure but are simplified (no packing-exact encodings, no security
@@ -57,11 +61,7 @@ class SaberLikeKeygen {
 
   static constexpr std::string_view name() { return "LightSABER-like"; }
 
-  SaberLikeKeygen() : ring_(kQ) {}
   Bytes operator()(const Seed256& seed) const;
-
- private:
-  PolyRing ring_;
 };
 
 /// Dilithium3-shaped module-LWE key generation (t = A*s1 + s2).
@@ -74,11 +74,7 @@ class DilithiumLikeKeygen {
 
   static constexpr std::string_view name() { return "Dilithium3-like"; }
 
-  DilithiumLikeKeygen() : ring_(kQ) {}
   Bytes operator()(const Seed256& seed) const;
-
- private:
-  PolyRing ring_;
 };
 
 /// Kyber768-shaped module-LWE KEM key generation (t = A*s + e). Kyber's
@@ -95,11 +91,7 @@ class KyberLikeKeygen {
 
   static constexpr std::string_view name() { return "Kyber768-like"; }
 
-  KyberLikeKeygen() : ring_(kQ) {}
   Bytes operator()(const Seed256& seed) const;
-
- private:
-  PolyRing ring_;
 };
 
 /// WOTS+-shaped hash-based key generation — the building block of SPHINCS+

@@ -6,10 +6,6 @@ namespace rbc::crypto {
 
 namespace {
 
-u32 mod_mul(u32 a, u32 b, u32 q) noexcept {
-  return static_cast<u32>((static_cast<u64>(a) * b) % q);
-}
-
 u32 mod_pow(u32 base, u64 exp, u32 q) noexcept {
   u64 result = 1;
   u64 b = base % q;
@@ -38,139 +34,115 @@ u32 find_primitive_root_2n(u32 q, int n) {
 
 PolyRing::PolyRing(u32 q) : q_(q) {
   RBC_CHECK_MSG(q >= 2, "modulus too small");
+  RBC_CHECK_MSG(q <= kMaxModulus, "modulus too large");
+  barrett_ = ~u64{0} / q;
   const u32 psi = find_primitive_root_2n(q, kRingDegree);
-  if (psi != 0) {
-    psi_powers_.resize(kRingDegree);
-    psi_inv_powers_.resize(kRingDegree);
-    const u32 psi_inv = mod_pow(psi, static_cast<u64>(q) - 2, q);
-    u32 p = 1, pi = 1;
-    for (int i = 0; i < kRingDegree; ++i) {
-      psi_powers_[static_cast<unsigned>(i)] = p;
-      psi_inv_powers_[static_cast<unsigned>(i)] = pi;
-      p = mod_mul(p, psi, q);
-      pi = mod_mul(pi, psi_inv, q);
-    }
-    n_inv_ = mod_pow(kRingDegree, static_cast<u64>(q) - 2, q);
+  if (psi == 0) return;
+  const u32 psi_inv = mod_pow(psi, static_cast<u64>(q) - 2, q);
+  for (u32 k = 0; k < kRingDegree; ++k) {
+    // bitrev8(k): the stage-major twiddle order of the merged NTT.
+    u32 rev = 0;
+    for (int bit = 0; bit < 8; ++bit) rev |= ((k >> bit) & 1u) << (7 - bit);
+    zetas_[k] = mod_pow(psi, rev, q);
+    zetas_inv_[k] = mod_pow(psi_inv, rev, q);
   }
+  n_inv_ = mod_pow(kRingDegree, static_cast<u64>(q) - 2, q);
+}
+
+u32 PolyRing::reduce(u64 x) const noexcept {
+  // barrett_ >= (2^64 - q) / q, so x * barrett_ / 2^64 lies in
+  // (x/q - 1, x/q]: quot is floor(x/q) or one less, and one conditional
+  // subtraction finishes the reduction.
+  const u64 quot = static_cast<u64>(
+      (static_cast<u128>(x) * barrett_) >> 64);
+  u64 r = x - quot * q_;
+  if (r >= q_) r -= q_;
+  return static_cast<u32>(r);
 }
 
 Poly PolyRing::add(const Poly& a, const Poly& b) const noexcept {
   Poly r;
-  for (int i = 0; i < kRingDegree; ++i) {
-    const u32 s = a.c[static_cast<unsigned>(i)] + b.c[static_cast<unsigned>(i)];
-    r.c[static_cast<unsigned>(i)] = s >= q_ ? s - q_ : s;
-  }
+  for (unsigned i = 0; i < kRingDegree; ++i) r.c[i] = add_mod(a.c[i], b.c[i]);
   return r;
 }
 
 Poly PolyRing::sub(const Poly& a, const Poly& b) const noexcept {
   Poly r;
-  for (int i = 0; i < kRingDegree; ++i) {
-    const u32 ai = a.c[static_cast<unsigned>(i)];
-    const u32 bi = b.c[static_cast<unsigned>(i)];
-    r.c[static_cast<unsigned>(i)] = ai >= bi ? ai - bi : ai + q_ - bi;
-  }
+  for (unsigned i = 0; i < kRingDegree; ++i) r.c[i] = sub_mod(a.c[i], b.c[i]);
   return r;
 }
 
 Poly PolyRing::mul_schoolbook(const Poly& a, const Poly& b) const noexcept {
-  // Negacyclic convolution: X^N = -1 folds the upper half with a sign flip.
-  // Accumulate signed in i64 before the final reduction.
-  std::array<i64, kRingDegree> acc{};
-  for (int i = 0; i < kRingDegree; ++i) {
-    const u64 ai = a.c[static_cast<unsigned>(i)];
-    if (ai == 0) continue;
-    for (int j = 0; j < kRingDegree; ++j) {
-      const u64 prod = ai * b.c[static_cast<unsigned>(j)] % q_;
-      const int idx = i + j;
-      if (idx < kRingDegree) {
-        acc[static_cast<unsigned>(idx)] += static_cast<i64>(prod);
-      } else {
-        acc[static_cast<unsigned>(idx - kRingDegree)] -= static_cast<i64>(prod);
-      }
-    }
-  }
+  // Negacyclic convolution as one dot product per output coefficient:
+  // c_k = sum_i a_i * B[k - i], where B[m] = b_m for m >= 0 and, because
+  // X^N = -1, B[m] = q - b_{m+N} for m < 0. With a reversed and B laid out
+  // from m = -(N-1), c_k = sum_t ra_t * ext_{k+t}: the exact products are
+  // summed in a register and reduced once. q <= kMaxModulus bounds the sum
+  // by 256 * (q-1) * q < 2^62.
+  constexpr unsigned n = kRingDegree;
+  std::array<u32, n> ra;
+  std::array<u32, 2 * n - 1> ext;
+  for (unsigned i = 0; i < n; ++i) ra[i] = a.c[n - 1 - i];
+  for (unsigned m = 0; m + 1 < n; ++m) ext[m] = q_ - b.c[m + 1];
+  for (unsigned m = 0; m < n; ++m) ext[n - 1 + m] = b.c[m];
   Poly r;
-  for (int i = 0; i < kRingDegree; ++i) {
-    i64 v = acc[static_cast<unsigned>(i)] % static_cast<i64>(q_);
-    if (v < 0) v += q_;
-    r.c[static_cast<unsigned>(i)] = static_cast<u32>(v);
+  for (unsigned k = 0; k < n; ++k) {
+    u64 sum = 0;
+    for (unsigned t = 0; t < n; ++t)
+      sum += static_cast<u64>(ra[t]) * ext[k + t];
+    r.c[k] = static_cast<u32>(sum % q_);
   }
   return r;
 }
 
-void PolyRing::ntt_forward(std::array<u32, kRingDegree>& a) const noexcept {
-  const int n = kRingDegree;
-  // Bit-reversal permutation.
-  for (int i = 1, j = 0; i < n; ++i) {
-    int bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(a[static_cast<unsigned>(i)], a[static_cast<unsigned>(j)]);
-  }
-  // omega = psi^2 is a primitive n-th root of unity.
-  const u32 omega = mod_mul(psi_powers_[1], psi_powers_[1], q_);
-  for (int len = 2; len <= n; len <<= 1) {
-    const u32 wlen = mod_pow(omega, static_cast<u64>(n / len), q_);
-    for (int start = 0; start < n; start += len) {
-      u32 w = 1;
-      for (int j = 0; j < len / 2; ++j) {
-        const u32 u = a[static_cast<unsigned>(start + j)];
-        const u32 v = mod_mul(a[static_cast<unsigned>(start + j + len / 2)], w, q_);
-        a[static_cast<unsigned>(start + j)] = u + v >= q_ ? u + v - q_ : u + v;
-        a[static_cast<unsigned>(start + j + len / 2)] = u >= v ? u - v : u + q_ - v;
-        w = mod_mul(w, wlen, q_);
+void PolyRing::ntt_forward(Poly& a) const noexcept {
+  // Cooley-Tukey butterflies with the psi twist folded into the twiddles:
+  // natural-order coefficients in, bit-reversed evaluations out.
+  unsigned k = 1;
+  for (unsigned len = kRingDegree / 2; len > 0; len >>= 1) {
+    for (unsigned start = 0; start < kRingDegree; start += 2 * len) {
+      const u32 zeta = zetas_[k++];
+      for (unsigned j = start; j < start + len; ++j) {
+        const u32 u = a.c[j];
+        const u32 v = mul_mod(a.c[j + len], zeta);
+        a.c[j] = add_mod(u, v);
+        a.c[j + len] = sub_mod(u, v);
       }
     }
   }
 }
 
-void PolyRing::ntt_inverse(std::array<u32, kRingDegree>& a) const noexcept {
-  const int n = kRingDegree;
-  for (int i = 1, j = 0; i < n; ++i) {
-    int bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(a[static_cast<unsigned>(i)], a[static_cast<unsigned>(j)]);
-  }
-  const u32 omega = mod_mul(psi_powers_[1], psi_powers_[1], q_);
-  const u32 omega_inv = mod_pow(omega, static_cast<u64>(q_) - 2, q_);
-  for (int len = 2; len <= n; len <<= 1) {
-    const u32 wlen = mod_pow(omega_inv, static_cast<u64>(n / len), q_);
-    for (int start = 0; start < n; start += len) {
-      u32 w = 1;
-      for (int j = 0; j < len / 2; ++j) {
-        const u32 u = a[static_cast<unsigned>(start + j)];
-        const u32 v = mod_mul(a[static_cast<unsigned>(start + j + len / 2)], w, q_);
-        a[static_cast<unsigned>(start + j)] = u + v >= q_ ? u + v - q_ : u + v;
-        a[static_cast<unsigned>(start + j + len / 2)] = u >= v ? u - v : u + q_ - v;
-        w = mod_mul(w, wlen, q_);
+void PolyRing::ntt_inverse(Poly& a) const noexcept {
+  // Gentleman-Sande butterflies undoing ntt_forward stage by stage (each
+  // stage doubles the values), then one scaling by n^-1.
+  for (unsigned len = 1; len < kRingDegree; len <<= 1) {
+    unsigned k = kRingDegree / 2 / len;
+    for (unsigned start = 0; start < kRingDegree; start += 2 * len) {
+      const u32 zeta_inv = zetas_inv_[k++];
+      for (unsigned j = start; j < start + len; ++j) {
+        const u32 u = a.c[j];
+        const u32 v = a.c[j + len];
+        a.c[j] = add_mod(u, v);
+        a.c[j + len] = mul_mod(sub_mod(u, v), zeta_inv);
       }
     }
   }
-  for (auto& x : a) x = mod_mul(x, n_inv_, q_);
+  for (u32& x : a.c) x = mul_mod(x, n_inv_);
+}
+
+void PolyRing::pointwise_mul_acc(Poly& acc, const Poly& a,
+                                 const Poly& b) const noexcept {
+  for (unsigned i = 0; i < kRingDegree; ++i)
+    acc.c[i] = add_mod(acc.c[i], mul_mod(a.c[i], b.c[i]));
 }
 
 Poly PolyRing::mul(const Poly& a, const Poly& b) const {
   if (!ntt_available()) return mul_schoolbook(a, b);
-  // Negacyclic trick: twist by psi^i, cyclic NTT multiply, untwist.
-  std::array<u32, kRingDegree> ta, tb;
-  for (int i = 0; i < kRingDegree; ++i) {
-    ta[static_cast<unsigned>(i)] =
-        mod_mul(a.c[static_cast<unsigned>(i)], psi_powers_[static_cast<unsigned>(i)], q_);
-    tb[static_cast<unsigned>(i)] =
-        mod_mul(b.c[static_cast<unsigned>(i)], psi_powers_[static_cast<unsigned>(i)], q_);
-  }
+  Poly ta = a, tb = b, r{};
   ntt_forward(ta);
   ntt_forward(tb);
-  for (int i = 0; i < kRingDegree; ++i)
-    ta[static_cast<unsigned>(i)] =
-        mod_mul(ta[static_cast<unsigned>(i)], tb[static_cast<unsigned>(i)], q_);
-  ntt_inverse(ta);
-  Poly r;
-  for (int i = 0; i < kRingDegree; ++i)
-    r.c[static_cast<unsigned>(i)] =
-        mod_mul(ta[static_cast<unsigned>(i)], psi_inv_powers_[static_cast<unsigned>(i)], q_);
+  pointwise_mul_acc(r, ta, tb);
+  ntt_inverse(r);
   return r;
 }
 
@@ -184,35 +156,39 @@ Poly PolyRing::round_shift(const Poly& a, int bits) const noexcept {
 }
 
 Poly PolyRing::sample_uniform(hash::Shake128& xof) const {
-  const int bits = static_cast<int>(std::bit_width(q_ - 1));
-  const int bytes = (bits + 7) / 8;
+  const unsigned bits = static_cast<unsigned>(std::bit_width(q_ - 1));
+  const unsigned bytes = (bits + 7) / 8;
   const u32 mask = bits >= 32 ? ~0u : (1u << bits) - 1;
   Poly r;
-  u8 buf[4] = {};
-  for (int i = 0; i < kRingDegree;) {
-    xof.squeeze(MutByteSpan{buf, static_cast<std::size_t>(bytes)});
-    u32 v = 0;
-    for (int b = 0; b < bytes; ++b) v |= static_cast<u32>(buf[b]) << (8 * b);
-    v &= mask;
-    if (v < q_) r.c[static_cast<unsigned>(i++)] = v;
+  std::array<u8, 4 * kRingDegree> buf;
+  for (unsigned i = 0; i < kRingDegree;) {
+    // One candidate per missing coefficient: exactly the bytes a
+    // candidate-at-a-time loop would read before it could finish.
+    const unsigned want = (kRingDegree - i) * bytes;
+    xof.squeeze(MutByteSpan{buf.data(), want});
+    for (unsigned pos = 0; pos < want; pos += bytes) {
+      u32 v = 0;
+      for (unsigned b = 0; b < bytes; ++b)
+        v |= static_cast<u32>(buf[pos + b]) << (8 * b);
+      v &= mask;
+      if (v < q_) r.c[i++] = v;
+    }
   }
   return r;
 }
 
 Poly PolyRing::sample_small(hash::Shake256& xof, int eta) const {
   RBC_CHECK(eta >= 1 && eta <= 8);
+  std::array<u8, 2 * kRingDegree> buf;
+  xof.squeeze(buf);
   Poly r;
-  u8 buf[2];
-  for (int i = 0; i < kRingDegree; ++i) {
-    xof.squeeze(MutByteSpan{buf, 2});
-    const u16 v = static_cast<u16>(buf[0] | (buf[1] << 8));
-    const int a = std::popcount(static_cast<u32>(v & ((1u << eta) - 1)));
-    const int b =
-        std::popcount(static_cast<u32>((v >> eta) & ((1u << eta) - 1)));
+  for (unsigned i = 0; i < kRingDegree; ++i) {
+    const u32 v = buf[2 * i] | (static_cast<u32>(buf[2 * i + 1]) << 8);
+    const int a = std::popcount(v & ((1u << eta) - 1));
+    const int b = std::popcount((v >> eta) & ((1u << eta) - 1));
     const int coeff = a - b;  // in [-eta, eta]
-    r.c[static_cast<unsigned>(i)] =
-        coeff >= 0 ? static_cast<u32>(coeff)
-                   : q_ - static_cast<u32>(-coeff);
+    r.c[i] = coeff >= 0 ? static_cast<u32>(coeff)
+                        : q_ - static_cast<u32>(-coeff);
   }
   return r;
 }

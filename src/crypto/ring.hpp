@@ -4,15 +4,21 @@
 // Two multiplication back ends:
 //   * schoolbook negacyclic convolution — works for any modulus (used by the
 //     power-of-two SABER-style ring, which is not NTT friendly), and
-//   * an iterative negacyclic NTT — used when 2N | q-1 (the Dilithium-style
-//     prime q = 8380417). The primitive root is found at startup by search,
-//     so no magic twiddle tables are transcribed.
+//   * a merged negacyclic NTT — used when 2N | q-1 (the Dilithium-style
+//     prime q = 8380417). The primitive root is found at construction by
+//     search, so no magic twiddle tables are transcribed.
+//
+// A ring's tables (per-stage twiddles, Barrett constant) are built once per
+// modulus and shared process-wide through shared_ring<Q>(); key generation
+// never rebuilds them. Every operation is exact mod q and returns canonical
+// coefficients in [0, q), so how a product is computed (schoolbook, NTT, or
+// accumulated in the NTT domain) never changes its value.
 //
 // These are faithful in *structure* (dimensions, sampling, rounding) but are
 // NOT secure implementations; see DESIGN.md for the substitution rationale.
 #pragma once
 
-#include <vector>
+#include <array>
 
 #include "common/check.hpp"
 #include "common/types.hpp"
@@ -32,10 +38,15 @@ struct Poly {
 /// Ring context: modulus plus (when available) NTT machinery.
 class PolyRing {
  public:
+  /// Largest accepted modulus: the schoolbook product sums 256 exact
+  /// products of at most (q-1) * q in a u64 before reducing, and
+  /// 256 * (2^27)^2 = 2^62 keeps that sum inside the accumulator.
+  static constexpr u32 kMaxModulus = 1u << 27;
+
   explicit PolyRing(u32 q);
 
   u32 q() const noexcept { return q_; }
-  bool ntt_available() const noexcept { return !psi_powers_.empty(); }
+  bool ntt_available() const noexcept { return n_inv_ != 0; }
 
   Poly add(const Poly& a, const Poly& b) const noexcept;
   Poly sub(const Poly& a, const Poly& b) const noexcept;
@@ -46,6 +57,17 @@ class PolyRing {
 
   /// Schoolbook product (exposed for cross-validation of the NTT path).
   Poly mul_schoolbook(const Poly& a, const Poly& b) const noexcept;
+
+  /// Forward negacyclic NTT in place: coefficients in, evaluations at the
+  /// odd powers of psi out, in bit-reversed order. Products can then be
+  /// formed and summed coefficient-wise (pointwise_mul_acc) and brought
+  /// back with one ntt_inverse. Requires ntt_available().
+  void ntt_forward(Poly& a) const noexcept;
+  void ntt_inverse(Poly& a) const noexcept;
+
+  /// acc += a * b coefficient-wise — the product in the NTT domain.
+  void pointwise_mul_acc(Poly& acc, const Poly& a,
+                         const Poly& b) const noexcept;
 
   /// Coefficient-wise rounding shift: (c + 2^(bits-1)) >> bits — the LWR
   /// rounding step of the SABER-style scheme.
@@ -59,15 +81,36 @@ class PolyRing {
   Poly sample_small(hash::Shake256& xof, int eta) const;
 
  private:
-  void ntt_forward(std::array<u32, kRingDegree>& a) const noexcept;
-  void ntt_inverse(std::array<u32, kRingDegree>& a) const noexcept;
+  /// x mod q for any x < 2^64 (Barrett: one 64x64->128 multiply).
+  u32 reduce(u64 x) const noexcept;
+  u32 mul_mod(u32 a, u32 b) const noexcept {
+    return reduce(static_cast<u64>(a) * b);
+  }
+  u32 add_mod(u32 a, u32 b) const noexcept {
+    const u32 s = a + b;
+    return s >= q_ ? s - q_ : s;
+  }
+  u32 sub_mod(u32 a, u32 b) const noexcept {
+    return a >= b ? a - b : a + q_ - b;
+  }
 
   u32 q_;
-  // psi_powers_[i] = psi^bitrev(i), psi a primitive 2N-th root of unity.
-  std::vector<u32> psi_powers_;
-  std::vector<u32> psi_inv_powers_;
+  u64 barrett_;  // floor((2^64 - 1) / q)
+  // zetas_[k] = psi^bitrev8(k), psi a primitive 2N-th root of unity; the
+  // forward NTT's stage with half-width len uses k in [128/len, 256/len).
+  // zetas_inv_[k] = psi^-bitrev8(k). All zero when the ring has no NTT.
+  std::array<u32, kRingDegree> zetas_{};
+  std::array<u32, kRingDegree> zetas_inv_{};
   u32 n_inv_ = 0;
 };
+
+/// The process-wide ring for modulus Q: built on first use (thread-safe),
+/// then shared read-only by every caller.
+template <u32 Q>
+const PolyRing& shared_ring() {
+  static const PolyRing ring(Q);
+  return ring;
+}
 
 /// Finds a primitive 2n-th root of unity mod q, or 0 if none exists.
 u32 find_primitive_root_2n(u32 q, int n);

@@ -1,7 +1,9 @@
 #include "hash/sha1.hpp"
 
+#include <array>
 #include <bit>
 #include <cstring>
+#include <utility>
 
 namespace rbc::hash {
 
@@ -24,36 +26,54 @@ inline void store_be32(u8* p, u32 v) noexcept {
   p[3] = static_cast<u8>(v);
 }
 
-// Shared 80-round core operating on an already-expanded-or-expandable
-// 16-word schedule seed. Used by both the streaming path and the fixed
-// 32-byte seed path.
-inline void sha1_rounds(u32 w[16], u32 h[5]) noexcept {
+// One SHA-1 round t, with the message schedule kept as a rolling 16-word
+// window. T is a template argument, so every schedule index and round
+// constant is fixed at compile time.
+template <int T>
+[[gnu::always_inline]] inline void sha1_round(std::array<u32, 16>& w, u32& a,
+                                              u32& b, u32& c, u32& d,
+                                              u32& e) noexcept {
+  if constexpr (T >= 16) {
+    w[T & 15] = rotl32(w[(T - 3) & 15] ^ w[(T - 8) & 15] ^ w[(T - 14) & 15] ^
+                           w[T & 15],
+                       1);
+  }
+  u32 f, k;
+  if constexpr (T < 20) {
+    f = (b & c) | (~b & d);
+    k = 0x5a827999u;
+  } else if constexpr (T < 40) {
+    f = b ^ c ^ d;
+    k = 0x6ed9eba1u;
+  } else if constexpr (T < 60) {
+    f = (b & c) | (b & d) | (c & d);
+    k = 0x8f1bbcdcu;
+  } else {
+    f = b ^ c ^ d;
+    k = 0xca62c1d6u;
+  }
+  const u32 tmp = rotl32(a, 5) + f + e + k + w[T & 15];
+  e = d;
+  d = c;
+  c = rotl32(b, 30);
+  b = a;
+  a = tmp;
+}
+
+template <int... T>
+[[gnu::always_inline]] inline void sha1_all_rounds(
+    std::integer_sequence<int, T...>, std::array<u32, 16>& w, u32& a, u32& b,
+    u32& c, u32& d, u32& e) noexcept {
+  (sha1_round<T>(w, a, b, c, d, e), ...);
+}
+
+// Shared 80-round core over a 16-word schedule seed, used by both the
+// streaming path and the fixed 32-byte seed path. The rounds are fully
+// unrolled, and the schedule window is a local copy: with constant indices
+// the compiler keeps it and the five working variables in registers.
+inline void sha1_rounds(std::array<u32, 16> w, u32 h[5]) noexcept {
   u32 a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
-
-  auto schedule = [&w](int t) noexcept -> u32 {
-    const u32 v = rotl32(
-        w[(t - 3) & 15] ^ w[(t - 8) & 15] ^ w[(t - 14) & 15] ^ w[t & 15], 1);
-    w[t & 15] = v;
-    return v;
-  };
-
-  auto round = [&](u32 f, u32 k, u32 wt) noexcept {
-    const u32 tmp = rotl32(a, 5) + f + e + k + wt;
-    e = d;
-    d = c;
-    c = rotl32(b, 30);
-    b = a;
-    a = tmp;
-  };
-
-  for (int t = 0; t < 16; ++t) round((b & c) | (~b & d), 0x5a827999u, w[t]);
-  for (int t = 16; t < 20; ++t)
-    round((b & c) | (~b & d), 0x5a827999u, schedule(t));
-  for (int t = 20; t < 40; ++t) round(b ^ c ^ d, 0x6ed9eba1u, schedule(t));
-  for (int t = 40; t < 60; ++t)
-    round((b & c) | (b & d) | (c & d), 0x8f1bbcdcu, schedule(t));
-  for (int t = 60; t < 80; ++t) round(b ^ c ^ d, 0xca62c1d6u, schedule(t));
-
+  sha1_all_rounds(std::make_integer_sequence<int, 80>{}, w, a, b, c, d, e);
   h[0] += a;
   h[1] += b;
   h[2] += c;
@@ -70,8 +90,8 @@ void Sha1::reset() noexcept {
 }
 
 void Sha1::compress(const u8* block) noexcept {
-  u32 w[16];
-  for (int t = 0; t < 16; ++t) w[t] = load_be32(block + 4 * t);
+  std::array<u32, 16> w;
+  for (unsigned t = 0; t < 16; ++t) w[t] = load_be32(block + 4 * t);
   sha1_rounds(w, h_);
 }
 
@@ -126,10 +146,10 @@ Digest160 sha1_seed(const Seed256& seed) noexcept {
   // constant bit length 256 in the final word. The padding layout is known at
   // compile time, so there are no buffering branches on this path.
   const auto bytes = seed.to_bytes();
-  u32 w[16];
-  for (int t = 0; t < 8; ++t) w[t] = load_be32(bytes.data() + 4 * t);
+  std::array<u32, 16> w;
+  for (unsigned t = 0; t < 8; ++t) w[t] = load_be32(bytes.data() + 4 * t);
   w[8] = 0x80000000u;
-  for (int t = 9; t < 15; ++t) w[t] = 0;
+  for (unsigned t = 9; t < 15; ++t) w[t] = 0;
   w[15] = 256u;  // message length in bits
 
   u32 h[5];

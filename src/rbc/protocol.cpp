@@ -79,20 +79,22 @@ net::Challenge CertificateAuthority::issue_challenge(
     const net::HandshakeRequest& handshake) {
   RBC_CHECK_MSG(db_.contains(handshake.device_id),
                 "handshake from un-enrolled device");
-  const EnrollmentRecord record = db_.load(handshake.device_id);
+  // Only the record header and the challenged mask are decrypted.
+  const u32 num_addresses = db_.num_addresses(handshake.device_id);
   net::Challenge challenge;
   {
     // Striped challenge RNG: only devices hashing to the same stripe share
     // this mutex, so shards draw challenges without cross-shard contention.
     RngStripe& stripe = (*rng_stripes_)[stripe_of(handshake.device_id)];
     std::lock_guard lock(stripe.mutex);
-    challenge.puf_address = static_cast<u32>(
-        stripe.rng.next_below(record.image.num_addresses()));
+    challenge.puf_address =
+        static_cast<u32>(stripe.rng.next_below(num_addresses));
   }
   challenge.tapki_enabled = cfg_.tapki_enabled;
   challenge.stable_mask =
       cfg_.tapki_enabled
-          ? record.masks[challenge.puf_address].stable_bits()
+          ? db_.load_mask(handshake.device_id, challenge.puf_address)
+                .stable_bits()
           : Seed256::ones();
   if (cfg_.request_noise_injection) {
     challenge.requested_noise = static_cast<u8>(cfg_.max_distance);
@@ -110,9 +112,9 @@ net::AuthResult CertificateAuthority::process_digest(
   RBC_CHECK_MSG(submission.hash_algo == handshake.hash_algo,
                 "digest hash does not match handshake");
 
-  const EnrollmentRecord record = db_.load(handshake.device_id);
   // Step 1: S_init from the PUF image, masked exactly as the client masks.
-  Seed256 s_init = record.image.word(challenge.puf_address);
+  // Only the challenged address's word is decrypted, not the whole record.
+  Seed256 s_init = db_.load_word(handshake.device_id, challenge.puf_address);
   if (challenge.tapki_enabled) s_init &= challenge.stable_mask;
 
   SearchOptions opts;
@@ -122,12 +124,13 @@ net::AuthResult CertificateAuthority::process_digest(
   // Reliability order needs the record's profile for this address; records
   // enrolled before profiles existed fall back to canonical order.
   const SearchOrder order = search_order.value_or(cfg_.search_order);
-  if (order == SearchOrder::kReliability &&
-      challenge.puf_address < record.profiles.size()) {
-    opts.order = SearchOrder::kReliability;
-    opts.reliability = std::make_shared<const comb::ReliabilityOrder>(
-        comb::ReliabilityOrder::from_weights(
-            record.profiles[challenge.puf_address].weights().data()));
+  if (order == SearchOrder::kReliability) {
+    if (const auto profile =
+            db_.load_profile(handshake.device_id, challenge.puf_address)) {
+      opts.order = SearchOrder::kReliability;
+      opts.reliability = std::make_shared<const comb::ReliabilityOrder>(
+          comb::ReliabilityOrder::from_weights(profile->weights().data()));
+    }
   }
   // Offer the search to the serving layer's fused engine first; a decline
   // (oversized ball, shutdown, no offload) runs the CA's own backend.

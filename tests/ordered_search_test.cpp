@@ -665,6 +665,8 @@ TEST(ReliabilityProfile, LegacyRecordLoadsWithoutProfiles) {
   }
   EnrollmentDatabase legacy_db =
       EnrollmentDatabase::load_from_file(path, master_key());
+  EnrollmentDatabase canonical_db =
+      EnrollmentDatabase::load_from_file(path, master_key());
   std::remove(path.c_str());
 
   const EnrollmentRecord legacy = legacy_db.load(904);
@@ -675,22 +677,31 @@ TEST(ReliabilityProfile, LegacyRecordLoadsWithoutProfiles) {
     EXPECT_EQ(legacy.masks[a].stable_bits(), full.masks[a].stable_bits());
   }
 
-  // Fallback: reliability order requested, no profile available.
-  RegistrationAuthority ra;
-  CaConfig ca_cfg;
-  ca_cfg.max_distance = 2;
-  ca_cfg.time_threshold_s = 600.0;
-  ca_cfg.search_order = SearchOrder::kReliability;
-  EngineConfig engine_cfg;
-  engine_cfg.host_threads = 1;
-  CertificateAuthority ca(ca_cfg, std::move(legacy_db),
-                          make_backend("cpu", engine_cfg), &ra);
-  ClientConfig client_cfg;
-  client_cfg.device_id = 904;
-  client_cfg.injected_distance = 1;
-  Client client(client_cfg, &device, 0x904C);
-  const auto session = run_authentication(client, ca, ra);
-  EXPECT_TRUE(session.result.authenticated);
+  // Fallback: reliability order requested, no profile available. The same
+  // session (same challenge draws, same client reads) against a canonical
+  // CA must hash exactly the same candidates.
+  auto run = [&](EnrollmentDatabase store, SearchOrder order) {
+    RegistrationAuthority ra;
+    CaConfig ca_cfg;
+    ca_cfg.max_distance = 2;
+    ca_cfg.time_threshold_s = 600.0;
+    ca_cfg.search_order = order;
+    EngineConfig engine_cfg;
+    engine_cfg.host_threads = 1;
+    CertificateAuthority ca(ca_cfg, std::move(store),
+                            make_backend("cpu", engine_cfg), &ra);
+    ClientConfig client_cfg;
+    client_cfg.device_id = 904;
+    client_cfg.injected_distance = 1;
+    Client client(client_cfg, &device, 0x904C);
+    return run_authentication(client, ca, ra);
+  };
+  const auto fallback = run(std::move(legacy_db), SearchOrder::kReliability);
+  const auto canonical = run(std::move(canonical_db), SearchOrder::kCanonical);
+  EXPECT_TRUE(fallback.result.authenticated);
+  EXPECT_TRUE(canonical.result.authenticated);
+  EXPECT_EQ(fallback.engine.result.seeds_hashed,
+            canonical.engine.result.seeds_hashed);
 }
 
 // ---------------------------------------------------------------------------

@@ -158,5 +158,61 @@ TEST(PolyRing, RejectsTinyModulus) {
   EXPECT_THROW(PolyRing(1), rbc::CheckFailure);
 }
 
+TEST(PolyRing, RejectsModulusTheSchoolbookCannotAccumulate) {
+  EXPECT_NO_THROW(PolyRing(PolyRing::kMaxModulus));
+  EXPECT_THROW(PolyRing(PolyRing::kMaxModulus + 1), rbc::CheckFailure);
+}
+
+TEST(PolyRing, SchoolbookAccumulatorHoldsAtLargestModulus) {
+  // All coefficients q-1 = -1: every product is the largest possible,
+  // (q-1)^2, and coefficient k of (-sum X^i)^2 mod X^N + 1 is
+  // (k+1) - (N-1-k) = 2k + 2 - N — the accumulator's extreme magnitudes.
+  for (u32 q : {PolyRing::kMaxModulus, 8380417u, 8192u, 3329u}) {
+    const PolyRing ring(q);
+    Poly minus_ones;
+    minus_ones.c.fill(q - 1);
+    const Poly r = ring.mul_schoolbook(minus_ones, minus_ones);
+    for (int k = 0; k < kRingDegree; ++k) {
+      const i64 expected = 2 * k + 2 - kRingDegree;
+      const u32 canonical = static_cast<u32>(
+          expected < 0 ? static_cast<i64>(q) + expected : expected);
+      ASSERT_EQ(r.c[static_cast<unsigned>(k)], canonical)
+          << "q=" << q << " k=" << k;
+    }
+  }
+}
+
+TEST(PolyRing, NttDomainAccumulationMatchesSummedProducts) {
+  // What the Dilithium-like keygen does per row: transform once, sum the
+  // pointwise products, one inverse — equal to summing full products.
+  const PolyRing& ring = shared_ring<8380417>();
+  Xoshiro256 rng(6);
+  Poly expected{}, acc{};
+  for (int j = 0; j < 5; ++j) {
+    const Poly a = random_poly(rng, ring.q());
+    const Poly b = random_poly(rng, ring.q());
+    expected = ring.add(expected, ring.mul_schoolbook(a, b));
+    Poly a_hat = a, b_hat = b;
+    ring.ntt_forward(a_hat);
+    ring.ntt_forward(b_hat);
+    ring.pointwise_mul_acc(acc, a_hat, b_hat);
+  }
+  ring.ntt_inverse(acc);
+  EXPECT_EQ(acc, expected);
+
+  Poly round_trip = random_poly(rng, ring.q());
+  const Poly original = round_trip;
+  ring.ntt_forward(round_trip);
+  ring.ntt_inverse(round_trip);
+  EXPECT_EQ(round_trip, original);
+}
+
+TEST(PolyRing, SharedRingIsOnePerModulus) {
+  EXPECT_EQ(&shared_ring<8380417>(), &shared_ring<8380417>());
+  EXPECT_NE(static_cast<const void*>(&shared_ring<8380417>()),
+            static_cast<const void*>(&shared_ring<3329>()));
+  EXPECT_EQ(shared_ring<3329>().q(), 3329u);
+}
+
 }  // namespace
 }  // namespace rbc::crypto
