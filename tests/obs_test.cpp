@@ -61,10 +61,12 @@ struct ObsFixture {
   std::unique_ptr<CertificateAuthority> ca;
 
   explicit ObsFixture(int num_devices, int max_distance = 2,
-                      u64 id_base = 41000) {
+                      u64 id_base = 41000)
+      : ObsFixture(consecutive_ids(num_devices, id_base), max_distance) {}
+
+  explicit ObsFixture(const std::vector<u64>& ids, int max_distance = 2) {
     EnrollmentDatabase db(master_key());
-    for (int i = 0; i < num_devices; ++i) {
-      const u64 id = id_base + static_cast<u64>(i);
+    for (const u64 id : ids) {
       devices.push_back(
           std::make_unique<puf::SramPufModel>(device_params(), id));
       device_ids.push_back(id);
@@ -78,6 +80,28 @@ struct ObsFixture {
     engine_cfg.host_threads = 1;
     ca = std::make_unique<CertificateAuthority>(
         ca_cfg, std::move(db), make_backend("cpu", engine_cfg), &ra);
+  }
+
+  static std::vector<u64> consecutive_ids(int num_devices, u64 id_base) {
+    std::vector<u64> ids;
+    for (int i = 0; i < num_devices; ++i)
+      ids.push_back(id_base + static_cast<u64>(i));
+    return ids;
+  }
+
+  /// One device id per authority stripe: each stripe's challenge RNG then
+  /// serves one device, so draws cannot depend on the session interleaving.
+  static std::vector<u64> one_id_per_stripe(u64 id_base) {
+    std::vector<u64> ids(kAuthorityStripes, 0);
+    std::size_t found = 0;
+    for (u64 id = id_base; found < ids.size(); ++id) {
+      u64& slot = ids[stripe_of(id)];
+      if (slot == 0) {
+        slot = id;
+        ++found;
+      }
+    }
+    return ids;
   }
 
   std::unique_ptr<Client> make_client(int device_index, int injected_distance,
@@ -326,28 +350,38 @@ TEST(ObsStatsConsistency, RankMeansIdenticalAcrossShardCounts) {
   // total ranked count. A mean-of-per-shard-means would weight shards
   // equally regardless of how many sessions each served — this pins the
   // 1-shard and 4-shard servers to EXACT agreement on the same workload.
-  constexpr int kDevices = 8;
-  constexpr int kSessions = 16;
+  // The workload is the same in both runs only if no two devices share a
+  // stripe's challenge RNG: one device per stripe. Shard 0's devices (shard
+  // = stripe % 4) serve three sessions each, so the shards serve unequal
+  // counts; a device's repeat sessions use identically seeded clients, so
+  // the order in which they take their challenge draws cannot change the
+  // sums.
+  const std::vector<u64> ids = ObsFixture::one_id_per_stripe(41000);
+  u64 sessions = 0;
   ServerStats stats_by_shards[2];
   for (int variant = 0; variant < 2; ++variant) {
-    ObsFixture f(kDevices);
+    ObsFixture f(ids);
     AuthServer server(quiet_config(variant == 0 ? 1 : 4), f.ca.get(), &f.ra);
     std::vector<std::unique_ptr<Client>> clients;
     std::vector<std::future<SessionOutcome>> futures;
-    for (int i = 0; i < kSessions; ++i) {
-      clients.push_back(
-          f.make_client(i % kDevices, 1 + (i % 2), 0xBEE + static_cast<u64>(i)));
-      futures.push_back(server.submit(clients.back().get(), /*budget_s=*/600.0,
-                                      /*net_salt=*/0x5A17 + static_cast<u64>(i)));
+    for (int i = 0; i < static_cast<int>(ids.size()); ++i) {
+      for (int repeat = 0; repeat < (i % 4 == 0 ? 3 : 1); ++repeat) {
+        clients.push_back(
+            f.make_client(i, 1 + (i % 2), 0xBEE + static_cast<u64>(i)));
+        futures.push_back(server.submit(
+            clients.back().get(), /*budget_s=*/600.0,
+            /*net_salt=*/0x5A17 + static_cast<u64>(futures.size())));
+      }
     }
     for (auto& fu : futures) (void)fu.get();
     stats_by_shards[variant] = server.stats();
+    sessions = futures.size();
   }
 
   const ServerStats& one = stats_by_shards[0];
   const ServerStats& four = stats_by_shards[1];
-  ASSERT_EQ(one.completed, static_cast<u64>(kSessions));
-  ASSERT_EQ(four.completed, static_cast<u64>(kSessions));
+  ASSERT_EQ(one.completed, sessions);
+  ASSERT_EQ(four.completed, sessions);
   EXPECT_EQ(one.authenticated, four.authenticated);
   ASSERT_GT(one.ranked_sessions, 0u);
   EXPECT_EQ(one.ranked_sessions, four.ranked_sessions);
