@@ -73,8 +73,9 @@ void BM_Sha3SeedGeneric(benchmark::State& state) {
 BENCHMARK(BM_Sha3SeedGeneric);
 
 // Batched multi-lane seed hashing at an explicit dispatch level (range(0):
-// 0 = scalar tail loop, 1 = SWAR lanes, 2 = AVX2). Levels above what the
-// host supports are skipped. Items processed counts SEEDS, so items/sec is
+// 0 = scalar tail loop, 1 = SWAR lanes, 2 = AVX2, 3 = AVX-512; SHA-1 runs
+// its AVX2 kernel at level 3). Levels above what the host supports are
+// skipped. Items processed counts SEEDS, so items/sec is
 // directly comparable with the scalar BM_*SeedFixed benches.
 template <typename Batch, typename MultiLevelFn>
 void run_batched_bench(benchmark::State& state, MultiLevelFn multi) {
@@ -102,13 +103,13 @@ void BM_Sha1SeedBatched(benchmark::State& state) {
   run_batched_bench<hash::Sha1BatchSeedHash>(state,
                                              hash::sha1_seed_multi_level);
 }
-BENCHMARK(BM_Sha1SeedBatched)->DenseRange(0, 2);
+BENCHMARK(BM_Sha1SeedBatched)->DenseRange(0, 3);
 
 void BM_Sha3SeedBatched(benchmark::State& state) {
   run_batched_bench<hash::Sha3BatchSeedHash>(state,
                                              hash::sha3_256_seed_multi_level);
 }
-BENCHMARK(BM_Sha3SeedBatched)->DenseRange(0, 2);
+BENCHMARK(BM_Sha3SeedBatched)->DenseRange(0, 3);
 
 void BM_KeccakF1600(benchmark::State& state) {
   u64 lanes[25] = {1, 2, 3};

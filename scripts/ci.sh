@@ -27,9 +27,10 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 
 echo "=== [3/16] batched-hash equivalence under forced dispatch levels ==="
 # The auto run above already covered the host's best level; re-run the batch
-# suite with the RBC_HASH_SIMD knob capping dispatch so the scalar-tail and
-# SWAR code paths are exercised even on AVX2 hosts.
-for level in scalar swar; do
+# suite with the RBC_HASH_SIMD knob capping dispatch so the scalar-tail, SWAR
+# and (on AVX-512 hosts, where auto picks avx512) AVX2 code paths are
+# exercised too.
+for level in scalar swar avx2; do
   echo "--- RBC_HASH_SIMD=$level ---"
   RBC_HASH_SIMD="$level" ctest --test-dir build --output-on-failure \
     -j "$JOBS" -R 'HashBatch'

@@ -10,6 +10,10 @@ namespace {
 
 SimdLevel probe_host() noexcept {
 #if RBC_HAVE_AVX2_TARGET
+  // libgcc and compiler-rt clear the AVX-512 bits unless XCR0 shows the OS
+  // saves the ZMM state, so this also covers OS support.
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl"))
+    return SimdLevel::kAvx512;
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
 #endif
   return SimdLevel::kSwar;

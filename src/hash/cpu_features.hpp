@@ -1,6 +1,7 @@
 // Runtime CPU-feature dispatch for the multi-lane seed-hash kernels.
 //
-// The batched hash pipeline ships three implementations of every kernel:
+// The batched hash pipeline dispatches between four levels, each a superset
+// of the one below:
 //   * kScalar — one seed per call through the existing fixed-padding path
 //               (the reference; always available);
 //   * kSwar   — portable multi-lane code: the compression function is
@@ -9,29 +10,38 @@
 //               of one hash overlaps with its neighbours' on any ISA;
 //   * kAvx2   — 8x32-bit (SHA-1) / 4x64-bit (Keccak) vector lanes using AVX2
 //               intrinsics, compiled with a per-function target attribute so
-//               the rest of the binary needs no special -m flags.
+//               the rest of the binary needs no special -m flags;
+//   * kAvx512 — 8x64-bit Keccak lanes in zmm registers (AVX-512F+VL:
+//               vprolq rotations, vpternlogq parities and chi). SHA-1 has no
+//               AVX-512 kernel and runs its AVX2 one at this level; a call's
+//               Keccak remainder below 8 seeds takes the AVX2 4-lane group.
 //
-// The level is picked once per process: the strongest ISA the host supports,
-// clamped by the RBC_HASH_SIMD environment knob (scalar|swar|avx2|auto) that
-// CI uses to run the equivalence suite under every dispatch outcome. Tests
-// may also force a level programmatically.
+// The level is picked once per process: the strongest ISA the host and its OS
+// support, clamped by the RBC_HASH_SIMD environment knob
+// (scalar|swar|avx2|auto) that CI uses to run the equivalence suite under
+// every dispatch outcome — `avx2` caps an AVX-512 host at the AVX2 kernels.
+// Tests may also force a level programmatically.
 #pragma once
 
 #include <string_view>
 
 #include "common/types.hpp"
 
+// x86-64 GCC/Clang accept both per-function targets, so one guard covers the
+// AVX2 and the AVX-512 kernels.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define RBC_HAVE_AVX2_TARGET 1
 #define RBC_TARGET_AVX2 __attribute__((target("avx2")))
+#define RBC_TARGET_AVX512 __attribute__((target("avx512f,avx512vl")))
 #else
 #define RBC_HAVE_AVX2_TARGET 0
 #define RBC_TARGET_AVX2
+#define RBC_TARGET_AVX512
 #endif
 
 namespace rbc::hash {
 
-enum class SimdLevel : u8 { kScalar = 0, kSwar = 1, kAvx2 = 2 };
+enum class SimdLevel : u8 { kScalar = 0, kSwar = 1, kAvx2 = 2, kAvx512 = 3 };
 
 constexpr std::string_view to_string(SimdLevel level) {
   switch (level) {
@@ -41,6 +51,8 @@ constexpr std::string_view to_string(SimdLevel level) {
       return "swar";
     case SimdLevel::kAvx2:
       return "avx2";
+    case SimdLevel::kAvx512:
+      return "avx512";
   }
   return "?";
 }

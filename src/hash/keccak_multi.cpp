@@ -67,11 +67,25 @@ void sha3_seed_lanes(const Seed256* seeds, Digest256* out) noexcept {
   }
 }
 
-// --- AVX2 kernel: 4 sponge states, one Keccak lane position per ymm ---------
-// All helpers carry the target attribute themselves (lambdas would not
-// inherit it and fail to inline under GCC).
+// --- AVX2 / AVX-512 kernels: one Keccak lane position per vector ----------
+// Both run one Keccak-f round reading `a` and writing `e`: theta, then
+// rho+pi+chi fused per OUTPUT row so only five B values and five theta D
+// values are live at once (a materialized b[25] next to a[25] spills every
+// round — a ymm register file holds 16 values). All helpers carry the target
+// attribute themselves (lambdas would not inherit it and fail to inline under
+// GCC).
 
 #if RBC_HAVE_AVX2_TARGET
+
+// ROW(Y, s0, dc0, ..., s4, dc4) for each output row Y: the pi-inverse source
+// lanes feeding output lanes 5Y..5Y+4, each with its theta column's D value
+// (the source lane's column is src % 5).
+#define RBC_KECCAK_FOR_EACH_ROW(ROW)           \
+  ROW(0, 0, d0, 6, d1, 12, d2, 18, d3, 24, d4) \
+  ROW(1, 3, d3, 9, d4, 10, d0, 16, d1, 22, d2) \
+  ROW(2, 1, d1, 7, d2, 13, d3, 19, d4, 20, d0) \
+  ROW(3, 4, d4, 5, d0, 11, d1, 17, d2, 23, d3) \
+  ROW(4, 2, d2, 8, d3, 14, d4, 15, d0, 21, d1)
 
 template <int R>
 RBC_TARGET_AVX2 inline __m256i rotl64c(__m256i x) noexcept {
@@ -79,12 +93,7 @@ RBC_TARGET_AVX2 inline __m256i rotl64c(__m256i x) noexcept {
   return _mm256_or_si256(_mm256_slli_epi64(x, R), _mm256_srli_epi64(x, 64 - R));
 }
 
-/// One Keccak-f round reading `a` and writing `e`: theta, then rho+pi+chi
-/// fused per OUTPUT row so only five B values and five theta D values are
-/// live at once (a materialized b[25] next to a[25] spills every round — a
-/// ymm register file holds 16 values). `RBC_KECCAK_ROW(Y, s0..s4)` lists the
-/// pi-inverse source indices feeding output lanes 5Y..5Y+4; each source
-/// lane's theta column is src % 5.
+/// 4 sponge states, one per 64-bit ymm lane.
 RBC_TARGET_AVX2 inline void keccak_round_x4(const __m256i* a, __m256i* e,
                                             u64 rc) noexcept {
   __m256i c0 = _mm256_xor_si256(
@@ -128,11 +137,7 @@ RBC_TARGET_AVX2 inline void keccak_round_x4(const __m256i* a, __m256i* e,
     e[5 * (Y) + 3] = _mm256_xor_si256(b3, _mm256_andnot_si256(b4, b0));     \
     e[5 * (Y) + 4] = _mm256_xor_si256(b4, _mm256_andnot_si256(b0, b1));     \
   }
-  RBC_KECCAK_ROW(0, 0, d0, 6, d1, 12, d2, 18, d3, 24, d4)
-  RBC_KECCAK_ROW(1, 3, d3, 9, d4, 10, d0, 16, d1, 22, d2)
-  RBC_KECCAK_ROW(2, 1, d1, 7, d2, 13, d3, 19, d4, 20, d0)
-  RBC_KECCAK_ROW(3, 4, d4, 5, d0, 11, d1, 17, d2, 23, d3)
-  RBC_KECCAK_ROW(4, 2, d2, 8, d3, 14, d4, 15, d0, 21, d1)
+  RBC_KECCAK_FOR_EACH_ROW(RBC_KECCAK_ROW)
 #undef RBC_KECCAK_ROW
 #undef RBC_KECCAK_B
 
@@ -169,6 +174,95 @@ RBC_TARGET_AVX2 void sha3_seed_x4_avx2(const Seed256* seeds,
   }
 }
 
+// vpternlogq truth tables over its operands (x, y, z).
+constexpr int kXor3 = 0x96;       // x ^ y ^ z
+constexpr int kXorAndNot = 0xd2;  // x ^ (~y & z): Keccak's chi
+
+/// vprolq. The all-lanes maskz form compiles to the same unmasked
+/// instruction; GCC 12's plain _mm512_rol_epi64 draws a false
+/// -Wuninitialized from its undefined pass-through operand.
+template <int R>
+RBC_TARGET_AVX512 inline __m512i rotl64z(__m512i x) noexcept {
+  if constexpr (R == 0) return x;
+  return _mm512_maskz_rol_epi64(0xff, x, R);
+}
+
+RBC_TARGET_AVX512 inline __m512i xor5(__m512i v, __m512i w, __m512i x,
+                                      __m512i y, __m512i z) noexcept {
+  return _mm512_ternarylogic_epi64(_mm512_ternarylogic_epi64(v, w, x, kXor3),
+                                   y, z, kXor3);
+}
+
+/// 8 sponge states, one per 64-bit zmm lane: the x4 round with a native
+/// rotate, two-op column parities and a one-op chi per lane. Forced inline:
+/// at -O2 GCC keeps it out of line, which sends the state through memory
+/// every round (about 25% slower than the inlined form).
+[[gnu::always_inline]] RBC_TARGET_AVX512 inline void keccak_round_x8(
+    const __m512i* a, __m512i* e, u64 rc) noexcept {
+  const __m512i c0 = xor5(a[0], a[5], a[10], a[15], a[20]);
+  const __m512i c1 = xor5(a[1], a[6], a[11], a[16], a[21]);
+  const __m512i c2 = xor5(a[2], a[7], a[12], a[17], a[22]);
+  const __m512i c3 = xor5(a[3], a[8], a[13], a[18], a[23]);
+  const __m512i c4 = xor5(a[4], a[9], a[14], a[19], a[24]);
+  const __m512i d0 = _mm512_xor_si512(c4, rotl64z<1>(c1));
+  const __m512i d1 = _mm512_xor_si512(c0, rotl64z<1>(c2));
+  const __m512i d2 = _mm512_xor_si512(c1, rotl64z<1>(c3));
+  const __m512i d3 = _mm512_xor_si512(c2, rotl64z<1>(c4));
+  const __m512i d4 = _mm512_xor_si512(c3, rotl64z<1>(c0));
+
+#define RBC_KECCAK_B(src, dcol) \
+  rotl64z<kKeccakRho[src]>(_mm512_xor_si512(a[src], dcol))
+#define RBC_KECCAK_CHI(x, y, z) _mm512_ternarylogic_epi64(x, y, z, kXorAndNot)
+#define RBC_KECCAK_ROW(Y, s0, dc0, s1, dc1, s2, dc2, s3, dc3, s4, dc4) \
+  {                                                                    \
+    const __m512i b0 = RBC_KECCAK_B(s0, dc0);                          \
+    const __m512i b1 = RBC_KECCAK_B(s1, dc1);                          \
+    const __m512i b2 = RBC_KECCAK_B(s2, dc2);                          \
+    const __m512i b3 = RBC_KECCAK_B(s3, dc3);                          \
+    const __m512i b4 = RBC_KECCAK_B(s4, dc4);                          \
+    e[5 * (Y) + 0] = RBC_KECCAK_CHI(b0, b1, b2);                       \
+    e[5 * (Y) + 1] = RBC_KECCAK_CHI(b1, b2, b3);                       \
+    e[5 * (Y) + 2] = RBC_KECCAK_CHI(b2, b3, b4);                       \
+    e[5 * (Y) + 3] = RBC_KECCAK_CHI(b3, b4, b0);                       \
+    e[5 * (Y) + 4] = RBC_KECCAK_CHI(b4, b0, b1);                       \
+  }
+  RBC_KECCAK_FOR_EACH_ROW(RBC_KECCAK_ROW)
+#undef RBC_KECCAK_ROW
+#undef RBC_KECCAK_CHI
+#undef RBC_KECCAK_B
+
+  e[0] = _mm512_xor_si512(e[0], _mm512_set1_epi64(static_cast<long long>(rc)));
+}
+
+RBC_TARGET_AVX512 void sha3_seed_x8_avx512(const Seed256* seeds,
+                                           Digest256* out) noexcept {
+  __m512i s[25];
+  for (int w = 0; w < 4; ++w) {
+    alignas(64) u64 words[8];
+    for (int l = 0; l < 8; ++l) words[l] = seeds[l].word(w);
+    s[w] = _mm512_load_si512(words);
+  }
+  s[4] = _mm512_set1_epi64(0x06LL);
+  for (int i = 5; i < 16; ++i) s[i] = _mm512_setzero_si512();
+  s[16] = _mm512_set1_epi64(static_cast<long long>(0x8000000000000000ULL));
+  for (int i = 17; i < 25; ++i) s[i] = _mm512_setzero_si512();
+
+  __m512i t[25];
+  for (int round = 0; round < 24; round += 2) {
+    keccak_round_x8(s, t, kKeccakRoundConstants[round]);
+    keccak_round_x8(t, s, kKeccakRoundConstants[round + 1]);
+  }
+
+  alignas(64) u64 lanes[4][8];  // lanes[w][l] = Keccak lane w of hash lane l
+  for (int w = 0; w < 4; ++w) _mm512_store_si512(lanes[w], s[w]);
+  for (int l = 0; l < 8; ++l) {
+    u8* p = out[l].bytes.data();
+    for (int w = 0; w < 4; ++w) std::memcpy(p + 8 * w, &lanes[w][l], 8);
+  }
+}
+
+#undef RBC_KECCAK_FOR_EACH_ROW
+
 #endif  // RBC_HAVE_AVX2_TARGET
 
 }  // namespace
@@ -177,7 +271,10 @@ void sha3_256_seed_multi_level(SimdLevel level, const Seed256* seeds,
                                std::size_t count, Digest256* out) noexcept {
   std::size_t i = 0;
 #if RBC_HAVE_AVX2_TARGET
-  if (level == SimdLevel::kAvx2) {
+  if (level >= SimdLevel::kAvx512) {
+    for (; i + 8 <= count; i += 8) sha3_seed_x8_avx512(seeds + i, out + i);
+  }
+  if (level >= SimdLevel::kAvx2) {
     for (; i + 4 <= count; i += 4) sha3_seed_x4_avx2(seeds + i, out + i);
   }
 #endif

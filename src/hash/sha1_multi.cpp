@@ -191,7 +191,7 @@ void sha1_seed_multi_level(SimdLevel level, const Seed256* seeds,
                            std::size_t count, Digest160* out) noexcept {
   std::size_t i = 0;
 #if RBC_HAVE_AVX2_TARGET
-  if (level == SimdLevel::kAvx2) {
+  if (level >= SimdLevel::kAvx2) {
     for (; i + 8 <= count; i += 8) sha1_seed_x8_avx2(seeds + i, out + i);
   }
 #endif

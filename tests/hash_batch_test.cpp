@@ -4,6 +4,7 @@
 // search's results and accounting exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,8 @@ std::vector<SimdLevel> available_levels() {
   std::vector<SimdLevel> levels{SimdLevel::kScalar, SimdLevel::kSwar};
   if (hash::detected_simd_level() >= SimdLevel::kAvx2)
     levels.push_back(SimdLevel::kAvx2);
+  if (hash::detected_simd_level() >= SimdLevel::kAvx512)
+    levels.push_back(SimdLevel::kAvx512);
   return levels;
 }
 
@@ -82,9 +85,16 @@ TEST(HashBatch, Sha3MatchesScalarPerLaneAtEveryLevel) {
 // --- ragged tails: every count from 1 seed up past two full batches -------
 
 TEST(HashBatch, RaggedTailsCoverAllDispatchSplits) {
-  const auto seeds = random_seeds(33, 0x7a9);
+  // Every n in [1, 33] plus counts whose splits cross each group width in
+  // one call: 13 = 8 + 4 + 1 and 63 = 7 x 8 + 4 + 3 (AVX-512 Keccak, then
+  // the 4-lane remainder, then the scalar tail).
+  const auto seeds = random_seeds(64, 0x7a9);
+  std::vector<std::size_t> counts;
+  for (std::size_t n = 1; n <= 33; ++n) counts.push_back(n);
+  counts.push_back(63);
+  counts.push_back(64);
   for (const SimdLevel level : available_levels()) {
-    for (std::size_t n = 1; n <= seeds.size(); ++n) {
+    for (const std::size_t n : counts) {
       std::vector<hash::Digest160> d1(n);
       std::vector<hash::Digest256> d3(n);
       hash::sha1_seed_multi_level(level, seeds.data(), n, d1.data());
@@ -161,9 +171,10 @@ TEST(HashBatch, ForcedLevelIsCappedByDetection) {
     ScopedSimdLevel guard(SimdLevel::kScalar);
     EXPECT_EQ(hash::active_simd_level(), SimdLevel::kScalar);
   }
-  {
-    ScopedSimdLevel guard(SimdLevel::kAvx2);
+  for (const SimdLevel level : {SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    ScopedSimdLevel guard(level);
     EXPECT_LE(hash::active_simd_level(), detected);
+    EXPECT_EQ(hash::active_simd_level(), std::min(level, detected));
   }
 }
 
