@@ -30,7 +30,8 @@
 //     The walk that builds a shell's table is paid once per process instead
 //     of once per session — this is where the fusion engine's per-session
 //     setup win comes from. Memory is bounded by the fusion admission
-//     threshold (masks are 32 B each; a d<=2 ball over 256 bits is ~1 MiB).
+//     threshold (a mask is stored as its k bit positions, one byte each; a
+//     d<=2 ball over 256 bits is ~65 KiB).
 #pragma once
 
 #include <algorithm>
@@ -163,7 +164,30 @@ class BallStream final : public CandidateStream {
 /// until their streams drain.
 class ShellMaskCache {
  public:
-  using Table = std::vector<Seed256>;
+  /// One shell's masks in canonical order. Each mask is stored as its k set
+  /// bit positions, one byte each (n_bits <= 256), instead of a 32-byte
+  /// Seed256: 2 bytes per mask at k = 2. Candidates are rebuilt by XOR-ing
+  /// k single-bit masks from a static 256-entry table.
+  class Table {
+   public:
+    explicit Table(int k) : k_(static_cast<std::size_t>(k)) {}
+
+    /// Makes room for exactly `masks` masks, so building never regrows.
+    void reserve(std::size_t masks) { bits_.reserve(masks * k_); }
+    /// Appends `mask`, which must have exactly k bits set.
+    void push_back(const Seed256& mask);
+
+    std::size_t size() const noexcept { return bits_.size() / k_; }
+    /// Mask `i`.
+    Seed256 operator[](std::size_t i) const noexcept;
+    /// out[j] = base ^ mask(first + j) for j in [0, n).
+    void xor_masks(const Seed256& base, std::size_t first, std::size_t n,
+                   Seed256* out) const noexcept;
+
+   private:
+    std::size_t k_;
+    std::vector<u8> bits_;  // mask i's bit positions at [k*i, k*i + k)
+  };
 
   /// Process-wide counters, surfaced through ServerStats and the metrics
   /// export. Counter updates and this snapshot share the cache mutex, so a
@@ -171,31 +195,34 @@ class ShellMaskCache {
   /// mid-update) and safe to call concurrently with get()/set_capacity()
   /// from any thread — the ObsShellCacheTorn TSan stress pins this.
   struct Stats {
-    u64 hits = 0;
-    u64 misses = 0;       // table built (or raced) on this fetch
+    u64 hits = 0;         // includes fetches that waited for another's build
+    u64 misses = 0;       // table built on this fetch
     u64 evictions = 0;    // tables dropped by the LRU cap
     u64 cached_masks = 0; // masks currently retained
     u64 cached_tables = 0;
   };
 
-  /// Fetches (building on first use) the mask table for shell k. CHECK-fails
-  /// on shells too large to sensibly materialize (the fusion admission
-  /// threshold keeps real callers far below the cap).
+  /// Fetches (building on first use) the mask table for shell k. The first
+  /// fetch of a key builds it; concurrent fetches of the same key wait for
+  /// that build, while other keys build in parallel. CHECK-fails on shells
+  /// too large to sensibly materialize (the fusion admission threshold keeps
+  /// real callers far below the cap).
   static std::shared_ptr<const Table> get(sim::IterAlgo iter, int k,
                                           int n_bits = comb::kSeedBits);
 
   static Stats stats();
 
-  /// Sets the LRU capacity in total masks (32 B each) and evicts down to it.
-  /// Process-wide; tests should restore kDefaultCapacityMasks afterwards.
+  /// Sets the LRU capacity in total masks (k bytes each) and evicts down to
+  /// it. Process-wide; tests should restore kDefaultCapacityMasks afterwards.
   static void set_capacity(u64 max_masks);
 
-  /// Hard size cap per shell table, in masks (32 B each). Guards the cache
+  /// Hard size cap per shell table, in masks (k bytes each). Guards the cache
   /// against a misconfigured threshold; d<=3 over 256 bits fits.
   static constexpr u64 kMaxTableMasks = u64{1} << 22;
 
-  /// Default LRU capacity in total masks (64 MiB): the full d<=2 working set
-  /// of every iterator family plus slack for small-n_bits test tables.
+  /// Default LRU capacity in total masks (at most 6 MiB for shells k <= 3):
+  /// the full d<=2 working set of every iterator family plus slack for
+  /// small-n_bits test tables.
   static constexpr u64 kDefaultCapacityMasks = u64{1} << 21;
 };
 

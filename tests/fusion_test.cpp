@@ -18,9 +18,12 @@
 #include <memory>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "combinatorics/algorithm515.hpp"
 #include "combinatorics/chase382.hpp"
+#include "combinatorics/gosper.hpp"
 #include "rbc/candidate_stream.hpp"
 #include "server/auth_server.hpp"
 #include "server/fusion_engine.hpp"
@@ -66,32 +69,49 @@ SearchOptions small_search_opts() {
 // Stream contract
 // ---------------------------------------------------------------------------
 
+template <comb::SeedIteratorFactory Factory>
+std::vector<Seed256> ball_stream_order(const Seed256& s_init, int d,
+                                       Factory factory) {
+  BallStream<Factory> stream(s_init, d, factory);
+  std::vector<Seed256> order;
+  std::array<Seed256, 64> buf;
+  while (std::size_t n = stream.fill(buf.data(), buf.size()))
+    order.insert(order.end(), buf.begin(), buf.begin() + n);
+  return order;
+}
+
 TEST(FusionStream, TableStreamReproducesBallStreamOrder) {
   // The cached-table stream must emit the byte-identical candidate sequence
-  // the factory-walking stream emits, regardless of the fill granularity —
-  // resumability cannot perturb the enumeration order.
+  // the factory-walking stream emits, for every iterator family and
+  // regardless of the fill granularity — resumability cannot perturb the
+  // enumeration order.
   const Seed256 s_init = random_seed(0xF051);
-  comb::ChaseFactory factory;
-  BallStream<comb::ChaseFactory> reference(s_init, 2, factory);
-  TableCandidateStream table(s_init, 2, sim::IterAlgo::kChase382);
-
-  std::vector<Seed256> want;
-  std::array<Seed256, 64> buf;
-  while (std::size_t n = reference.fill(buf.data(), buf.size()))
-    want.insert(want.end(), buf.begin(), buf.begin() + n);
-  ASSERT_EQ(want.size(), kBallD2);
-
-  std::vector<Seed256> got;
-  std::size_t ask = 1;  // ragged asks: 1, 2, 3, ... wraps shell boundaries
-  while (std::size_t n = table.fill(buf.data(), (ask % 63) + 1)) {
-    got.insert(got.end(), buf.begin(), buf.begin() + n);
-    ++ask;
+  const std::pair<sim::IterAlgo, std::vector<Seed256>> families[] = {
+      {sim::IterAlgo::kChase382,
+       ball_stream_order(s_init, 2, comb::ChaseFactory())},
+      {sim::IterAlgo::kAlg515,
+       ball_stream_order(
+           s_init, 2, comb::Algorithm515Factory(comb::Alg515Mode::kSuccessor))},
+      {sim::IterAlgo::kGosper,
+       ball_stream_order(s_init, 2, comb::GosperFactory())},
+  };
+  for (const auto& [iter, want] : families) {
+    SCOPED_TRACE(sim::to_string(iter));
+    ASSERT_EQ(want.size(), kBallD2);
+    TableCandidateStream table(s_init, 2, iter);
+    std::vector<Seed256> got;
+    std::array<Seed256, 64> buf;
+    std::size_t ask = 1;  // ragged asks: 1, 2, 3, ... wraps shell boundaries
+    while (std::size_t n = table.fill(buf.data(), (ask % 63) + 1)) {
+      got.insert(got.end(), buf.begin(), buf.begin() + n);
+      ++ask;
+    }
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_TRUE(table.exhausted());
+    EXPECT_EQ(table.position(), kBallD2);
+    for (std::size_t i = 0; i < want.size(); ++i)
+      ASSERT_EQ(got[i], want[i]) << "candidate " << i;
   }
-  ASSERT_EQ(got.size(), want.size());
-  EXPECT_TRUE(table.exhausted());
-  EXPECT_EQ(table.position(), kBallD2);
-  for (std::size_t i = 0; i < want.size(); ++i)
-    ASSERT_EQ(got[i], want[i]) << "candidate " << i;
 }
 
 TEST(FusionStream, FillsNeverCrossShellBoundaries) {

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <latch>
 #include <memory>
 #include <optional>
 #include <set>
@@ -796,6 +797,29 @@ TEST(ShellCacheLru, EvictsLeastRecentlyUsedAndCounts) {
   EXPECT_EQ((*t41)[0], (*t41_again)[0]);
 
   ShellMaskCache::set_capacity(ShellMaskCache::kDefaultCapacityMasks);
+}
+
+TEST(ShellCacheLru, ConcurrentFirstFetchesBuildOnce) {
+  // Eight first fetches of a key no other test uses, released together: one
+  // builds the table and the others wait for it, counting as hits.
+  constexpr int kThreads = 8;
+  const auto before = ShellMaskCache::stats();
+  std::latch start(kThreads);
+  std::array<std::shared_ptr<const ShellMaskCache::Table>, kThreads> got;
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    threads.emplace_back([&start, &got, i] {
+      start.arrive_and_wait();
+      got[i] = ShellMaskCache::get(sim::IterAlgo::kAlg515, 3, 97);
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  const auto after = ShellMaskCache::stats();
+  EXPECT_EQ(after.misses, before.misses + 1);
+  EXPECT_EQ(after.hits, before.hits + kThreads - 1);
+  EXPECT_EQ(got[0]->size(), 147440u);  // C(97, 3)
+  for (const auto& table : got) EXPECT_EQ(table, got[0]);
 }
 
 TEST(ShellCacheLru, StatsTrackRetainedMasks) {
