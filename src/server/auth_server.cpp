@@ -53,7 +53,7 @@ std::future<SessionOutcome> AuthServer::submit(Client* client,
   RBC_CHECK(client != nullptr);
   const std::size_t s =
       static_cast<std::size_t>(shard_of_device(client->config().device_id));
-  return shards_[s]->submit(client, budget_s);
+  return shards_[s]->submit(client, budget_s, std::nullopt);
 }
 
 std::future<SessionOutcome> AuthServer::submit(Client* client, double budget_s,

@@ -59,29 +59,14 @@ Shard::Shard(const ServerConfig& cfg, int index, int num_shards,
 
 Shard::~Shard() { shutdown(); }
 
-std::future<SessionOutcome> Shard::submit(Client* client, double budget_s) {
-  RBC_CHECK(client != nullptr);
-  // Default salt: device id mixed with this shard's admission sequence.
-  // Deterministic for sequential submitters; chaos harnesses that need
-  // routing-independent replay pass an explicit salt instead.
-  u64 seq_now;
-  {
-    std::lock_guard lock(mutex_);
-    seq_now = next_seq_;
-  }
-  return submit(client, budget_s,
-                mix_device_id(client->config().device_id) ^ seq_now);
-}
-
 std::future<SessionOutcome> Shard::submit(Client* client, double budget_s,
-                                          u64 net_salt) {
+                                          std::optional<u64> net_salt) {
   RBC_CHECK(client != nullptr);
   RBC_CHECK_MSG(budget_s > 0.0, "session budget must be positive");
 
   SessionOutcome rejection;
   rejection.device_id = client->config().device_id;
   rejection.accepted = false;
-  rejection.net_salt = net_salt;
 
   // Feasibility shed: the deadline clock starts NOW; if the budget cannot
   // even cover the modeled communication floor (4 messages + the PUF read,
@@ -94,12 +79,21 @@ std::future<SessionOutcome> Shard::submit(Client* client, double budget_s,
                client->config().puf_read_time_s;
   }
 
-  auto session = std::make_unique<Session>(client, budget_s, 0, net_salt);
+  auto session = std::make_unique<Session>(client, budget_s);
   std::future<SessionOutcome> future = session->promise.get_future();
 
   {
     std::lock_guard lock(mutex_);
     std::lock_guard stats_lock(stats_mutex_);
+    // Default salt: the device id mixed with the admission seq this session
+    // reserves below, read under the same lock, so concurrent submits for
+    // one device never share a salt. Deterministic for sequential
+    // submitters; chaos harnesses that need routing-independent replay pass
+    // an explicit salt instead.
+    const u64 salt =
+        net_salt.value_or(mix_device_id(rejection.device_id) ^ next_seq_);
+    session->net_salt = salt;
+    rejection.net_salt = salt;
     ++submitted_;
     RejectReason reason = RejectReason::kNone;
     if (shutdown_) {
@@ -117,7 +111,7 @@ std::future<SessionOutcome> Shard::submit(Client* client, double budget_s,
       // Admission event even for refusals: a shed session's only trace IS
       // this record (detail = RejectReason, value = queue depth at refusal).
       if (ring_) {
-        obs::SessionTrace(ring_.get(), net_salt, rejection.device_id,
+        obs::SessionTrace(ring_.get(), salt, rejection.device_id,
                           static_cast<u32>(index_))
             .event(obs::SpanKind::kAdmission, static_cast<u32>(reason),
                    queue_.size());
@@ -127,7 +121,7 @@ std::future<SessionOutcome> Shard::submit(Client* client, double budget_s,
     }
     session->seq = next_seq_++;
     if (ring_) {
-      obs::SessionTrace(ring_.get(), net_salt, rejection.device_id,
+      obs::SessionTrace(ring_.get(), salt, rejection.device_id,
                         static_cast<u32>(index_))
           .event(obs::SpanKind::kAdmission,
                  static_cast<u32>(RejectReason::kNone), queue_.size());

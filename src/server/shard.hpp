@@ -29,6 +29,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -233,12 +234,11 @@ class Shard {
 
   /// Admits one session for `client` (which must route to this shard) with
   /// the given threshold budget. Returns a future; rejected sessions
-  /// resolve immediately. The default fault-stream salt mixes the device id
-  /// with the shard's admission sequence; chaos harnesses pass an explicit
-  /// salt via the 3-arg overload so runs replay independent of routing.
-  std::future<SessionOutcome> submit(Client* client, double budget_s);
+  /// resolve immediately. Without an explicit `net_salt`, the fault-stream
+  /// salt mixes the device id with the shard's admission sequence; chaos
+  /// harnesses pass an explicit salt so runs replay independent of routing.
   std::future<SessionOutcome> submit(Client* client, double budget_s,
-                                     u64 net_salt);
+                                     std::optional<u64> net_salt);
 
   /// One shard's contribution to the aggregate ServerStats.
   struct StatsSlice {
@@ -293,11 +293,9 @@ class Shard {
     double budget_s = 0.0;  // the threshold T this session was given
     obs::SessionTrace trace;  // disabled unless the shard armed it
     std::promise<SessionOutcome> promise;
-    Session(Client* c, double budget, u64 sequence, u64 salt)
+    Session(Client* c, double budget)
         : client(c),
           ctx(par::SearchContext::with_budget(budget)),
-          seq(sequence),
-          net_salt(salt),
           budget_s(budget) {}
   };
 

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <future>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -355,6 +356,52 @@ TEST(ShardStress, MinimumSearchFloorAppliesWithoutRealtime) {
   EXPECT_FALSE(outcome.accepted);
   EXPECT_EQ(outcome.reject_reason, RejectReason::kInfeasible);
   EXPECT_EQ(server.stats().shed_infeasible, 1u);
+}
+
+TEST(ShardStress, ConcurrentSameDeviceSubmitsDrawDistinctSalts) {
+  // Eight submitters released at once for ONE device: the default salt is
+  // drawn from the admission seq under the queue lock, so no two admitted
+  // sessions share a fault fork or a trace timeline.
+  constexpr int kSubmitters = 8;
+  ShardFixture f(1, 2, /*id_base=*/7800);
+  ServerConfig cfg;
+  cfg.num_shards = 1;
+  cfg.max_queue_depth = 2 * kSubmitters;
+  cfg.max_in_flight = 2;
+  cfg.session_budget_s = 600.0;
+  cfg.per_message_latency_s = 0.0;
+  AuthServer server(cfg, f.ca.get(), &f.ra);
+
+  std::vector<std::unique_ptr<Client>> clients;
+  for (int t = 0; t < kSubmitters; ++t)
+    clients.push_back(f.make_client(0, 1, 0x5A17 + static_cast<u64>(t)));
+  std::vector<std::future<SessionOutcome>> futures(kSubmitters);
+  // Spin rather than block at the start line: woken one by one, blocked
+  // threads would reach submit() too far apart to contend.
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  {
+    std::vector<std::thread> submitters;
+    for (std::size_t t = 0; t < clients.size(); ++t) {
+      submitters.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (!go.load()) {
+        }
+        futures[t] = server.submit(clients[t].get());
+      });
+    }
+    while (ready.load() < kSubmitters) std::this_thread::yield();
+    go.store(true);
+    for (auto& s : submitters) s.join();
+  }
+
+  std::set<u64> salts;
+  for (auto& future : futures) {
+    const SessionOutcome outcome = future.get();
+    ASSERT_TRUE(outcome.accepted);
+    salts.insert(outcome.net_salt);
+  }
+  EXPECT_EQ(salts.size(), static_cast<std::size_t>(kSubmitters));
 }
 
 TEST(ShardStress, RoutingConfinesSessionsToTheirShard) {
