@@ -36,10 +36,10 @@ Seed256 shell2_mask_at_rank(u64 rank) {
 // ~4 us per hashed seed via the quantum hook — on a single-core host a
 // genuinely slow core cannot be provisioned, but a sleeping unit models one
 // faithfully: its quanta take longer while the OS runs the other workers.
-double run_once(const Seed256& base, const hash::Sha1BatchSeedHash::digest_type& target,
+double run_once(comb::ChaseFactory& factory, const Seed256& base,
+                const hash::Sha1BatchSeedHash::digest_type& target,
                 SearchSchedule schedule, bool early_exit, bool straggler,
-                int max_distance, par::WorkerGroup& pool, u64* seeds = nullptr) {
-  comb::ChaseFactory factory;  // fresh factory: plan construction is charged
+                int max_distance, par::WorkerGroup& pool) {
   SearchOptions opts;
   opts.max_distance = max_distance;
   opts.num_threads = 4;
@@ -56,17 +56,23 @@ double run_once(const Seed256& base, const hash::Sha1BatchSeedHash::digest_type&
   const hash::Sha1BatchSeedHash hash;
   const auto r = rbc_search<hash::Sha1BatchSeedHash>(base, target, factory,
                                                      pool, opts, hash);
-  if (seeds) *seeds = r.seeds_hashed;
   return r.host_seconds;
 }
 
+// Best of `reps` timed searches after one untimed warm-up. The warm-up pays
+// each schedule's one-time snapshot walks (tiled plans are process-wide,
+// static slices are cached in the factory), so neither schedule is charged
+// them and the comparison is like for like.
 double best_of(int reps, const Seed256& base,
                const hash::Sha1BatchSeedHash::digest_type& target,
                SearchSchedule schedule, bool early_exit, bool straggler,
                int max_distance, par::WorkerGroup& pool) {
+  comb::ChaseFactory factory;
+  run_once(factory, base, target, schedule, early_exit, straggler,
+           max_distance, pool);
   double best = 1e30;
   for (int i = 0; i < reps; ++i) {
-    best = std::min(best, run_once(base, target, schedule, early_exit,
+    best = std::min(best, run_once(factory, base, target, schedule, early_exit,
                                    straggler, max_distance, pool));
   }
   return best;
@@ -128,7 +134,7 @@ int main() {
   // --- PR 4: tile scheduler vs static shell slices --------------------------
   print_title(
       "Skewed workload — straggler worker, tiled vs static (d = 2, SHA-1, "
-      "4 workers, 1024-seed tiles, best of 3)");
+      "4 workers, 1024-seed tiles, best of 3 after a warm-up)");
   std::printf(
       "Worker 0 sleeps ~4 us per hashed seed (a modeled slow core). Under\n"
       "static slices its 1/4 of every shell gates the wall clock; under the\n"
@@ -182,22 +188,24 @@ int main() {
 
   print_title(
       "Uniform workload — tiling overhead (d = 3 exhaustive, SHA-1, "
-      "4 workers, default tiles, best of 3)");
+      "4 workers, default tiles, best of 3 after a warm-up)");
   {
     const auto absent = sha1(unrelated);
     auto timed = [&](SearchSchedule sched) {
+      // One factory and one untimed warm-up per schedule: neither is
+      // charged its one-time snapshot walks (see best_of).
+      comb::ChaseFactory factory;
+      SearchOptions opts;
+      opts.max_distance = 3;
+      opts.num_threads = 4;
+      opts.early_exit = false;
+      opts.timeout_s = 600.0;
+      opts.schedule = sched;
       double best = 1e30;
-      for (int rep = 0; rep < 3; ++rep) {
-        comb::ChaseFactory factory;  // fresh: plan construction is charged
-        SearchOptions opts;
-        opts.max_distance = 3;
-        opts.num_threads = 4;
-        opts.early_exit = false;
-        opts.timeout_s = 600.0;
-        opts.schedule = sched;
+      for (int rep = 0; rep <= 3; ++rep) {
         const auto r = rbc_search<hash::Sha1BatchSeedHash>(
             base, absent, factory, skew_pool, opts, sha1);
-        best = std::min(best, r.host_seconds);
+        if (rep > 0) best = std::min(best, r.host_seconds);
       }
       return best;
     };

@@ -68,14 +68,17 @@ else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
 
-echo "=== [7/16] bench smoke: server shard sweep -> BENCH_PR6.json ==="
+echo "=== [7/16] bench smoke: server shard sweep -> build-release/BENCH_PR6.json ==="
 # The sharded serving layer's acceptance run: 1/2/4/8 shards at equal total
 # resources. The binary exits nonzero if sharded p95 regresses >10% against
-# the single-queue baseline or any session registers a corrupt key.
+# the single-queue baseline or any session registers a corrupt key. Steps
+# 7/9/10/11 write their JSON under build-release/, so a CI run never
+# overwrites the archived BENCH_PR*.json at the repository root (step 12
+# tabulates those archives).
 if [[ "${RBC_CI_BENCH:-1}" == "1" ]]; then
   cmake --build --preset release -j "$JOBS" --target bench_server_throughput
   ./build-release/bench/bench_server_throughput --sweep-only \
-    --json BENCH_PR6.json
+    --json build-release/BENCH_PR6.json
 else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
@@ -90,18 +93,18 @@ else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
 
-echo "=== [9/16] bench smoke: lane fusion -> BENCH_PR8.json ==="
+echo "=== [9/16] bench smoke: lane fusion -> build-release/BENCH_PR8.json ==="
 # The fusion engine's acceptance run: the 4096-session SHA-3 d=2 burst solo
 # and fused. The binary exits nonzero unless fused throughput is >= 1.3x
 # solo with lane occupancy >= 0.9 and zero corrupt registrations.
 if [[ "${RBC_CI_BENCH:-1}" == "1" ]]; then
   ./build-release/bench/bench_server_throughput --fusion-only \
-    --json BENCH_PR8.json
+    --json build-release/BENCH_PR8.json
 else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
 
-echo "=== [10/16] bench smoke: reliability-ordered search -> BENCH_PR9.json ==="
+echo "=== [10/16] bench smoke: reliability-ordered search -> build-release/BENCH_PR9.json ==="
 # The reliability-guided ordering acceptance run: a 192-session injected-d=3
 # burst replayed under canonical and maximum-likelihood-first order. The
 # binary exits nonzero unless the ordered run hashes >= 5x fewer seeds per
@@ -109,12 +112,12 @@ echo "=== [10/16] bench smoke: reliability-ordered search -> BENCH_PR9.json ==="
 # verdicts identical and zero corrupt registrations.
 if [[ "${RBC_CI_BENCH:-1}" == "1" ]]; then
   ./build-release/bench/bench_server_throughput --ordering-only \
-    --json BENCH_PR9.json
+    --json build-release/BENCH_PR9.json
 else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
 
-echo "=== [11/16] bench smoke: observability -> BENCH_PR10.json + metrics export ==="
+echo "=== [11/16] bench smoke: observability -> build-release/BENCH_PR10.json + metrics export ==="
 # The observability layer's acceptance run: the dispatch-overhead burst
 # untraced vs traced (span tracer + flight recorder armed). The binary exits
 # nonzero unless traced p95 stays within the 5% overhead gate with zero
@@ -123,7 +126,7 @@ echo "=== [11/16] bench smoke: observability -> BENCH_PR10.json + metrics export
 # other) by scripts/check_metrics.py.
 if [[ "${RBC_CI_BENCH:-1}" == "1" ]]; then
   ./build-release/bench/bench_server_throughput --obs-only \
-    --obs-sessions 1024 --json BENCH_PR10.json \
+    --obs-sessions 1024 --json build-release/BENCH_PR10.json \
     --metrics-out build-release/metrics.json
   if command -v python3 >/dev/null 2>&1; then
     python3 scripts/check_metrics.py build-release/metrics.json
@@ -157,12 +160,15 @@ echo "=== [14/16] ctest (tsan: concurrency suites) ==="
 # OrderedSearch/OrderedFusion/OrderedServer run the reliability-ordered
 # stream through multi-threaded solo scans, mixed-order fused batches and
 # a full server burst; ShellCacheLru hammers the shared shell-mask cache;
+# ChasePlanCache and SingleFlightCache cover the process-wide tile-plan cache
+# (concurrent first fetches, cut walks, waiters polling their own deadline);
+# ShardStress includes concurrent same-device submits drawing their salts;
 # Obs* covers the lock-free trace ring under concurrent writers/snapshots,
 # mid-traffic metrics export, and the shell-cache counter churn case.
 # (ctest registers gtest CASE names, so the filter matches suite prefixes.)
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
   --output-on-failure -j "$JOBS" \
-  -R 'WorkerGroup|SearchContext|ServerStress|ShardStress|ChaosProtocol|ChaosServer|EnrollmentDatabaseConcurrency|RbcSearch|Backend|Protocol|LaunchKernel|SaltedKernel|DistSearch|Communicator|HashBatch|TileScheduler|TileSchedulerStress|ScheduleEquivalence|HeteroCoSearch|SeekEquivalence|ShellTiler|FusionStream|FusionBatch|FusionEngine|FusionServer|OrderedSearch|OrderedFusion|OrderedServer|ShellCacheLru|Obs'
+  -R 'WorkerGroup|SearchContext|ServerStress|ShardStress|ChaosProtocol|ChaosServer|EnrollmentDatabaseConcurrency|RbcSearch|Backend|Protocol|LaunchKernel|SaltedKernel|DistSearch|Communicator|HashBatch|TileScheduler|TileSchedulerStress|ScheduleEquivalence|HeteroCoSearch|SeekEquivalence|ShellTiler|FusionStream|FusionBatch|FusionEngine|FusionServer|OrderedSearch|OrderedFusion|OrderedServer|ShellCacheLru|ChasePlanCache|SingleFlightCache|Obs'
 
 echo "=== [15/16] configure + build (AddressSanitizer + UBSan) ==="
 cmake --preset asan -DRBC_SANITIZE=address,undefined >/dev/null

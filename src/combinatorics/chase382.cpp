@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <tuple>
 
 namespace rbc::comb {
 
@@ -43,6 +44,19 @@ bool twiddle_step(std::int16_t* ctrl, int& in, int& out) noexcept {
   in = j - 1;
   out = i - 1;
   return true;
+}
+
+u64 plan_bytes(const ChaseShellPlan& plan) {
+  return plan.tiles() * sizeof(ChaseState);
+}
+
+using PlanKey = std::tuple<int, int, u64>;  // (n_bits, k, stride)
+
+SingleFlightCache<PlanKey, ChaseShellPlan>& plan_cache() {
+  static auto* cache = new SingleFlightCache<PlanKey, ChaseShellPlan>(
+      &plan_bytes, ChaseFactory::kPlanCacheBytes,
+      ChaseFactory::kPlanCacheBytes);
+  return *cache;
 }
 
 }  // namespace
@@ -136,29 +150,24 @@ void ChaseFactory::prepare(int k, int num_threads) {
 }
 
 std::shared_ptr<const ChaseShellPlan> ChaseFactory::plan(
-    int k, u64 stride, const std::function<bool()>& abort) {
-  const auto key = std::make_pair(k, stride);
-  {
-    std::lock_guard lock(plan_mutex_);
-    auto it = plan_cache_.find(key);
-    if (it != plan_cache_.end()) return it->second;
-  }
-  // Walk outside the lock: a plan for another shell must not wait behind
-  // this one's O(C(n, k)) snapshot walk. The search layer already ensures a
-  // single preparer per (k, stride), so duplicate walks are not a concern;
-  // if two do race, the first insert wins.
-  auto built = std::make_shared<ChaseShellPlan>();
-  built->total_ = static_cast<u64>(binomial128(n_bits_, k));
-  built->stride_ = stride;
-  built->n_bits_ = n_bits_;
-  if (!make_chase_snapshots_strided(k, stride, built->snapshots_, n_bits_,
-                                    abort)) {
-    return nullptr;  // aborted; not cached so a later session can retry
-  }
-  std::lock_guard lock(plan_mutex_);
-  auto [it, inserted] = plan_cache_.emplace(key, std::move(built));
-  return it->second;
+    int k, u64 stride, const std::function<bool()>& abort) const {
+  return plan_cache().get(
+      PlanKey{n_bits_, k, stride},
+      [&]() -> std::shared_ptr<const ChaseShellPlan> {
+        auto built = std::make_shared<ChaseShellPlan>();
+        built->total_ = static_cast<u64>(binomial128(n_bits_, k));
+        built->stride_ = stride;
+        built->n_bits_ = n_bits_;
+        if (!make_chase_snapshots_strided(k, stride, built->snapshots_,
+                                          n_bits_, abort)) {
+          return nullptr;
+        }
+        return built;
+      },
+      abort);
 }
+
+CacheStats ChaseFactory::plan_cache_stats() { return plan_cache().stats(); }
 
 ChaseIterator ChaseFactory::make(int r) const {
   RBC_CHECK_MSG(active_ != nullptr, "ChaseFactory::prepare not called");

@@ -6,10 +6,15 @@
 // depends on the previous state), which §3.2.1 solves by *state
 // snapshotting*: the sequence is walked once, saving the generator state at
 // regular intervals; each of the p threads then resumes from its snapshot and
-// walks its slice independently. Snapshots depend only on (n, k, p) — not on
-// the client — so they are computed once, cached, and reused for every
-// authentication (the paper excludes this one-time cost from its timings; we
-// do the same and expose it separately).
+// walks its slice independently. Snapshots depend only on the shell and the
+// spacing — not on the client — so they are computed once and reused for
+// every authentication (the paper excludes this one-time cost from its
+// timings; we do the same and expose it separately).
+//
+// Two caches hold them. The tile plans of the tiled searches (plan(k,
+// stride)) are process-wide: every factory and every search in the process
+// shares them, so each shell is walked at most once per (n_bits, k, stride).
+// prepare(k, p)'s p-slice snapshots are cached per factory instance.
 //
 // The implementation is the classic iterative "twiddle" formulation of
 // Chase's algorithm: a control array p[0..n+1] drives each transition, and
@@ -20,12 +25,12 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string_view>
 #include <vector>
 
 #include "bits/seed256.hpp"
 #include "combinatorics/combination.hpp"
+#include "common/single_flight_cache.hpp"
 #include "common/types.hpp"
 
 namespace rbc::comb {
@@ -138,10 +143,11 @@ class ChaseShellPlan {
   int n_bits_ = kSeedBits;
 };
 
-/// Factory with a snapshot cache keyed by (k, p). prepare() is cheap after
-/// the first call for a given shell/thread-count pair. plan() keeps its own
-/// cache keyed by (k, stride) and is safe to call from concurrent workers;
-/// prepare()/make() retain the original single-preparer discipline.
+/// Chase iterator factory. prepare()/make() hand out p static slices from a
+/// snapshot cache keyed by (k, p) that lives in this factory instance, with
+/// the original single-preparer discipline. plan() serves tile plans from
+/// one process-wide cache keyed by (n_bits, k, stride) and is safe to call
+/// from any number of threads and factories.
 class ChaseFactory {
  public:
   using iterator = ChaseIterator;
@@ -157,11 +163,24 @@ class ChaseFactory {
 
   ChaseIterator make(int r) const;
 
-  /// Shell plan with a snapshot at every stride boundary. Returns nullptr
-  /// when `abort` stopped the snapshot walk (the plan is then not cached, so
-  /// a later call can retry).
+  /// Shell plan with a snapshot at every stride boundary, from the
+  /// process-wide plan cache. The first fetch of a key walks the shell;
+  /// concurrent fetches of that key wait for its walk, polling their own
+  /// `abort`. Returns nullptr when `abort` stopped this caller's walk or
+  /// wait. A stopped walk is not cached and is not handed to the waiters,
+  /// which each walk again under their own `abort`.
   std::shared_ptr<const ChaseShellPlan> plan(
-      int k, u64 stride, const std::function<bool()>& abort = {});
+      int k, u64 stride, const std::function<bool()>& abort = {}) const;
+
+  /// Bytes of tile plans the process-wide cache retains: every d <= 3 plan
+  /// over 256 bits at 1,024- and 4,096-seed tiles (shell 3: ~1.4 MiB and
+  /// ~370 KiB). Larger plans, such as shell 4's ~23 MiB, go to the callers
+  /// of their walk without being retained.
+  static constexpr u64 kPlanCacheBytes = u64{4} << 20;
+
+  /// The process-wide plan cache's counters: misses count shell walks,
+  /// cached_cost counts retained plan bytes.
+  static CacheStats plan_cache_stats();
 
  private:
   struct Plan {
@@ -174,10 +193,6 @@ class ChaseFactory {
   int p_ = 1;
   const Plan* active_ = nullptr;
   std::map<std::pair<int, int>, std::unique_ptr<Plan>> cache_;
-
-  std::mutex plan_mutex_;
-  std::map<std::pair<int, u64>, std::shared_ptr<const ChaseShellPlan>>
-      plan_cache_;
 };
 
 }  // namespace rbc::comb

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -273,13 +274,14 @@ rbc::SearchResult hetero_cosearch(
                                : comb::ShellTiler::kDefaultTileSeeds;
     comb::ShellTiler tiler(d, tile_seeds);
     comb::ChaseFactory factory;
-    const auto abort_pred = [&ctx, &opts] {
-      return ctx.should_stop(opts.early_exit);
+    const std::function<bool()> stop = [&ctx, &opts] {
+      return ctx.check_deadline() || ctx.should_stop(opts.early_exit);
     };
 
-    // Plans for every shell up front (the snapshot walks are the one-time
-    // cost §3.2.1 excludes from timings; a session deadline can still abort
-    // them mid-walk).
+    // Plans for every shell up front. They come from the process-wide plan
+    // cache, so each shell's snapshot walk (the one-time cost §3.2.1
+    // excludes from timings) runs once per process; a session deadline can
+    // still cut this search's walk or its wait for another's walk short.
     std::vector<std::shared_ptr<const comb::ChaseShellPlan>> plans(
         static_cast<std::size_t>(d) + 1);
     bool prepared = true;
@@ -289,7 +291,7 @@ rbc::SearchResult hetero_cosearch(
         break;
       }
       plans[static_cast<std::size_t>(k)] =
-          factory.plan(k, tiler.stride(k), abort_pred);
+          factory.plan(k, tiler.stride(k), stop);
       if (plans[static_cast<std::size_t>(k)] == nullptr) {
         prepared = false;
         break;

@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <future>
-#include <list>
-#include <map>
-#include <mutex>
 #include <tuple>
 
 #include "combinatorics/algorithm515.hpp"
 #include "combinatorics/chase382.hpp"
 #include "combinatorics/gosper.hpp"
+#include "common/single_flight_cache.hpp"
 
 namespace rbc {
 
@@ -64,40 +61,14 @@ ShellMaskCache::Table build_table(sim::IterAlgo iter, int k, int n_bits,
   return ShellMaskCache::Table(k);
 }
 
+u64 table_masks(const ShellMaskCache::Table& table) { return table.size(); }
+
 using CacheKey = std::tuple<int, int, int>;  // (iterator, n_bits, k)
-using TablePtr = std::shared_ptr<const ShellMaskCache::Table>;
 
-struct CacheState {
-  struct Entry {
-    TablePtr table;
-    std::list<CacheKey>::iterator lru_it;
-  };
-  std::mutex mutex;
-  std::map<CacheKey, Entry> entries;
-  // Tables being built, for fetches of the same key to wait on.
-  std::map<CacheKey, std::shared_future<TablePtr>> building;
-  std::list<CacheKey> lru;  // front = most recently fetched
-  u64 capacity = ShellMaskCache::kDefaultCapacityMasks;
-  ShellMaskCache::Stats stats;
-
-  /// Evicts least-recently-fetched tables until within capacity, but never
-  /// the front entry (the one the caller is about to use). Caller holds mutex.
-  void evict_to_capacity() {
-    while (stats.cached_masks > capacity && lru.size() > 1) {
-      const CacheKey victim = lru.back();
-      lru.pop_back();
-      auto it = entries.find(victim);
-      stats.cached_masks -= it->second.table->size();
-      entries.erase(it);
-      ++stats.evictions;
-    }
-    stats.cached_tables = entries.size();
-  }
-};
-
-CacheState& cache_state() {
-  static CacheState* state = new CacheState();
-  return *state;
+SingleFlightCache<CacheKey, ShellMaskCache::Table>& table_cache() {
+  static auto* cache = new SingleFlightCache<CacheKey, ShellMaskCache::Table>(
+      &table_masks, ShellMaskCache::kDefaultCapacityMasks);
+  return *cache;
 }
 
 }  // namespace
@@ -133,66 +104,21 @@ std::shared_ptr<const ShellMaskCache::Table> ShellMaskCache::get(
   const u128 masks = comb::binomial128(n_bits, k);
   RBC_CHECK_MSG(masks <= kMaxTableMasks,
                 "shell too large for a cached mask table");
-
-  CacheState& state = cache_state();
-  const CacheKey key{static_cast<int>(iter), n_bits, k};
-  std::unique_lock lock(state.mutex);
-  auto it = state.entries.find(key);
-  if (it != state.entries.end()) {
-    ++state.stats.hits;
-    state.lru.splice(state.lru.begin(), state.lru, it->second.lru_it);
-    return it->second.table;
-  }
-  auto pending = state.building.find(key);
-  if (pending != state.building.end()) {
-    // Another fetch is walking this shell: wait for its table. Counted as a
-    // hit, so misses equals builds.
-    ++state.stats.hits;
-    const auto result = pending->second;
-    lock.unlock();
-    return result.get();
-  }
-  ++state.stats.misses;
-  std::promise<TablePtr> built;
-  state.building.emplace(key, built.get_future().share());
-  lock.unlock();
-
-  // Build outside the lock: the walk is O(C(n, k)) and other shells should
-  // not serialize behind it.
-  TablePtr table;
-  try {
-    table = std::make_shared<const Table>(
+  return table_cache().get(CacheKey{static_cast<int>(iter), n_bits, k}, [&] {
+    auto table = std::make_shared<const Table>(
         build_table(iter, k, n_bits, static_cast<std::size_t>(masks)));
     RBC_CHECK(table->size() == static_cast<std::size_t>(masks));
-  } catch (...) {
-    lock.lock();
-    state.building.erase(key);
-    lock.unlock();
-    built.set_exception(std::current_exception());
-    throw;
-  }
-  lock.lock();
-  state.building.erase(key);
-  state.lru.push_front(key);
-  state.entries.emplace(key, CacheState::Entry{table, state.lru.begin()});
-  state.stats.cached_masks += static_cast<u64>(masks);
-  state.evict_to_capacity();  // never the front entry, i.e. this one
-  lock.unlock();
-  built.set_value(table);
-  return table;
+    return table;
+  });
 }
 
 ShellMaskCache::Stats ShellMaskCache::stats() {
-  CacheState& state = cache_state();
-  std::lock_guard lock(state.mutex);
-  return state.stats;
+  const CacheStats s = table_cache().stats();
+  return Stats{s.hits, s.misses, s.evictions, s.cached_cost, s.cached_entries};
 }
 
 void ShellMaskCache::set_capacity(u64 max_masks) {
-  CacheState& state = cache_state();
-  std::lock_guard lock(state.mutex);
-  state.capacity = max_masks;
-  state.evict_to_capacity();
+  table_cache().set_capacity(max_masks);
 }
 
 TableCandidateStream::TableCandidateStream(const Seed256& s_init,

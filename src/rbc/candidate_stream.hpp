@@ -154,7 +154,9 @@ class BallStream final : public CandidateStream {
 /// i-th mask of shell k in the iterator family's canonical 1-slice order.
 /// Built once per (iterator, n_bits, k) by walking the factory — every
 /// later stream steps through it at O(1) per candidate with no per-session
-/// prepare walk. Thread-safe; entries are immutable once published.
+/// prepare walk. Thread-safe; entries are immutable once published. The
+/// single-flight and LRU logic is common/single_flight_cache.hpp, shared
+/// with the Chase tile-plan cache.
 ///
 /// The cache is bounded: total retained masks are capped (LRU eviction,
 /// least-recently-fetched table first), so a long-lived server process that

@@ -11,11 +11,13 @@
 //
 //   * kTiled (default) — the ball is decomposed into fixed-size tiles
 //     (comb::ShellTiler) handed out by a work-stealing par::TileScheduler.
-//     One extra pipeline unit publishes shell k+1's iterator plan while
-//     shell k's tiles are still being drained, so workers flow across shell
-//     boundaries instead of parking at a barrier. Exhaustive mode records
-//     the MINIMAL shell containing a match (shells overlap in flight), and
-//     per-tile accounting keeps `seeds_hashed` visit-order exact.
+//     Chase tile plans are walked once per process and shared by every
+//     search; on a cold cache, one extra pipeline unit fetches shell k+1's
+//     plan while shell k's tiles are still being drained, so workers flow
+//     across shell boundaries instead of parking at a barrier. Exhaustive
+//     mode records the MINIMAL shell containing a match (shells overlap in
+//     flight), and per-tile accounting keeps `seeds_hashed` visit-order
+//     exact.
 //   * kStatic — the PR-1/PR-3 shape: each shell is one SPMD round of p
 //     contiguous slices with a barrier in between. Kept as the reference
 //     schedule; CI asserts both report identical results.
@@ -41,9 +43,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <functional>
 #include <mutex>
@@ -164,57 +163,28 @@ void rbc_search_tiled(const Seed256& s_init,
   const int units = opts.num_threads + 1;
   par::TileScheduler sched(tiler.tiles_per_shell(), /*first_shell=*/1, units);
 
-  // Per-shell iterator plans, built lazily: the unit that first needs (or
-  // pre-publishes) shell k CASes kNone -> kPreparing and builds the plan
-  // itself; anyone else needing it meanwhile waits on the cv at a short
-  // timeout so stop conditions stay honored. A nullptr plan (walk aborted by
-  // the deadline) parks the shell as kAborted and ends the claimants.
-  enum : int { kNone = 0, kPreparing = 1, kReady = 2, kAborted = 3 };
-  std::vector<std::shared_ptr<const typename Factory::shell_plan>> plans(
-      static_cast<std::size_t>(d) + 1);
-  std::unique_ptr<std::atomic<int>[]> plan_state(
-      new std::atomic<int>[static_cast<std::size_t>(d) + 1]);
-  for (int k = 0; k <= d; ++k)
-    plan_state[static_cast<std::size_t>(k)].store(kNone,
-                                                  std::memory_order_relaxed);
-  std::mutex plan_mutex;
-  std::condition_variable plan_cv;
-
-  const auto abort_pred = [&ctx, &opts] {
-    return ctx.should_stop(opts.early_exit);
+  // Per-shell iterator plans, fetched on first need and kept for this
+  // search. Chase plans come from the process-wide single-flight cache: a
+  // unit needing a shell that another unit (or another search) is walking
+  // waits for that walk while polling `stop`, so a deadline, cancel or
+  // match still ends it promptly. A walk that `stop` cut short yields
+  // nullptr and ends the unit.
+  using PlanPtr = std::shared_ptr<const typename Factory::shell_plan>;
+  std::vector<PlanPtr> plans(static_cast<std::size_t>(d) + 1);
+  std::mutex plans_mutex;
+  const std::function<bool()> stop = [&ctx, &opts] {
+    return ctx.check_deadline() || ctx.should_stop(opts.early_exit);
   };
-
-  const auto ensure_plan =
-      [&](int k) -> std::shared_ptr<const typename Factory::shell_plan> {
-    auto& state = plan_state[static_cast<std::size_t>(k)];
-    int s = state.load(std::memory_order_acquire);
-    while (s != kReady) {
-      if (s == kAborted) return nullptr;
-      if (s == kNone) {
-        int expected = kNone;
-        if (state.compare_exchange_strong(expected, kPreparing,
-                                          std::memory_order_acq_rel)) {
-          auto plan = factory.plan(k, tiler.stride(k), abort_pred);
-          plans[static_cast<std::size_t>(k)] = plan;
-          state.store(plan != nullptr ? kReady : kAborted,
-                      std::memory_order_release);
-          plan_cv.notify_all();
-          return plan;
-        }
-        s = expected;
-        continue;
-      }
-      // Another unit is mid-walk; timed wait so deadline/cancel/match still
-      // end this unit promptly (a missed notify costs one timeout tick).
-      {
-        std::unique_lock lock(plan_mutex);
-        plan_cv.wait_for(lock, std::chrono::milliseconds(2));
-      }
-      if (ctx.check_deadline() || ctx.should_stop(opts.early_exit))
-        return nullptr;
-      s = state.load(std::memory_order_acquire);
+  const auto ensure_plan = [&](int k) -> PlanPtr {
+    const std::size_t slot = static_cast<std::size_t>(k);
+    {
+      std::lock_guard lock(plans_mutex);
+      if (plans[slot] != nullptr) return plans[slot];
     }
-    return plans[static_cast<std::size_t>(k)];
+    PlanPtr plan = factory.plan(k, tiler.stride(k), stop);
+    std::lock_guard lock(plans_mutex);
+    if (plans[slot] == nullptr) plans[slot] = plan;
+    return plan;
   };
 
   std::vector<u64> hashed_per_unit(static_cast<std::size_t>(units), 0);
@@ -231,11 +201,11 @@ void rbc_search_tiled(const Seed256& s_init,
         (std::max<u64>(opts.check_interval, 1) + kBlock - 1) / kBlock);
 
     if (unit == units - 1) {
-      // Pipeline unit: publish plans front to back, then fall through and
-      // hash like everyone else. Workers self-prepare if they outrun it.
+      // Pipeline unit: fetch plans front to back, so a cold cache walks
+      // shell k+1 while shell k's tiles drain; then fall through and hash
+      // like everyone else. Workers fetch for themselves if they outrun it.
       for (int k = 1; k <= d; ++k) {
-        if (ctx.check_deadline() || ctx.should_stop(opts.early_exit)) break;
-        if (ensure_plan(k) == nullptr) break;
+        if (stop() || ensure_plan(k) == nullptr) break;
       }
     }
 

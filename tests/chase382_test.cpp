@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <chrono>
+#include <latch>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "combinatorics/chase382.hpp"
@@ -58,6 +63,64 @@ TEST(ChaseSequence, SingleCombinationSpaces) {
   ChaseSequence empty(0, 5);
   EXPECT_TRUE(empty.mask().is_zero());
   EXPECT_FALSE(empty.advance());
+}
+
+// The control array's positive entries mark the current combination:
+// control[i] > 0 exactly when bit i - 1 of the mask is set (i in [1, n]).
+// So the first positive entry sits at the mask's lowest set bit + 1, which
+// is what lets a step find it without scanning the array. Walks `max_steps`
+// states (or the whole sequence) and returns how many break the invariant;
+// `first_bad` gets the step index of the first one.
+u64 control_mask_mismatches(int n, int k, u64 max_steps, u64& first_bad) {
+  ChaseSequence seq(k, n);
+  u64 mismatches = 0;
+  u64 step = 0;
+  do {
+    const ChaseState& s = seq.state();
+    Seed256 positive;
+    for (int i = 1; i <= n; ++i) {
+      if (s.control[static_cast<std::size_t>(i)] > 0) positive.set_bit(i - 1);
+    }
+    int first = 1;
+    while (s.control[static_cast<std::size_t>(first)] <= 0) ++first;
+    if (positive != s.mask || first != s.mask.count_trailing_zeros() + 1) {
+      if (mismatches++ == 0) first_bad = step;
+    }
+  } while (++step < max_steps && seq.advance());
+  return mismatches;
+}
+
+TEST(ChaseSequence, PositiveControlEntriesAreTheMaskBits) {
+  const auto check_full = [](int n, int max_k) {
+    for (int k = 1; k <= max_k && k <= n; ++k) {
+      u64 first_bad = 0;
+      EXPECT_EQ(control_mask_mismatches(n, k, ~u64{0}, first_bad), 0u)
+          << "n=" << n << " k=" << k << " first at step " << first_bad;
+    }
+  };
+  for (int n : {5, 8, 17, 40}) check_full(n, 6);
+  check_full(64, 4);
+}
+
+TEST(ChaseSequence, PositiveControlEntriesAreTheMaskBitsAtFullWidth) {
+  // The first 2^22 states of each full-width shell (all of k <= 3).
+  for (int k = 1; k <= 3; ++k) {
+    u64 first_bad = 0;
+    EXPECT_EQ(control_mask_mismatches(kSeedBits, k, u64{1} << 22, first_bad),
+              0u)
+        << "k=" << k << " first at step " << first_bad;
+  }
+}
+
+TEST(ChaseSequence, EmptyCombinationKeepsItsSentinel) {
+  // k = 0 is the one exception: the m = 0 sentinel sets control[1] with an
+  // empty mask, and the sequence holds that single combination.
+  for (int n : {1, 5, 64, kSeedBits}) {
+    ChaseSequence seq(0, n);
+    EXPECT_EQ(seq.state().control[1], 1) << "n=" << n;
+    EXPECT_TRUE(seq.mask().is_zero()) << "n=" << n;
+    EXPECT_FALSE(seq.advance()) << "n=" << n;
+  }
 }
 
 TEST(ChaseSequence, InitialCombinationIsHighestPositions) {
@@ -158,6 +221,195 @@ TEST(ChaseFactory, CacheReusesSnapshots) {
 TEST(ChaseFactory, MakeWithoutPrepareFails) {
   ChaseFactory factory(10);
   EXPECT_THROW(factory.make(0), rbc::CheckFailure);
+}
+
+// ---------------------------------------------------------------------------
+// The process-wide tile-plan cache. Each test uses an n_bits no other test
+// fetches and counts by deltas, so the tests hold in one process too. Tests
+// that need an uncached key take a stride no earlier repetition used
+// (--gtest_repeat runs them again in the same process).
+
+u64 unused_stride(u64 base) {
+  static u64 fetches = 0;
+  return base + fetches++;
+}
+
+void expect_same_state(const ChaseState& a, const ChaseState& b, u64 t) {
+  EXPECT_EQ(a.control, b.control) << "tile " << t;
+  EXPECT_EQ(a.mask, b.mask) << "tile " << t;
+  EXPECT_EQ(a.step_index, b.step_index) << "tile " << t;
+}
+
+TEST(ChasePlanCache, CachedPlanEqualsFreshStridedWalk) {
+  const int n = 20, k = 3;
+  const u64 stride = 100;  // C(20, 3) = 1140 = 11 * 100 + 40: ragged
+  std::vector<ChaseState> fresh;
+  ASSERT_TRUE(make_chase_snapshots_strided(k, stride, fresh, n));
+
+  const auto built = ChaseFactory(n).plan(k, stride);
+  const auto before = ChaseFactory::plan_cache_stats();
+  const auto cached = ChaseFactory(n).plan(k, stride);  // another factory
+  const auto after = ChaseFactory::plan_cache_stats();
+  ASSERT_NE(cached, nullptr);
+  EXPECT_EQ(cached, built);
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.misses, before.misses);
+
+  ASSERT_EQ(cached->tiles(), fresh.size());
+  ASSERT_EQ(cached->tiles(), 12u);
+  for (u64 t = 0; t < cached->tiles(); ++t)
+    expect_same_state(cached->snapshot(t), fresh[static_cast<std::size_t>(t)],
+                      t);
+
+  // The ragged last tile resumes from its snapshot and stops at the end.
+  const u64 last = cached->tiles() - 1;
+  EXPECT_EQ(cached->tile_count(last), 40u);
+  ChaseSequence reference(fresh.back(), n);
+  auto it = cached->make_tile(last);
+  Seed256 mask;
+  u64 produced = 0;
+  bool more = true;
+  while (it.next(mask)) {
+    ASSERT_TRUE(more);
+    EXPECT_EQ(mask, reference.mask()) << "mask " << produced;
+    ++produced;
+    more = reference.advance();
+  }
+  EXPECT_EQ(produced, 40u);
+  EXPECT_FALSE(more);  // the tile ends where the sequence does
+}
+
+TEST(ChasePlanCache, ConcurrentFirstFetchesWalkTheShellOnce) {
+  constexpr int kThreads = 8;
+  const auto before = ChaseFactory::plan_cache_stats();
+  const u64 stride = unused_stride(256);
+  std::latch start(kThreads);
+  std::array<std::shared_ptr<const ChaseShellPlan>, kThreads> got;
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    threads.emplace_back([&start, &got, i, stride] {
+      start.arrive_and_wait();
+      got[i] = ChaseFactory(61).plan(3, stride);
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  const auto after = ChaseFactory::plan_cache_stats();
+  EXPECT_EQ(after.misses, before.misses + 1);  // one walk
+  EXPECT_EQ(after.hits, before.hits + kThreads - 1);
+  ASSERT_NE(got[0], nullptr);
+  EXPECT_EQ(got[0]->total(), 35990u);  // C(61, 3)
+  for (const auto& plan : got) EXPECT_EQ(plan, got[0]);
+}
+
+TEST(ChasePlanCache, AbortedWalkLeavesNoEntry) {
+  const ChaseFactory factory(23);
+  const u64 stride = unused_stride(64);
+  const auto before = ChaseFactory::plan_cache_stats();
+  EXPECT_EQ(factory.plan(3, stride, [] { return true; }), nullptr);
+  const auto aborted = ChaseFactory::plan_cache_stats();
+  EXPECT_EQ(aborted.misses, before.misses + 1);
+  EXPECT_EQ(aborted.cached_cost, before.cached_cost);
+
+  // Nothing was cached, so the next fetch walks again, to the end.
+  const auto plan = factory.plan(3, stride);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plan->total(), 1771u);  // C(23, 3)
+  EXPECT_EQ(ChaseFactory::plan_cache_stats().misses, before.misses + 2);
+}
+
+TEST(ChasePlanCache, WaiterWithoutDeadlineGetsTheFullPlanAfterAnAbort) {
+  // A starts the walk; B fetches the same key and waits on it. A's walk is
+  // cut only once B has polled its own predicate, i.e. once B is waiting.
+  // B must not get A's cut walk: it walks again and gets the full plan.
+  const ChaseFactory factory(29);
+  const u64 stride = unused_stride(50);
+  const auto before = ChaseFactory::plan_cache_stats();
+  std::atomic<bool> a_walking{false};
+  std::atomic<int> b_polls{0};
+  std::shared_ptr<const ChaseShellPlan> a_plan, b_plan;
+  std::thread a([&] {
+    a_plan = factory.plan(3, stride, [&] {
+      a_walking.store(true);
+      while (b_polls.load() == 0) std::this_thread::yield();
+      return true;
+    });
+  });
+  while (!a_walking.load()) std::this_thread::yield();
+  std::thread b([&] {
+    b_plan = factory.plan(3, stride, [&] {
+      b_polls.fetch_add(1);
+      return false;  // no deadline
+    });
+  });
+  a.join();
+  b.join();
+
+  EXPECT_EQ(a_plan, nullptr);
+  ASSERT_NE(b_plan, nullptr);
+  EXPECT_EQ(b_plan->total(), 3654u);  // C(29, 3)
+  std::vector<ChaseState> fresh;
+  ASSERT_TRUE(make_chase_snapshots_strided(3, stride, fresh, 29));
+  ASSERT_EQ(b_plan->tiles(), fresh.size());
+  for (u64 t = 0; t < b_plan->tiles(); ++t)
+    expect_same_state(b_plan->snapshot(t), fresh[static_cast<std::size_t>(t)],
+                      t);
+  EXPECT_EQ(ChaseFactory::plan_cache_stats().misses, before.misses + 2);
+  EXPECT_EQ(factory.plan(3, stride), b_plan);  // B's walk was cached
+}
+
+TEST(ChasePlanCache, CancelledWaiterReturnsWhileAnotherCallerWalks) {
+  // A's walk is held open until B has returned. B's context is already
+  // cancelled, so B must give up its wait instead of waiting for A.
+  const ChaseFactory factory(31);
+  const u64 stride = unused_stride(50);
+  std::atomic<bool> a_walking{false};
+  std::atomic<bool> b_returned{false};
+  std::atomic<bool> a_held_out{true};
+  std::shared_ptr<const ChaseShellPlan> a_plan, b_plan;
+  std::thread a([&] {
+    a_plan = factory.plan(3, stride, [&] {
+      a_walking.store(true);
+      // Bounded, so a wrong implementation fails instead of hanging.
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (!b_returned.load()) {
+        if (std::chrono::steady_clock::now() > give_up) {
+          a_held_out.store(false);
+          break;
+        }
+        std::this_thread::yield();
+      }
+      return false;
+    });
+  });
+  while (!a_walking.load()) std::this_thread::yield();
+  b_plan = factory.plan(3, stride, [] { return true; });  // cancelled
+  b_returned.store(true);
+  a.join();
+
+  EXPECT_EQ(b_plan, nullptr);
+  EXPECT_TRUE(a_held_out.load()) << "B waited for A's walk";
+  ASSERT_NE(a_plan, nullptr);
+  EXPECT_EQ(a_plan->total(), 4495u);  // C(31, 3)
+}
+
+TEST(ChasePlanCache, PlansOverTheByteCapAreNotRetained) {
+  // C(64, 3) = 41664 masks at stride 4: 10416 snapshots, over the cap.
+  const ChaseFactory factory(64);
+  const auto before = ChaseFactory::plan_cache_stats();
+  const auto plan = factory.plan(3, 4);
+  ASSERT_NE(plan, nullptr);
+  ASSERT_GT(plan->tiles() * sizeof(ChaseState), ChaseFactory::kPlanCacheBytes);
+  EXPECT_EQ(plan->total(), 41664u);
+  const auto after = ChaseFactory::plan_cache_stats();
+  EXPECT_EQ(after.cached_cost, before.cached_cost);
+  EXPECT_EQ(after.cached_entries, before.cached_entries);
+
+  // The caller still holds its plan; the next fetch walks again.
+  const auto again = factory.plan(3, 4);
+  EXPECT_NE(again, plan);
+  EXPECT_EQ(ChaseFactory::plan_cache_stats().misses, before.misses + 2);
 }
 
 TEST(ChaseIterator, CountLimitsProduction) {

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "common/check.hpp"
 #include "common/expected.hpp"
 #include "common/hex.hpp"
 #include "common/rng.hpp"
+#include "common/single_flight_cache.hpp"
 
 namespace rbc {
 namespace {
@@ -115,6 +120,38 @@ TEST(Expected, HoldsError) {
 TEST(Expected, ValueOnErrorThrows) {
   Expected<int, std::string> e = unexpected(std::string("nope"));
   EXPECT_THROW(e.value(), CheckFailure);
+}
+
+TEST(SingleFlightCache, BuildErrorReachesEveryWaiter) {
+  // B waits on A's build of the same key; A's build throws once B is
+  // waiting. Both fetches see the error, nothing is retained, and the next
+  // fetch builds afresh.
+  SingleFlightCache<int, int> cache([](const int&) -> u64 { return 1; }, 8);
+  std::atomic<bool> a_building{false};
+  std::atomic<int> b_polls{0};
+  std::thread a([&] {
+    EXPECT_THROW(cache.get(1,
+                           [&]() -> std::shared_ptr<const int> {
+                             a_building.store(true);
+                             while (b_polls.load() == 0)
+                               std::this_thread::yield();
+                             throw std::runtime_error("build failed");
+                           }),
+                 std::runtime_error);
+  });
+  while (!a_building.load()) std::this_thread::yield();
+  EXPECT_THROW(cache.get(
+                   1, [] { return std::make_shared<const int>(2); },
+                   [&] {
+                     b_polls.fetch_add(1);
+                     return false;
+                   }),
+               std::runtime_error);
+  a.join();
+
+  EXPECT_EQ(cache.stats().cached_entries, 0u);
+  EXPECT_EQ(*cache.get(1, [] { return std::make_shared<const int>(3); }), 3);
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 }  // namespace

@@ -283,5 +283,36 @@ TEST(HeteroCoSearch, SessionDeadlineStopsBothSides) {
   EXPECT_LT(r.seeds_hashed, 2860000u);
 }
 
+TEST(ChasePlanCache, HeteroAndTiledSearchesShareShellWalks) {
+  // Both tiled callers draw Chase plans from one process-wide cache: once a
+  // co-search has walked its shells, a CPU tiled search over the same ball
+  // walks none. ~3000-seed tiles keep the keys apart from other tests' and
+  // from earlier repetitions' (--gtest_repeat).
+  static u64 repetition = 0;
+  par::WorkerGroup pool(4);
+  Xoshiro256 rng(14);
+  const hash::Sha1BatchSeedHash hash;
+  const Seed256 base = Seed256::random(rng);
+  const auto digest = hash(Seed256::random(rng));
+  SearchOptions opts = hetero_opts(2, /*early_exit=*/false);
+  opts.tile_seeds = 3000 + repetition++;
+
+  const auto before = comb::ChaseFactory::plan_cache_stats();
+  const auto hetero = hetero_cosearch<hash::Sha1BatchSeedHash>(
+      pool, base, digest, opts, /*host_units=*/2, /*device_threads=*/8,
+      /*threads_per_block=*/4, hash);
+  const auto after_hetero = comb::ChaseFactory::plan_cache_stats();
+  EXPECT_EQ(after_hetero.misses, before.misses + 2);  // shells 1 and 2
+
+  comb::ChaseFactory factory;
+  const auto cpu =
+      rbc_search<hash::Sha1BatchSeedHash>(base, digest, factory, pool, opts,
+                                          hash);
+  EXPECT_EQ(comb::ChaseFactory::plan_cache_stats().misses,
+            after_hetero.misses);
+  EXPECT_EQ(hetero.seeds_hashed, 32897u);
+  EXPECT_EQ(cpu.seeds_hashed, 32897u);
+}
+
 }  // namespace
 }  // namespace rbc::gpu

@@ -404,6 +404,37 @@ TEST(ScheduleEquivalence, QuantumHookObservesEveryHashedSeed) {
   }
 }
 
+TEST(ChasePlanCache, TwoTiledSearchesWalkEachShellOnce) {
+  // Chase tile plans are process-wide: the first tiled search walks shells
+  // 1..3 once each, and a second search, with a fresh factory, walks none.
+  // n = 45 keeps the keys apart from every other test's, and the tile size
+  // apart from earlier repetitions' (--gtest_repeat).
+  static u64 repetition = 0;
+  Xoshiro256 rng(35);
+  const Seed256 base = Seed256::random(rng);
+  const hash::Sha1SeedHash hash;
+  const auto absent = hash(seed_at_distance(base, 9, 101));
+  par::WorkerGroup pool(2);
+  SearchOptions opts;
+  opts.max_distance = 3;
+  opts.num_threads = 2;
+  opts.early_exit = false;
+  opts.tile_seeds = 512 + repetition++;
+  opts.timeout_s = 600.0;
+  const u64 ball = 1 + 45 + 990 + 14190;  // C(45, k), k = 0..3
+
+  const auto before = comb::ChaseFactory::plan_cache_stats();
+  for (int search = 0; search < 2; ++search) {
+    comb::ChaseFactory factory(45);
+    const auto r = rbc_search<Sha1SeedHash>(base, absent, factory, pool, opts,
+                                            hash);
+    EXPECT_FALSE(r.found) << "search " << search;
+    EXPECT_EQ(r.seeds_hashed, ball) << "search " << search;
+    EXPECT_EQ(comb::ChaseFactory::plan_cache_stats().misses, before.misses + 3)
+        << "search " << search;
+  }
+}
+
 TEST(RbcSearch, AllIteratorsAgreeOnSeedsHashedWhenExhaustive) {
   Xoshiro256 rng(13);
   const Seed256 base = Seed256::random(rng);
