@@ -9,8 +9,9 @@
 #
 # Usage: scripts/ci.sh [jobs]
 #
-# Flake audit (run before cutting a release, ~10 min): repeat the full
-# default-config suite 20x and fail on the first non-deterministic result —
+# Step 3 repeats the full default-config suite 10x in parallel and fails on
+# the first non-deterministic result. Before cutting a release, run the
+# longer audit (20x, ~2 min on a 4-core host) —
 #   ctest --test-dir build --output-on-failure -j "$(nproc)" \
 #     --repeat until-fail:20
 set -euo pipefail
@@ -18,14 +19,20 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
-echo "=== [1/16] configure + build (default) ==="
+echo "=== [1/17] configure + build (default) ==="
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$JOBS"
 
-echo "=== [2/16] ctest (default) ==="
+echo "=== [2/17] ctest (default) ==="
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "=== [3/16] batched-hash equivalence under forced dispatch levels ==="
+echo "=== [3/17] flake gate: full suite repeated 10x in parallel ==="
+# Every test must pass 10 times over while the others load the host: a
+# wall-clock comparison or an ordering race that passes once by luck fails
+# here. ~5 s per pass on a 4-core host.
+ctest --test-dir build --output-on-failure -j "$JOBS" --repeat until-fail:10
+
+echo "=== [4/17] batched-hash equivalence under forced dispatch levels ==="
 # The auto run above already covered the host's best level; re-run the batch
 # suite with the RBC_HASH_SIMD knob capping dispatch so the scalar-tail, SWAR
 # and (on AVX-512 hosts, where auto picks avx512) AVX2 code paths are
@@ -36,7 +43,7 @@ for level in scalar swar avx2; do
     -j "$JOBS" -R 'HashBatch'
 done
 
-echo "=== [4/16] schedule equivalence: tiled results == static results ==="
+echo "=== [5/17] schedule equivalence: tiled results == static results ==="
 # The work-stealing tile scheduler (docs/scheduler.md) must be a pure
 # performance change: found/seed/distance and exhaustive seeds_hashed
 # identical to the static reference schedule for every iterator family, tile
@@ -46,7 +53,7 @@ echo "=== [4/16] schedule equivalence: tiled results == static results ==="
 ctest --test-dir build --output-on-failure -j "$JOBS" \
   -R 'ScheduleEquivalence|SeekEquivalence|HeteroCoSearch|ShellTiler|TileScheduler'
 
-echo "=== [5/16] chaos smoke: fault injection + fuzz regression corpus ==="
+echo "=== [6/17] chaos smoke: fault injection + fuzz regression corpus ==="
 # The deterministic chaos harness (docs/server.md "Fault model & retry
 # policy"): fixed-seed fault plans through every layer — FaultPlan contract,
 # channel fault semantics, ARQ survival/replay, and the 4-shard chaos run —
@@ -56,7 +63,7 @@ echo "=== [5/16] chaos smoke: fault injection + fuzz regression corpus ==="
 ctest --test-dir build --output-on-failure -j "$JOBS" \
   -R 'ChaosPlan|ChaosChannel|ChaosProtocol|ChaosServer|FuzzDeserialize|FuzzSeqFrame|WireGolden'
 
-echo "=== [6/16] bench smoke: batched hash throughput ==="
+echo "=== [7/17] bench smoke: batched hash throughput ==="
 # Release-configured bench build; one quick repetition proves the batched
 # kernels run at every advertised level (full numbers: docs/perf.md).
 if [[ "${RBC_CI_BENCH:-1}" == "1" ]]; then
@@ -68,12 +75,12 @@ else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
 
-echo "=== [7/16] bench smoke: server shard sweep -> build-release/BENCH_PR6.json ==="
+echo "=== [8/17] bench smoke: server shard sweep -> build-release/BENCH_PR6.json ==="
 # The sharded serving layer's acceptance run: 1/2/4/8 shards at equal total
 # resources. The binary exits nonzero if sharded p95 regresses >10% against
 # the single-queue baseline or any session registers a corrupt key. Steps
-# 7/9/10/11 write their JSON under build-release/, so a CI run never
-# overwrites the archived BENCH_PR*.json at the repository root (step 12
+# 8/10/11/12 write their JSON under build-release/, so a CI run never
+# overwrites the archived BENCH_PR*.json at the repository root (step 13
 # tabulates those archives).
 if [[ "${RBC_CI_BENCH:-1}" == "1" ]]; then
   cmake --build --preset release -j "$JOBS" --target bench_server_throughput
@@ -83,7 +90,7 @@ else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
 
-echo "=== [8/16] bench smoke: chaos p95 degradation sweep ==="
+echo "=== [9/17] bench smoke: chaos p95 degradation sweep ==="
 # Fixed-seed chaos run at drop rates 0/2/5/10%: every session must resolve
 # (submitted == rejected + completed at each point) and no lossy session may
 # register a corrupt key. The binary exits nonzero otherwise.
@@ -93,7 +100,7 @@ else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
 
-echo "=== [9/16] bench smoke: lane fusion -> build-release/BENCH_PR8.json ==="
+echo "=== [10/17] bench smoke: lane fusion -> build-release/BENCH_PR8.json ==="
 # The fusion engine's acceptance run: the 4096-session SHA-3 d=2 burst solo
 # and fused. The binary exits nonzero unless fused throughput is >= 1.3x
 # solo with lane occupancy >= 0.9 and zero corrupt registrations.
@@ -104,7 +111,7 @@ else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
 
-echo "=== [10/16] bench smoke: reliability-ordered search -> build-release/BENCH_PR9.json ==="
+echo "=== [11/17] bench smoke: reliability-ordered search -> build-release/BENCH_PR9.json ==="
 # The reliability-guided ordering acceptance run: a 192-session injected-d=3
 # burst replayed under canonical and maximum-likelihood-first order. The
 # binary exits nonzero unless the ordered run hashes >= 5x fewer seeds per
@@ -117,7 +124,7 @@ else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
 
-echo "=== [11/16] bench smoke: observability -> build-release/BENCH_PR10.json + metrics export ==="
+echo "=== [12/17] bench smoke: observability -> build-release/BENCH_PR10.json + metrics export ==="
 # The observability layer's acceptance run: the dispatch-overhead burst
 # untraced vs traced (span tracer + flight recorder armed). The binary exits
 # nonzero unless traced p95 stays within the 5% overhead gate with zero
@@ -137,7 +144,7 @@ else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
 
-echo "=== [12/16] bench trajectory: merge archived BENCH_*.json ==="
+echo "=== [13/17] bench trajectory: merge archived BENCH_*.json ==="
 # One table across every archived acceptance run; exits nonzero if any
 # archived acceptance_* gate reads false (stale or regressed archive).
 if command -v python3 >/dev/null 2>&1; then
@@ -146,11 +153,11 @@ else
   echo "(skipped: python3 not available)"
 fi
 
-echo "=== [13/16] configure + build (ThreadSanitizer) ==="
+echo "=== [14/17] configure + build (ThreadSanitizer) ==="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$JOBS"
 
-echo "=== [14/16] ctest (tsan: concurrency suites) ==="
+echo "=== [15/17] ctest (tsan: concurrency suites) ==="
 # TSan slows execution ~5-15x; run the suites that exercise cross-thread
 # seams rather than the whole (mostly single-threaded) matrix. ShardStress
 # runs the sharded server (shards > 1) through concurrent submit/stats/
@@ -170,11 +177,11 @@ TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
   --output-on-failure -j "$JOBS" \
   -R 'WorkerGroup|SearchContext|ServerStress|ShardStress|ChaosProtocol|ChaosServer|EnrollmentDatabaseConcurrency|RbcSearch|Backend|Protocol|LaunchKernel|SaltedKernel|DistSearch|Communicator|HashBatch|TileScheduler|TileSchedulerStress|ScheduleEquivalence|HeteroCoSearch|SeekEquivalence|ShellTiler|FusionStream|FusionBatch|FusionEngine|FusionServer|OrderedSearch|OrderedFusion|OrderedServer|ShellCacheLru|ChasePlanCache|SingleFlightCache|Obs'
 
-echo "=== [15/16] configure + build (AddressSanitizer + UBSan) ==="
+echo "=== [16/17] configure + build (AddressSanitizer + UBSan) ==="
 cmake --preset asan -DRBC_SANITIZE=address,undefined >/dev/null
 cmake --build --preset asan -j "$JOBS"
 
-echo "=== [16/16] ctest (asan + ubsan: full suite) ==="
+echo "=== [17/17] ctest (asan + ubsan: full suite) ==="
 # Memory and UB errors anywhere in the library: out-of-bounds offsets into
 # ciphertext and hash buffers, overflowing shifts and multiplies, misaligned
 # loads. halt_on_error turns every report into a test failure.

@@ -52,12 +52,11 @@ PolyRing::PolyRing(u32 q) : q_(q) {
 u32 PolyRing::reduce(u64 x) const noexcept {
   // barrett_ >= (2^64 - q) / q, so x * barrett_ / 2^64 lies in
   // (x/q - 1, x/q]: quot is floor(x/q) or one less, and one conditional
-  // subtraction finishes the reduction.
+  // subtraction, as a mask select, finishes the reduction.
   const u64 quot = static_cast<u64>(
       (static_cast<u128>(x) * barrett_) >> 64);
-  u64 r = x - quot * q_;
-  if (r >= q_) r -= q_;
-  return static_cast<u32>(r);
+  const u64 r = x - quot * q_;  // in [0, 2q)
+  return static_cast<u32>(r - q_ + (q_ & -static_cast<u64>(r < q_)));
 }
 
 Poly PolyRing::add(const Poly& a, const Poly& b) const noexcept {
@@ -181,14 +180,19 @@ Poly PolyRing::sample_small(hash::Shake256& xof, int eta) const {
   RBC_CHECK(eta >= 1 && eta <= 8);
   std::array<u8, 2 * kRingDegree> buf;
   xof.squeeze(buf);
+  const u32 field = (1u << eta) - 1;
   Poly r;
   for (unsigned i = 0; i < kRingDegree; ++i) {
     const u32 v = buf[2 * i] | (static_cast<u32>(buf[2 * i + 1]) << 8);
-    const int a = std::popcount(v & ((1u << eta) - 1));
-    const int b = std::popcount((v >> eta) & ((1u << eta) - 1));
-    const int coeff = a - b;  // in [-eta, eta]
-    r.c[i] = coeff >= 0 ? static_cast<u32>(coeff)
-                        : q_ - static_cast<u32>(-coeff);
+    // The two eta-bit fields go to bytes 0 and 2 and are counted together
+    // by a bytewise SWAR popcount: baseline x86-64 has no POPCNT, so
+    // std::popcount would be a libcall per field.
+    u32 w = (v & field) | (((v >> eta) & field) << 16);
+    w -= (w >> 1) & 0x55555555u;
+    w = (w & 0x33333333u) + ((w >> 2) & 0x33333333u);
+    w = (w + (w >> 4)) & 0x0f0f0f0fu;
+    // a - b in [-eta, eta], stored mod q.
+    r.c[i] = sub_mod(w & 0xffu, w >> 16);
   }
   return r;
 }

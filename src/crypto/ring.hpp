@@ -81,6 +81,11 @@ class PolyRing {
   Poly sample_small(hash::Shake256& xof, int eta) const;
 
  private:
+  // Every modular select below is a mask select: the wrapped difference
+  // plus q masked by the borrow. The NTT butterflies take the other side of
+  // each select on about half their inputs, so a compare-and-jump there
+  // mispredicts at that rate; a mask costs the same on every input.
+
   /// x mod q for any x < 2^64 (Barrett: one 64x64->128 multiply).
   u32 reduce(u64 x) const noexcept;
   u32 mul_mod(u32 a, u32 b) const noexcept {
@@ -88,10 +93,13 @@ class PolyRing {
   }
   u32 add_mod(u32 a, u32 b) const noexcept {
     const u32 s = a + b;
-    return s >= q_ ? s - q_ : s;
+    return s - q_ + (q_ & -static_cast<u32>(s < q_));
   }
+  /// (a - b) mod q for a, b < q. For any a < b it is a - b + q (mod 2^32),
+  /// the value sample_small stores for a negative count difference.
   u32 sub_mod(u32 a, u32 b) const noexcept {
-    return a >= b ? a - b : a + q_ - b;
+    const u32 d = a - b;
+    return d + (q_ & -static_cast<u32>(a < b));
   }
 
   u32 q_;

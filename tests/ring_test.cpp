@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "common/rng.hpp"
 #include "crypto/ring.hpp"
 
@@ -212,6 +214,160 @@ TEST(PolyRing, SharedRingIsOnePerModulus) {
   EXPECT_NE(static_cast<const void*>(&shared_ring<8380417>()),
             static_cast<const void*>(&shared_ring<3329>()));
   EXPECT_EQ(shared_ring<3329>().q(), 3329u);
+}
+
+// The Dilithium-, Kyber- and SABER-like keygens' moduli.
+constexpr u32 kKeygenModuli[] = {8380417u, 3329u, 8192u};
+
+// Where every modular select flips: the operands either side of 0 and q.
+std::array<u32, 4> boundary_operands(u32 q) { return {0, 1, q - 2, q - 1}; }
+
+// Negacyclic product with every term reduced on its own: shares nothing
+// with the ring's schoolbook accumulator or its NTT.
+Poly reference_mul(const Poly& a, const Poly& b, u32 q) {
+  std::array<u64, kRingDegree> acc{};
+  for (unsigned i = 0; i < kRingDegree; ++i) {
+    for (unsigned j = 0; j < kRingDegree; ++j) {
+      const u64 term = static_cast<u64>(a.c[i]) * b.c[j] % q;
+      const unsigned k = (i + j) % kRingDegree;
+      acc[k] = (i + j < kRingDegree ? acc[k] + term : acc[k] + q - term) % q;
+    }
+  }
+  Poly r;
+  for (unsigned k = 0; k < kRingDegree; ++k) r.c[k] = static_cast<u32>(acc[k]);
+  return r;
+}
+
+TEST(PolyRing, AddSubAtBoundaryOperands) {
+  for (u32 q : kKeygenModuli) {
+    const PolyRing ring(q);
+    const auto ops = boundary_operands(q);
+    // Coefficient i pairs ops[i % 4] with ops[(i / 4) % 4]: all 16 pairs.
+    Poly a, b;
+    for (unsigned i = 0; i < kRingDegree; ++i) {
+      a.c[i] = ops[i % 4];
+      b.c[i] = ops[(i / 4) % 4];
+    }
+    const Poly sum = ring.add(a, b);
+    const Poly diff = ring.sub(a, b);
+    for (unsigned i = 0; i < 16; ++i) {
+      const u64 x = a.c[i], y = b.c[i];
+      EXPECT_EQ(sum.c[i], (x + y) % q) << "q=" << q << " " << x << "+" << y;
+      EXPECT_EQ(diff.c[i], (x + q - y) % q)
+          << "q=" << q << " " << x << "-" << y;
+    }
+  }
+}
+
+TEST(PolyRing, PointwiseMulAccAtBoundaryOperands) {
+  // acc + a * b for all 64 (acc, a, b) triples: Barrett's final
+  // subtraction and add_mod's wrap, both at their edges.
+  for (u32 q : kKeygenModuli) {
+    const PolyRing ring(q);
+    const auto ops = boundary_operands(q);
+    Poly acc, a, b;
+    for (unsigned i = 0; i < kRingDegree; ++i) {
+      acc.c[i] = ops[i % 4];
+      a.c[i] = ops[(i / 4) % 4];
+      b.c[i] = ops[(i / 16) % 4];
+    }
+    Poly r = acc;
+    ring.pointwise_mul_acc(r, a, b);
+    for (unsigned i = 0; i < 64; ++i) {
+      const u64 expected =
+          (acc.c[i] + static_cast<u64>(a.c[i]) * b.c[i] % q) % q;
+      EXPECT_EQ(r.c[i], expected) << "q=" << q << " " << acc.c[i] << "+"
+                                  << a.c[i] << "*" << b.c[i];
+    }
+  }
+}
+
+TEST(PolyRing, MulAtBoundaryOperands) {
+  for (u32 q : kKeygenModuli) {
+    const PolyRing ring(q);
+    const auto ops = boundary_operands(q);
+    for (unsigned x = 0; x < 4; ++x) {
+      // Every coefficient of one factor at a single boundary operand, the
+      // other factor cycling through all four.
+      Poly constant, cycling;
+      for (unsigned i = 0; i < kRingDegree; ++i) {
+        constant.c[i] = ops[x];
+        cycling.c[i] = ops[(i + x) % 4];
+      }
+      EXPECT_EQ(ring.mul(constant, cycling),
+                reference_mul(constant, cycling, q))
+          << "q=" << q << " constant " << ops[x];
+    }
+  }
+}
+
+// All 0, all q-1, and alternating 0 / q-1.
+std::array<Poly, 3> extreme_polys(u32 q) {
+  std::array<Poly, 3> p{};
+  p[1].c.fill(q - 1);
+  for (unsigned i = 1; i < kRingDegree; i += 2) p[2].c[i] = q - 1;
+  return p;
+}
+
+TEST(PolyRing, NttRoundTripOnExtremePolynomials) {
+  const PolyRing& ring = shared_ring<8380417>();
+  for (const Poly& p : extreme_polys(ring.q())) {
+    Poly t = p;
+    ring.ntt_forward(t);
+    for (u32 c : t.c) ASSERT_LT(c, ring.q());
+    ring.ntt_inverse(t);
+    EXPECT_EQ(t, p) << "first coefficients " << p.c[0] << ", " << p.c[1];
+  }
+}
+
+TEST(PolyRing, NttMatchesSchoolbookOnExtremePolynomials) {
+  const PolyRing& ring = shared_ring<8380417>();
+  const auto polys = extreme_polys(ring.q());
+  for (unsigned i = 0; i < polys.size(); ++i) {
+    for (unsigned j = 0; j < polys.size(); ++j) {
+      EXPECT_EQ(ring.mul(polys[i], polys[j]),
+                ring.mul_schoolbook(polys[i], polys[j]))
+          << "pair " << i << ", " << j;
+    }
+  }
+}
+
+// The centered binomial sampler spelled out with std::popcount and a signed
+// branch, reading the same SHAKE-256 stream sample_small reads.
+Poly reference_sample_small(hash::Shake256& xof, int eta, u32 q) {
+  std::array<u8, 2 * kRingDegree> buf;
+  xof.squeeze(buf);
+  const u32 field = (1u << eta) - 1;
+  Poly r;
+  for (unsigned i = 0; i < kRingDegree; ++i) {
+    const u32 v = buf[2 * i] | (static_cast<u32>(buf[2 * i + 1]) << 8);
+    const int coeff =
+        std::popcount(v & field) - std::popcount((v >> eta) & field);
+    r.c[i] = coeff >= 0 ? static_cast<u32>(coeff)
+                        : q - static_cast<u32>(-coeff);
+  }
+  return r;
+}
+
+TEST(PolyRing, SampleSmallMatchesPopcountReferenceForEveryEta) {
+  for (u32 q : kKeygenModuli) {
+    const PolyRing ring(q);
+    for (int eta = 1; eta <= 8; ++eta) {
+      for (u8 seed = 0; seed < 4; ++seed) {
+        const u8 input[2] = {seed, static_cast<u8>(eta)};
+        hash::Shake256 xof, ref_xof;
+        xof.absorb(ByteSpan{input, 2});
+        ref_xof.absorb(ByteSpan{input, 2});
+        // Two polynomials per stream: the second starts mid-stream.
+        for (int poly = 0; poly < 2; ++poly) {
+          ASSERT_EQ(ring.sample_small(xof, eta),
+                    reference_sample_small(ref_xof, eta, q))
+              << "q=" << q << " eta=" << eta << " seed=" << int{seed}
+              << " poly=" << poly;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
