@@ -4,15 +4,20 @@
 // Section 1 projects the scaling curve from the calibrated CPU model
 // (PlatformA, 64 cores). Section 2 measures real strong scaling of this
 // repo's search engine on the host across its available cores. Section 3
-// (PR 4) measures the tile scheduler against static shell slices on skewed
-// workloads — a straggler worker and matches planted at different positions
-// in the straggler's static slice — plus the uniform-workload overhead of
-// tiling.
+// measures work stealing on skewed workloads — a straggler worker and
+// matches planted at different positions in the straggler's share — by
+// comparing 1,024-seed tiles with coarse tiles of ceil(C(256, 2) / 4) =
+// 8,160 seeds, one per worker in shell 2, so nobody can steal the rest of a
+// tile the straggler has started; it also measures what the fine tiles cost
+// on a uniform workload.
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <thread>
 
 #include "bench_util.hpp"
 #include "combinatorics/chase382.hpp"
+#include "combinatorics/shell.hpp"
 #include "common/rng.hpp"
 #include "rbc/search.hpp"
 #include "sim/cpu_model.hpp"
@@ -24,58 +29,64 @@ using namespace rbc;
 // The shell-2 mask whose rank-0 Chase walk position is `rank`; XOR onto the
 // base seed to plant a match exactly there in the search visit order.
 Seed256 shell2_mask_at_rank(u64 rank) {
-  comb::ChaseFactory factory;
-  factory.prepare(2, 1);
-  auto it = factory.make(0);
+  auto it = comb::shell_iterator(comb::ChaseFactory(), 2);
   Seed256 mask;
   for (u64 i = 0; i <= rank; ++i) RBC_CHECK(it.next(mask));
   return mask;
 }
 
-// One timed search. The straggler, when enabled, is worker unit 0 sleeping
-// ~4 us per hashed seed via the quantum hook — on a single-core host a
-// genuinely slow core cannot be provisioned, but a sleeping unit models one
-// faithfully: its quanta take longer while the OS runs the other workers.
-double run_once(comb::ChaseFactory& factory, const Seed256& base,
+// Fine tiles, and coarse ones: one per worker in shell 2.
+constexpr u64 kFineTile = 1024;
+constexpr u64 kCoarseTile = (32640 + 3) / 4;
+
+// One timed search on 4 workers. The straggler, when enabled, is worker
+// unit 1 sleeping ~4 us per hashed seed via the quantum hook — on a
+// single-core host a genuinely slow core cannot be provisioned, but a
+// sleeping unit models one faithfully: its quanta take longer while the OS
+// runs the other workers. Unit 0 runs on the calling thread, claims first
+// and so always starts with shell 1's one tile; unit 1, usually the first
+// pool worker to claim, starts with a shell-2 tile, so a coarse tile pins a
+// quarter of shell 2 on it.
+double run_once(const Seed256& base,
                 const hash::Sha1BatchSeedHash::digest_type& target,
-                SearchSchedule schedule, bool early_exit, bool straggler,
+                u64 tile_seeds, bool early_exit, bool straggler,
                 int max_distance, par::WorkerGroup& pool) {
   SearchOptions opts;
   opts.max_distance = max_distance;
   opts.num_threads = 4;
   opts.early_exit = early_exit;
   opts.timeout_s = 600.0;
-  opts.schedule = schedule;
-  opts.tile_seeds = 1024;
+  opts.tile_seeds = tile_seeds;
   if (straggler) {
     opts.quantum_hook = [](int unit, u64 n) {
-      if (unit == 0)
+      if (unit == 1)
         std::this_thread::sleep_for(std::chrono::microseconds(4 * n));
     };
   }
   const hash::Sha1BatchSeedHash hash;
-  const auto r = rbc_search<hash::Sha1BatchSeedHash>(base, target, factory,
-                                                     pool, opts, hash);
+  const auto r = rbc_search<hash::Sha1BatchSeedHash>(
+      base, target, comb::ChaseFactory(), pool, opts, hash);
   return r.host_seconds;
 }
 
-// Best of `reps` timed searches after one untimed warm-up. The warm-up pays
-// each schedule's one-time snapshot walks (tiled plans are process-wide,
-// static slices are cached in the factory), so neither schedule is charged
-// them and the comparison is like for like.
-double best_of(int reps, const Seed256& base,
-               const hash::Sha1BatchSeedHash::digest_type& target,
-               SearchSchedule schedule, bool early_exit, bool straggler,
-               int max_distance, par::WorkerGroup& pool) {
-  comb::ChaseFactory factory;
-  run_once(factory, base, target, schedule, early_exit, straggler,
-           max_distance, pool);
-  double best = 1e30;
-  for (int i = 0; i < reps; ++i) {
-    best = std::min(best, run_once(factory, base, target, schedule, early_exit,
-                                   straggler, max_distance, pool));
+// Median of 11 timed searches after one untimed warm-up. The warm-up pays
+// each tile size's one-time snapshot walks (plans are process-wide), so
+// neither side is charged them and the comparison is like for like. Which
+// unit claims which tile varies run to run, so the median, not the best
+// run, stands for the straggler's usual share.
+double median_time(const Seed256& base,
+                   const hash::Sha1BatchSeedHash::digest_type& target,
+                   u64 tile_seeds, bool early_exit, bool straggler,
+                   int max_distance, par::WorkerGroup& pool) {
+  run_once(base, target, tile_seeds, early_exit, straggler, max_distance,
+           pool);
+  std::array<double, 11> times;
+  for (double& t : times) {
+    t = run_once(base, target, tile_seeds, early_exit, straggler,
+                 max_distance, pool);
   }
-  return best;
+  std::sort(times.begin(), times.end());
+  return times[times.size() / 2];
 }
 
 }  // namespace
@@ -131,91 +142,76 @@ int main() {
                 "in the model section)\n");
   }
 
-  // --- PR 4: tile scheduler vs static shell slices --------------------------
+  // --- work stealing: fine tiles vs one coarse tile per worker ------------
   print_title(
-      "Skewed workload — straggler worker, tiled vs static (d = 2, SHA-1, "
-      "4 workers, 1024-seed tiles, best of 3 after a warm-up)");
+      "Skewed workload — straggler worker, 1024-seed vs 8160-seed tiles "
+      "(d = 2, SHA-1, 4 workers, median of 11 after a warm-up)");
   std::printf(
-      "Worker 0 sleeps ~4 us per hashed seed (a modeled slow core). Under\n"
-      "static slices its 1/4 of every shell gates the wall clock; under the\n"
-      "tile scheduler the other workers steal its share.\n\n");
+      "Worker 1 sleeps ~4 us per hashed seed (a modeled slow core). With one\n"
+      "coarse tile per worker in shell 2, its tile gates the wall clock; with\n"
+      "fine tiles the other workers steal its share.\n\n");
 
   const hash::Sha1BatchSeedHash sha1;
-  par::WorkerGroup skew_pool(5);  // 4 workers + tiled pipeline unit
+  par::WorkerGroup skew_pool(5);  // 4 workers + the pipeline unit
 
-  Table skew({"scenario", "static (s)", "tiled (s)", "stealing speedup"});
-  double headline_static = 0.0, headline_tiled = 0.0;
+  Table skew({"scenario", "coarse (s)", "fine (s)", "stealing speedup"});
+  double headline_coarse = 0.0, headline_fine = 0.0;
 
-  {  // exhaustive: the straggler's whole slice matters
+  {  // exhaustive: the straggler's whole share matters
     const auto absent = sha1(unrelated);
-    headline_static =
-        best_of(3, base, absent, SearchSchedule::kStatic,
-                /*early_exit=*/false, /*straggler=*/true, 2, skew_pool);
-    headline_tiled =
-        best_of(3, base, absent, SearchSchedule::kTiled,
-                /*early_exit=*/false, /*straggler=*/true, 2, skew_pool);
-    skew.add_row({"exhaustive ball", fmt(headline_static, 4),
-                  fmt(headline_tiled, 4),
-                  fmt(headline_static / headline_tiled, 2) + "x"});
+    headline_coarse = median_time(base, absent, kCoarseTile,
+                                  /*early_exit=*/false, /*straggler=*/true, 2,
+                                  skew_pool);
+    headline_fine = median_time(base, absent, kFineTile,
+                                /*early_exit=*/false, /*straggler=*/true, 2,
+                                skew_pool);
+    skew.add_row({"exhaustive ball", fmt(headline_coarse, 4),
+                  fmt(headline_fine, 4),
+                  fmt(headline_coarse / headline_fine, 2) + "x"});
   }
 
   // Early exit with the match planted at the start / middle / end of the
-  // straggler's *static* slice of shell 2 (ranks [0, 8160) of 32640): the
-  // later the match sits in the slice, the longer static waits on the slow
-  // worker, while stealing lets a fast worker reach the tile early.
+  // straggler's coarse tile, the last quarter of shell 2 (ranks [24480,
+  // 32640) of 32640): the later the match sits in it, the longer the
+  // straggler holding it delays the match, while fine tiles let a fast
+  // worker reach it early.
   const struct {
     const char* label;
     u64 rank;
-  } positions[] = {{"match at slice start", 64},
-                   {"match at slice middle", 4096},
-                   {"match at slice end", 8064}};
+  } positions[] = {{"match at tile start", 3 * kCoarseTile + 64},
+                   {"match at tile middle", 3 * kCoarseTile + 4096},
+                   {"match at tile end", 3 * kCoarseTile + 8064}};
   for (const auto& pos : positions) {
     const Seed256 truth = base ^ shell2_mask_at_rank(pos.rank);
     const auto target2 = sha1(truth);
-    const double ts = best_of(3, base, target2, SearchSchedule::kStatic,
-                              /*early_exit=*/true, /*straggler=*/true, 2,
-                              skew_pool);
-    const double tt = best_of(3, base, target2, SearchSchedule::kTiled,
-                              /*early_exit=*/true, /*straggler=*/true, 2,
-                              skew_pool);
-    skew.add_row(
-        {pos.label, fmt(ts, 4), fmt(tt, 4), fmt(ts / tt, 2) + "x"});
+    const double tc = median_time(base, target2, kCoarseTile,
+                                  /*early_exit=*/true, /*straggler=*/true, 2,
+                                  skew_pool);
+    const double tf = median_time(base, target2, kFineTile,
+                                  /*early_exit=*/true, /*straggler=*/true, 2,
+                                  skew_pool);
+    skew.add_row({pos.label, fmt(tc, 4), fmt(tf, 4), fmt(tc / tf, 2) + "x"});
   }
   skew.print();
   std::printf("Acceptance (>= 1.3x on the skewed exhaustive ball): %.2fx %s\n",
-              headline_static / headline_tiled,
-              headline_static / headline_tiled >= 1.3 ? "PASS" : "FAIL");
+              headline_coarse / headline_fine,
+              headline_coarse / headline_fine >= 1.3 ? "PASS" : "FAIL");
 
   print_title(
-      "Uniform workload — tiling overhead (d = 3 exhaustive, SHA-1, "
-      "4 workers, default tiles, best of 3 after a warm-up)");
+      "Uniform workload — fine-tile overhead (d = 3 exhaustive, SHA-1, "
+      "4 workers, median of 11 after a warm-up)");
   {
     const auto absent = sha1(unrelated);
-    auto timed = [&](SearchSchedule sched) {
-      // One factory and one untimed warm-up per schedule: neither is
-      // charged its one-time snapshot walks (see best_of).
-      comb::ChaseFactory factory;
-      SearchOptions opts;
-      opts.max_distance = 3;
-      opts.num_threads = 4;
-      opts.early_exit = false;
-      opts.timeout_s = 600.0;
-      opts.schedule = sched;
-      double best = 1e30;
-      for (int rep = 0; rep <= 3; ++rep) {
-        const auto r = rbc_search<hash::Sha1BatchSeedHash>(
-            base, absent, factory, skew_pool, opts, sha1);
-        if (rep > 0) best = std::min(best, r.host_seconds);
-      }
-      return best;
-    };
-    const double t_static = timed(SearchSchedule::kStatic);
-    const double t_tiled = timed(SearchSchedule::kTiled);
-    const double overhead = (t_tiled / t_static - 1.0) * 100.0;
-    Table uni({"schedule", "time (s)", "overhead"});
-    uni.add_row({"static slices", fmt(t_static, 4), "-"});
-    uni.add_row({"tile scheduler", fmt(t_tiled, 4),
-                 fmt(overhead, 2) + "%"});
+    const double t_coarse = median_time(base, absent, kCoarseTile,
+                                        /*early_exit=*/false,
+                                        /*straggler=*/false, 3, skew_pool);
+    const double t_fine = median_time(base, absent, kFineTile,
+                                      /*early_exit=*/false, /*straggler=*/false,
+                                      3, skew_pool);
+    const double overhead = (t_fine / t_coarse - 1.0) * 100.0;
+    Table uni({"tiles", "time (s)", "overhead"});
+    uni.add_row({"8160 seeds", fmt(t_coarse, 4), "-"});
+    uni.add_row({"1024 seeds", fmt(t_fine, 4), fmt(overhead, 2) + "%"});
     uni.print();
     std::printf("Acceptance (<= 2%% tiling overhead, no straggler): %+.2f%% "
                 "%s\n",

@@ -381,7 +381,7 @@ FusionPhaseResult run_fusion_phase(Workload& w, int sessions) {
       "%d-session open-loop burst (SHA-3, d=2), %d drivers, 1 shard;\n"
       "fused runs multiplex every in-flight session's candidate stream into "
       "shared\n64-lane hash batches (cached shell tables replace per-session "
-      "prepare walks).\n",
+      "shell iterators).\n",
       sessions, kDrivers);
 
   FusionPhaseResult p;

@@ -43,13 +43,13 @@ for level in scalar swar avx2; do
     -j "$JOBS" -R 'HashBatch'
 done
 
-echo "=== [5/17] schedule equivalence: tiled results == static results ==="
+echo "=== [5/17] schedule equivalence: tiled results == single-unit stream results ==="
 # The work-stealing tile scheduler (docs/scheduler.md) must be a pure
 # performance change: found/seed/distance and exhaustive seeds_hashed
-# identical to the static reference schedule for every iterator family, tile
-# plans lossless down to the ragged last tile, and the heterogeneous
-# co-search byte-identical to CPU-only. An explicit re-run so a filter edit
-# elsewhere can never silently drop the gate.
+# identical to the single-unit stream, the reference enumeration, for every
+# iterator family, tile plans lossless down to the ragged last tile, and the
+# heterogeneous co-search byte-identical to CPU-only. An explicit re-run so a
+# filter edit elsewhere can never silently drop the gate.
 ctest --test-dir build --output-on-failure -j "$JOBS" \
   -R 'ScheduleEquivalence|SeekEquivalence|HeteroCoSearch|ShellTiler|TileScheduler'
 

@@ -63,7 +63,8 @@ template <typename Digest,
           comb::SeedIteratorFactory Factory>
 ApuSearchResult apu_bitsliced_search(const Seed256& s_init,
                                      const Digest& target, int d,
-                                     Factory& factory, VectorUnit& vu) {
+                                     const Factory& factory,
+                                     VectorUnit& vu) {
   ApuSearchResult result;
 
   std::array<Seed256, kLanes> batch;
@@ -96,8 +97,7 @@ ApuSearchResult apu_bitsliced_search(const Seed256& s_init,
   }
 
   for (int shell = 1; shell <= d && !result.found; ++shell) {
-    factory.prepare(shell, /*num_threads=*/1);
-    auto it = factory.make(0);
+    auto it = comb::shell_iterator(factory, shell);
     Seed256 mask;
     int filled = 0;
     while (it.next(mask)) {

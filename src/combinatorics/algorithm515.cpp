@@ -51,21 +51,13 @@ bool Algorithm515Iterator::next(Seed256& mask) noexcept {
   return true;
 }
 
-Algorithm515Iterator Algorithm515Factory::make(int r) const {
-  RBC_CHECK(r >= 0 && r < p_);
-  const u128 lo = total_ * static_cast<u128>(r) / static_cast<u128>(p_);
-  const u128 hi = total_ * static_cast<u128>(r + 1) / static_cast<u128>(p_);
-  return Algorithm515Iterator(k_, lo, static_cast<u64>(hi - lo), mode_,
-                              n_bits_);
-}
-
 Alg515ShellPlan::Alg515ShellPlan(int k, u64 stride, Alg515Mode mode,
                                  int n_bits)
     : k_(k), n_bits_(n_bits), mode_(mode), stride_(stride) {
   RBC_CHECK(stride >= 1);
   const u128 total128 = binomial128(n_bits, k);
   RBC_CHECK_MSG(total128 <= std::numeric_limits<u64>::max(),
-                "tiled schedule needs the shell to fit 64-bit ranks");
+                "shell plans need the shell to fit 64-bit ranks");
   total_ = static_cast<u64>(total128);
   tiles_ = total_ == 0 ? 0 : (total_ - 1) / stride_ + 1;
 }

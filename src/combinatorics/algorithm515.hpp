@@ -89,25 +89,14 @@ class Algorithm515Factory {
 
   int n_bits() const noexcept { return n_bits_; }
 
-  void prepare(int k, int num_threads) {
-    k_ = k;
-    p_ = num_threads;
-    total_ = binomial128(n_bits_, k);
-  }
-
-  Algorithm515Iterator make(int r) const;
-
-  /// Thread-safe shell plan for the tiled schedule (`abort` unused: there is
-  /// no precomputation walk to cut short).
+  /// Thread-safe shell plan (`abort` unused: there is no precomputation
+  /// walk to cut short).
   std::shared_ptr<const Alg515ShellPlan> plan(
       int k, u64 stride, const std::function<bool()>& abort = {}) const;
 
  private:
   Alg515Mode mode_;
   int n_bits_;
-  int k_ = 0;
-  int p_ = 1;
-  u128 total_ = 0;
 };
 
 }  // namespace rbc::comb

@@ -1,6 +1,5 @@
 #include "combinatorics/chase382.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <tuple>
 
@@ -92,21 +91,6 @@ ChaseSequence::ChaseSequence(const ChaseState& state, int n_bits)
   return true;
 }
 
-std::vector<ChaseState> make_chase_snapshots(int k, int num_states,
-                                             int n_bits) {
-  RBC_CHECK(num_states >= 1);
-  const u128 total128 = binomial128(n_bits, k);
-  RBC_CHECK_MSG(total128 <= std::numeric_limits<u64>::max(),
-                "chase snapshot walk too large");
-  const u64 total = static_cast<u64>(total128);
-  const u64 interval = (total + static_cast<u64>(num_states) - 1) /
-                       static_cast<u64>(num_states);
-  std::vector<ChaseState> snapshots;
-  make_chase_snapshots_strided(k, std::max<u64>(interval, 1), snapshots,
-                               n_bits);
-  return snapshots;
-}
-
 bool make_chase_snapshots_strided(int k, u64 stride,
                                   std::vector<ChaseState>& out, int n_bits,
                                   const std::function<bool()>& abort) {
@@ -116,38 +100,27 @@ bool make_chase_snapshots_strided(int k, u64 stride,
                 "chase snapshot walk too large");
   const u64 total = static_cast<u64>(total128);
 
+  ChaseSequence seq(k, n_bits);
   out.clear();
-  out.reserve(total == 0 ? 0 : static_cast<std::size_t>((total - 1) / stride + 1));
+  if (total == 0) return true;
+  const u64 snapshots = (total - 1) / stride + 1;
+  out.reserve(static_cast<std::size_t>(snapshots));
+  // The walk ends at the last snapshot: the steps after it belong to the
+  // last tile, which resumes from that snapshot.
+  const u64 last = (snapshots - 1) * stride;
   // Abort cadence: one predicate call per 16 Ki twiddle steps keeps the
   // check off the per-step fast path while bounding the walk's stop latency.
   constexpr u64 kAbortMask = 0x3fff;
-  ChaseSequence seq(k, n_bits);
-  for (u64 step = 0; step < total; ++step) {
+  for (u64 step = 0;; ++step) {
     if (abort && (step & kAbortMask) == 0 && abort()) {
       out.clear();
       return false;
     }
     if (step % stride == 0) out.push_back(seq.state());
-    if (step + 1 < total) {
-      const bool ok = seq.advance();
-      RBC_CHECK_MSG(ok, "chase sequence ended early");
-    }
+    if (step == last) return true;
+    const bool ok = seq.advance();
+    RBC_CHECK_MSG(ok, "chase sequence ended early");
   }
-  return true;
-}
-
-void ChaseFactory::prepare(int k, int num_threads) {
-  k_ = k;
-  p_ = num_threads;
-  const auto key = std::make_pair(k, num_threads);
-  auto it = cache_.find(key);
-  if (it == cache_.end()) {
-    auto plan = std::make_unique<Plan>();
-    plan->total = binomial128(n_bits_, k);
-    plan->snapshots = make_chase_snapshots(k, num_threads, n_bits_);
-    it = cache_.emplace(key, std::move(plan)).first;
-  }
-  active_ = it->second.get();
 }
 
 std::shared_ptr<const ChaseShellPlan> ChaseFactory::plan(
@@ -169,22 +142,5 @@ std::shared_ptr<const ChaseShellPlan> ChaseFactory::plan(
 }
 
 CacheStats ChaseFactory::plan_cache_stats() { return plan_cache().stats(); }
-
-ChaseIterator ChaseFactory::make(int r) const {
-  RBC_CHECK_MSG(active_ != nullptr, "ChaseFactory::prepare not called");
-  RBC_CHECK(r >= 0 && r < p_);
-  const auto& snaps = active_->snapshots;
-  if (static_cast<std::size_t>(r) >= snaps.size()) {
-    // More threads than combinations: hand out an empty iterator.
-    return ChaseIterator(ChaseState{}, 0, n_bits_);
-  }
-  const u64 total = static_cast<u64>(active_->total);
-  const u64 start = snaps[static_cast<std::size_t>(r)].step_index;
-  const u64 end = (static_cast<std::size_t>(r) + 1 < snaps.size())
-                      ? snaps[static_cast<std::size_t>(r) + 1].step_index
-                      : total;
-  return ChaseIterator(snaps[static_cast<std::size_t>(r)], end - start,
-                       n_bits_);
-}
 
 }  // namespace rbc::comb

@@ -11,10 +11,11 @@
 // every authentication (the paper excludes this one-time cost from its
 // timings; we do the same and expose it separately).
 //
-// Two caches hold them. The tile plans of the tiled searches (plan(k,
-// stride)) are process-wide: every factory and every search in the process
-// shares them, so each shell is walked at most once per (n_bits, k, stride).
-// prepare(k, p)'s p-slice snapshots are cached per factory instance.
+// The snapshots live in shell plans (plan(k, stride)), held in one
+// process-wide cache: every factory and every search in the process shares
+// them, so each shell is walked at most once per (n_bits, k, stride). A walk
+// stops at its last snapshot, so a one-tile plan (one snapshot, the initial
+// state) walks nothing.
 //
 // The implementation is the classic iterative "twiddle" formulation of
 // Chase's algorithm: a control array p[0..n+1] drives each transition, and
@@ -23,7 +24,6 @@
 
 #include <array>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -66,18 +66,13 @@ class ChaseSequence {
   ChaseState state_;
 };
 
-/// Walks the whole sequence once and saves `num_states` evenly spaced
-/// snapshots (snapshot i sits at step i*ceil(total/num_states)). This is the
-/// precomputation §3.2.1 describes; cost is O(C(n_bits, k)).
-std::vector<ChaseState> make_chase_snapshots(int k, int num_states,
-                                             int n_bits = kSeedBits);
-
-/// Strided variant for the tile scheduler: saves a snapshot at every
-/// `stride`-th step (snapshot i at step i*stride), so snapshot boundaries
-/// coincide exactly with tile boundaries. Returns false — leaving `out`
-/// empty — when `abort` (polled at a coarse step cadence) asks the walk to
-/// stop early, which is how a session deadline cuts the one-time
-/// precomputation short.
+/// Walks the sequence once, saving a snapshot at every `stride`-th step
+/// (snapshot i at step i*stride), so snapshot boundaries coincide exactly
+/// with tile boundaries. This is the precomputation §3.2.1 describes; the
+/// walk stops at the last snapshot, so it costs about C(n_bits, k) - stride
+/// steps. Returns false — leaving `out` empty — when `abort` (polled at a
+/// coarse step cadence) asks the walk to stop early, which is how a session
+/// deadline cuts the one-time precomputation short.
 bool make_chase_snapshots_strided(int k, u64 stride,
                                   std::vector<ChaseState>& out,
                                   int n_bits = kSeedBits,
@@ -126,6 +121,7 @@ class ChaseShellPlan {
     return stride_ < total_ - lo ? stride_ : total_ - lo;
   }
   ChaseIterator make_tile(u64 t) const {
+    RBC_CHECK(t < tiles());
     return ChaseIterator(snapshots_[static_cast<std::size_t>(t)],
                          tile_count(t), n_bits_);
   }
@@ -143,11 +139,9 @@ class ChaseShellPlan {
   int n_bits_ = kSeedBits;
 };
 
-/// Chase iterator factory. prepare()/make() hand out p static slices from a
-/// snapshot cache keyed by (k, p) that lives in this factory instance, with
-/// the original single-preparer discipline. plan() serves tile plans from
-/// one process-wide cache keyed by (n_bits, k, stride) and is safe to call
-/// from any number of threads and factories.
+/// Chase iterator factory. plan() serves shell plans from one process-wide
+/// cache keyed by (n_bits, k, stride) and is safe to call from any number
+/// of threads and factories.
 class ChaseFactory {
  public:
   using iterator = ChaseIterator;
@@ -158,10 +152,6 @@ class ChaseFactory {
   static constexpr std::string_view name() { return "Chase's Algorithm 382"; }
 
   int n_bits() const noexcept { return n_bits_; }
-
-  void prepare(int k, int num_threads);
-
-  ChaseIterator make(int r) const;
 
   /// Shell plan with a snapshot at every stride boundary, from the
   /// process-wide plan cache. The first fetch of a key walks the shell;
@@ -183,16 +173,7 @@ class ChaseFactory {
   static CacheStats plan_cache_stats();
 
  private:
-  struct Plan {
-    std::vector<ChaseState> snapshots;
-    u128 total = 0;
-  };
-
   int n_bits_;
-  int k_ = 0;
-  int p_ = 1;
-  const Plan* active_ = nullptr;
-  std::map<std::pair<int, int>, std::unique_ptr<Plan>> cache_;
 };
 
 }  // namespace rbc::comb

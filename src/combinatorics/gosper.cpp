@@ -13,13 +13,6 @@ Seed256 gosper_next(const Seed256& mask) noexcept {
   return r | ones_shifted;
 }
 
-namespace {
-// Chunk boundaries: thread r of p owns ranks [r*total/p, (r+1)*total/p).
-u128 chunk_start(u128 total, int p, int r) {
-  return total * static_cast<u128>(r) / static_cast<u128>(p);
-}
-}  // namespace
-
 GosperIterator::GosperIterator(int k, u128 start_rank, u64 count, int n_bits)
     : count_(count), produced_(0) {
   RBC_CHECK(k >= 0 && k <= kMaxK);
@@ -27,19 +20,12 @@ GosperIterator::GosperIterator(int k, u128 start_rank, u64 count, int n_bits)
   current_ = unrank_colexicographic(start_rank, k, n_bits).to_mask();
 }
 
-GosperIterator GosperFactory::make(int r) const {
-  RBC_CHECK(r >= 0 && r < p_);
-  const u128 lo = chunk_start(total_, p_, r);
-  const u128 hi = chunk_start(total_, p_, r + 1);
-  return GosperIterator(k_, lo, static_cast<u64>(hi - lo), n_bits_);
-}
-
 GosperShellPlan::GosperShellPlan(int k, u64 stride, int n_bits)
     : k_(k), n_bits_(n_bits), stride_(stride) {
   RBC_CHECK(stride >= 1);
   const u128 total128 = binomial128(n_bits, k);
   RBC_CHECK_MSG(total128 <= std::numeric_limits<u64>::max(),
-                "tiled schedule needs the shell to fit 64-bit ranks");
+                "shell plans need the shell to fit 64-bit ranks");
   total_ = static_cast<u64>(total128);
   tiles_ = total_ == 0 ? 0 : (total_ - 1) / stride_ + 1;
 }

@@ -51,9 +51,8 @@ class GosperIterator {
   u64 produced_;
 };
 
-/// Immutable tile decomposition of one shell for the work-stealing
-/// scheduler: tile t covers colex ranks [t*stride, min((t+1)*stride, total)).
-/// Every tile opens with one O(k) colexicographic unrank — no shared state,
+/// Immutable tile decomposition of one shell: tile t covers colex ranks
+/// [t*stride, min((t+1)*stride, total)). Every tile opens with one O(k) colexicographic unrank — no shared state,
 /// so any number of workers can open tiles of the same plan concurrently.
 class GosperShellPlan {
  public:
@@ -74,9 +73,7 @@ class GosperShellPlan {
   u64 tiles_;
 };
 
-/// Per-shell factory: partitions the C(n_bits, k) sequence into p contiguous
-/// chunks and hands thread r its chunk (static schedule), or builds an
-/// immutable tile plan at a given stride (tiled schedule).
+/// Per-shell factory: builds an immutable tile plan at a given stride.
 class GosperFactory {
  public:
   using iterator = GosperIterator;
@@ -88,25 +85,14 @@ class GosperFactory {
 
   int n_bits() const noexcept { return n_bits_; }
 
-  void prepare(int k, int num_threads) {
-    k_ = k;
-    p_ = num_threads;
-    total_ = binomial128(n_bits_, k);
-  }
-
-  GosperIterator make(int r) const;
-
-  /// Thread-safe shell plan for the tiled schedule. Unranking is O(1)-ish
-  /// per tile, so plans are built fresh each call; `abort` is unused (no
-  /// walk to cut short) but kept for API symmetry with Chase.
+  /// Thread-safe shell plan. Unranking is O(1)-ish per tile, so plans are
+  /// built fresh each call; `abort` is unused (no walk to cut short) but
+  /// kept for API symmetry with Chase.
   std::shared_ptr<const GosperShellPlan> plan(
       int k, u64 stride, const std::function<bool()>& abort = {}) const;
 
  private:
   int n_bits_;
-  int k_ = 0;
-  int p_ = 1;
-  u128 total_ = 0;
 };
 
 }  // namespace rbc::comb

@@ -12,8 +12,4 @@ static_assert(SeedIteratorFactory<GosperFactory>);
 static_assert(SeedIteratorFactory<Algorithm515Factory>);
 static_assert(SeedIteratorFactory<ChaseFactory>);
 
-static_assert(TiledSeedIteratorFactory<GosperFactory>);
-static_assert(TiledSeedIteratorFactory<Algorithm515Factory>);
-static_assert(TiledSeedIteratorFactory<ChaseFactory>);
-
 }  // namespace rbc::comb

@@ -1,27 +1,26 @@
-// Hamming-shell enumeration and the seed-iterator factory concepts.
+// Hamming-shell enumeration and the seed-iterator factory concept.
 //
 // The RBC search (Algorithm 1) visits the Hamming ball around S_init one
 // shell at a time: shell i holds the C(256, i) seeds at distance exactly i.
 // The search engine XORs each produced mask into S_init to form candidate
-// seeds. Shells are partitioned two ways, and all three iterator families
-// (Gosper, Algorithm 515, Chase 382) model both, which is what lets the
-// engines and benches swap them freely:
+// seeds. All three iterator families (Gosper, Algorithm 515, Chase 382)
+// open a shell the same way, which is what lets the engines and benches
+// swap them freely: plan(k, stride, abort) builds an immutable shell plan
+// whose tile t covers ranks [t*stride, min((t+1)*stride, total)), and
+// make_tile(t) opens any tile independently via the family's (start_rank,
+// count) constructor (Chase resumes from a snapshot saved at every stride
+// boundary). Plans are shared-ownership and safe to read from any number
+// of workers:
 //
-//   * Static (SeedIteratorFactory): prepare(k, p) splits the shell into
-//     exactly p contiguous slices and make(r) hands slice r to work unit r —
-//     the paper's §3.2.1 equal-workload partition. Simple, but a planted
-//     match, a ragged last slice, or a slow worker idles the rest of the
-//     group at the shell barrier.
-//   * Tiled (TiledSeedIteratorFactory): plan(k, stride, abort) builds an
-//     immutable shell plan whose tile t covers ranks [t*stride,
-//     min((t+1)*stride, total)); make_tile(t) opens any tile independently
-//     via the family's (start_rank, count) constructor (Chase resumes from a
-//     snapshot saved at every stride boundary). Plans are shared-ownership
-//     and safe to read from any number of workers, which is what the
-//     work-stealing TileScheduler needs to hand the whole ball out from one
-//     atomic cursor. comb::ShellTiler picks the per-shell stride.
+//   * a multi-unit search hands every tile of the ball out from one atomic
+//     cursor (par::TileScheduler; comb::ShellTiler picks the stride);
+//   * a single-unit walk opens a one-tile plan (stride C(n_bits, k)), whose
+//     only tile is the whole shell in canonical order (shell_iterator);
+//   * the prior-work and GPU-kernel baselines give unit r tile r of a
+//     ceil(C(n_bits, k) / p)-stride plan, the paper's §3.2.1 equal split.
 #pragma once
 
+#include <algorithm>
 #include <concepts>
 #include <functional>
 #include <memory>
@@ -33,30 +32,21 @@
 
 namespace rbc::comb {
 
+/// An iterator family's factory. `abort`, polled during any precomputation
+/// walk, lets a deadline cut plan construction short — plan() then returns
+/// nullptr.
 template <typename F>
 concept SeedIteratorFactory =
-    requires(F f, const F cf, int k, int p, int r, Seed256& mask) {
+    requires(const F cf, int k, u64 stride,
+             const std::function<bool()>& abort) {
       typename F::iterator;
-      { f.prepare(k, p) };
-      { cf.make(r) } -> std::same_as<typename F::iterator>;
+      typename F::shell_plan;
       { F::name() } -> std::convertible_to<std::string_view>;
+      { cf.n_bits() } -> std::convertible_to<int>;
+      { cf.plan(k, stride, abort) }
+          -> std::same_as<std::shared_ptr<const typename F::shell_plan>>;
     } && requires(typename F::iterator it, Seed256& mask) {
       { it.next(mask) } -> std::same_as<bool>;
-    };
-
-/// A factory that can additionally decompose a shell into an immutable tile
-/// plan for the work-stealing schedule. `abort`, polled during any
-/// precomputation walk, lets a deadline cut plan construction short — plan()
-/// then returns nullptr.
-template <typename F>
-concept TiledSeedIteratorFactory =
-    SeedIteratorFactory<F> &&
-    requires(F f, const F cf, int k, u64 stride, u64 t,
-             const std::function<bool()>& abort) {
-      typename F::shell_plan;
-      { cf.n_bits() } -> std::convertible_to<int>;
-      { f.plan(k, stride, abort) }
-          -> std::same_as<std::shared_ptr<const typename F::shell_plan>>;
     } && requires(const typename F::shell_plan plan, u64 t) {
       { plan.tiles() } -> std::convertible_to<u64>;
       { plan.total() } -> std::convertible_to<u64>;
@@ -64,28 +54,19 @@ concept TiledSeedIteratorFactory =
       { plan.make_tile(t) } -> std::same_as<typename F::iterator>;
     };
 
-/// Visits every seed in the Hamming ball of radius d around `base`
-/// (distances 0..d inclusive), single-threaded, in shell order. Returns the
-/// number of seeds visited. The visitor returns true to continue, false to
-/// stop early. The seed-space width comes from the factory (all three
-/// families are constructed with their n_bits). Used by reference tests and
-/// the quickstart path.
+/// Tile stride that cuts C(n_bits, k) into at most `parts` equal tiles, the
+/// last one ragged.
+inline u64 equal_split_stride(int n_bits, int k, u64 parts) {
+  const u64 total = static_cast<u64>(binomial128(n_bits, k));
+  return std::max<u64>((total + parts - 1) / parts, 1);
+}
+
+/// Shell k's whole canonical sequence: the only tile of a one-tile plan.
+/// For Chase that plan holds just the initial state, so no walk runs.
 template <SeedIteratorFactory Factory>
-u64 for_each_in_ball(Factory& factory, const Seed256& base, int d,
-                     const std::function<bool(const Seed256&, int)>& visit) {
-  u64 visited = 0;
-  ++visited;
-  if (!visit(base, 0)) return visited;
-  for (int k = 1; k <= d; ++k) {
-    factory.prepare(k, /*num_threads=*/1);
-    auto it = factory.make(0);
-    Seed256 mask;
-    while (it.next(mask)) {
-      ++visited;
-      if (!visit(base ^ mask, k)) return visited;
-    }
-  }
-  return visited;
+typename Factory::iterator shell_iterator(const Factory& factory, int k) {
+  return factory.plan(k, equal_split_stride(factory.n_bits(), k, 1), {})
+      ->make_tile(0);
 }
 
 }  // namespace rbc::comb

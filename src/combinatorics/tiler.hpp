@@ -1,11 +1,11 @@
 // Tile decomposition of the Hamming ball for the work-stealing scheduler.
 //
-// The static schedule cuts each shell into exactly p contiguous slices, one
-// per work unit; a planted match, a ragged last slice, or a slow worker then
-// idles the rest of the group until the shell barrier. ShellTiler instead
-// cuts the ball of radius d into many fixed-size tiles — (shell k, rank
-// range [t*stride, min((t+1)*stride, total))) — sized so each family's
-// existing (start_rank, count) constructors can open any tile in isolation:
+// Cutting each shell into exactly p contiguous slices, one per work unit,
+// lets a planted match, a ragged last slice, or a slow worker idle the rest
+// of the group until the shell barrier. ShellTiler instead cuts the ball of
+// radius d into many fixed-size tiles — (shell k, rank range [t*stride,
+// min((t+1)*stride, total))) — sized so each family's existing
+// (start_rank, count) constructors can open any tile in isolation:
 // Gosper and Algorithm 515 unrank the tile's start directly; Chase 382
 // resumes from a snapshot saved at every stride boundary (the per-shell
 // stride is the single source of truth, so a family's shell plan always

@@ -29,6 +29,7 @@
 #include <mutex>
 
 #include "combinatorics/chase382.hpp"
+#include "combinatorics/shell.hpp"
 #include "combinatorics/tiler.hpp"
 #include "common/timer.hpp"
 #include "gpu/launch.hpp"
@@ -53,13 +54,12 @@ struct ShellLaunchStats {
   u64 seeds_hashed = 0;
 };
 
-/// Searches one Hamming shell with a single kernel launch.
-/// `snapshots` partitions the shell's Chase sequence into tiles (tile t
-/// covers [snapshots[t].step_index, snapshots[t+1].step_index)); the launch
-/// spawns snapshots.size() logical threads rounded up to whole blocks, and
-/// the tiles are handed out dynamically by a work-stealing scheduler rather
-/// than bound one-to-one to threads, so an uneven schedule (or an early
-/// straggler block) cannot leave the tail of the shell on one thread.
+/// Searches one Hamming shell with a single kernel launch. `plan` cuts the
+/// shell's Chase sequence into tiles; the launch spawns plan.tiles()
+/// logical threads rounded up to whole blocks, and the tiles are handed out
+/// dynamically by a work-stealing scheduler rather than bound one-to-one to
+/// threads, so an uneven schedule (or an early straggler block) cannot
+/// leave the tail of the shell on one thread.
 ///
 /// `ctx`, when non-null, is the session's cancellation context: device
 /// threads poll it alongside the unified flag (the CUDA analogue is the
@@ -70,18 +70,18 @@ template <hash::SeedHash Hash>
 ShellLaunchStats launch_salted_shell(
     par::WorkerGroup& workers, const Seed256& s_init,
     const typename Hash::digest_type& target, int shell,
-    const std::vector<comb::ChaseState>& snapshots, u64 shell_total,
-    u32 threads_per_block, UnifiedFlag& flag, FoundSlot& slot,
-    const Hash& hash = {}, par::SearchContext* ctx = nullptr) {
-  const u64 p = snapshots.size();
+    const comb::ChaseShellPlan& plan, u32 threads_per_block,
+    UnifiedFlag& flag, FoundSlot& slot, const Hash& hash = {},
+    par::SearchContext* ctx = nullptr) {
+  const u64 p = plan.tiles();
   RBC_CHECK(p >= 1);
   const Dim3 grid = grid_for(p, threads_per_block);
   const Dim3 block{threads_per_block, 1, 1};
 
   std::atomic<u64> seeds_hashed{0};
   // One shell of p snapshot tiles; every logical thread owns one scheduler
-  // slot and starts at its own tile id, so an undisturbed launch visits the
-  // same slices as the old static assignment.
+  // slot and starts at its own tile id, so an undisturbed launch gives
+  // thread r tile r.
   par::TileScheduler sched(std::vector<u64>{p}, shell, static_cast<int>(p));
   // Shared memory: one ChaseState slot per thread in the block (§3.2.3).
   const std::size_t shared_bytes = sizeof(comb::ChaseState) * threads_per_block;
@@ -105,14 +105,9 @@ ShellLaunchStats launch_salted_shell(
     par::TileScheduler::Tile tile;
     while (running && sched.acquire(static_cast<int>(r), tile)) {
       // Copy this tile's iterator state into the block's shared arena.
-      const u64 t = tile.index;
-      state = snapshots[static_cast<std::size_t>(t)];
-
-      // The tile's slice: [its snapshot's step, the next snapshot's step).
-      u64 i = state.step_index;
-      const u64 end = (t + 1 < p)
-                          ? snapshots[static_cast<std::size_t>(t + 1)].step_index
-                          : shell_total;
+      state = plan.snapshot(tile.index);
+      u64 i = 0;
+      const u64 end = plan.tile_count(tile.index);
 
       // Same batched shape as the host search: refill a candidate block from
       // the Chase walk, hash all lanes per multi-buffer call, reject on the
@@ -170,7 +165,9 @@ ShellLaunchStats launch_salted_shell(
 /// Host-side driver (§3.2: "the loop on line 9 is executed on the host,
 /// where a kernel is launched to process a single Hamming distance").
 /// `threads_for_shell(k)` decides the partition width p per shell, mirroring
-/// the n = seeds/p tuning of §4.4.
+/// the n = seeds/p tuning of §4.4: shell k runs on a plan of at most p equal
+/// tiles from the process-wide plan cache, so each width's snapshot walk
+/// runs once per process, and the session's deadline can cut it short.
 template <hash::SeedHash Hash>
 rbc::SearchResult gpu_emulated_search(
     par::WorkerGroup& workers, const Seed256& s_init,
@@ -195,18 +192,20 @@ rbc::SearchResult gpu_emulated_search(
     return result;
   }
 
+  const comb::ChaseFactory factory;
+  const std::function<bool()> stop = [&ctx] { return ctx.check_deadline(); };
   for (int k = 1; k <= max_distance; ++k) {
     if (flag.get()) break;  // host checks the unified flag between launches
     // The host enforces the deadline between kernel launches; within one,
     // the kernel threads poll the context themselves (above).
     if (ctx.check_deadline()) break;
-    const int p = std::max(1, threads_for_shell(k));
-    const auto snapshots = comb::make_chase_snapshots(k, p);
-    const u64 shell_total =
-        static_cast<u64>(comb::binomial128(comb::kSeedBits, k));
+    const u64 p = static_cast<u64>(std::max(1, threads_for_shell(k)));
+    const auto plan = factory.plan(
+        k, comb::equal_split_stride(comb::kSeedBits, k, p), stop);
+    if (plan == nullptr) break;
     const auto stats = launch_salted_shell<Hash>(
-        workers, s_init, target, k, snapshots, shell_total, threads_per_block,
-        flag, slot, hash, &ctx);
+        workers, s_init, target, k, *plan, threads_per_block, flag, slot,
+        hash, &ctx);
     result.seeds_hashed += stats.seeds_hashed;
   }
 

@@ -35,11 +35,11 @@ void xor_unit_masks(const Seed256& base, const u8* bits, std::size_t k,
 }
 
 template <typename Factory>
-ShellMaskCache::Table walk_shell(Factory factory, int k, std::size_t masks) {
+ShellMaskCache::Table walk_shell(const Factory& factory, int k,
+                                 std::size_t masks) {
   ShellMaskCache::Table table(k);
   table.reserve(masks);
-  factory.prepare(k, 1);
-  auto it = factory.make(0);
+  auto it = comb::shell_iterator(factory, k);
   Seed256 mask;
   while (it.next(mask)) table.push_back(mask);
   return table;

@@ -6,9 +6,9 @@
 // sequence). A CandidateStream reifies that order as a *resumable* cursor —
 // fill(seeds, n) produces the next n candidates and can stop at any point —
 // so the same enumeration can be driven by a private search loop (the
-// 1-thread static schedule below in search.hpp) or interleaved with other
-// sessions' streams by the server's fusion engine (server/fusion_engine.hpp),
-// which deals lane slots of one shared hash batch across many streams.
+// single-unit search in search.hpp) or interleaved with other sessions'
+// streams by the server's fusion engine (server/fusion_engine.hpp), which
+// deals lane slots of one shared hash batch across many streams.
 //
 // Contract (what fusion equivalence tests pin down):
 //   * The first fill() emits exactly one candidate: S_init (distance 0).
@@ -16,15 +16,15 @@
 //     one call sits in one shell, reported by last_shell(). Callers that
 //     mirror the solo loop's between-shell deadline checks get a natural
 //     seam at each short return.
-//   * Candidates are produced in the iterator family's canonical 1-slice
-//     order (prepare(k, 1) / make(0)), which is byte-identical to the
-//     static single-thread schedule — so counting every produced candidate
-//     up to and including a match reproduces the solo `seeds_hashed`
-//     exactly.
+//   * Candidates are produced in the iterator family's canonical order (the
+//     only tile of a one-tile shell plan), which the tiles of every other
+//     plan concatenate to — so counting every produced candidate up to and
+//     including a match reproduces the solo `seeds_hashed` exactly.
 //
 // Two implementations:
-//   * BallStream<Factory> walks a borrowed iterator factory lazily — the
-//     per-shell prepare() cost lands on the session, same as the solo path.
+//   * BallStream<Factory> opens each shell's one-tile plan lazily. Opening
+//     costs an unrank (Gosper, Algorithm 515) or a cached initial state
+//     (Chase): no walk.
 //   * TableCandidateStream steps through process-wide cached XOR-mask
 //     tables (ShellMaskCache): O(1) setup and O(1) stepping per candidate.
 //     The walk that builds a shell's table is paid once per process instead
@@ -76,14 +76,12 @@ inline u128 ball_candidates(int max_distance, int n_bits = comb::kSeedBits) {
   return total;
 }
 
-/// Streams a ball by walking a borrowed iterator factory. Shell k's
-/// prepare(k, 1) runs lazily on the first fill that needs it, mirroring the
-/// solo loop's per-shell preparation point; the factory must outlive the
-/// stream and not be re-prepared by anyone else while it runs.
+/// Streams a ball through an iterator factory. Shell k's iterator opens
+/// lazily, on the first fill that needs it.
 template <comb::SeedIteratorFactory Factory>
 class BallStream final : public CandidateStream {
  public:
-  BallStream(const Seed256& s_init, int max_distance, Factory& factory)
+  BallStream(const Seed256& s_init, int max_distance, const Factory& factory)
       : s_init_(s_init), d_(max_distance), factory_(factory) {}
 
   /// Starts the cursor after distance 0 — for callers (rbc_search) that
@@ -112,10 +110,8 @@ class BallStream final : public CandidateStream {
         }
         return 1;
       }
-      if (!it_.has_value()) {
-        factory_.prepare(shell_, 1);
-        it_.emplace(factory_.make(0));
-      }
+      if (!it_.has_value())
+        it_.emplace(comb::shell_iterator(factory_, shell_));
       std::size_t produced = 0;
       Seed256 mask;
       while (produced < n && it_->next(mask)) {
@@ -142,7 +138,7 @@ class BallStream final : public CandidateStream {
  private:
   Seed256 s_init_;
   int d_;
-  Factory& factory_;
+  Factory factory_;
   int shell_ = 0;       // shell the next candidate comes from
   int last_shell_ = -1;
   u64 position_ = 0;
@@ -151,12 +147,12 @@ class BallStream final : public CandidateStream {
 };
 
 /// Process-wide cache of per-shell XOR-delta tables: table entry i is the
-/// i-th mask of shell k in the iterator family's canonical 1-slice order.
-/// Built once per (iterator, n_bits, k) by walking the factory — every
-/// later stream steps through it at O(1) per candidate with no per-session
-/// prepare walk. Thread-safe; entries are immutable once published. The
-/// single-flight and LRU logic is common/single_flight_cache.hpp, shared
-/// with the Chase tile-plan cache.
+/// i-th mask of shell k in the iterator family's canonical order. Built
+/// once per (iterator, n_bits, k) by walking the shell — every later stream
+/// steps through it at O(1) per candidate without opening a shell iterator.
+/// Thread-safe; entries are immutable once published. The single-flight and
+/// LRU logic is common/single_flight_cache.hpp, shared with the Chase
+/// tile-plan cache.
 ///
 /// The cache is bounded: total retained masks are capped (LRU eviction,
 /// least-recently-fetched table first), so a long-lived server process that

@@ -9,6 +9,7 @@
 // Dilithium3-like) rather than quoting it.
 #pragma once
 
+#include <functional>
 #include <mutex>
 #include <optional>
 
@@ -25,9 +26,12 @@ namespace rbc {
 
 /// Same contract as rbc_search(), but the per-candidate operation is
 /// public-key generation and the target is the client's public key bytes.
+/// Each shell is one SPMD round in the prior-work shape: worker r walks
+/// tile r of a plan cut into p equal tiles, with a barrier between shells.
 template <crypto::SeedKeygen Keygen, comb::SeedIteratorFactory Factory>
 SearchResult legacy_rbc_search(const Seed256& s_init, const Bytes& target_pk,
-                               Factory& factory, par::WorkerGroup& workers,
+                               const Factory& factory,
+                               par::WorkerGroup& workers,
                                const SearchOptions& opts,
                                const Keygen& keygen = {},
                                par::SearchContext* session = nullptr) {
@@ -54,14 +58,20 @@ SearchResult legacy_rbc_search(const Seed256& s_init, const Bytes& target_pk,
 
   const int p = opts.num_threads;
   std::vector<u64> generated(static_cast<std::size_t>(p), 0);
+  const std::function<bool()> stop = [&ctx, &opts] {
+    return ctx.check_deadline() || ctx.should_stop(opts.early_exit);
+  };
 
   for (int k = 1; k <= opts.max_distance; ++k) {
-    if (ctx.should_stop(opts.early_exit)) break;
-    if (ctx.check_deadline()) break;
-    factory.prepare(k, p);
+    if (stop()) break;
+    const auto plan = factory.plan(
+        k, comb::equal_split_stride(factory.n_bits(), k, static_cast<u64>(p)),
+        stop);
+    if (plan == nullptr) break;
 
     workers.parallel_workers(p, [&](int worker) {
-      auto it = factory.make(worker);
+      if (static_cast<u64>(worker) >= plan->tiles()) return;
+      auto it = plan->make_tile(static_cast<u64>(worker));
       par::CheckThrottle throttle(opts.check_interval);
       u64 local = 0;
       Seed256 mask;

@@ -7,20 +7,20 @@
 // the whole search (§3: "RBC uses a time threshold for which it must
 // authenticate a client").
 //
-// Two schedules drive the same inner loop (see docs/scheduler.md):
+// Two paths run the same inner loop (see docs/scheduler.md):
 //
-//   * kTiled (default) — the ball is decomposed into fixed-size tiles
-//     (comb::ShellTiler) handed out by a work-stealing par::TileScheduler.
-//     Chase tile plans are walked once per process and shared by every
-//     search; on a cold cache, one extra pipeline unit fetches shell k+1's
-//     plan while shell k's tiles are still being drained, so workers flow
-//     across shell boundaries instead of parking at a barrier. Exhaustive
-//     mode records the MINIMAL shell containing a match (shells overlap in
-//     flight), and per-tile accounting keeps `seeds_hashed` visit-order
-//     exact.
-//   * kStatic — the PR-1/PR-3 shape: each shell is one SPMD round of p
-//     contiguous slices with a barrier in between. Kept as the reference
-//     schedule; CI asserts both report identical results.
+//   * Multi-unit searches tile: the ball is decomposed into fixed-size
+//     tiles (comb::ShellTiler) handed out by a work-stealing
+//     par::TileScheduler. Chase tile plans are walked once per process and
+//     shared by every search; on a cold cache, one extra pipeline unit
+//     fetches shell k+1's plan while shell k's tiles are still being
+//     drained, so workers flow across shell boundaries instead of parking at
+//     a barrier. Exhaustive mode records the MINIMAL shell containing a
+//     match (shells overlap in flight), and per-tile accounting keeps
+//     `seeds_hashed` visit-order exact.
+//   * Single-unit searches stream: the calling thread scans a BallStream
+//     (candidate_stream.hpp) in canonical order. It is the reference
+//     enumeration; CI asserts both paths report identical results.
 //
 // Concurrency: rounds run on a WorkerGroup, so any number of sessions can
 // search at once over one set of worker threads. All stop conditions flow
@@ -64,9 +64,6 @@
 
 namespace rbc {
 
-/// How work units consume the shells (see the header comment).
-enum class SearchSchedule { kTiled, kStatic };
-
 /// Within-shell candidate order. kCanonical is the iterator family's
 /// combinatorial order — the historical behavior, byte-for-byte. kReliability
 /// re-orders each shell by descending posterior likelihood using the
@@ -78,9 +75,10 @@ enum class SearchOrder : u8 { kCanonical = 0, kReliability = 1 };
 struct SearchOptions {
   /// Maximum Hamming distance d to search (inclusive).
   int max_distance = 3;
-  /// SPMD work units per shell (p in Algorithm 1). Units multiplex onto the
-  /// worker group, so this may exceed the group's thread count. The tiled
-  /// schedule adds one pipeline unit on top.
+  /// Work units (p in Algorithm 1). Units multiplex onto the worker group,
+  /// so this may exceed the group's thread count. A multi-unit search adds
+  /// one pipeline unit on top; a single-unit search runs on the calling
+  /// thread.
   int num_threads = 1;
   /// Seeds iterated between stop-condition checks (§4.4 knob): both the
   /// early-exit flag and the deadline are consulted at this cadence, rounded
@@ -96,19 +94,15 @@ struct SearchOptions {
   /// build a local SearchContext when the caller does not provide one; a
   /// caller-provided session context carries its own deadline instead.
   double timeout_s = 20.0;
-  /// Work-distribution schedule. kTiled needs the factory to model
-  /// TiledSeedIteratorFactory and at least two work units; factories that do
-  /// not — and 1-thread searches, which have nobody to steal from — fall
-  /// back to kStatic.
-  SearchSchedule schedule = SearchSchedule::kTiled;
-  /// Candidate seeds per scheduler tile under kTiled; 0 picks
+  /// Candidate seeds per scheduler tile of a multi-unit search; 0 picks
   /// comb::ShellTiler::kDefaultTileSeeds.
   u64 tile_seeds = 0;
   /// Bench/test instrumentation: when set, each work unit calls
-  /// hook(unit, seeds) after every scheduling quantum — a tile under kTiled,
-  /// a check-interval batch under kStatic — with the seeds it just hashed.
-  /// The skewed-workload bench injects a sleeping straggler through this.
-  /// Leave empty in production; it runs on the hot path.
+  /// hook(unit, seeds) after every scheduling quantum — a tile of a
+  /// multi-unit search, a check-interval batch of a single-unit one — with
+  /// the seeds it just hashed. The skewed-workload bench injects a sleeping
+  /// straggler through this. Leave empty in production; it runs on the hot
+  /// path.
   std::function<void(int unit, u64 seeds)> quantum_hook;
   /// Within-shell candidate order. kReliability is honored only when
   /// `reliability` is set; the ordered walk is inherently sequential, so it
@@ -143,10 +137,10 @@ namespace detail {
 
 /// Tiled work-stealing driver. Assumes distance 0 was already checked and
 /// missed; fills everything but host_seconds / the d0 contribution.
-template <hash::SeedHash Hash, comb::TiledSeedIteratorFactory Factory>
+template <hash::SeedHash Hash, comb::SeedIteratorFactory Factory>
 void rbc_search_tiled(const Seed256& s_init,
                       const typename Hash::digest_type& target,
-                      Factory& factory, par::WorkerGroup& workers,
+                      const Factory& factory, par::WorkerGroup& workers,
                       const SearchOptions& opts, const Hash& hash,
                       par::SearchContext& ctx, SearchResult& result,
                       std::optional<std::pair<Seed256, int>>& found) {
@@ -190,8 +184,12 @@ void rbc_search_tiled(const Seed256& s_init,
   std::vector<u64> hashed_per_unit(static_cast<std::size_t>(units), 0);
 
   workers.parallel_workers(units, [&](int unit) {
-    // Lines 11-16, batched (see the static path below for the lane-level
-    // commentary; both schedules share this inner-loop shape).
+    // Lines 11-16, batched: refill a candidate block by XOR-ing each
+    // iterator delta into S_init, hash every lane in one multi-buffer call,
+    // then reject non-matches on the digests' first 32 bits before paying
+    // for the full comparison. Scalar policies get B = 1, which is exactly
+    // the one-candidate-per-iteration loop. The stop cadence counts whole
+    // blocks, so a batch is never split by a poll.
     constexpr std::size_t kBlock = hash::seed_hash_batch<Hash>();
     std::array<Seed256, kBlock> candidates;
     std::array<typename Hash::digest_type, kBlock> digests;
@@ -275,18 +273,16 @@ void rbc_search_tiled(const Seed256& s_init,
   }
 }
 
-/// Single-unit scan of a CandidateStream: the static schedule's inner loop
+/// Single-unit scan of a CandidateStream: the tile loop's inner shape
 /// (block refill -> multi-lane hash -> head prefilter -> full compare ->
-/// visit-order counting) driving a resumable cursor instead of per-shell
-/// iterator slices. This is the reference enumeration the fusion engine's
-/// interleaved execution must reproduce candidate-for-candidate: the stream
-/// yields S_init first, then shells 1..d in canonical order, and `counted`
-/// stops at the match exactly like the per-shell loop's `i + 1`.
+/// visit-order counting) driving a resumable cursor. This is the reference
+/// enumeration the fusion engine's interleaved execution must reproduce
+/// candidate-for-candidate: the stream yields S_init first, then shells
+/// 1..d in canonical order, and `counted` stops at the match.
 ///
-/// Stop conditions mirror the per-shell loop: the deadline/early-exit poll
-/// fires at the check-interval cadence AND whenever a refill crosses into a
-/// new shell (the old between-shell check); candidates fetched but not yet
-/// hashed when a stop fires are discarded uncounted.
+/// The deadline/early-exit poll fires at the check-interval cadence AND
+/// whenever a refill crosses into a new shell; candidates fetched but not
+/// yet hashed when a stop fires are discarded uncounted.
 template <hash::SeedHash Hash>
 void scan_stream(CandidateStream& stream,
                  const typename Hash::digest_type& target, const Hash& hash,
@@ -331,7 +327,7 @@ void scan_stream(CandidateStream& stream,
     if (n == 0) break;
     if (stream.last_shell() != last_shell) {
       last_shell = stream.last_shell();
-      check_now = true;  // between-shell poll point of the per-shell loop
+      check_now = true;  // between-shell poll point
       if (trace != nullptr) {
         close_shell_span();
         span_shell = last_shell;
@@ -371,7 +367,7 @@ void scan_stream(CandidateStream& stream,
 
 /// Searches for a seed whose hash equals `target`, running work units on
 /// `workers`. The factory provides iterators over each shell (Gosper /
-/// Algorithm 515 / Chase 382 all model the concepts).
+/// Algorithm 515 / Chase 382 all model comb::SeedIteratorFactory).
 ///
 /// `session`, when non-null, is the authentication session's context: its
 /// deadline (set at admission, so queue time counts against the threshold)
@@ -381,7 +377,7 @@ void scan_stream(CandidateStream& stream,
 template <hash::SeedHash Hash, comb::SeedIteratorFactory Factory>
 SearchResult rbc_search(const Seed256& s_init,
                         const typename Hash::digest_type& target,
-                        Factory& factory, par::WorkerGroup& workers,
+                        const Factory& factory, par::WorkerGroup& workers,
                         const SearchOptions& opts, const Hash& hash = {},
                         par::SearchContext* session = nullptr) {
   RBC_CHECK(opts.max_distance >= 0 && opts.max_distance <= comb::kMaxK);
@@ -392,7 +388,6 @@ SearchResult rbc_search(const Seed256& s_init,
 
   SearchResult result;
   WallTimer timer;
-  std::mutex found_mutex;
   std::optional<std::pair<Seed256, int>> found;
 
   // Lines 4-8: distance 0 — hash S_init itself (unit r = 0's job).
@@ -407,143 +402,40 @@ SearchResult rbc_search(const Seed256& s_init,
     return result;
   }
 
-  // Reliability-ordered sessions drive the likelihood-first stream on the
-  // calling thread regardless of num_threads: the best-first enumeration is
-  // inherently sequential, and silently falling through to an order-ignoring
-  // parallel schedule would discard the requested order.
-  bool ran_ordered = false;
   if (opts.order == SearchOrder::kReliability && opts.reliability != nullptr) {
+    // Reliability-ordered sessions drive the likelihood-first stream on the
+    // calling thread regardless of num_threads: the best-first enumeration
+    // is inherently sequential, and silently falling through to an
+    // order-ignoring parallel search would discard the requested order.
     OrderedBallStream stream(s_init, opts.max_distance, opts.reliability,
                              opts.ordered_budget, factory.n_bits());
     stream.skip_base();
     detail::scan_stream<Hash>(stream, target, hash, opts, ctx, found,
                               result.seeds_hashed);
     ctx.check_deadline();
-    ran_ordered = true;
-  }
-
-  bool ran_tiled = false;
-  if constexpr (comb::TiledSeedIteratorFactory<Factory>) {
-    // A single worker has nobody to steal from and nothing to pipeline into;
-    // tiling would only add plan walks and a scheduler unit. Keep 1-thread
-    // searches (e.g. per-session server searches) on the static walk.
-    if (!ran_ordered && opts.schedule == SearchSchedule::kTiled &&
-        opts.num_threads > 1) {
-      // Tiled shells overlap in flight, so a per-shell span would lie about
-      // exclusivity; record one span over the whole tiled scan instead
-      // (detail = d, value = candidates hashed by it).
-      obs::SessionTrace* trace = ctx.trace();
-      const double tiled_open_s = trace != nullptr ? trace->now_s() : 0.0;
-      const u64 tiled_start_progress = ctx.progress();
-      detail::rbc_search_tiled<Hash>(s_init, target, factory, workers, opts,
-                                     hash, ctx, result, found);
-      if (trace != nullptr) {
-        trace->span(obs::SpanKind::kSearchShell, tiled_open_s, trace->now_s(),
-                    static_cast<u32>(opts.max_distance),
-                    ctx.progress() - tiled_start_progress);
-      }
-      ran_tiled = true;
-    }
-  }
-
-  if (!ran_ordered && !ran_tiled && opts.num_threads == 1) {
-    // Single-unit searches (e.g. per-session server searches) drive the
-    // resumable CandidateStream directly on the calling thread: same visit
-    // order and accounting as the per-shell SPMD round below, minus the
-    // WorkerGroup round-trip per shell. The stream starts after distance 0,
-    // which was hashed above.
+  } else if (opts.num_threads == 1) {
+    // A single unit has nobody to steal from and nothing to pipeline into,
+    // so it streams the ball on the calling thread (e.g. per-session server
+    // searches). The stream starts after distance 0, which was hashed above.
     BallStream<Factory> stream(s_init, opts.max_distance, factory);
     stream.skip_base();
     detail::scan_stream<Hash>(stream, target, hash, opts, ctx, found,
                               result.seeds_hashed);
     ctx.check_deadline();
-  } else if (!ran_ordered && !ran_tiled) {
-    const int p = opts.num_threads;
-    std::vector<u64> hashed_per_unit(static_cast<std::size_t>(p), 0);
-
-    // Line 9: loop over Hamming shells 1..d. The host checks the deadline
-    // between shells; workers check it at a coarse cadence within one.
+  } else {
+    // Tiled shells overlap in flight, so a per-shell span would lie about
+    // exclusivity; record one span over the whole tiled scan instead
+    // (detail = d, value = candidates hashed by it).
     obs::SessionTrace* trace = ctx.trace();
-    for (int k = 1; k <= opts.max_distance; ++k) {
-      if (ctx.should_stop(opts.early_exit)) break;
-      if (ctx.check_deadline()) break;
-      const double shell_open_s = trace != nullptr ? trace->now_s() : 0.0;
-      const u64 shell_start_progress = ctx.progress();
-      factory.prepare(k, p);
-
-      workers.parallel_workers(p, [&](int unit) {
-        auto it = factory.make(unit);
-        // Lines 11-16, batched: refill a candidate block by XOR-ing each
-        // iterator delta into S_init, hash every lane in one multi-buffer
-        // call, then reject non-matches on the digests' first 32 bits before
-        // paying for the full comparison. Scalar policies get B = 1, which
-        // is exactly the one-candidate-per-iteration loop.
-        constexpr std::size_t kBlock = hash::seed_hash_batch<Hash>();
-        std::array<Seed256, kBlock> candidates;
-        std::array<typename Hash::digest_type, kBlock> digests;
-        u32 target_head;
-        std::memcpy(&target_head, target.bytes.data(), sizeof(target_head));
-
-        // One unified stop cadence (early-exit flag + deadline), expressed
-        // in whole blocks so a batch is never split by a poll.
-        const u32 blocks_per_check = static_cast<u32>(
-            (std::max<u64>(opts.check_interval, 1) + kBlock - 1) / kBlock);
-        par::CheckThrottle throttle(blocks_per_check);
-
-        u64 local_hashed = 0;
-        u64 since_hook = 0;
-        Seed256 mask;
-        bool running = true;
-        while (running) {
-          if (throttle.due()) {
-            if (opts.quantum_hook) {
-              opts.quantum_hook(unit, since_hook);
-              since_hook = 0;
-            }
-            if (ctx.check_deadline() || ctx.should_stop(opts.early_exit))
-              break;
-          }
-          std::size_t n = 0;
-          while (n < kBlock && it.next(mask)) candidates[n++] = s_init ^ mask;
-          if (n == 0) break;  // slice exhausted
-          hash::hash_seed_block(hash, candidates.data(), n, digests.data());
-          std::size_t counted = n;
-          for (std::size_t i = 0; i < n; ++i) {
-            u32 head;
-            std::memcpy(&head, digests[i].bytes.data(), sizeof(head));
-            if (head != target_head || digests[i] != target) continue;
-            {
-              std::lock_guard lock(found_mutex);
-              if (!found) found = {candidates[i], k};
-            }
-            ctx.signal_match();  // line 15: NotifyAllThreadsToExitSearch
-            if (opts.early_exit) {
-              // Lanes past the match were speculative; count to the match
-              // so the accounting equals the scalar policy's visit order.
-              counted = i + 1;
-              running = false;
-            }
-            break;
-          }
-          local_hashed += counted;
-          since_hook += counted;
-        }
-        // Flush the tail quantum (seeds since the last throttle firing).
-        if (opts.quantum_hook && since_hook > 0)
-          opts.quantum_hook(unit, since_hook);
-        hashed_per_unit[static_cast<std::size_t>(unit)] += local_hashed;
-        ctx.add_progress(local_hashed);
-      });
-
-      if (trace != nullptr) {
-        trace->span(obs::SpanKind::kSearchShell, shell_open_s, trace->now_s(),
-                    static_cast<u32>(k),
-                    ctx.progress() - shell_start_progress);
-      }
-      ctx.check_deadline();
+    const double tiled_open_s = trace != nullptr ? trace->now_s() : 0.0;
+    const u64 tiled_start_progress = ctx.progress();
+    detail::rbc_search_tiled<Hash>(s_init, target, factory, workers, opts,
+                                   hash, ctx, result, found);
+    if (trace != nullptr) {
+      trace->span(obs::SpanKind::kSearchShell, tiled_open_s, trace->now_s(),
+                  static_cast<u32>(opts.max_distance),
+                  ctx.progress() - tiled_start_progress);
     }
-
-    for (u64 h : hashed_per_unit) result.seeds_hashed += h;
   }
 
   if (found) {

@@ -2,7 +2,7 @@
 //
 // The PR-3 batch layer fills a PRIVATE 16-lane block per search, so a small
 // session (d <= 2: a few hundred to ~33k candidates) spends most of its
-// serving cost on per-session setup — iterator prepare walks, WorkerGroup
+// serving cost on per-session setup — shell iterators, WorkerGroup
 // round-trips — and its final ragged block leaves lanes idle exactly when
 // the server is busiest. The multi-buffer kernels hash unrelated buffers
 // per lane, so nothing requires a batch's lanes to belong to one session.

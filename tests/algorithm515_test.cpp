@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "combinatorics/algorithm515.hpp"
+#include "combinatorics/shell.hpp"
 
 namespace rbc::comb {
 namespace {
@@ -73,13 +74,15 @@ class Partition515
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(Partition515, ChunksTileTheFullSequenceDisjointly) {
+  // Unit r of p walks tile r of a plan cut into at most p equal tiles.
   const auto [n, k, p] = GetParam();
   for (Alg515Mode mode : {Alg515Mode::kUnrankEach, Alg515Mode::kSuccessor}) {
-    Algorithm515Factory factory(mode, n);
-    factory.prepare(k, p);
+    const auto plan = Algorithm515Factory(mode, n).plan(
+        k, equal_split_stride(n, k, static_cast<u64>(p)));
+    EXPECT_LE(plan->tiles(), static_cast<u64>(p));
     std::set<std::string> seen;
-    for (int r = 0; r < p; ++r) {
-      auto it = factory.make(r);
+    for (u64 t = 0; t < plan->tiles(); ++t) {
+      auto it = plan->make_tile(t);
       Seed256 mask;
       while (it.next(mask)) {
         EXPECT_EQ(mask.popcount(), k);
@@ -97,20 +100,18 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{9, 5, 3}, std::tuple{10, 1, 16}));
 
 TEST(Factory515, ChunkBoundariesAreContiguous) {
-  Algorithm515Factory factory(Alg515Mode::kSuccessor);
-  factory.prepare(5, 13);
-  // Last mask of chunk r and first mask of chunk r+1 must be lexicographic
-  // neighbours.
-  auto first_of = [&](int r) {
-    auto it = factory.make(r);
+  // Every tile of a 13-tile plan opens at the lex unrank of t * stride, so
+  // consecutive tiles meet without a gap or an overlap.
+  const auto plan = Algorithm515Factory(Alg515Mode::kSuccessor)
+                        .plan(5, equal_split_stride(256, 5, 13));
+  const u64 stride = plan->tile_count(0);
+  ASSERT_EQ(plan->tiles(), 13u);
+  for (u64 t = 0; t < plan->tiles(); ++t) {
+    auto it = plan->make_tile(t);
     Seed256 m;
-    RBC_CHECK(it.next(m));
-    return Combination::from_mask(m);
-  };
-  const u128 total = binomial128(256, 5);
-  for (int r = 0; r + 1 < 13; ++r) {
-    const u128 expected = total * static_cast<u128>(r + 1) / 13;
-    EXPECT_EQ(rank_lexicographic(first_of(r + 1)), expected);
+    ASSERT_TRUE(it.next(m));
+    EXPECT_EQ(Combination::from_mask(m), unrank_lexicographic(t * stride, 5))
+        << "tile " << t;
   }
 }
 

@@ -152,14 +152,15 @@ TEST(ChaseSequence, StateRoundTripResumesExactly) {
 TEST(ChaseSnapshots, TileTheSequence) {
   const int n = 12, k = 4;  // C(12,4) = 495
   const u64 total = binomial64(n, k);
-  for (int num_states : {1, 3, 8, 33, 495, 700}) {
-    const auto snaps = make_chase_snapshots(k, num_states, n);
-    ASSERT_FALSE(snaps.empty());
-    EXPECT_LE(snaps.size(), static_cast<std::size_t>(num_states));
-    EXPECT_EQ(snaps.front().step_index, 0u);
-    // Strictly increasing step indices covering [0, total).
-    for (std::size_t i = 1; i < snaps.size(); ++i)
-      EXPECT_GT(snaps[i].step_index, snaps[i - 1].step_index);
+  for (const u64 parts : std::initializer_list<u64>{1, 3, 8, 33, 495, 700}) {
+    const u64 stride = (total + parts - 1) / parts;
+    std::vector<ChaseState> snaps;
+    ASSERT_TRUE(make_chase_snapshots_strided(k, stride, snaps, n));
+    ASSERT_EQ(snaps.size(), (total - 1) / stride + 1);
+    EXPECT_LE(snaps.size(), parts);
+    // Snapshot i sits at step i * stride; the last one starts the last tile.
+    for (std::size_t i = 0; i < snaps.size(); ++i)
+      EXPECT_EQ(snaps[i].step_index, i * stride);
     EXPECT_LT(snaps.back().step_index, total);
   }
 }
@@ -167,31 +168,53 @@ TEST(ChaseSnapshots, TileTheSequence) {
 TEST(ChaseSnapshots, SnapshotMasksMatchSequentialWalk) {
   const int n = 10, k = 3;
   const auto reference = walk_full_sequence(k, n);
-  const auto snaps = make_chase_snapshots(k, 7, n);
+  std::vector<ChaseState> snaps;
+  ASSERT_TRUE(make_chase_snapshots_strided(k, 18, snaps, n));  // 7 tiles
+  ASSERT_EQ(snaps.size(), 7u);
   for (const auto& s : snaps) {
     ASSERT_LT(s.step_index, reference.size());
     EXPECT_EQ(s.mask, reference[static_cast<std::size_t>(s.step_index)]);
   }
 }
 
+TEST(ChaseSnapshots, OneTileWalkPollsAbortOnce) {
+  // A one-tile plan's only snapshot is the initial state, so the walk takes
+  // no step: `abort` is polled once, at step 0, not once per 16 Ki of the
+  // 2,763,520 steps of shell 3.
+  const u64 total = binomial64(kSeedBits, 3);
+  int polls = 0;
+  std::vector<ChaseState> snaps;
+  ASSERT_TRUE(make_chase_snapshots_strided(3, total, snaps, kSeedBits, [&] {
+    ++polls;
+    return false;
+  }));
+  EXPECT_EQ(polls, 1);
+  ASSERT_EQ(snaps.size(), 1u);
+  EXPECT_EQ(snaps[0].mask, ChaseSequence(3).mask());
+  EXPECT_EQ(snaps[0].step_index, 0u);
+}
+
 class ChasePartition
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(ChasePartition, FactoryChunksTileDisjointly) {
+  // Unit r of p walks tile r of a plan cut into at most p equal tiles.
   const auto [n, k, p] = GetParam();
-  ChaseFactory factory(n);
-  factory.prepare(k, p);
+  const u64 total = binomial64(n, k);
+  const u64 parts = static_cast<u64>(p);
+  const auto plan = ChaseFactory(n).plan(k, (total + parts - 1) / parts);
+  EXPECT_LE(plan->tiles(), parts);
   std::set<std::string> seen;
-  for (int r = 0; r < p; ++r) {
-    auto it = factory.make(r);
+  for (u64 t = 0; t < plan->tiles(); ++t) {
+    auto it = plan->make_tile(t);
     Seed256 mask;
     while (it.next(mask)) {
       EXPECT_EQ(mask.popcount(), k);
       EXPECT_TRUE(seen.insert(mask.to_hex()).second)
-          << "duplicate from thread " << r;
+          << "duplicate from tile " << t;
     }
   }
-  EXPECT_EQ(seen.size(), binomial64(n, k));
+  EXPECT_EQ(seen.size(), total);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -200,28 +223,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{10, 4, 7}, std::tuple{12, 2, 5},
                       std::tuple{9, 5, 3}, std::tuple{10, 1, 16},
                       std::tuple{6, 2, 32}));
-
-TEST(ChaseFactory, CacheReusesSnapshots) {
-  ChaseFactory factory(10);
-  factory.prepare(3, 4);
-  const auto a0 = [&] {
-    auto it = factory.make(0);
-    Seed256 m;
-    RBC_CHECK(it.next(m));
-    return m;
-  }();
-  // prepare() again with the same key must produce identical partitions.
-  factory.prepare(3, 4);
-  auto it = factory.make(0);
-  Seed256 m;
-  ASSERT_TRUE(it.next(m));
-  EXPECT_EQ(m, a0);
-}
-
-TEST(ChaseFactory, MakeWithoutPrepareFails) {
-  ChaseFactory factory(10);
-  EXPECT_THROW(factory.make(0), rbc::CheckFailure);
-}
 
 // ---------------------------------------------------------------------------
 // The process-wide tile-plan cache. Each test uses an n_bits no other test

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "combinatorics/gosper.hpp"
+#include "combinatorics/shell.hpp"
 
 namespace rbc::comb {
 namespace {
@@ -83,26 +84,34 @@ TEST(GosperIterator, ZeroCountIsEmpty) {
   EXPECT_FALSE(it.next(mask));
 }
 
+/// Drains every tile of shell k's plan cut into at most p equal tiles, as
+/// work unit r walks tile r.
+std::vector<Seed256> drain_equal_tiles(const GosperFactory& factory, int k,
+                                       u64 p) {
+  const auto plan =
+      factory.plan(k, equal_split_stride(factory.n_bits(), k, p));
+  EXPECT_LE(plan->tiles(), p);
+  std::vector<Seed256> masks;
+  for (u64 t = 0; t < plan->tiles(); ++t) {
+    auto it = plan->make_tile(t);
+    Seed256 mask;
+    while (it.next(mask)) masks.push_back(mask);
+  }
+  return masks;
+}
+
 class GosperPartition
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(GosperPartition, ChunksTileTheFullSequenceDisjointly) {
   const auto [n, k, p] = GetParam();
-  GosperFactory factory(n);
-  factory.prepare(k, p);
   std::set<std::string> seen;
-  u64 produced = 0;
-  for (int r = 0; r < p; ++r) {
-    auto it = factory.make(r);
-    Seed256 mask;
-    while (it.next(mask)) {
-      EXPECT_EQ(mask.popcount(), k);
-      EXPECT_TRUE(seen.insert(mask.to_hex()).second)
-          << "duplicate mask from thread " << r;
-      ++produced;
-    }
+  for (const Seed256& mask :
+       drain_equal_tiles(GosperFactory(n), k, static_cast<u64>(p))) {
+    EXPECT_EQ(mask.popcount(), k);
+    EXPECT_TRUE(seen.insert(mask.to_hex()).second) << "duplicate mask";
   }
-  EXPECT_EQ(produced, binomial64(n, k));
+  EXPECT_EQ(seen.size(), binomial64(n, k));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -113,27 +122,24 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{10, 1, 16}));
 
 TEST(GosperPartition, MoreThreadsThanWork) {
-  GosperFactory factory(6);
-  factory.prepare(1, 10);  // 6 combinations, 10 threads
-  u64 produced = 0;
-  for (int r = 0; r < 10; ++r) {
-    auto it = factory.make(r);
-    Seed256 mask;
-    while (it.next(mask)) ++produced;
-  }
-  EXPECT_EQ(produced, 6u);
+  // 6 combinations, 10 units: one-seed tiles, and units 6..9 get none.
+  const auto plan = GosperFactory(6).plan(1, equal_split_stride(6, 1, 10));
+  EXPECT_EQ(plan->tiles(), 6u);
+  EXPECT_EQ(drain_equal_tiles(GosperFactory(6), 1, 10).size(), 6u);
 }
 
 TEST(GosperFactory, FullWidthChunkStartsMatchColexUnrank) {
-  GosperFactory factory;
-  factory.prepare(5, 64);
-  // Thread 17's first mask must be the colex-unranked chunk boundary.
-  const u128 total = binomial128(256, 5);
-  const u128 lo = total * 17 / 64;
-  auto it = factory.make(17);
-  Seed256 mask;
-  ASSERT_TRUE(it.next(mask));
-  EXPECT_EQ(mask, unrank_colexicographic(lo, 5).to_mask());
+  // Every tile of a 64-tile plan opens at the colex unrank of t * stride.
+  const auto plan = GosperFactory().plan(5, equal_split_stride(256, 5, 64));
+  const u64 stride = plan->tile_count(0);
+  ASSERT_EQ(plan->tiles(), 64u);
+  for (u64 t = 0; t < plan->tiles(); ++t) {
+    auto it = plan->make_tile(t);
+    Seed256 mask;
+    ASSERT_TRUE(it.next(mask));
+    EXPECT_EQ(mask, unrank_colexicographic(t * stride, 5).to_mask())
+        << "tile " << t;
+  }
 }
 
 }  // namespace

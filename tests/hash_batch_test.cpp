@@ -214,7 +214,6 @@ SearchResult search_with(const Seed256& base, const Seed256& truth,
   SearchOptions opts;
   opts.max_distance = 2;
   opts.num_threads = 1;  // deterministic visit order => exact accounting
-  opts.schedule = SearchSchedule::kStatic;  // tiled early-exit counts vary
   opts.early_exit = early_exit;
   opts.timeout_s = 600.0;
   const Hash hash;

@@ -11,16 +11,19 @@
 #include "combinatorics/algorithm515.hpp"
 #include "combinatorics/chase382.hpp"
 #include "combinatorics/gosper.hpp"
+#include "combinatorics/shell.hpp"
 
 namespace rbc::comb {
 namespace {
 
+/// Shell k's masks from a plan cut into at most p equal tiles.
 template <typename Factory>
-std::set<std::string> collect_shell(Factory& factory, int k, int p) {
-  factory.prepare(k, p);
+std::set<std::string> collect_shell(const Factory& factory, int k, int p) {
+  const auto plan = factory.plan(
+      k, equal_split_stride(factory.n_bits(), k, static_cast<u64>(p)), {});
   std::set<std::string> masks;
-  for (int r = 0; r < p; ++r) {
-    auto it = factory.make(r);
+  for (u64 t = 0; t < plan->tiles(); ++t) {
+    auto it = plan->make_tile(t);
     Seed256 mask;
     while (it.next(mask)) {
       EXPECT_TRUE(masks.insert(mask.to_hex()).second) << "duplicate mask";
@@ -125,9 +128,7 @@ TEST(SeekEquivalence, ChaseSnapshotTileIsRankZeroWalkSlice) {
   const int n = 16, k = 3;
   ChaseFactory chase(n);
   const u64 total = binomial64(n, k);
-  ChaseFactory full(n);
-  full.prepare(k, 1);
-  const auto walk = drain(full.make(0));
+  const auto walk = drain(shell_iterator(chase, k));
   ASSERT_EQ(walk.size(), total);
   const u64 stride = 64;  // 560 = 8 * 64 + 48: ragged last tile
   const auto plan = chase.plan(k, stride);
@@ -178,10 +179,8 @@ TEST(SeekEquivalence, TileConcatenationEqualsFullWalkAllFamilies) {
       drain(Algorithm515Iterator(k, 0, total, Alg515Mode::kSuccessor, n)));
 
   ChaseFactory chase(n);
-  ChaseFactory full(n);
-  full.prepare(k, 1);
   expect_plan_concatenates_to_full_walk(chase, k, stride,
-                                        drain(full.make(0)));
+                                        drain(shell_iterator(chase, k)));
 }
 
 TEST(SeekEquivalence, FullShellPlansCoverFullWidthShells) {

@@ -85,9 +85,7 @@ std::vector<Seed256> drain(CandidateStream& stream) {
 
 /// All C(n_bits, k) masks of one canonical shell, via Gosper's hack.
 std::set<Seed256> canonical_shell(int n_bits, int k) {
-  comb::GosperFactory factory(n_bits);
-  factory.prepare(k, 1);
-  auto it = factory.make(0);
+  auto it = comb::shell_iterator(comb::GosperFactory(n_bits), k);
   std::set<Seed256> shell;
   Seed256 mask;
   while (it.next(mask)) EXPECT_TRUE(shell.insert(mask).second);

@@ -292,78 +292,65 @@ TEST(RbcSearch, SessionContextReportsProgress) {
   EXPECT_EQ(ctx.progress(), r.seeds_hashed);
 }
 
-// --- tiled vs static schedule equivalence (PR 4) ---------------------------
+// --- tiled vs single-unit stream equivalence --------------------------------
 
 template <typename Hash, typename Factory>
 SearchResult search_scheduled(const Seed256& base, const Seed256& truth,
-                              SearchSchedule schedule, bool early_exit,
-                              int threads = 3, u64 tile_seeds = 0) {
-  Factory factory;
+                              int threads, bool early_exit,
+                              u64 tile_seeds = 0) {
   par::WorkerGroup pool(threads);
   SearchOptions opts;
   opts.max_distance = 2;
   opts.num_threads = threads;
   opts.early_exit = early_exit;
-  opts.schedule = schedule;
   opts.tile_seeds = tile_seeds;
   opts.timeout_s = 600.0;
   const Hash hash;
-  return rbc_search<Hash>(base, hash(truth), factory, pool, opts, hash);
+  return rbc_search<Hash>(base, hash(truth), Factory(), pool, opts, hash);
 }
 
+/// The 3-unit tiled search must report what the single-unit stream reports.
 template <typename Factory>
-void expect_schedules_equivalent(u64 rng_seed) {
+void expect_tiled_matches_stream(u64 rng_seed) {
   Xoshiro256 rng(rng_seed);
   const Seed256 base = Seed256::random(rng);
   const Seed256 planted = seed_at_distance(base, 2, rng_seed + 40);
   const Seed256 absent = seed_at_distance(base, 9, rng_seed + 41);
-
-  // Exhaustive, match absent: both schedules must visit the exact ball.
-  const auto tiled_ex = search_scheduled<Sha1SeedHash, Factory>(
-      base, absent, SearchSchedule::kTiled, /*early_exit=*/false);
-  const auto static_ex = search_scheduled<Sha1SeedHash, Factory>(
-      base, absent, SearchSchedule::kStatic, /*early_exit=*/false);
-  EXPECT_FALSE(tiled_ex.found);
-  EXPECT_FALSE(static_ex.found);
-  EXPECT_EQ(tiled_ex.seeds_hashed, 32897u);
-  EXPECT_EQ(static_ex.seeds_hashed, tiled_ex.seeds_hashed);
-
-  // Exhaustive with a planted match: identical found/seed/distance AND
-  // identical exact counts.
-  const auto tiled_hit = search_scheduled<Sha1SeedHash, Factory>(
-      base, planted, SearchSchedule::kTiled, /*early_exit=*/false);
-  const auto static_hit = search_scheduled<Sha1SeedHash, Factory>(
-      base, planted, SearchSchedule::kStatic, /*early_exit=*/false);
-  EXPECT_TRUE(tiled_hit.found);
-  EXPECT_TRUE(static_hit.found);
-  EXPECT_EQ(tiled_hit.seed, planted);
-  EXPECT_EQ(static_hit.seed, planted);
-  EXPECT_EQ(tiled_hit.distance, 2);
-  EXPECT_EQ(static_hit.distance, 2);
-  EXPECT_EQ(tiled_hit.seeds_hashed, 32897u);
-  EXPECT_EQ(static_hit.seeds_hashed, 32897u);
-
-  // Early exit: both must report the same (unique) seed and distance.
-  const auto tiled_ee = search_scheduled<Sha1SeedHash, Factory>(
-      base, planted, SearchSchedule::kTiled, /*early_exit=*/true);
-  const auto static_ee = search_scheduled<Sha1SeedHash, Factory>(
-      base, planted, SearchSchedule::kStatic, /*early_exit=*/true);
-  EXPECT_TRUE(tiled_ee.found);
-  EXPECT_TRUE(static_ee.found);
-  EXPECT_EQ(tiled_ee.seed, static_ee.seed);
-  EXPECT_EQ(tiled_ee.distance, static_ee.distance);
+  for (const bool early_exit : {false, true}) {
+    for (const Seed256& truth : {absent, planted}) {
+      SCOPED_TRACE(::testing::Message() << "early_exit=" << early_exit
+                                        << " planted=" << (truth == planted));
+      const auto tiled = search_scheduled<Sha1SeedHash, Factory>(
+          base, truth, 3, early_exit);
+      const auto stream = search_scheduled<Sha1SeedHash, Factory>(
+          base, truth, 1, early_exit);
+      EXPECT_EQ(tiled.found, truth == planted);
+      if (tiled.found) {
+        EXPECT_EQ(tiled.seed, planted);
+        EXPECT_EQ(tiled.distance, 2);
+      }
+      EXPECT_EQ(stream.found, tiled.found);
+      EXPECT_EQ(stream.seed, tiled.seed);
+      EXPECT_EQ(stream.distance, tiled.distance);
+      if (!early_exit || !tiled.found) {
+        // Exhaustive or missed: both visit the exact ball.
+        EXPECT_EQ(tiled.seeds_hashed, 32897u);
+        EXPECT_EQ(stream.seeds_hashed, 32897u);
+      }
+    }
+  }
 }
 
-TEST(ScheduleEquivalence, ChaseTiledMatchesStatic) {
-  expect_schedules_equivalent<comb::ChaseFactory>(30);
+TEST(ScheduleEquivalence, ChaseTiledMatchesStream) {
+  expect_tiled_matches_stream<comb::ChaseFactory>(30);
 }
 
-TEST(ScheduleEquivalence, Alg515TiledMatchesStatic) {
-  expect_schedules_equivalent<comb::Algorithm515Factory>(31);
+TEST(ScheduleEquivalence, Alg515TiledMatchesStream) {
+  expect_tiled_matches_stream<comb::Algorithm515Factory>(31);
 }
 
-TEST(ScheduleEquivalence, GosperTiledMatchesStatic) {
-  expect_schedules_equivalent<comb::GosperFactory>(32);
+TEST(ScheduleEquivalence, GosperTiledMatchesStream) {
+  expect_tiled_matches_stream<comb::GosperFactory>(32);
 }
 
 TEST(ScheduleEquivalence, TinyTilesStillCoverTheExactBall) {
@@ -373,34 +360,33 @@ TEST(ScheduleEquivalence, TinyTilesStillCoverTheExactBall) {
   const Seed256 base = Seed256::random(rng);
   const Seed256 absent = seed_at_distance(base, 9, 99);
   const auto r = search_scheduled<Sha1SeedHash, comb::ChaseFactory>(
-      base, absent, SearchSchedule::kTiled, /*early_exit=*/false,
-      /*threads=*/4, /*tile_seeds=*/64);
+      base, absent, /*threads=*/4, /*early_exit=*/false, /*tile_seeds=*/64);
   EXPECT_FALSE(r.found);
   EXPECT_EQ(r.seeds_hashed, 32897u);
 }
 
 TEST(ScheduleEquivalence, QuantumHookObservesEveryHashedSeed) {
   // The bench instrumentation hook must account for exactly the seeds the
-  // result reports (minus the d-0 probe, which runs outside the hook).
-  for (auto schedule : {SearchSchedule::kTiled, SearchSchedule::kStatic}) {
+  // result reports (minus the d-0 probe, which runs outside the hook), on
+  // the tiled search and on the single-unit stream.
+  for (const int units : {3, 1}) {
     Xoshiro256 rng(34);
     const Seed256 base = Seed256::random(rng);
     const Seed256 absent = seed_at_distance(base, 9, 100);
-    comb::ChaseFactory factory;
-    par::WorkerGroup pool(3);
+    par::WorkerGroup pool(units);
     SearchOptions opts;
     opts.max_distance = 2;
-    opts.num_threads = 3;
+    opts.num_threads = units;
     opts.early_exit = false;
-    opts.schedule = schedule;
     opts.timeout_s = 600.0;
     std::atomic<u64> hooked{0};
     opts.quantum_hook = [&](int, u64 seeds) { hooked += seeds; };
     const hash::Sha1SeedHash hash;
-    const auto r =
-        rbc_search<Sha1SeedHash>(base, hash(absent), factory, pool, opts, hash);
-    EXPECT_EQ(r.seeds_hashed, 32897u);
-    EXPECT_EQ(hooked.load(), r.seeds_hashed - 1);
+    const auto r = rbc_search<Sha1SeedHash>(base, hash(absent),
+                                            comb::ChaseFactory(), pool, opts,
+                                            hash);
+    EXPECT_EQ(r.seeds_hashed, 32897u) << units << " units";
+    EXPECT_EQ(hooked.load(), r.seeds_hashed - 1) << units << " units";
   }
 }
 
