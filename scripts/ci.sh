@@ -9,50 +9,68 @@
 #
 # Usage: scripts/ci.sh [jobs]
 #
+# Every step runs, whatever an earlier one did: a failing bench gate must not
+# hide the sanitizer steps behind it. Each step stops at its own first failing
+# command; the script then lists the failed steps and exits nonzero.
+#
 # Step 3 repeats the full default-config suite 10x in parallel and fails on
 # the first non-deterministic result. Before cutting a release, run the
 # longer audit (20x, ~2 min on a 4-core host) —
 #   ctest --test-dir build --output-on-failure -j "$(nproc)" \
 #     --repeat until-fail:20
-set -euo pipefail
+set -uo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
+step_1() {
 echo "=== [1/17] configure + build (default) ==="
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$JOBS"
+}
 
+step_2() {
 echo "=== [2/17] ctest (default) ==="
 ctest --test-dir build --output-on-failure -j "$JOBS"
+}
 
+step_3() {
 echo "=== [3/17] flake gate: full suite repeated 10x in parallel ==="
 # Every test must pass 10 times over while the others load the host: a
 # wall-clock comparison or an ordering race that passes once by luck fails
 # here. ~5 s per pass on a 4-core host.
 ctest --test-dir build --output-on-failure -j "$JOBS" --repeat until-fail:10
+}
 
+step_4() {
 echo "=== [4/17] batched-hash equivalence under forced dispatch levels ==="
 # The auto run above already covered the host's best level; re-run the batch
-# suite with the RBC_HASH_SIMD knob capping dispatch so the scalar-tail, SWAR
-# and (on AVX-512 hosts, where auto picks avx512) AVX2 code paths are
-# exercised too.
+# suite, the search oracle (every search path against brute force) and the
+# fused, ordered, GPU-emu, hetero and distributed suites with the
+# RBC_HASH_SIMD knob capping dispatch so the scalar-tail, SWAR and (on
+# AVX-512 hosts, where auto picks avx512) AVX2 code paths are exercised too.
 for level in scalar swar avx2; do
   echo "--- RBC_HASH_SIMD=$level ---"
   RBC_HASH_SIMD="$level" ctest --test-dir build --output-on-failure \
-    -j "$JOBS" -R 'HashBatch'
+    -j "$JOBS" \
+    -R 'HashBatch|SearchOracle|Fusion|Ordered|SaltedKernel|HeteroCoSearch|DistSearch'
 done
+}
 
-echo "=== [5/17] schedule equivalence: tiled results == single-unit stream results ==="
+step_5() {
+echo "=== [5/17] schedule equivalence: every search path == brute-force oracle ==="
 # The work-stealing tile scheduler (docs/scheduler.md) must be a pure
-# performance change: found/seed/distance and exhaustive seeds_hashed
-# identical to the single-unit stream, the reference enumeration, for every
-# iterator family, tile plans lossless down to the ragged last tile, and the
-# heterogeneous co-search byte-identical to CPU-only. An explicit re-run so a
-# filter edit elsewhere can never silently drop the gate.
+# performance change: found/seed/distance and exhaustive seeds_hashed equal
+# to the brute-force oracle's for every iterator family and unit count,
+# tile plans lossless down to the ragged last tile, and the heterogeneous
+# co-search, GPU-emu kernel, fused engine and distributed ranks agreeing
+# with the same oracle (SearchOracle). An explicit re-run so a filter edit
+# elsewhere can never silently drop the gate.
 ctest --test-dir build --output-on-failure -j "$JOBS" \
-  -R 'ScheduleEquivalence|SeekEquivalence|HeteroCoSearch|ShellTiler|TileScheduler'
+  -R 'SearchOracle|ScheduleEquivalence|SeekEquivalence|HeteroCoSearch|ShellTiler|TileScheduler'
+}
 
+step_6() {
 echo "=== [6/17] chaos smoke: fault injection + fuzz regression corpus ==="
 # The deterministic chaos harness (docs/server.md "Fault model & retry
 # policy"): fixed-seed fault plans through every layer — FaultPlan contract,
@@ -62,7 +80,9 @@ echo "=== [6/17] chaos smoke: fault injection + fuzz regression corpus ==="
 # seed-reproducibility gate.
 ctest --test-dir build --output-on-failure -j "$JOBS" \
   -R 'ChaosPlan|ChaosChannel|ChaosProtocol|ChaosServer|FuzzDeserialize|FuzzSeqFrame|WireGolden'
+}
 
+step_7() {
 echo "=== [7/17] bench smoke: batched hash throughput ==="
 # Release-configured bench build; one quick repetition proves the batched
 # kernels run at every advertised level (full numbers: docs/perf.md).
@@ -74,7 +94,9 @@ if [[ "${RBC_CI_BENCH:-1}" == "1" ]]; then
 else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
+}
 
+step_8() {
 echo "=== [8/17] bench smoke: server shard sweep -> build-release/BENCH_PR6.json ==="
 # The sharded serving layer's acceptance run: 1/2/4/8 shards at equal total
 # resources. The binary exits nonzero if sharded p95 regresses >10% against
@@ -89,7 +111,9 @@ if [[ "${RBC_CI_BENCH:-1}" == "1" ]]; then
 else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
+}
 
+step_9() {
 echo "=== [9/17] bench smoke: chaos p95 degradation sweep ==="
 # Fixed-seed chaos run at drop rates 0/2/5/10%: every session must resolve
 # (submitted == rejected + completed at each point) and no lossy session may
@@ -99,7 +123,9 @@ if [[ "${RBC_CI_BENCH:-1}" == "1" ]]; then
 else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
+}
 
+step_10() {
 echo "=== [10/17] bench smoke: lane fusion -> build-release/BENCH_PR8.json ==="
 # The fusion engine's acceptance run: the 4096-session SHA-3 d=2 burst solo
 # and fused. The binary exits nonzero unless fused throughput is >= 1.3x
@@ -110,7 +136,9 @@ if [[ "${RBC_CI_BENCH:-1}" == "1" ]]; then
 else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
+}
 
+step_11() {
 echo "=== [11/17] bench smoke: reliability-ordered search -> build-release/BENCH_PR9.json ==="
 # The reliability-guided ordering acceptance run: a 192-session injected-d=3
 # burst replayed under canonical and maximum-likelihood-first order. The
@@ -123,7 +151,9 @@ if [[ "${RBC_CI_BENCH:-1}" == "1" ]]; then
 else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
+}
 
+step_12() {
 echo "=== [12/17] bench smoke: observability -> build-release/BENCH_PR10.json + metrics export ==="
 # The observability layer's acceptance run: the dispatch-overhead burst
 # untraced vs traced (span tracer + flight recorder armed). The binary exits
@@ -143,7 +173,9 @@ if [[ "${RBC_CI_BENCH:-1}" == "1" ]]; then
 else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
+}
 
+step_13() {
 echo "=== [13/17] bench trajectory: merge archived BENCH_*.json ==="
 # One table across every archived acceptance run; exits nonzero if any
 # archived acceptance_* gate reads false (stale or regressed archive).
@@ -152,11 +184,15 @@ if command -v python3 >/dev/null 2>&1; then
 else
   echo "(skipped: python3 not available)"
 fi
+}
 
+step_14() {
 echo "=== [14/17] configure + build (ThreadSanitizer) ==="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$JOBS"
+}
 
+step_15() {
 echo "=== [15/17] ctest (tsan: concurrency suites) ==="
 # TSan slows execution ~5-15x; run the suites that exercise cross-thread
 # seams rather than the whole (mostly single-threaded) matrix. ShardStress
@@ -171,16 +207,21 @@ echo "=== [15/17] ctest (tsan: concurrency suites) ==="
 # (concurrent first fetches, cut walks, waiters polling their own deadline);
 # ShardStress includes concurrent same-device submits drawing their salts;
 # Obs* covers the lock-free trace ring under concurrent writers/snapshots,
-# mid-traffic metrics export, and the shell-cache counter churn case.
+# mid-traffic metrics export, and the shell-cache counter churn case;
+# SearchOracle runs every threaded search path against brute force.
 # (ctest registers gtest CASE names, so the filter matches suite prefixes.)
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
   --output-on-failure -j "$JOBS" \
-  -R 'WorkerGroup|SearchContext|ServerStress|ShardStress|ChaosProtocol|ChaosServer|EnrollmentDatabaseConcurrency|RbcSearch|Backend|Protocol|LaunchKernel|SaltedKernel|DistSearch|Communicator|HashBatch|TileScheduler|TileSchedulerStress|ScheduleEquivalence|HeteroCoSearch|SeekEquivalence|ShellTiler|FusionStream|FusionBatch|FusionEngine|FusionServer|OrderedSearch|OrderedFusion|OrderedServer|ShellCacheLru|ChasePlanCache|SingleFlightCache|Obs'
+  -R 'SearchOracle|WorkerGroup|SearchContext|ServerStress|ShardStress|ChaosProtocol|ChaosServer|EnrollmentDatabaseConcurrency|RbcSearch|Backend|Protocol|LaunchKernel|SaltedKernel|DistSearch|Communicator|HashBatch|TileScheduler|TileSchedulerStress|ScheduleEquivalence|HeteroCoSearch|SeekEquivalence|ShellTiler|FusionStream|FusionBatch|FusionEngine|FusionServer|OrderedSearch|OrderedFusion|OrderedServer|ShellCacheLru|ChasePlanCache|SingleFlightCache|Obs'
+}
 
+step_16() {
 echo "=== [16/17] configure + build (AddressSanitizer + UBSan) ==="
 cmake --preset asan -DRBC_SANITIZE=address,undefined >/dev/null
 cmake --build --preset asan -j "$JOBS"
+}
 
+step_17() {
 echo "=== [17/17] ctest (asan + ubsan: full suite) ==="
 # Memory and UB errors anywhere in the library: out-of-bounds offsets into
 # ciphertext and hash buffers, overflowing shifts and multiplies, misaligned
@@ -188,5 +229,20 @@ echo "=== [17/17] ctest (asan + ubsan: full suite) ==="
 ASAN_OPTIONS="halt_on_error=1" \
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   ctest --test-dir build-asan --output-on-failure -j "$JOBS"
+}
 
+FAILED=()
+for n in $(seq 1 17); do
+  (set -e; "step_$n")
+  status=$?
+  if ((status != 0)); then
+    echo "--- step $n failed (exit $status)"
+    FAILED+=("$n")
+  fi
+done
+
+if ((${#FAILED[@]} > 0)); then
+  echo "CI: failed steps: ${FAILED[*]}"
+  exit 1
+fi
 echo "CI: all gates green"

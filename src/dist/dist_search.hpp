@@ -2,36 +2,40 @@
 // Philabaum et al. [36] engine shape, applied to the SALTED (hash-based)
 // per-candidate operation.
 //
-// Topology: rank 0 is both the coordinator and a worker. Work distribution
-// is GUIDED SELF-SCHEDULING rather than static slices (PR 4): a rank asks
-// rank 0 for work (WANT), rank 0 grants a contiguous chunk of the current
-// shell's lexicographic sequence — shrinking from remaining/(2*size) down
-// to a check-interval-sized floor — and the rank unranks its start with
-// Algorithm 515 and walks the chunk with successor stepping. There are NO
-// per-shell barriers: as soon as a shell's chunks are all granted, rank 0
-// moves its grant pointer to the next shell while stragglers finish their
-// last chunks in the background; a rank that outruns the coordinator has
-// its request deferred until the grant pointer catches up.
+// Topology: rank 0 is both the coordinator and a worker. Each shell is an
+// Algorithm 515 plan cut into poll-cadence tiles, which every rank opens on
+// its own: unranking needs no shared state. Work distribution is GUIDED
+// SELF-SCHEDULING rather than static slices: a rank asks rank 0 for
+// work (WANT), rank 0 grants a run of the current shell's tiles — about
+// half an even share of the seeds left, down to one tile — and the rank
+// scans them with scan_block. There are NO per-shell barriers: as soon as
+// a shell's tiles are all granted, rank 0 moves its grant pointer to the
+// next shell while stragglers finish their last tiles in the background; a
+// rank that outruns the coordinator has its request deferred until the
+// grant pointer catches up.
 //
 // The early-exit protocol is explicit message traffic, as it must be
 // without shared memory:
-//   * a rank that finds the seed sends FOUND to rank 0 (chunks may be in
+//   * a rank that finds the seed sends FOUND to rank 0 (grants may be in
 //     flight for two adjacent shells, so rank 0 keeps the minimal shell);
-//   * rank 0 broadcasts STOP; ranks poll their mailbox between seed batches
+//   * rank 0 broadcasts STOP; ranks poll their mailbox between seed blocks
 //     at the same SearchOptions::check_interval cadence the shared-memory
 //     engines use (§4.4);
-//   * every WANT is answered — with a chunk or an empty grant — so no rank
+//   * every WANT is answered — with a grant or an empty one — so no rank
 //     ever blocks on a silent coordinator, and the search ends with a
 //     count-aggregation sweep instead of a barrier chain.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <deque>
+#include <memory>
 #include <thread>
 
 #include "combinatorics/algorithm515.hpp"
 #include "dist/comm.hpp"
+#include "hash/batch.hpp"
 #include "hash/traits.hpp"
 #include "parallel/search_context.hpp"
 #include "rbc/search.hpp"
@@ -49,7 +53,7 @@ struct DistSearchResult {
 
 namespace detail {
 inline constexpr int kTagWork = 1;  // rank -> 0: WANT or FOUND
-inline constexpr int kTagTile = 2;  // 0 -> rank: chunk grant (empty = move on)
+inline constexpr int kTagTile = 2;  // 0 -> rank: tile grant (empty = move on)
 inline constexpr int kTagStop = 3;  // 0 -> ranks: stop searching
 inline constexpr int kTagCount = 4; // rank -> 0: final seed count
 
@@ -67,27 +71,27 @@ inline Bytes encode_found(const Seed256& seed, int shell) {
   return out;
 }
 
-/// Chunk grant: 16-byte lexicographic start rank + 8-byte count.
-inline Bytes encode_grant(u128 lo, u64 n) {
-  Bytes out(24);
-  std::memcpy(out.data(), &lo, 16);
-  std::memcpy(out.data() + 16, &n, 8);
+/// Tile grant: 8-byte first tile + 8-byte tile count.
+inline Bytes encode_grant(u64 first_tile, u64 tiles) {
+  Bytes out(16);
+  std::memcpy(out.data(), &first_tile, 8);
+  std::memcpy(out.data() + 8, &tiles, 8);
   return out;
 }
 
-inline void decode_grant(const Bytes& payload, u128& lo, u64& n) {
-  std::memcpy(&lo, payload.data(), 16);
-  std::memcpy(&n, payload.data() + 16, 8);
+inline void decode_grant(const Bytes& payload, u64& first_tile, u64& tiles) {
+  std::memcpy(&first_tile, payload.data(), 8);
+  std::memcpy(&tiles, payload.data() + 8, 8);
 }
 }  // namespace detail
 
 /// Runs the distributed search on an existing communicator with rank-0
-/// guided chunk scheduling (see the header comment). Honors
+/// guided tile scheduling (see the header comment). Honors
 /// opts.max_distance, opts.check_interval (the mailbox/deadline poll
 /// cadence), opts.early_exit, and opts.timeout_s.
 ///
 /// `session`, when non-null, carries the authentication deadline and
-/// external cancellation: every rank polls it at its chunk cadence (the
+/// external cancellation: every rank polls it at its block cadence (the
 /// shared-nothing analogue of the unified-memory flag — here the context IS
 /// shared because ranks are host threads; a true MPI deployment would
 /// broadcast the expiry as a STOP message, which rank 0 also does). When
@@ -100,7 +104,12 @@ DistSearchResult distributed_search(Communicator& comm, const Seed256& s_init,
                                     par::SearchContext* session = nullptr) {
   RBC_CHECK(opts.max_distance >= 0 && opts.max_distance <= comb::kMaxK);
   const int max_distance = opts.max_distance;
-  const u64 min_chunk = std::max<u64>(opts.check_interval, 64);
+  // Tile size: the poll cadence, so a rank's smallest grant is one poll's
+  // worth of seeds.
+  const u64 tile_seeds = std::max<u64>(opts.check_interval, 64);
+  const u32 check_blocks =
+      rbc::detail::blocks_per_check<Hash>(opts.check_interval);
+  const comb::Algorithm515Factory factory(comb::Alg515Mode::kSuccessor);
 
   DistSearchResult result;
   std::mutex result_mutex;
@@ -130,27 +139,32 @@ DistSearchResult distributed_search(Communicator& comm, const Seed256& s_init,
       }
     };
 
-    // Walks `[lo, lo + n)` of `shell`'s lexicographic sequence; polls the
+    // Scans tiles [first, first + count) of `shell`'s plan; polls the
     // mailbox/deadline every check_interval seeds — the same stop cadence
     // the shared-memory engines use (§4.4). Reports a match to rank 0 and,
-    // under early exit, abandons the rest of the chunk (the lanes after a
-    // match are speculative); exhaustive mode finishes the chunk so the
+    // under early exit, abandons the rest of the grant (the lanes after a
+    // match are speculative); exhaustive mode finishes the grant so the
     // aggregated count is the exact ball size.
-    auto search_chunk = [&](int shell, u128 lo, u64 n) {
-      comb::Algorithm515Iterator it(shell, lo, n, comb::Alg515Mode::kSuccessor);
-      Seed256 mask;
-      u32 since_poll = 0;
-      while (it.next(mask)) {
-        const Seed256 candidate = s_init ^ mask;
-        ++local_hashed;
-        if (hash(candidate) == target) {
-          ctx.send(0, detail::kTagWork, detail::encode_found(candidate, shell));
+    std::array<Seed256, hash::seed_hash_batch<Hash>()> candidates;
+    auto search_tiles = [&](int shell, u64 first, u64 count) {
+      const auto plan = factory.plan(shell, tile_seeds);
+      par::CheckThrottle throttle(check_blocks);
+      for (u64 t = first; t < first + count; ++t) {
+        auto it = plan->make_tile(t);
+        while (true) {
+          if (throttle.due()) {
+            sctx.check_deadline();
+            if (poll_stop()) return;
+          }
+          const std::size_t n = hash::fill_block(it, s_init, candidates);
+          if (n == 0) break;
+          const hash::BlockScan scan = hash::scan_block(
+              hash, candidates.data(), n, target, opts.early_exit);
+          local_hashed += scan.counted;
+          if (!scan.found()) continue;
+          ctx.send(0, detail::kTagWork,
+                   detail::encode_found(candidates[scan.match], shell));
           if (opts.early_exit) return;
-        }
-        if (++since_poll >= opts.check_interval) {
-          since_poll = 0;
-          sctx.check_deadline();
-          if (poll_stop()) return;
         }
       }
     };
@@ -162,7 +176,7 @@ DistSearchResult distributed_search(Communicator& comm, const Seed256& s_init,
     }
 
     if (rank != 0) {
-      // Worker: per shell, keep asking the coordinator for chunks until it
+      // Worker: per shell, keep asking the coordinator for tiles until it
       // answers with an empty grant, then flow into the next shell — the
       // coordinator's grant pointer, not a barrier, is what orders shells.
       for (int shell = 1; shell <= max_distance && !stop; ++shell) {
@@ -171,16 +185,16 @@ DistSearchResult distributed_search(Communicator& comm, const Seed256& s_init,
           ctx.send(0, detail::kTagWork, detail::encode_want(shell));
           const Packet grant = ctx.recv(detail::kTagTile);
           if (grant.payload.empty()) break;  // shell drained; move on
-          u128 lo = 0;
-          u64 n = 0;
-          detail::decode_grant(grant.payload, lo, n);
-          search_chunk(shell, lo, n);
+          u64 first = 0;
+          u64 count = 0;
+          detail::decode_grant(grant.payload, first, count);
+          search_tiles(shell, first, count);
         }
       }
     } else {
-      // Coordinator (and worker): grant guided chunks of the current shell,
-      // interleaving its own search in min_chunk quanta so the mailbox is
-      // serviced at the same cadence the workers poll at.
+      // Coordinator (and worker): grant guided runs of the current shell's
+      // tiles, interleaving its own search one tile at a time so the mailbox
+      // is serviced at the same cadence the workers poll at.
       bool stopping = false;
       bool stop_sent = false;
       std::deque<Packet> deferred;  // WANTs for shells ahead of the pointer
@@ -191,21 +205,27 @@ DistSearchResult distributed_search(Communicator& comm, const Seed256& s_init,
         for (int r = 1; r < size; ++r) ctx.send(r, detail::kTagStop, Bytes{});
       };
 
+      // A match at S_init ends an early-exit search before any grant.
+      if (opts.early_exit && result.found) {
+        stopping = true;
+        broadcast_stop();
+      }
+
       int current_shell = 0;
-      u128 remaining = 0;
-      u128 next_lo = 0;
+      std::shared_ptr<const comb::Alg515ShellPlan> plan;  // current_shell's
+      u64 next_tile = 0;  // its first ungranted tile
 
       auto grant_to = [&](int dest, int want_shell) {
-        if (!stopping && want_shell == current_shell && remaining > 0) {
-          // Guided self-scheduling: hand out half an even share of what is
-          // left, never below the poll-cadence floor.
-          u128 n = remaining / (2 * static_cast<u128>(size));
-          if (n < min_chunk) n = min_chunk;
-          if (n > remaining) n = remaining;
-          ctx.send(dest, detail::kTagTile,
-                   detail::encode_grant(next_lo, static_cast<u64>(n)));
-          next_lo += n;
-          remaining -= n;
+        if (!stopping && want_shell == current_shell &&
+            next_tile < plan->tiles()) {
+          // Guided self-scheduling: hand out half an even share of the
+          // seeds left, in whole tiles, never less than one tile.
+          const u64 left = plan->total() - next_tile * tile_seeds;
+          const u64 n = std::clamp<u64>(
+              left / (2 * static_cast<u64>(size)) / tile_seeds, 1,
+              plan->tiles() - next_tile);
+          ctx.send(dest, detail::kTagTile, detail::encode_grant(next_tile, n));
+          next_tile += n;
         } else if (!stopping && want_shell > current_shell) {
           // The rank outran the grant pointer; answer once we get there.
           deferred.push_back(Packet{dest, detail::kTagWork,
@@ -243,25 +263,19 @@ DistSearchResult distributed_search(Communicator& comm, const Seed256& s_init,
 
       for (int shell = 1; shell <= max_distance && !stopping; ++shell) {
         current_shell = shell;
-        const u128 total = comb::binomial128(comb::kSeedBits, shell);
-        next_lo = 0;
-        remaining = total;
+        plan = factory.plan(shell, tile_seeds);
+        next_tile = 0;
         // Ranks that finished the previous shell before the pointer moved:
         // their deferred WANTs are the first grants of this shell.
         for (std::deque<Packet> waiting = std::move(deferred);
              !waiting.empty(); waiting.pop_front()) {
           handle_work(waiting.front());
         }
-        while (remaining > 0 && !stopping) {
+        while (next_tile < plan->tiles() && !stopping) {
           service_mailbox();
-          if (stopping || remaining == 0) break;
-          // Self-grant one poll-cadence quantum and search it.
-          const u64 n =
-              static_cast<u64>(std::min<u128>(remaining, min_chunk));
-          const u128 lo = next_lo;
-          next_lo += n;
-          remaining -= n;
-          search_chunk(shell, lo, n);
+          if (stopping || next_tile == plan->tiles()) break;
+          // Self-grant one tile and search it.
+          search_tiles(shell, next_tile++, 1);
           if (stop) stopping = true;
         }
       }

@@ -1,18 +1,26 @@
-// BatchSeedHash — the batched hash policy layer over SeedHash.
+// BatchSeedHash — the batched hash policy layer over SeedHash, and the one
+// scan primitive every search loop runs.
 //
-// The search hot loop (rbc_search, the emulated GPU kernel) is monomorphized
-// over a hash policy. A BatchSeedHash extends the SeedHash contract with a
-// block form, `hash_batch(seeds, n, out)`, that compresses many candidates
-// per call through the multi-lane kernels (sha1_multi / keccak_multi) under
-// runtime CPU-feature dispatch. Every scalar SeedHash keeps working: the
-// helpers below degrade to a B = 1 loop for policies without a batch form,
-// so the same search template serves both.
+// The search hot loop (rbc_search, the emulated GPU kernels, the
+// distributed ranks) is monomorphized over a hash policy. A BatchSeedHash
+// extends the SeedHash contract with a block form, `hash_batch(seeds, n,
+// out)`, that compresses many candidates per call through the multi-lane
+// kernels (sha1_multi / keccak_multi) under runtime CPU-feature dispatch.
+// Every scalar SeedHash keeps working: the helpers below degrade to a B = 1
+// loop for policies without a batch form, so the same search template
+// serves both.
+//
+// scan_block is Algorithm 1's inner step for one target (block hash ->
+// 32-bit head prefilter -> full compare -> counted prefix) over a block
+// fill_block refills from an iterator; the fused form
+// hash_seed_block_tagged shares its head prefilter across many targets.
 //
 // The policies' scalar operator() remains the exact fixed-padding fast path,
 // which is what makes batch-vs-scalar equivalence directly testable lane by
 // lane.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstring>
 
@@ -56,6 +64,58 @@ inline void hash_seed_block(const H& h, const Seed256* seeds, std::size_t n,
   }
 }
 
+/// Refills a candidate block from a mask iterator: lane i is base ^ mask i.
+/// Returns the lanes filled; 0 means the iterator is exhausted.
+template <typename MaskIterator, std::size_t N>
+std::size_t fill_block(MaskIterator& it, const Seed256& base,
+                       std::array<Seed256, N>& block) {
+  std::size_t n = 0;
+  Seed256 mask;
+  while (n < N && it.next(mask)) block[n++] = base ^ mask;
+  return n;
+}
+
+/// A digest's first 32 bits: the word every scan loop rejects on before
+/// paying for the full comparison.
+template <std::size_t N>
+inline u32 digest_head(const Digest<N>& digest) noexcept {
+  u32 head;
+  std::memcpy(&head, digest.bytes.data(), sizeof(head));
+  return head;
+}
+
+/// What scan_block found in one block.
+struct BlockScan {
+  static constexpr std::size_t kNoMatch = ~std::size_t{0};
+  /// Lanes to count in visit order: all of them, or through the match when
+  /// the scan stops there (the lanes past it were speculative).
+  std::size_t counted = 0;
+  /// Lane of the first match, or kNoMatch.
+  std::size_t match = kNoMatch;
+  bool found() const noexcept { return match != kNoMatch; }
+};
+
+/// Algorithm 1 lines 11-16 over one candidate block: hashes
+/// `candidates[0, n)` under H (n <= seed_hash_batch<H>()), rejects lanes on
+/// the target's digest head, confirms survivors on the full digest and
+/// returns the first matching lane. `stop_at_match` (the early-exit policy)
+/// ends the counted prefix at the match.
+template <SeedHash H>
+inline BlockScan scan_block(const H& h, const Seed256* candidates,
+                            std::size_t n,
+                            const typename H::digest_type& target,
+                            bool stop_at_match) noexcept {
+  std::array<typename H::digest_type, seed_hash_batch<H>()> digests;
+  hash_seed_block(h, candidates, n, digests.data());
+  const u32 target_head = digest_head(target);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (digest_head(digests[i]) != target_head || digests[i] != target)
+      continue;
+    return {stop_at_match ? i + 1 : n, i};
+  }
+  return {n, BlockScan::kNoMatch};
+}
+
 /// Maximum lanes per tagged block — the hit mask is one u64.
 inline constexpr std::size_t kMaxTaggedLanes = 64;
 
@@ -76,9 +136,7 @@ inline u64 hash_seed_block_tagged(const H& h, const Seed256* seeds,
   hash_seed_block(h, seeds, n, out);
   u64 hits = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    u32 head;
-    std::memcpy(&head, out[i].bytes.data(), sizeof(head));
-    if (head == stream_heads[tags[i]]) hits |= u64{1} << i;
+    if (digest_head(out[i]) == stream_heads[tags[i]]) hits |= u64{1} << i;
   }
   return hits;
 }

@@ -17,268 +17,180 @@ par::WorkerGroup* resolve_workers(par::WorkerGroup* requested) {
   return requested != nullptr ? requested : &par::WorkerGroup::shared();
 }
 
-/// Bridges the runtime digest bytes into the typed search template, and
-/// dispatches over (hash, iterator).
-template <hash::SeedHash Hash>
-SearchResult run_typed(const Seed256& s_init, ByteSpan digest,
-                       sim::IterAlgo iter, par::WorkerGroup& workers,
-                       const SearchOptions& opts,
-                       par::SearchContext* session) {
-  typename Hash::digest_type target;
-  RBC_CHECK_MSG(digest.size() == target.bytes.size(),
-                "digest length does not match hash algorithm");
-  std::memcpy(target.bytes.data(), digest.data(), digest.size());
-
-  switch (iter) {
-    case sim::IterAlgo::kChase382: {
-      comb::ChaseFactory factory;
-      return rbc_search<Hash>(s_init, target, factory, workers, opts, {},
-                              session);
-    }
-    case sim::IterAlgo::kAlg515: {
-      comb::Algorithm515Factory factory(comb::Alg515Mode::kSuccessor);
-      return rbc_search<Hash>(s_init, target, factory, workers, opts, {},
-                              session);
-    }
-    case sim::IterAlgo::kGosper: {
-      comb::GosperFactory factory;
-      return rbc_search<Hash>(s_init, target, factory, workers, opts, {},
-                              session);
-    }
-  }
-  RBC_CHECK_MSG(false, "unknown iterator algorithm");
-  return {};
+/// Bridges the runtime digest bytes into the typed search templates: calls
+/// `search(hash, target)` with the batched policy of `algo` (the multi-lane
+/// kernels dispatch on the host CPU at runtime, and results/accounting
+/// equal the scalar policies', see hash/batch.hpp) and the typed digest.
+template <typename Search>
+SearchResult with_typed_target(ByteSpan digest, hash::HashAlgo algo,
+                               Search&& search) {
+  const auto run = [&](auto hash) {
+    typename decltype(hash)::digest_type target;
+    RBC_CHECK_MSG(digest.size() == target.bytes.size(),
+                  "digest length does not match hash algorithm");
+    std::memcpy(target.bytes.data(), digest.data(), digest.size());
+    return search(hash, target);
+  };
+  if (algo == hash::HashAlgo::kSha1) return run(hash::Sha1BatchSeedHash{});
+  return run(hash::Sha3BatchSeedHash{});
 }
 
-SearchResult run_search(const Seed256& s_init, ByteSpan digest,
-                        hash::HashAlgo algo, sim::IterAlgo iter,
-                        par::WorkerGroup& workers, const SearchOptions& opts,
-                        par::SearchContext* session) {
-  // All engines search through the batched policies: the multi-lane kernels
-  // dispatch on the host CPU at runtime, and results/accounting are
-  // equivalent to the scalar policies by construction (see hash/batch.hpp).
-  if (algo == hash::HashAlgo::kSha1)
-    return run_typed<hash::Sha1BatchSeedHash>(s_init, digest, iter, workers,
-                                              opts, session);
-  return run_typed<hash::Sha3BatchSeedHash>(s_init, digest, iter, workers,
-                                            opts, session);
+/// rbc_search over cfg.iterator's family on cfg.host_threads units.
+HostSearch host_search(const EngineConfig& cfg) {
+  const int threads = resolve_threads(cfg.host_threads);
+  par::WorkerGroup* workers = resolve_workers(cfg.workers);
+  const sim::IterAlgo iter = cfg.iterator;
+  return [=](const Seed256& s_init, ByteSpan digest, hash::HashAlgo algo,
+             const SearchOptions& opts, par::SearchContext* session) {
+    SearchOptions o = opts;
+    o.num_threads = threads;
+    return with_typed_target(digest, algo, [&](auto hash, const auto& target) {
+      using Hash = decltype(hash);
+      switch (iter) {
+        case sim::IterAlgo::kChase382:
+          return rbc_search<Hash>(s_init, target, comb::ChaseFactory{},
+                                  *workers, o, hash, session);
+        case sim::IterAlgo::kAlg515:
+          return rbc_search<Hash>(
+              s_init, target,
+              comb::Algorithm515Factory(comb::Alg515Mode::kSuccessor),
+              *workers, o, hash, session);
+        case sim::IterAlgo::kGosper:
+          return rbc_search<Hash>(s_init, target, comb::GosperFactory{},
+                                  *workers, o, hash, session);
+      }
+      RBC_CHECK_MSG(false, "unknown iterator algorithm");
+      return SearchResult{};
+    });
+  };
+}
+
+DeviceModel cpu_model(const EngineConfig& cfg) {
+  const sim::CpuModel m;
+  return {"SALTED-CPU", m.spec().name, host_search(cfg),
+          [m](const SearchResult& r, bool, hash::HashAlgo algo) {
+            return m.time_for_seeds_s(r.seeds_hashed, algo, m.spec().cores);
+          },
+          [m](int d, hash::HashAlgo algo) {
+            return m.exhaustive_time_s(d, algo, m.spec().cores);
+          }};
+}
+
+DeviceModel gpu_model(const EngineConfig& cfg, sim::IterAlgo iter) {
+  const sim::GpuModel m;
+  return {"SALTED-GPU", m.spec().name, host_search(cfg),
+          [m, iter](const SearchResult& r, bool, hash::HashAlgo algo) {
+            return m.time_for_seeds_s(r.seeds_hashed, algo, iter,
+                                      /*kernels=*/std::max(r.distance, 1));
+          },
+          [m, iter](int d, hash::HashAlgo algo) {
+            return m.exhaustive_time_s(d, algo, iter);
+          }};
+}
+
+/// §4.8: shells split evenly across the devices; the slowest device's time
+/// plus the Fig. 4 coordination overheads.
+DeviceModel multi_gpu_model(const EngineConfig& cfg) {
+  const sim::MultiGpuModel m{sim::GpuModel{}};
+  const int devices = cfg.num_devices;
+  const sim::IterAlgo iter = cfg.iterator;
+  return {"SALTED-GPU (multi)",
+          std::to_string(devices) + "x " + m.gpu().spec().name,
+          host_search(cfg),
+          [m, devices, iter](const SearchResult& r, bool early_exit,
+                             hash::HashAlgo algo) {
+            return m.time_for_seeds_s(r.seeds_hashed, devices, algo,
+                                      early_exit, iter);
+          },
+          [m, devices, iter](int d, hash::HashAlgo algo) {
+            return m.time_for_seeds_s(
+                static_cast<u64>(comb::exhaustive_search_count(d)), devices,
+                algo, /*early_exit=*/false, iter);
+          }};
+}
+
+DeviceModel apu_model(const EngineConfig& cfg) {
+  const sim::ApuModel m;
+  return {"SALTED-APU", m.spec().name, host_search(cfg),
+          [m](const SearchResult& r, bool, hash::HashAlgo algo) {
+            return m.time_for_seeds_s(r.seeds_hashed, algo);
+          },
+          [m](int d, hash::HashAlgo algo) {
+            return m.exhaustive_time_s(d, algo);
+          },
+          static_cast<u32>(m.calibration().apu_batch_size)};
+}
+
+/// The A100 model over the kernel emulation.
+DeviceModel gpu_emu_model(const EngineConfig& cfg) {
+  DeviceModel model = gpu_model(cfg, sim::IterAlgo::kChase382);
+  model.backend_name = "SALTED-GPU (kernel)";
+  model.device_name += " (kernel emulation)";
+  // Partition width per shell: a few threads per host worker is enough to
+  // exercise the kernel structure; snapshot walks bound the useful width.
+  const int width = 4 * resolve_threads(cfg.host_threads);
+  par::WorkerGroup* workers = resolve_workers(cfg.workers);
+  model.search = [=](const Seed256& s_init, ByteSpan digest,
+                     hash::HashAlgo algo, const SearchOptions& opts,
+                     par::SearchContext* session) {
+    return with_typed_target(digest, algo, [&](auto hash, const auto& target) {
+      return gpu::gpu_emulated_search<decltype(hash)>(
+          *workers, s_init, target, opts.max_distance,
+          [width](int) { return width; }, /*threads_per_block=*/32, hash,
+          opts.timeout_s, session);
+    });
+  };
+  return model;
+}
+
+/// CPU and GPU drain the same ball concurrently: the platforms combine as
+/// parallel servers (aggregate rate = sum of rates → harmonic time).
+DeviceModel hetero_model(const EngineConfig& cfg) {
+  RBC_CHECK_MSG(cfg.device_threads >= 1,
+                "hetero backend needs at least one device thread");
+  const DeviceModel cpu = cpu_model(cfg);
+  const DeviceModel gpu = gpu_model(cfg, sim::IterAlgo::kChase382);
+  const auto parallel = [](double a, double b) {
+    return 1.0 / (1.0 / a + 1.0 / b);
+  };
+  const int host_units = resolve_threads(cfg.host_threads);
+  const int device_threads = cfg.device_threads;
+  par::WorkerGroup* workers = resolve_workers(cfg.workers);
+  return {"SALTED-HETERO (CPU+GPU)", cpu.device_name + " + " + gpu.device_name,
+          [=](const Seed256& s_init, ByteSpan digest, hash::HashAlgo algo,
+              const SearchOptions& opts, par::SearchContext* session) {
+            return with_typed_target(
+                digest, algo, [&](auto hash, const auto& target) {
+                  return gpu::hetero_cosearch<decltype(hash)>(
+                      *workers, s_init, target, opts, host_units,
+                      device_threads, /*threads_per_block=*/32, hash,
+                      session);
+                });
+          },
+          [=](const SearchResult& r, bool early_exit, hash::HashAlgo algo) {
+            return parallel(cpu.search_seconds(r, early_exit, algo),
+                            gpu.search_seconds(r, early_exit, algo));
+          },
+          [=](int d, hash::HashAlgo algo) {
+            return parallel(cpu.exhaustive_seconds(d, algo),
+                            gpu.exhaustive_seconds(d, algo));
+          }};
 }
 
 }  // namespace
 
-CpuSearchEngine::CpuSearchEngine(EngineConfig cfg, sim::CpuSpec spec)
-    : cfg_(cfg), model_(std::move(spec)),
-      workers_(resolve_workers(cfg.workers)) {
-  cfg_.host_threads = resolve_threads(cfg_.host_threads);
-}
-
-EngineReport CpuSearchEngine::search(const Seed256& s_init, ByteSpan digest,
-                                     hash::HashAlgo algo,
-                                     const SearchOptions& opts,
-                                     par::SearchContext* session) {
+EngineReport ModeledBackend::search(const Seed256& s_init, ByteSpan digest,
+                                    hash::HashAlgo algo,
+                                    const SearchOptions& opts,
+                                    par::SearchContext* session) {
   SearchOptions o = opts;
-  o.num_threads = cfg_.host_threads;
+  o.check_interval = std::max(o.check_interval, model_.check_interval_floor);
   EngineReport report;
-  report.result =
-      run_search(s_init, digest, algo, cfg_.iterator, *workers_, o, session);
-  report.modeled_device_seconds = model_.time_for_seeds_s(
-      report.result.seeds_hashed, algo, model_.spec().cores);
-  report.device_name = model_.spec().name;
-  return report;
-}
-
-GpuSimSearchEngine::GpuSimSearchEngine(EngineConfig cfg, sim::GpuSpec spec)
-    : cfg_(cfg), model_(std::move(spec)),
-      workers_(resolve_workers(cfg.workers)) {
-  cfg_.host_threads = resolve_threads(cfg_.host_threads);
-}
-
-EngineReport GpuSimSearchEngine::search(const Seed256& s_init, ByteSpan digest,
-                                        hash::HashAlgo algo,
-                                        const SearchOptions& opts,
-                                        par::SearchContext* session) {
-  SearchOptions o = opts;
-  o.num_threads = cfg_.host_threads;
-  EngineReport report;
-  report.result =
-      run_search(s_init, digest, algo, cfg_.iterator, *workers_, o, session);
-  report.modeled_device_seconds = model_.time_for_seeds_s(
-      report.result.seeds_hashed, algo, cfg_.iterator,
-      /*kernels=*/std::max(report.result.distance, 1));
-  report.device_name = model_.spec().name;
-  return report;
-}
-
-ApuSimSearchEngine::ApuSimSearchEngine(EngineConfig cfg, sim::ApuSpec spec)
-    : cfg_(cfg), model_(std::move(spec)),
-      workers_(resolve_workers(cfg.workers)) {
-  cfg_.host_threads = resolve_threads(cfg_.host_threads);
-}
-
-EngineReport ApuSimSearchEngine::search(const Seed256& s_init, ByteSpan digest,
-                                        hash::HashAlgo algo,
-                                        const SearchOptions& opts,
-                                        par::SearchContext* session) {
-  SearchOptions o = opts;
-  o.num_threads = cfg_.host_threads;
-  // §3.3: the associative-memory exit flag is checked once per 256-seed
-  // batch, not per seed.
-  o.check_interval = std::max<u32>(
-      o.check_interval,
-      static_cast<u32>(model_.calibration().apu_batch_size));
-  EngineReport report;
-  report.result =
-      run_search(s_init, digest, algo, cfg_.iterator, *workers_, o, session);
+  report.result = model_.search(s_init, digest, algo, o, session);
   report.modeled_device_seconds =
-      model_.time_for_seeds_s(report.result.seeds_hashed, algo);
-  report.device_name = model_.spec().name;
+      modeled_device_seconds(report.result, opts.early_exit, algo);
+  report.device_name = model_.device_name;
   return report;
-}
-
-double CpuSearchEngine::modeled_exhaustive_time_s(int d,
-                                                  hash::HashAlgo algo) const {
-  return model_.exhaustive_time_s(d, algo, model_.spec().cores);
-}
-
-double GpuSimSearchEngine::modeled_exhaustive_time_s(
-    int d, hash::HashAlgo algo) const {
-  return model_.exhaustive_time_s(d, algo, cfg_.iterator);
-}
-
-double ApuSimSearchEngine::modeled_exhaustive_time_s(
-    int d, hash::HashAlgo algo) const {
-  return model_.exhaustive_time_s(d, algo);
-}
-
-MultiGpuSimSearchEngine::MultiGpuSimSearchEngine(EngineConfig cfg,
-                                                 sim::GpuSpec spec)
-    : cfg_(cfg), model_(sim::GpuModel(std::move(spec))),
-      workers_(resolve_workers(cfg.workers)) {
-  RBC_CHECK_MSG(cfg_.num_devices >= 1, "need at least one device");
-  cfg_.host_threads = resolve_threads(cfg_.host_threads);
-}
-
-EngineReport MultiGpuSimSearchEngine::search(const Seed256& s_init,
-                                             ByteSpan digest,
-                                             hash::HashAlgo algo,
-                                             const SearchOptions& opts,
-                                             par::SearchContext* session) {
-  SearchOptions o = opts;
-  o.num_threads = cfg_.host_threads;
-  EngineReport report;
-  report.result =
-      run_search(s_init, digest, algo, cfg_.iterator, *workers_, o, session);
-  report.modeled_device_seconds = model_.time_for_seeds_s(
-      report.result.seeds_hashed, cfg_.num_devices, algo,
-      /*early_exit=*/opts.early_exit, cfg_.iterator);
-  report.device_name = std::to_string(cfg_.num_devices) + "x " +
-                       model_.gpu().spec().name;
-  return report;
-}
-
-double MultiGpuSimSearchEngine::modeled_exhaustive_time_s(
-    int d, hash::HashAlgo algo) const {
-  const u64 seeds = static_cast<u64>(comb::exhaustive_search_count(d));
-  return model_.time_for_seeds_s(seeds, cfg_.num_devices, algo,
-                                 /*early_exit=*/false, cfg_.iterator);
-}
-
-GpuEmulatedBackend::GpuEmulatedBackend(EngineConfig cfg, sim::GpuSpec spec)
-    : cfg_(cfg), model_(std::move(spec)),
-      workers_(resolve_workers(cfg.workers)) {
-  cfg_.host_threads = resolve_threads(cfg_.host_threads);
-}
-
-EngineReport GpuEmulatedBackend::search(const Seed256& s_init, ByteSpan digest,
-                                        hash::HashAlgo algo,
-                                        const SearchOptions& opts,
-                                        par::SearchContext* session) {
-  // Partition width per shell: a few threads per host worker is enough to
-  // exercise the kernel structure; snapshot walks bound the useful width.
-  const auto threads_for_shell = [this](int) {
-    return 4 * cfg_.host_threads;
-  };
-  EngineReport report;
-  auto run = [&](auto hash) {
-    using Hash = decltype(hash);
-    typename Hash::digest_type target;
-    RBC_CHECK_MSG(digest.size() == target.bytes.size(),
-                  "digest length does not match hash algorithm");
-    std::memcpy(target.bytes.data(), digest.data(), digest.size());
-    report.result = gpu::gpu_emulated_search<Hash>(
-        *workers_, s_init, target, opts.max_distance, threads_for_shell,
-        /*threads_per_block=*/32, hash, opts.timeout_s, session);
-  };
-  if (algo == hash::HashAlgo::kSha1) {
-    run(hash::Sha1BatchSeedHash{});
-  } else {
-    run(hash::Sha3BatchSeedHash{});
-  }
-  report.modeled_device_seconds = model_.time_for_seeds_s(
-      report.result.seeds_hashed, algo, sim::IterAlgo::kChase382,
-      std::max(report.result.distance, 1));
-  report.device_name = model_.spec().name + " (kernel emulation)";
-  return report;
-}
-
-double GpuEmulatedBackend::modeled_exhaustive_time_s(
-    int d, hash::HashAlgo algo) const {
-  return model_.exhaustive_time_s(d, algo);
-}
-
-HeteroSearchEngine::HeteroSearchEngine(EngineConfig cfg, sim::CpuSpec cpu_spec,
-                                       sim::GpuSpec gpu_spec)
-    : cfg_(cfg), cpu_model_(std::move(cpu_spec)),
-      gpu_model_(std::move(gpu_spec)),
-      workers_(resolve_workers(cfg.workers)) {
-  cfg_.host_threads = resolve_threads(cfg_.host_threads);
-  RBC_CHECK_MSG(cfg_.device_threads >= 1,
-                "hetero backend needs at least one device thread");
-}
-
-EngineReport HeteroSearchEngine::search(const Seed256& s_init, ByteSpan digest,
-                                        hash::HashAlgo algo,
-                                        const SearchOptions& opts,
-                                        par::SearchContext* session) {
-  EngineReport report;
-  u64 device_seeds = 0;
-  auto run = [&](auto hash) {
-    using Hash = decltype(hash);
-    typename Hash::digest_type target;
-    RBC_CHECK_MSG(digest.size() == target.bytes.size(),
-                  "digest length does not match hash algorithm");
-    std::memcpy(target.bytes.data(), digest.data(), digest.size());
-    report.result = gpu::hetero_cosearch<Hash>(
-        *workers_, s_init, target, opts, cfg_.host_threads,
-        cfg_.device_threads, /*threads_per_block=*/32, hash, session,
-        &device_seeds);
-  };
-  if (algo == hash::HashAlgo::kSha1) {
-    run(hash::Sha1BatchSeedHash{});
-  } else {
-    run(hash::Sha3BatchSeedHash{});
-  }
-  // CPU and GPU drain the same ball concurrently: combine the platforms as
-  // parallel servers (aggregate rate = sum of rates → harmonic time).
-  const u64 seeds = report.result.seeds_hashed;
-  const double t_cpu =
-      cpu_model_.time_for_seeds_s(seeds, algo, cpu_model_.spec().cores);
-  const double t_gpu = gpu_model_.time_for_seeds_s(
-      seeds, algo, sim::IterAlgo::kChase382,
-      /*kernels=*/std::max(report.result.distance, 1));
-  report.modeled_device_seconds = 1.0 / (1.0 / t_cpu + 1.0 / t_gpu);
-  report.device_name =
-      cpu_model_.spec().name + " + " + gpu_model_.spec().name;
-  return report;
-}
-
-double HeteroSearchEngine::modeled_exhaustive_time_s(
-    int d, hash::HashAlgo algo) const {
-  const double t_cpu =
-      cpu_model_.exhaustive_time_s(d, algo, cpu_model_.spec().cores);
-  const double t_gpu =
-      gpu_model_.exhaustive_time_s(d, algo, sim::IterAlgo::kChase382);
-  return 1.0 / (1.0 / t_cpu + 1.0 / t_gpu);
 }
 
 int plan_ca_distance(const SearchBackend& backend, hash::HashAlgo algo,
@@ -292,18 +204,20 @@ int plan_ca_distance(const SearchBackend& backend, hash::HashAlgo algo,
 
 std::unique_ptr<SearchBackend> make_backend(std::string_view device,
                                             EngineConfig cfg) {
-  if (device == "cpu") return std::make_unique<CpuSearchEngine>(cfg);
-  if (device == "gpu") {
-    if (cfg.num_devices > 1)
-      return std::make_unique<MultiGpuSimSearchEngine>(cfg);
-    return std::make_unique<GpuSimSearchEngine>(cfg);
-  }
-  if (device == "gpu-emu") return std::make_unique<GpuEmulatedBackend>(cfg);
-  if (device == "apu") return std::make_unique<ApuSimSearchEngine>(cfg);
-  if (device == "hetero") return std::make_unique<HeteroSearchEngine>(cfg);
-  RBC_CHECK_MSG(false,
-                "unknown backend device (want cpu|gpu|apu|gpu-emu|hetero)");
-  return nullptr;
+  const auto model = [&]() -> DeviceModel {
+    if (device == "cpu") return cpu_model(cfg);
+    if (device == "gpu") {
+      return cfg.num_devices > 1 ? multi_gpu_model(cfg)
+                                 : gpu_model(cfg, cfg.iterator);
+    }
+    if (device == "apu") return apu_model(cfg);
+    if (device == "gpu-emu") return gpu_emu_model(cfg);
+    if (device == "hetero") return hetero_model(cfg);
+    RBC_CHECK_MSG(false,
+                  "unknown backend device (want cpu|gpu|apu|gpu-emu|hetero)");
+    return {};
+  };
+  return std::make_unique<ModeledBackend>(model());
 }
 
 }  // namespace rbc

@@ -1,14 +1,17 @@
-// Runtime search backends: SALTED-CPU, SALTED-GPU (simulated A100), and
-// SALTED-APU (simulated Gemini).
+// Runtime search backends: SALTED-CPU, SALTED-GPU (simulated A100, one or
+// several), SALTED-APU (simulated Gemini), plus the kernel-shaped GPU
+// emulation and the heterogeneous CPU+GPU co-search.
 //
-// All three run the SAME functional search (rbc_search over host threads) —
-// correctness is real, not simulated. What differs per backend, mirroring
-// §3.2-§3.4:
+// Every device is one ModeledBackend over a DeviceModel. The four paper
+// platforms run the SAME functional search (rbc_search over host threads —
+// correctness is real, not simulated); gpu-emu and hetero keep their own
+// functional paths (gpu/salted_kernel.hpp). The rest of the DeviceModel is
+// the data that tells the platforms apart, mirroring §3.2-§3.4:
 //   * the early-exit flag granularity (per seed on CPU/GPU; per 256-seed
-//     batch on the APU, §3.3),
-//   * the projected device time, produced by the backend's calibrated cost
+//     batch on the APU, §3.3: a check-interval floor),
+//   * the projected device time, produced by the platform's calibrated cost
 //     model from the number of seeds actually visited,
-//   * the reported device identity and thread counts.
+//   * the reported backend and device names.
 //
 // The protocol layer talks to the SearchBackend interface so a CA can be
 // deployed over any of them (one of RBC-SALTED's stated goals: "a single RBC
@@ -16,6 +19,7 @@
 // hardware platforms").
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -89,7 +93,9 @@ struct EngineConfig {
   /// session latency sets this low — units multiplex on the worker group.
   int host_threads = 0;
   sim::IterAlgo iterator = sim::IterAlgo::kChase382;
-  /// Devices for the multi-GPU backend ("gpu" with num_devices > 1, §4.8).
+  /// Devices for the multi-GPU backend ("gpu" with num_devices > 1, §4.8):
+  /// shells split evenly across the simulated A100s, modeled as the slowest
+  /// device plus the Fig. 4 coordination overheads.
   int num_devices = 1;
   /// Logical device threads for the heterogeneous backend ("hetero"): the
   /// emulated GPU's width when CPU and device co-search one ball.
@@ -100,130 +106,64 @@ struct EngineConfig {
   par::WorkerGroup* workers = nullptr;
 };
 
-class CpuSearchEngine final : public SearchBackend {
+/// A search on the host, runtime-typed: the digest as received off the
+/// wire (see SearchBackend::search).
+using HostSearch = std::function<SearchResult(
+    const Seed256& s_init, ByteSpan digest, hash::HashAlgo algo,
+    const SearchOptions& opts, par::SearchContext* session)>;
+
+/// A platform as data: the functional search the host runs for it and how
+/// that search is reported as one on the platform.
+struct DeviceModel {
+  std::string backend_name;
+  std::string device_name;
+  /// rbc_search over EngineConfig::iterator for the paper platforms; the
+  /// kernel emulation for gpu-emu; the CPU+GPU co-search for hetero.
+  HostSearch search;
+  /// Projected search-only seconds on the platform for one search, from
+  /// what it visited (seeds_hashed, the match's distance) and its early-exit
+  /// policy.
+  std::function<double(const SearchResult&, bool early_exit, hash::HashAlgo)>
+      search_seconds;
+  /// Worst-case (exhaustive, Eq. 1) search time at distance d.
+  std::function<double(int d, hash::HashAlgo)> exhaustive_seconds;
+  /// Floor on SearchOptions::check_interval: the APU's associative-memory
+  /// exit flag is read once per 256-seed batch, not per seed (§3.3).
+  u32 check_interval_floor = 0;
+};
+
+/// The one backend shape: a DeviceModel's search, reported through its cost
+/// model. Every make_backend device builds one.
+class ModeledBackend final : public SearchBackend {
  public:
-  explicit CpuSearchEngine(EngineConfig cfg = {},
-                           sim::CpuSpec spec = sim::epyc64());
+  explicit ModeledBackend(DeviceModel model) : model_(std::move(model)) {}
   using SearchBackend::search;
   EngineReport search(const Seed256& s_init, ByteSpan digest,
                       hash::HashAlgo algo, const SearchOptions& opts,
                       par::SearchContext* session) override;
-  double modeled_exhaustive_time_s(int d, hash::HashAlgo algo) const override;
-  std::string_view name() const override { return "SALTED-CPU"; }
+  double modeled_exhaustive_time_s(int d, hash::HashAlgo algo) const override {
+    return model_.exhaustive_seconds(d, algo);
+  }
+  std::string_view name() const override { return model_.backend_name; }
+  /// The projection search() reports as modeled_device_seconds.
+  double modeled_device_seconds(const SearchResult& result, bool early_exit,
+                                hash::HashAlgo algo) const {
+    return model_.search_seconds(result, early_exit, algo);
+  }
 
  private:
-  EngineConfig cfg_;
-  sim::CpuModel model_;
-  par::WorkerGroup* workers_;
+  DeviceModel model_;
 };
 
-class GpuSimSearchEngine final : public SearchBackend {
- public:
-  explicit GpuSimSearchEngine(EngineConfig cfg = {},
-                              sim::GpuSpec spec = sim::a100());
-  using SearchBackend::search;
-  EngineReport search(const Seed256& s_init, ByteSpan digest,
-                      hash::HashAlgo algo, const SearchOptions& opts,
-                      par::SearchContext* session) override;
-  double modeled_exhaustive_time_s(int d, hash::HashAlgo algo) const override;
-  std::string_view name() const override { return "SALTED-GPU"; }
-
- private:
-  EngineConfig cfg_;
-  sim::GpuModel model_;
-  par::WorkerGroup* workers_;
-};
-
-class ApuSimSearchEngine final : public SearchBackend {
- public:
-  explicit ApuSimSearchEngine(EngineConfig cfg = {},
-                              sim::ApuSpec spec = sim::gemini_apu());
-  using SearchBackend::search;
-  EngineReport search(const Seed256& s_init, ByteSpan digest,
-                      hash::HashAlgo algo, const SearchOptions& opts,
-                      par::SearchContext* session) override;
-  double modeled_exhaustive_time_s(int d, hash::HashAlgo algo) const override;
-  std::string_view name() const override { return "SALTED-APU"; }
-
- private:
-  EngineConfig cfg_;
-  sim::ApuModel model_;
-  par::WorkerGroup* workers_;
-};
-
-/// Multi-GPU backend (§3.2 early-exit flag in unified memory, §4.8): shells
-/// are split evenly across cfg.num_devices simulated A100s. The functional
-/// search still runs on host threads; each worker's slice maps to a device
-/// partition, and the modeled time is the slowest device's plus the Fig. 4
-/// coordination overheads.
-class MultiGpuSimSearchEngine final : public SearchBackend {
- public:
-  explicit MultiGpuSimSearchEngine(EngineConfig cfg = {},
-                                   sim::GpuSpec spec = sim::a100());
-  using SearchBackend::search;
-  EngineReport search(const Seed256& s_init, ByteSpan digest,
-                      hash::HashAlgo algo, const SearchOptions& opts,
-                      par::SearchContext* session) override;
-  double modeled_exhaustive_time_s(int d, hash::HashAlgo algo) const override;
-  std::string_view name() const override { return "SALTED-GPU (multi)"; }
-  int num_devices() const noexcept { return cfg_.num_devices; }
-
- private:
-  EngineConfig cfg_;
-  sim::MultiGpuModel model_;
-  par::WorkerGroup* workers_;
-};
-
-/// Kernel-level GPU backend: runs the search through the CUDA-like emulator
-/// (src/gpu) — one kernel launch per shell, Chase snapshots in shared
-/// memory, unified-memory flag — instead of the generic host engine. Slower
-/// on the host (it pays the snapshot walk and kernel bookkeeping) but
-/// structurally identical to the paper's CUDA implementation; used to
-/// validate that the fast generic engine and the kernel-shaped engine agree.
-class GpuEmulatedBackend final : public SearchBackend {
- public:
-  explicit GpuEmulatedBackend(EngineConfig cfg = {},
-                              sim::GpuSpec spec = sim::a100());
-  using SearchBackend::search;
-  EngineReport search(const Seed256& s_init, ByteSpan digest,
-                      hash::HashAlgo algo, const SearchOptions& opts,
-                      par::SearchContext* session) override;
-  double modeled_exhaustive_time_s(int d, hash::HashAlgo algo) const override;
-  std::string_view name() const override { return "SALTED-GPU (kernel)"; }
-
- private:
-  EngineConfig cfg_;
-  sim::GpuModel model_;
-  par::WorkerGroup* workers_;
-};
-
-/// Heterogeneous co-search backend: host worker units and one emulated
-/// device drain tiles of the same Hamming ball from a shared work-stealing
-/// scheduler (gpu::hetero_cosearch), instead of the CPU and GPU owning
-/// disjoint phases. Functionally byte-identical to the CPU engine on the
-/// same ball; the modeled time combines the CPU and GPU platform rates as
-/// parallel servers (harmonic sum).
-class HeteroSearchEngine final : public SearchBackend {
- public:
-  explicit HeteroSearchEngine(EngineConfig cfg = {},
-                              sim::CpuSpec cpu_spec = sim::epyc64(),
-                              sim::GpuSpec gpu_spec = sim::a100());
-  using SearchBackend::search;
-  EngineReport search(const Seed256& s_init, ByteSpan digest,
-                      hash::HashAlgo algo, const SearchOptions& opts,
-                      par::SearchContext* session) override;
-  double modeled_exhaustive_time_s(int d, hash::HashAlgo algo) const override;
-  std::string_view name() const override { return "SALTED-HETERO (CPU+GPU)"; }
-
- private:
-  EngineConfig cfg_;
-  sim::CpuModel cpu_model_;
-  sim::GpuModel gpu_model_;
-  par::WorkerGroup* workers_;
-};
-
-/// Factory by device family name ("cpu", "gpu", "apu", "gpu-emu", "hetero";
-/// "gpu" with cfg.num_devices > 1 builds the multi-GPU backend).
+/// Factory by device family name. "cpu", "gpu" and "apu" run the host
+/// search as the paper's platforms ("gpu" with cfg.num_devices > 1 models
+/// the multi-GPU platform). "gpu-emu" runs it through the CUDA-like emulator
+/// (src/gpu): one kernel launch per shell, Chase snapshots in shared memory,
+/// unified-memory flag — slower on the host but structurally the paper's
+/// CUDA implementation. "hetero" has host worker units and one emulated
+/// device drain tiles of the same ball from a shared work-stealing
+/// scheduler (gpu::hetero_cosearch), modeled as CPU and GPU serving in
+/// parallel.
 std::unique_ptr<SearchBackend> make_backend(std::string_view device,
                                             EngineConfig cfg = {});
 

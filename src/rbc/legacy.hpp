@@ -41,20 +41,15 @@ SearchResult legacy_rbc_search(const Seed256& s_init, const Bytes& target_pk,
   par::SearchContext local = par::SearchContext::with_budget(opts.timeout_s);
   par::SearchContext& ctx = session != nullptr ? *session : local;
 
+  // seeds_hashed counts keys generated for this engine.
   SearchResult result;
   WallTimer timer;
-  std::mutex found_mutex;
-  std::optional<std::pair<Seed256, int>> found;
-
-  result.seeds_hashed = 1;  // "keys generated" for this engine
-  ctx.add_progress(1);
-  if (keygen(s_init) == target_pk) {
-    result.found = true;
-    result.seed = s_init;
-    result.distance = 0;
-    result.host_seconds = timer.elapsed_s();
+  if (detail::matches_at_distance_zero(s_init, target_pk, keygen, ctx, result,
+                                       timer)) {
     return result;
   }
+  std::mutex found_mutex;
+  detail::Match found;
 
   const int p = opts.num_threads;
   std::vector<u64> generated(static_cast<std::size_t>(p), 0);
@@ -73,12 +68,12 @@ SearchResult legacy_rbc_search(const Seed256& s_init, const Bytes& target_pk,
       if (static_cast<u64>(worker) >= plan->tiles()) return;
       auto it = plan->make_tile(static_cast<u64>(worker));
       par::CheckThrottle throttle(opts.check_interval);
-      u64 local = 0;
+      u64 keys = 0;
       Seed256 mask;
       while (it.next(mask)) {
         if (throttle.due() && ctx.should_stop(opts.early_exit)) break;
         const Seed256 candidate = s_init ^ mask;
-        ++local;
+        ++keys;
         if (keygen(candidate) == target_pk) {
           {
             std::lock_guard lock(found_mutex);
@@ -89,25 +84,17 @@ SearchResult legacy_rbc_search(const Seed256& s_init, const Bytes& target_pk,
         }
         // Keygen is orders of magnitude slower than hashing, so the
         // deadline is polled much more often relative to work done.
-        if ((local & 0xff) == 0) ctx.check_deadline();
+        if ((keys & 0xff) == 0) ctx.check_deadline();
       }
-      generated[static_cast<std::size_t>(worker)] += local;
-      ctx.add_progress(local);
+      generated[static_cast<std::size_t>(worker)] += keys;
+      ctx.add_progress(keys);
     });
 
     ctx.check_deadline();
   }
 
   for (u64 g : generated) result.seeds_hashed += g;
-  if (found) {
-    result.found = true;
-    result.seed = found->first;
-    result.distance = found->second;
-  } else {
-    result.timed_out = ctx.timed_out();
-    result.cancelled = ctx.cancel_requested() && !ctx.timed_out();
-  }
-  result.host_seconds = timer.elapsed_s();
+  detail::finish(result, found, ctx, timer);
   return result;
 }
 

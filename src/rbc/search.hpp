@@ -7,20 +7,25 @@
 // the whole search (§3: "RBC uses a time threshold for which it must
 // authenticate a client").
 //
-// Two paths run the same inner loop (see docs/scheduler.md):
+// Every path runs one inner loop, hash::scan_block (hash/batch.hpp): refill
+// a candidate block by XOR-ing iterator deltas into S_init, hash all lanes
+// in one call, reject on a 32-bit digest head, confirm on the full digest,
+// and count the visit-order prefix (through the match under early exit).
+// Two drivers feed it (see docs/scheduler.md):
 //
 //   * Multi-unit searches tile: the ball is decomposed into fixed-size
 //     tiles (comb::ShellTiler) handed out by a work-stealing
-//     par::TileScheduler. Chase tile plans are walked once per process and
-//     shared by every search; on a cold cache, one extra pipeline unit
-//     fetches shell k+1's plan while shell k's tiles are still being
-//     drained, so workers flow across shell boundaries instead of parking at
-//     a barrier. Exhaustive mode records the MINIMAL shell containing a
-//     match (shells overlap in flight), and per-tile accounting keeps
-//     `seeds_hashed` visit-order exact.
+//     par::TileScheduler and drained by detail::drain_tiles, which the
+//     GPU-emu kernels share. Chase tile plans are walked once per process;
+//     on a cold cache, one extra pipeline unit fetches shell k+1's plan
+//     while shell k's tiles drain, so workers flow across shell boundaries
+//     instead of parking at a barrier. Exhaustive mode records the MINIMAL
+//     shell containing a match (shells overlap in flight), and per-tile
+//     accounting keeps `seeds_hashed` visit-order exact.
 //   * Single-unit searches stream: the calling thread scans a BallStream
-//     (candidate_stream.hpp) in canonical order. It is the reference
-//     enumeration; CI asserts both paths report identical results.
+//     (candidate_stream.hpp) in canonical order (detail::scan_stream).
+//
+// tests/search_oracle_test.cpp checks every path against brute force.
 //
 // Concurrency: rounds run on a WorkerGroup, so any number of sessions can
 // search at once over one set of worker threads. All stop conditions flow
@@ -32,18 +37,11 @@
 // The function template is monomorphized over the hash policy and the seed
 // iterator factory so the hot loop compiles to straight-line code — the same
 // reason the paper fuses seed iteration and hashing into one GPU kernel
-// (§4.5).
-//
-// Batched hashing: when the hash policy is a BatchSeedHash (hash/batch.hpp),
-// each unit refills a small candidate block from its iterator, compresses
-// all lanes in one multi-buffer call, and rejects non-matches on a 32-bit
-// digest-head compare before the full comparison. Scalar policies run the
-// same loop with a block of one, so results and accounting are identical
-// across policies.
+// (§4.5). Scalar policies run the loop with a block of one, so results and
+// accounting are identical across policies.
 #pragma once
 
 #include <array>
-#include <cstring>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -135,6 +133,158 @@ struct SearchResult {
 
 namespace detail {
 
+/// A search's match: the candidate and its shell.
+using Match = std::optional<std::pair<Seed256, int>>;
+
+/// A match concurrent units record into. Shells overlap in flight, so it
+/// keeps the minimal shell: exhaustive mode still reports the true
+/// distance.
+struct MatchSlot {
+  std::mutex mutex;
+  Match match;
+
+  void record(const Seed256& seed, int shell) {
+    std::lock_guard lock(mutex);
+    if (!match || shell < match->second) match = {seed, shell};
+  }
+};
+
+/// Lines 4-8: distance 0, S_init itself (unit r = 0's job), checked with
+/// `op` before any shell is opened. Counts it; on a match `result` is final.
+template <typename Op, typename Target>
+bool matches_at_distance_zero(const Seed256& s_init, const Target& target,
+                              const Op& op, par::SearchContext& ctx,
+                              SearchResult& result, const WallTimer& timer) {
+  result.seeds_hashed = 1;
+  ctx.add_progress(1);
+  if (!(op(s_init) == target)) return false;
+  result.found = true;
+  result.seed = s_init;
+  result.distance = 0;
+  result.host_seconds = timer.elapsed_s();
+  return true;
+}
+
+/// Writes a finished search's verdict: its match, or why it stopped short.
+inline void finish(SearchResult& result, const Match& found,
+                   const par::SearchContext& ctx, const WallTimer& timer) {
+  if (found) {
+    result.found = true;
+    result.seed = found->first;
+    result.distance = found->second;
+  } else {
+    result.timed_out = ctx.timed_out();
+    result.cancelled = ctx.cancel_requested() && !ctx.timed_out();
+  }
+  result.host_seconds = timer.elapsed_s();
+}
+
+/// The stop cadence in whole scan blocks: `check_interval` seeds rounded up
+/// to blocks of policy Hash, so a poll never splits a batch.
+template <hash::SeedHash Hash>
+u32 blocks_per_check(u32 check_interval) {
+  constexpr u64 kBlock = hash::seed_hash_batch<Hash>();
+  return static_cast<u32>((std::max<u64>(check_interval, 1) + kBlock - 1) /
+                          kBlock);
+}
+
+/// One search's shell plans, fetched on first need and kept until it ends.
+/// Chase plans come from the process-wide single-flight cache: a unit
+/// needing a shell that another unit (or another search) is walking waits
+/// for that walk while polling `stop`, so a deadline, cancel or match still
+/// ends it promptly. A walk `stop` cut short yields nullptr.
+template <comb::SeedIteratorFactory Factory>
+class ShellPlans {
+ public:
+  using Ptr = std::shared_ptr<const typename Factory::shell_plan>;
+
+  ShellPlans(const Factory& factory, const comb::ShellTiler& tiler,
+             std::function<bool()> stop)
+      : factory_(factory),
+        tiler_(tiler),
+        stop_(std::move(stop)),
+        plans_(static_cast<std::size_t>(tiler.max_distance()) + 1) {}
+
+  Ptr get(int k) {
+    const auto slot = static_cast<std::size_t>(k);
+    {
+      std::lock_guard lock(mutex_);
+      if (plans_[slot] != nullptr) return plans_[slot];
+    }
+    Ptr plan = factory_.plan(k, tiler_.stride(k), stop_);
+    std::lock_guard lock(mutex_);
+    if (plans_[slot] == nullptr) plans_[slot] = plan;
+    return plan;
+  }
+
+  /// A claimed tile's iterator; empty when `stop` cut its plan short.
+  std::optional<typename Factory::iterator> open(
+      const par::TileScheduler::Tile& tile) {
+    const Ptr plan = get(tile.shell);
+    if (plan == nullptr) return std::nullopt;
+    return plan->make_tile(tile.index);
+  }
+
+ private:
+  const Factory& factory_;
+  const comb::ShellTiler& tiler_;
+  const std::function<bool()> stop_;
+  std::vector<Ptr> plans_;
+  std::mutex mutex_;
+};
+
+/// The tile loop of every tiled path: the multi-unit search below, the
+/// GPU-emu shell kernel and both sides of the hetero co-search
+/// (gpu/salted_kernel.hpp). Scheduler slot `unit` claims tiles until none
+/// is left or `stop()` fires; `open(tile)` turns a claimed tile into a mask
+/// iterator, and an empty optional ends the unit. Each tile is refilled and
+/// scanned block by block, `stop()` polled every `check_blocks` blocks; a
+/// fully visited tile completes on the scheduler. A match goes to
+/// `record(seed, shell)`; under `early_exit` the lanes past it are not
+/// counted and the unit ends. `on_tile(seeds)` sees each tile's count.
+/// Returns the seeds the unit hashed.
+template <hash::SeedHash Hash, typename Open, typename Stop, typename Record,
+          typename OnTile>
+u64 drain_tiles(par::TileScheduler& sched, int unit, const Seed256& s_init,
+                const typename Hash::digest_type& target, const Hash& hash,
+                bool early_exit, u32 check_blocks, Open&& open, Stop&& stop,
+                Record&& record, OnTile&& on_tile) {
+  constexpr std::size_t kBlock = hash::seed_hash_batch<Hash>();
+  std::array<Seed256, kBlock> candidates;
+  u64 hashed = 0;
+  bool matched = false;
+  par::TileScheduler::Tile tile;
+  while (!matched && !stop() && sched.acquire(unit, tile)) {
+    auto it = open(tile);
+    if (!it) break;
+    par::CheckThrottle throttle(check_blocks);
+    u64 tile_hashed = 0;
+    bool tile_done = true;  // fully visited (completes the watermark)
+    while (true) {
+      if (throttle.due() && stop()) {
+        tile_done = false;
+        break;
+      }
+      const std::size_t n = hash::fill_block(*it, s_init, candidates);
+      if (n == 0) break;  // tile exhausted
+      const hash::BlockScan scan =
+          hash::scan_block(hash, candidates.data(), n, target, early_exit);
+      tile_hashed += scan.counted;
+      if (!scan.found()) continue;
+      record(candidates[scan.match], tile.shell);
+      if (early_exit) {
+        matched = true;
+        tile_done = false;
+        break;
+      }
+    }
+    hashed += tile_hashed;
+    if (tile_done) sched.complete(tile);
+    on_tile(tile_hashed);
+  }
+  return hashed;
+}
+
 /// Tiled work-stealing driver. Assumes distance 0 was already checked and
 /// missed; fills everything but host_seconds / the d0 contribution.
 template <hash::SeedHash Hash, comb::SeedIteratorFactory Factory>
@@ -143,10 +293,10 @@ void rbc_search_tiled(const Seed256& s_init,
                       const Factory& factory, par::WorkerGroup& workers,
                       const SearchOptions& opts, const Hash& hash,
                       par::SearchContext& ctx, SearchResult& result,
-                      std::optional<std::pair<Seed256, int>>& found) {
+                      Match& found) {
   const int d = opts.max_distance;
   if (d == 0) return;
-  std::mutex found_mutex;
+  MatchSlot slot;
 
   const u64 tile_seeds = opts.tile_seeds != 0
                              ? opts.tile_seeds
@@ -157,112 +307,41 @@ void rbc_search_tiled(const Seed256& s_init,
   const int units = opts.num_threads + 1;
   par::TileScheduler sched(tiler.tiles_per_shell(), /*first_shell=*/1, units);
 
-  // Per-shell iterator plans, fetched on first need and kept for this
-  // search. Chase plans come from the process-wide single-flight cache: a
-  // unit needing a shell that another unit (or another search) is walking
-  // waits for that walk while polling `stop`, so a deadline, cancel or
-  // match still ends it promptly. A walk that `stop` cut short yields
-  // nullptr and ends the unit.
-  using PlanPtr = std::shared_ptr<const typename Factory::shell_plan>;
-  std::vector<PlanPtr> plans(static_cast<std::size_t>(d) + 1);
-  std::mutex plans_mutex;
   const std::function<bool()> stop = [&ctx, &opts] {
     return ctx.check_deadline() || ctx.should_stop(opts.early_exit);
   };
-  const auto ensure_plan = [&](int k) -> PlanPtr {
-    const std::size_t slot = static_cast<std::size_t>(k);
-    {
-      std::lock_guard lock(plans_mutex);
-      if (plans[slot] != nullptr) return plans[slot];
-    }
-    PlanPtr plan = factory.plan(k, tiler.stride(k), stop);
-    std::lock_guard lock(plans_mutex);
-    if (plans[slot] == nullptr) plans[slot] = plan;
-    return plan;
-  };
+  ShellPlans<Factory> plans(factory, tiler, stop);
 
   std::vector<u64> hashed_per_unit(static_cast<std::size_t>(units), 0);
+  const u32 check_blocks = blocks_per_check<Hash>(opts.check_interval);
 
   workers.parallel_workers(units, [&](int unit) {
-    // Lines 11-16, batched: refill a candidate block by XOR-ing each
-    // iterator delta into S_init, hash every lane in one multi-buffer call,
-    // then reject non-matches on the digests' first 32 bits before paying
-    // for the full comparison. Scalar policies get B = 1, which is exactly
-    // the one-candidate-per-iteration loop. The stop cadence counts whole
-    // blocks, so a batch is never split by a poll.
-    constexpr std::size_t kBlock = hash::seed_hash_batch<Hash>();
-    std::array<Seed256, kBlock> candidates;
-    std::array<typename Hash::digest_type, kBlock> digests;
-    u32 target_head;
-    std::memcpy(&target_head, target.bytes.data(), sizeof(target_head));
-    const u32 blocks_per_check = static_cast<u32>(
-        (std::max<u64>(opts.check_interval, 1) + kBlock - 1) / kBlock);
-
     if (unit == units - 1) {
       // Pipeline unit: fetch plans front to back, so a cold cache walks
       // shell k+1 while shell k's tiles drain; then fall through and hash
       // like everyone else. Workers fetch for themselves if they outrun it.
       for (int k = 1; k <= d; ++k) {
-        if (stop() || ensure_plan(k) == nullptr) break;
+        if (stop() || plans.get(k) == nullptr) break;
       }
     }
-
-    u64 unit_hashed = 0;
-    par::TileScheduler::Tile tile;
-    while (true) {
-      if (ctx.check_deadline() || ctx.should_stop(opts.early_exit)) break;
-      if (!sched.acquire(unit, tile)) break;
-      const auto plan = ensure_plan(tile.shell);
-      if (plan == nullptr) break;
-
-      auto it = plan->make_tile(tile.index);
-      par::CheckThrottle throttle(blocks_per_check);
-      u64 tile_hashed = 0;
-      bool running = true;
-      bool tile_done = true;  // fully visited (completes the watermark)
-      while (running) {
-        if (throttle.due() &&
-            (ctx.check_deadline() || ctx.should_stop(opts.early_exit))) {
-          tile_done = false;
-          break;
-        }
-        std::size_t n = 0;
-        Seed256 mask;
-        while (n < kBlock && it.next(mask)) candidates[n++] = s_init ^ mask;
-        if (n == 0) break;  // tile exhausted
-        hash::hash_seed_block(hash, candidates.data(), n, digests.data());
-        std::size_t counted = n;
-        for (std::size_t i = 0; i < n; ++i) {
-          u32 head;
-          std::memcpy(&head, digests[i].bytes.data(), sizeof(head));
-          if (head != target_head || digests[i] != target) continue;
-          {
-            std::lock_guard lock(found_mutex);
-            // Shells overlap in flight: keep the minimal shell so
-            // exhaustive mode still reports the true distance.
-            if (!found || tile.shell < found->second)
-              found = {candidates[i], tile.shell};
-          }
+    const u64 unit_hashed = drain_tiles(
+        sched, unit, s_init, target, hash, opts.early_exit, check_blocks,
+        [&](const par::TileScheduler::Tile& tile) { return plans.open(tile); },
+        stop,
+        [&](const Seed256& seed, int shell) {
+          slot.record(seed, shell);
           ctx.signal_match();  // line 15: NotifyAllThreadsToExitSearch
-          if (opts.early_exit) {
-            counted = i + 1;  // lanes past the match were speculative
-            running = false;
-            tile_done = false;
-          }
-          break;
-        }
-        tile_hashed += counted;
-      }
-      unit_hashed += tile_hashed;
-      if (tile_done) sched.complete(tile);
-      if (opts.quantum_hook) opts.quantum_hook(unit, tile_hashed);
-    }
+        },
+        [&](u64 tile_hashed) {
+          if (opts.quantum_hook) opts.quantum_hook(unit, tile_hashed);
+        });
     hashed_per_unit[static_cast<std::size_t>(unit)] += unit_hashed;
     ctx.add_progress(unit_hashed);
   });
 
   ctx.check_deadline();
   for (u64 h : hashed_per_unit) result.seeds_hashed += h;
+  found = slot.match;
 
   // Structural invariant: an undisturbed run must have completed every
   // shell — the watermark is what certifies full-ball coverage now that no
@@ -273,12 +352,11 @@ void rbc_search_tiled(const Seed256& s_init,
   }
 }
 
-/// Single-unit scan of a CandidateStream: the tile loop's inner shape
-/// (block refill -> multi-lane hash -> head prefilter -> full compare ->
-/// visit-order counting) driving a resumable cursor. This is the reference
-/// enumeration the fusion engine's interleaved execution must reproduce
-/// candidate-for-candidate: the stream yields S_init first, then shells
-/// 1..d in canonical order, and `counted` stops at the match.
+/// Single-unit scan of a CandidateStream: the tile loop's scan_block step
+/// driving a resumable cursor. This is the reference enumeration the fusion
+/// engine's interleaved execution must reproduce candidate-for-candidate:
+/// the stream yields S_init first, then shells 1..d in canonical order, and
+/// the counted prefix stops at the match.
 ///
 /// The deadline/early-exit poll fires at the check-interval cadence AND
 /// whenever a refill crosses into a new shell; candidates fetched but not
@@ -287,16 +365,11 @@ template <hash::SeedHash Hash>
 void scan_stream(CandidateStream& stream,
                  const typename Hash::digest_type& target, const Hash& hash,
                  const SearchOptions& opts, par::SearchContext& ctx,
-                 std::optional<std::pair<Seed256, int>>& found,
+                 Match& found,
                  u64& hashed_out) {
   constexpr std::size_t kBlock = hash::seed_hash_batch<Hash>();
   std::array<Seed256, kBlock> candidates;
-  std::array<typename Hash::digest_type, kBlock> digests;
-  u32 target_head;
-  std::memcpy(&target_head, target.bytes.data(), sizeof(target_head));
-  const u32 blocks_per_check = static_cast<u32>(
-      (std::max<u64>(opts.check_interval, 1) + kBlock - 1) / kBlock);
-  par::CheckThrottle throttle(blocks_per_check);
+  par::CheckThrottle throttle(blocks_per_check<Hash>(opts.check_interval));
 
   u64 local_hashed = 0;
   u64 since_hook = 0;
@@ -313,8 +386,7 @@ void scan_stream(CandidateStream& stream,
     trace->span(obs::SpanKind::kSearchShell, span_open_s, trace->now_s(),
                 static_cast<u32>(span_shell), span_hashed);
   };
-  bool running = true;
-  while (running) {
+  while (true) {
     bool check_now = false;
     if (throttle.due()) {
       if (opts.quantum_hook) {
@@ -339,23 +411,15 @@ void scan_stream(CandidateStream& stream,
         (ctx.check_deadline() || ctx.should_stop(opts.early_exit))) {
       break;  // the just-fetched block is discarded unhashed
     }
-    hash::hash_seed_block(hash, candidates.data(), n, digests.data());
-    std::size_t counted = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      u32 head;
-      std::memcpy(&head, digests[i].bytes.data(), sizeof(head));
-      if (head != target_head || digests[i] != target) continue;
-      if (!found) found = {candidates[i], last_shell};
-      ctx.signal_match();
-      if (opts.early_exit) {
-        counted = i + 1;  // lanes past the match were speculative
-        running = false;
-      }
-      break;
-    }
-    local_hashed += counted;
-    since_hook += counted;
-    span_hashed += counted;
+    const hash::BlockScan scan =
+        hash::scan_block(hash, candidates.data(), n, target, opts.early_exit);
+    local_hashed += scan.counted;
+    since_hook += scan.counted;
+    span_hashed += scan.counted;
+    if (!scan.found()) continue;
+    if (!found) found = {candidates[scan.match], last_shell};
+    ctx.signal_match();
+    if (opts.early_exit) break;
   }
   close_shell_span();
   if (opts.quantum_hook && since_hook > 0) opts.quantum_hook(0, since_hook);
@@ -388,40 +452,32 @@ SearchResult rbc_search(const Seed256& s_init,
 
   SearchResult result;
   WallTimer timer;
-  std::optional<std::pair<Seed256, int>> found;
-
-  // Lines 4-8: distance 0 — hash S_init itself (unit r = 0's job).
-  result.seeds_hashed = 1;
-  ctx.add_progress(1);
-  if (hash(s_init) == target) {
-    result.found = true;
-    result.seed = s_init;
-    result.distance = 0;
+  if (detail::matches_at_distance_zero(s_init, target, hash, ctx, result,
+                                       timer)) {
     result.canonical_rank = 1;
-    result.host_seconds = timer.elapsed_s();
     return result;
   }
+  detail::Match found;
 
+  // The single-unit streams start after distance 0, hashed above.
+  const auto scan = [&](auto&& stream) {
+    stream.skip_base();
+    detail::scan_stream<Hash>(stream, target, hash, opts, ctx, found,
+                              result.seeds_hashed);
+    ctx.check_deadline();
+  };
   if (opts.order == SearchOrder::kReliability && opts.reliability != nullptr) {
     // Reliability-ordered sessions drive the likelihood-first stream on the
     // calling thread regardless of num_threads: the best-first enumeration
     // is inherently sequential, and silently falling through to an
     // order-ignoring parallel search would discard the requested order.
-    OrderedBallStream stream(s_init, opts.max_distance, opts.reliability,
-                             opts.ordered_budget, factory.n_bits());
-    stream.skip_base();
-    detail::scan_stream<Hash>(stream, target, hash, opts, ctx, found,
-                              result.seeds_hashed);
-    ctx.check_deadline();
+    scan(OrderedBallStream(s_init, opts.max_distance, opts.reliability,
+                           opts.ordered_budget, factory.n_bits()));
   } else if (opts.num_threads == 1) {
     // A single unit has nobody to steal from and nothing to pipeline into,
     // so it streams the ball on the calling thread (e.g. per-session server
-    // searches). The stream starts after distance 0, which was hashed above.
-    BallStream<Factory> stream(s_init, opts.max_distance, factory);
-    stream.skip_base();
-    detail::scan_stream<Hash>(stream, target, hash, opts, ctx, found,
-                              result.seeds_hashed);
-    ctx.check_deadline();
+    // searches).
+    scan(BallStream<Factory>(s_init, opts.max_distance, factory));
   } else {
     // Tiled shells overlap in flight, so a per-shell span would lie about
     // exclusivity; record one span over the whole tiled scan instead
@@ -439,16 +495,10 @@ SearchResult rbc_search(const Seed256& s_init,
   }
 
   if (found) {
-    result.found = true;
-    result.seed = found->first;
-    result.distance = found->second;
     result.canonical_rank =
         comb::canonical_ball_rank(found->first ^ s_init, factory.n_bits());
-  } else {
-    result.timed_out = ctx.timed_out();
-    result.cancelled = ctx.cancel_requested() && !ctx.timed_out();
   }
-  result.host_seconds = timer.elapsed_s();
+  detail::finish(result, found, ctx, timer);
   return result;
 }
 

@@ -308,7 +308,7 @@ struct FusionEngine::Impl {
                                         cfg.iterator, opts);
     std::memcpy(job->target.bytes.data(), digest.data(),
                 job->target.bytes.size());
-    std::memcpy(&job->head, digest.data(), sizeof(job->head));
+    job->head = hash::digest_head(job->target);
     if (session != nullptr) {
       job->ctx = session;
     } else {

@@ -1,6 +1,7 @@
 #include "sim/probe.hpp"
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 #include "combinatorics/algorithm515.hpp"
@@ -153,15 +154,11 @@ template <hash::BatchSeedHash Hash, typename Iterator>
 void consume_batched(const Seed256& base, Iterator& iterator, u8& sink,
                      u64& produced) {
   constexpr std::size_t kBlock = Hash::kBatch;
-  Seed256 candidates[kBlock];
+  std::array<Seed256, kBlock> candidates;
   typename Hash::digest_type digests[kBlock];
   const Hash hasher;
-  Seed256 mask;
-  for (;;) {
-    std::size_t n = 0;
-    while (n < kBlock && iterator.next(mask)) candidates[n++] = base ^ mask;
-    if (n == 0) break;
-    hasher.hash_batch(candidates, n, digests);
+  while (const std::size_t n = hash::fill_block(iterator, base, candidates)) {
+    hasher.hash_batch(candidates.data(), n, digests);
     for (std::size_t i = 0; i < n; ++i) sink ^= digests[i].bytes[0];
     produced += n;
   }

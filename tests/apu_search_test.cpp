@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "hash/keccak.hpp"
 #include "hash/sha1.hpp"
+#include "search_oracle.hpp"
 
 namespace rbc::apu {
 namespace {
@@ -48,54 +49,36 @@ TEST(ApuBitslicedSearch, FindsSeedAtDistanceZero) {
   EXPECT_EQ(r.seed, s);
 }
 
+/// The bit-sliced search over a d <= 2 ball (24 bits) against the oracle,
+/// with the exact batch-rounded visit count.
+template <typename Factory = comb::ChaseFactory, typename Keep>
+void expect_apu_matches_oracle(u64 rng_seed, Keep keep) {
+  oracle::expect_searches_match(
+      oracle::select(oracle::cases(rng_seed, 2, 24, /*exhaustive=*/false),
+                     keep),
+      oracle::apu_search<Factory>, oracle::apu_visit<Factory>);
+}
+
 class ApuSearchDistance : public ::testing::TestWithParam<int> {};
 
 TEST_P(ApuSearchDistance, Sha3FindsPlantedSeed) {
-  const int d = GetParam();
-  Xoshiro256 rng(3);
-  const Seed256 base = Seed256::random(rng);
-  Seed256 truth = base;
-  for (int i = 0; i < d; ++i) truth.flip_bit(10 + 37 * i);
-
-  comb::ChaseFactory factory;
-  VectorUnit vu;
-  const auto r = apu_bitsliced_search<hash::Digest256, sha3_256_seed_x64>(
-      base, hash::sha3_256_seed(truth), 2, factory, vu);
-  EXPECT_TRUE(r.found);
-  EXPECT_EQ(r.distance, d);
-  EXPECT_EQ(r.seed, truth);
-  EXPECT_GT(r.column_cycles, 0u);
+  expect_apu_matches_oracle(3, [d = GetParam()](const oracle::Case& c) {
+    return c.planted == d && c.algo == hash::HashAlgo::kSha3_256;
+  });
 }
 
 TEST_P(ApuSearchDistance, Sha1FindsPlantedSeed) {
-  const int d = GetParam();
-  Xoshiro256 rng(4);
-  const Seed256 base = Seed256::random(rng);
-  Seed256 truth = base;
-  for (int i = 0; i < d; ++i) truth.flip_bit(200 - 41 * i);
-
-  comb::GosperFactory factory;
-  VectorUnit vu;
-  const auto r = apu_bitsliced_search<hash::Digest160, sha1_seed_x64>(
-      base, hash::sha1_seed(truth), 2, factory, vu);
-  EXPECT_TRUE(r.found);
-  EXPECT_EQ(r.distance, d);
-  EXPECT_EQ(r.seed, truth);
+  expect_apu_matches_oracle<comb::GosperFactory>(
+      4, [d = GetParam()](const oracle::Case& c) {
+        return c.planted == d && c.algo == hash::HashAlgo::kSha1;
+      });
 }
 
 INSTANTIATE_TEST_SUITE_P(Distances, ApuSearchDistance,
                          ::testing::Values(1, 2));
 
 TEST(ApuBitslicedSearch, ExhaustsBallWhenTargetAbsent) {
-  Xoshiro256 rng(5);
-  const Seed256 base = Seed256::random(rng);
-  const Seed256 unrelated = Seed256::random(rng);
-  comb::ChaseFactory factory;
-  VectorUnit vu;
-  const auto r = apu_bitsliced_search<hash::Digest160, sha1_seed_x64>(
-      base, hash::sha1_seed(unrelated), 1, factory, vu);
-  EXPECT_FALSE(r.found);
-  EXPECT_EQ(r.seeds_hashed, 257u);  // 1 + 256, in ceil(257/64)=5 batches
+  expect_apu_matches_oracle(5, oracle::absent);
 }
 
 TEST(ApuBitslicedSearch, ColumnCyclesScaleWithBatches) {
@@ -115,19 +98,9 @@ TEST(ApuBitslicedSearch, ColumnCyclesScaleWithBatches) {
 }
 
 TEST(ApuBitslicedSearch, AgreesWithScalarSearchOnSeedsVisited) {
-  // Batch padding must not change the seeds-visited count at d=1.
-  Xoshiro256 rng(7);
-  const Seed256 base = Seed256::random(rng);
-  Seed256 truth = base;
-  truth.flip_bit(255);  // near the end of the shell for Chase's order
-
-  comb::ChaseFactory factory;
-  VectorUnit vu;
-  const auto r = apu_bitsliced_search<hash::Digest256, sha3_256_seed_x64>(
-      base, hash::sha3_256_seed(truth), 1, factory, vu);
-  EXPECT_TRUE(r.found);
-  EXPECT_LE(r.seeds_hashed, 257u);
-  EXPECT_GE(r.seeds_hashed, 1u);
+  // Batch padding must not change the seeds visited: the match's batch
+  // counts in full, only its real lanes.
+  expect_apu_matches_oracle(7, oracle::planted);
 }
 
 }  // namespace

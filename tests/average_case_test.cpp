@@ -14,6 +14,7 @@
 #include "combinatorics/gosper.hpp"
 #include "common/rng.hpp"
 #include "rbc/search.hpp"
+#include "search_oracle.hpp"
 
 namespace rbc {
 namespace {
@@ -92,22 +93,17 @@ TEST(AverageCase, MultiThreadedSearchDoesNotWasteWork) {
 }
 
 TEST(AverageCase, ExhaustiveAlwaysVisitsEq1Count) {
-  Xoshiro256 rng(23);
   par::WorkerGroup pool(2);
-  const hash::Sha1SeedHash hash;
   for (int d : {1, 2}) {
-    const Seed256 base = Seed256::random(rng);
-    const Seed256 truth = random_seed_at_distance(base, d, rng);
-    comb::ChaseFactory factory;
-    SearchOptions opts;
-    opts.max_distance = d;
-    opts.num_threads = 2;
-    opts.early_exit = false;
-    const auto r = rbc_search<hash::Sha1SeedHash>(base, hash(truth), factory,
-                                                  pool, opts, hash);
-    EXPECT_TRUE(r.found);
-    EXPECT_EQ(r.seeds_hashed,
+    const auto exhaustive = oracle::select(
+        oracle::cases(23 + static_cast<u64>(d), d, comb::kSeedBits, true),
+        [](const oracle::Case& c) { return !c.early_exit; });
+    // The brute-force ball is the Eq. 1 count.
+    EXPECT_EQ(oracle::brute_force(exhaustive.front()).seeds_hashed,
               static_cast<u64>(comb::exhaustive_search_count(d)));
+    oracle::expect_searches_match(
+        exhaustive, oracle::host_search</*kBatched=*/false>(pool, 2,
+                                                            oracle::chase));
   }
 }
 

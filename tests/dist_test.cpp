@@ -6,6 +6,7 @@
 
 #include "common/rng.hpp"
 #include "dist/dist_search.hpp"
+#include "search_oracle.hpp"
 
 namespace rbc::dist {
 namespace {
@@ -83,33 +84,17 @@ TEST(Communicator, ValidatesConfiguration) {
 
 // --- distributed search ----------------------------------------------------------
 
-Seed256 flipped(Seed256 s, std::initializer_list<int> bits) {
-  for (int b : bits) s.flip_bit(b);
-  return s;
-}
-
-SearchOptions ball(int max_distance) {
-  SearchOptions opts;
-  opts.max_distance = max_distance;
-  return opts;
+std::vector<oracle::Case> ball_cases(u64 seed, bool exhaustive) {
+  return oracle::cases(seed, 2, comb::kSeedBits, exhaustive);
 }
 
 class DistSearchRanks : public ::testing::TestWithParam<int> {};
 
 TEST_P(DistSearchRanks, FindsPlantedSeed) {
-  const int ranks = GetParam();
-  Communicator comm(ranks);
-  Xoshiro256 rng(static_cast<u64>(ranks));
-  const Seed256 base = Seed256::random(rng);
-  const Seed256 truth = flipped(base, {5, 190});
-  const hash::Sha3SeedHash hash;
-  const auto r = distributed_search<hash::Sha3SeedHash>(comm, base,
-                                                        hash(truth), ball(2));
-  EXPECT_TRUE(r.found);
-  EXPECT_EQ(r.seed, truth);
-  EXPECT_EQ(r.distance, 2);
-  EXPECT_GE(r.finder_rank, 0);
-  EXPECT_LT(r.finder_rank, ranks);
+  oracle::expect_searches_match(
+      oracle::select(ball_cases(static_cast<u64>(GetParam()), false),
+                     oracle::planted),
+      oracle::dist_search(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, DistSearchRanks,
@@ -120,28 +105,23 @@ TEST(DistSearch, DistanceZeroFoundByRankZero) {
   Xoshiro256 rng(1);
   const Seed256 base = Seed256::random(rng);
   const hash::Sha1SeedHash hash;
+  SearchOptions opts;
+  opts.max_distance = 2;
   const auto r =
-      distributed_search<hash::Sha1SeedHash>(comm, base, hash(base), ball(2));
+      distributed_search<hash::Sha1SeedHash>(comm, base, hash(base), opts);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.distance, 0);
   EXPECT_EQ(r.finder_rank, 0);
 }
 
 TEST(DistSearch, ExhaustsBallWhenAbsent) {
-  Communicator comm(3);
-  Xoshiro256 rng(2);
-  const Seed256 base = Seed256::random(rng);
-  const Seed256 unrelated = Seed256::random(rng);
-  const hash::Sha1SeedHash hash;
-  const auto r = distributed_search<hash::Sha1SeedHash>(comm, base,
-                                                        hash(unrelated),
-                                                        ball(2));
-  EXPECT_FALSE(r.found);
-  EXPECT_EQ(r.seeds_hashed, 32897u);
+  oracle::expect_searches_match(
+      oracle::select(ball_cases(2, false), oracle::absent),
+      oracle::dist_search(3));
 }
 
 /// SHA-1 seed hash that holds every shell-2 candidate until the planted
-/// shell-1 match has been hashed. No shell-2 chunk can then finish, and no
+/// shell-1 match has been hashed. No shell-2 grant can then finish, and no
 /// rank can ask for a second one, before the finder reports — whatever the
 /// thread scheduling under CPU load.
 struct ShellTwoWaitsForMatch {
@@ -170,94 +150,73 @@ TEST(DistSearch, EarlyStopSavesWorkOnLaterShells) {
   Communicator comm(kRanks);
   Xoshiro256 rng(3);
   const Seed256 base = Seed256::random(rng);
-  const Seed256 truth = flipped(base, {128});
+  Seed256 truth = base;
+  truth.flip_bit(128);
   std::atomic<bool> match_hashed{false};
   const ShellTwoWaitsForMatch gated{&base, &truth, &match_hashed};
-  const SearchOptions opts = ball(2);
+  SearchOptions opts;
+  opts.max_distance = 2;
   const auto r = distributed_search<ShellTwoWaitsForMatch>(
       comm, base, hash::sha1_seed(truth), opts, gated);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.distance, 1);
 
-  // Bound from the chunk-grant protocol (min_chunk = check_interval = 256):
+  // Bound from the tile-grant protocol (tiles of check_interval = 256
+  // seeds):
   //  * distance 0 is one hash on rank 0;
-  //  * shell 1 is a single grant of all 256 candidates;
+  //  * shell 1 is a single one-tile grant of all 256 candidates;
   //  * until rank 0 reads FOUND, each other rank holds at most one shell-2
-  //    grant, a guided chunk of at most |shell 2| / (2 * ranks), and rank 0
-  //    at most one self-granted quantum of min_chunk;
+  //    grant, whole tiles totalling at most |shell 2| / (2 * ranks) seeds,
+  //    and rank 0 at most one self-granted tile;
   //  * after FOUND, every request gets an empty grant.
   // The gate leaves one race: the finder stalling between hashing the match
   // and posting FOUND, a few instructions.
   const u64 shell1 = 256, shell2 = 32640;
-  const u64 min_chunk = opts.check_interval;
-  const u64 bound =
-      1 + shell1 + min_chunk + (kRanks - 1) * (shell2 / (2 * kRanks));
+  const u64 tile = opts.check_interval;
+  const u64 bound = 1 + shell1 + tile + (kRanks - 1) * (shell2 / (2 * kRanks));
   EXPECT_LE(r.seeds_hashed, bound);
   EXPECT_LT(bound, 1 + shell1 + shell2 / 2);  // over half of shell 2 saved
 }
 
 TEST(DistSearch, CommunicatorIsReusableAcrossSearches) {
   Communicator comm(3);
-  Xoshiro256 rng(4);
-  const hash::Sha1SeedHash hash;
-  for (int trial = 0; trial < 3; ++trial) {
-    const Seed256 base = Seed256::random(rng);
-    const Seed256 truth = flipped(base, {10 + trial});
-    const auto r =
-        distributed_search<hash::Sha1SeedHash>(comm, base, hash(truth),
-                                               ball(1));
-    EXPECT_TRUE(r.found) << "trial " << trial;
-    EXPECT_EQ(r.seed, truth);
-  }
+  oracle::expect_searches_match(
+      oracle::select(ball_cases(4, false), oracle::planted),
+      [&](const oracle::Case& c) {
+        return oracle::typed(c, [&](auto hash, const auto& target) {
+          const auto r = distributed_search<decltype(hash)>(
+              comm, c.s_init, target, oracle::options_for(c, 1), hash);
+          return oracle::Outcome{r.found, r.seed, r.distance, r.seeds_hashed};
+        });
+      });
 }
 
 TEST(DistSearch, ResultsIndependentOfCheckInterval) {
-  Communicator comm(3);
-  Xoshiro256 rng(5);
-  const Seed256 base = Seed256::random(rng);
-  const Seed256 truth = flipped(base, {33, 77});
-  const hash::Sha3SeedHash hash;
   for (u32 interval : {1u, 16u, 256u}) {
-    SearchOptions opts = ball(2);
-    opts.check_interval = interval;
-    const auto r = distributed_search<hash::Sha3SeedHash>(comm, base,
-                                                          hash(truth), opts);
-    EXPECT_TRUE(r.found) << "check_interval=" << interval;
-    EXPECT_EQ(r.seed, truth);
+    SCOPED_TRACE(::testing::Message() << "check_interval=" << interval);
+    oracle::expect_searches_match(
+        oracle::select(ball_cases(5, false), oracle::planted),
+        oracle::dist_search(3, interval));
   }
 }
 
 TEST(DistSearch, ExhaustiveModeCountsFullBallEvenWithMatch) {
-  // early_exit=false: the planted seed is reported, but every chunk of the
+  // early_exit=false: a planted seed is reported, but every tile of the
   // ball is still granted and searched, so the aggregate count is exact.
-  Communicator comm(3);
-  Xoshiro256 rng(6);
-  const Seed256 base = Seed256::random(rng);
-  const Seed256 truth = flipped(base, {7, 201});
-  const hash::Sha1SeedHash hash;
-  SearchOptions opts = ball(2);
-  opts.early_exit = false;
-  const auto r =
-      distributed_search<hash::Sha1SeedHash>(comm, base, hash(truth), opts);
-  EXPECT_TRUE(r.found);
-  EXPECT_EQ(r.seed, truth);
-  EXPECT_EQ(r.distance, 2);
-  EXPECT_EQ(r.seeds_hashed, 32897u);
+  oracle::expect_searches_match(
+      oracle::select(ball_cases(6, true),
+                     [](const oracle::Case& c) { return !c.early_exit; }),
+      oracle::dist_search(3));
 }
 
 TEST(DistSearch, GuidedChunksCoverShellOncePerRankCount) {
   // The guided grants must partition each shell exactly regardless of the
   // rank count: exhaustive counts are the ball size for every topology.
-  Xoshiro256 rng(7);
-  const Seed256 base = Seed256::random(rng);
-  const Seed256 unrelated = Seed256::random(rng);
-  const hash::Sha1SeedHash hash;
   for (int ranks : {1, 2, 5}) {
-    Communicator comm(ranks);
-    const auto r = distributed_search<hash::Sha1SeedHash>(
-        comm, base, hash(unrelated), ball(2));
-    EXPECT_FALSE(r.found) << "ranks=" << ranks;
-    EXPECT_EQ(r.seeds_hashed, 32897u) << "ranks=" << ranks;
+    SCOPED_TRACE(::testing::Message() << "ranks=" << ranks);
+    oracle::expect_searches_match(
+        oracle::select(ball_cases(7, false), oracle::absent),
+        oracle::dist_search(ranks));
   }
 }
 

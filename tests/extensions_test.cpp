@@ -3,9 +3,8 @@
 // multi-GPU backend.
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
-#include "hash/keccak.hpp"
 #include "rbc/engines.hpp"
+#include "search_oracle.hpp"
 #include "sim/cluster_model.hpp"
 #include "sim/security_planner.hpp"
 
@@ -155,11 +154,6 @@ namespace {
 
 // --- functional multi-GPU backend ----------------------------------------------
 
-Bytes sha3_digest_of(const Seed256& s) {
-  const auto d = hash::sha3_256_seed(s);
-  return Bytes(d.bytes.begin(), d.bytes.end());
-}
-
 TEST(MultiGpuBackend, FactorySelectsMultiEngine) {
   EngineConfig cfg;
   cfg.host_threads = 2;
@@ -173,20 +167,16 @@ TEST(MultiGpuBackend, FindsSeedFunctionally) {
   cfg.host_threads = 2;
   cfg.num_devices = 3;
   auto backend = make_backend("gpu", cfg);
-
-  Xoshiro256 rng(1);
-  const Seed256 base = Seed256::random(rng);
-  Seed256 truth = base;
-  truth.flip_bit(77);
-  truth.flip_bit(212);
-
-  SearchOptions opts;
-  opts.max_distance = 2;
-  const auto report = backend->search(base, sha3_digest_of(truth),
-                                      hash::HashAlgo::kSha3_256, opts);
-  EXPECT_TRUE(report.result.found);
-  EXPECT_EQ(report.result.seed, truth);
-  EXPECT_EQ(report.device_name, "3x NVIDIA A100");
+  oracle::expect_searches_match(
+      oracle::select(oracle::cases(1, 2, comb::kSeedBits, false),
+                     oracle::planted),
+      [&](const oracle::Case& c) {
+        const auto report =
+            backend->search(c.s_init, oracle::digest_of(c.truth, c.algo),
+                            c.algo, oracle::options_for(c, 1));
+        EXPECT_EQ(report.device_name, "3x NVIDIA A100");
+        return oracle::outcome_of(report.result);
+      });
 }
 
 TEST(MultiGpuBackend, ModeledExhaustiveTimeScalesDown) {

@@ -5,8 +5,9 @@
 // the EXACT same seeds_hashed as the backend's single-thread solo search —
 // fusion is an execution substitution, not a semantic change. These tests
 // pin that down candidate-by-candidate (stream order), lane-by-lane (the
-// tagged batch kernel), search-by-search (solo vs fused over randomized
-// concurrent mixes), and server-by-server (shard counts and chaos faults
+// tagged batch kernel), search-by-search (fused against the brute-force
+// oracle; search_oracle_test.cpp also runs a whole ball's sessions through
+// one engine at once), and server-by-server (shard counts and chaos faults
 // must not perturb verdicts when fusion is on).
 //
 // FusionEngine*/FusionServer* run under TSan in CI: driver threads block on
@@ -16,7 +17,6 @@
 
 #include <future>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -27,6 +27,7 @@
 #include "rbc/candidate_stream.hpp"
 #include "server/auth_server.hpp"
 #include "server/fusion_engine.hpp"
+#include "search_oracle.hpp"
 
 namespace rbc::server {
 namespace {
@@ -47,14 +48,7 @@ Seed256 mask_of_weight(int k, u64 salt) {
   return mask;
 }
 
-Bytes digest_of(const Seed256& s, hash::HashAlgo algo) {
-  if (algo == hash::HashAlgo::kSha1) {
-    const hash::Digest160 d = hash::sha1_seed(s);
-    return Bytes(d.bytes.begin(), d.bytes.end());
-  }
-  const hash::Digest256 d = hash::sha3_256_seed(s);
-  return Bytes(d.bytes.begin(), d.bytes.end());
-}
+using oracle::digest_of;
 
 SearchOptions small_search_opts() {
   SearchOptions opts;
@@ -206,101 +200,25 @@ void expect_equivalent(const EngineReport& solo, const EngineReport& fused,
   }
 }
 
-TEST(FusionEngine, SoloAndFusedAgreeOnPlantedMatches) {
-  SoloBaseline solo;
+/// Fused sessions of one seeded ball, one at a time, against the
+/// brute-force oracle: the solo search's verdict and its exact canonical
+/// visit count.
+void expect_fused_matches_oracle(u64 rng_seed, bool planted) {
   FusionEngine engine;
-  const SearchOptions opts = small_search_opts();
-  const hash::HashAlgo algos[] = {hash::HashAlgo::kSha1,
-                                  hash::HashAlgo::kSha3_256};
-  for (hash::HashAlgo algo : algos) {
-    for (int d = 0; d <= 2; ++d) {
-      const Seed256 s_init = random_seed(0x5EED0 + static_cast<u64>(d));
-      const Seed256 planted =
-          s_init ^ mask_of_weight(d, 0xFACE + static_cast<u64>(d));
-      const Bytes digest = digest_of(planted, algo);
-      const EngineReport want = solo.run(s_init, digest, algo, opts);
-      ASSERT_TRUE(want.result.found);
-      ASSERT_EQ(want.result.distance, d);
-      auto fused =
-          engine.try_search(s_init, ByteSpan(digest), algo, opts, nullptr);
-      ASSERT_TRUE(fused.has_value());
-      expect_equivalent(want, *fused, "planted match");
-    }
-  }
+  oracle::expect_searches_match(
+      oracle::select(oracle::cases(rng_seed, 2, comb::kSeedBits, false),
+                     planted ? oracle::planted : oracle::absent),
+      oracle::fused_search(engine), oracle::chase_visit);
+}
+
+TEST(FusionEngine, SoloAndFusedAgreeOnPlantedMatches) {
+  expect_fused_matches_oracle(0x5EED0, /*planted=*/true);
 }
 
 TEST(FusionEngine, SoloAndFusedAgreeOnMiss) {
-  SoloBaseline solo;
-  FusionEngine engine;
-  const SearchOptions opts = small_search_opts();
-  const Seed256 s_init = random_seed(0x5EED9);
-  // A target from outside the ball: both paths must exhaust all 32 897
+  // A target from outside the ball: the fused path must exhaust all 32 897
   // candidates and report the full visit count.
-  const Bytes digest =
-      digest_of(s_init ^ mask_of_weight(7, 0xBEEF), hash::HashAlgo::kSha3_256);
-  const EngineReport want =
-      solo.run(s_init, digest, hash::HashAlgo::kSha3_256, opts);
-  ASSERT_FALSE(want.result.found);
-  ASSERT_EQ(want.result.seeds_hashed, kBallD2);
-  auto fused = engine.try_search(s_init, ByteSpan(digest),
-                                 hash::HashAlgo::kSha3_256, opts, nullptr);
-  ASSERT_TRUE(fused.has_value());
-  expect_equivalent(want, *fused, "miss");
-}
-
-TEST(FusionEngine, ConcurrentRandomMixMatchesSoloExactly) {
-  // The headline equivalence: a randomized mix of concurrent sessions —
-  // both algorithms, planted matches at d0/d1/d2 (ragged tails, mid-batch
-  // early exit with same-batch backfill) and full-ball misses — must each
-  // retire with the solo verdict AND the solo seeds_hashed, while genuinely
-  // sharing batches (the engine sees them all in flight at once).
-  constexpr int kSessions = 24;
-  SoloBaseline solo;
-  FusionEngine engine;
-  const SearchOptions opts = small_search_opts();
-
-  struct Case {
-    Seed256 s_init;
-    Bytes digest;
-    hash::HashAlgo algo;
-    EngineReport want;
-  };
-  std::vector<Case> cases;
-  for (int i = 0; i < kSessions; ++i) {
-    Case c;
-    c.s_init = random_seed(0xA11CE + static_cast<u64>(i));
-    c.algo = (i % 3 == 0) ? hash::HashAlgo::kSha1 : hash::HashAlgo::kSha3_256;
-    const int kind = i % 5;  // 0..2: planted at d=kind; 3,4: miss
-    const int weight = kind <= 2 ? kind : 9;
-    c.digest = digest_of(
-        c.s_init ^ mask_of_weight(weight, 0xD00D + static_cast<u64>(i)),
-        c.algo);
-    c.want = solo.run(c.s_init, c.digest, c.algo, opts);
-    cases.push_back(std::move(c));
-  }
-
-  std::vector<std::optional<EngineReport>> fused(kSessions);
-  std::vector<std::thread> drivers;
-  for (int i = 0; i < kSessions; ++i) {
-    drivers.emplace_back([&, i] {
-      const Case& c = cases[static_cast<unsigned>(i)];
-      fused[static_cast<unsigned>(i)] = engine.try_search(
-          c.s_init, ByteSpan(c.digest), c.algo, opts, nullptr);
-    });
-  }
-  for (auto& t : drivers) t.join();
-
-  for (int i = 0; i < kSessions; ++i) {
-    ASSERT_TRUE(fused[static_cast<unsigned>(i)].has_value()) << "session " << i;
-    expect_equivalent(cases[static_cast<unsigned>(i)].want,
-                      *fused[static_cast<unsigned>(i)], "concurrent mix");
-  }
-
-  const FusionStats stats = engine.stats();
-  EXPECT_EQ(stats.fused_sessions, static_cast<u64>(kSessions));
-  EXPECT_GT(stats.batch_count, 0u);
-  EXPECT_LE(stats.lanes_filled, stats.lanes_issued);
-  EXPECT_GT(stats.lanes_filled, 0u);
+  expect_fused_matches_oracle(0x5EED9, /*planted=*/false);
 }
 
 TEST(FusionEngine, PreExpiredDeadlineCountsExactlyTheBaseSeed) {

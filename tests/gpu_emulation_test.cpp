@@ -6,6 +6,7 @@
 
 #include "common/rng.hpp"
 #include "gpu/salted_kernel.hpp"
+#include "search_oracle.hpp"
 
 namespace rbc::gpu {
 namespace {
@@ -84,26 +85,15 @@ TEST(GridFor, CeilDivision) {
 
 // --- the SALTED kernel ---------------------------------------------------------
 
-Seed256 flipped(Seed256 s, std::initializer_list<int> bits) {
-  for (int b : bits) s.flip_bit(b);
-  return s;
+std::vector<oracle::Case> ball_cases(u64 seed) {
+  return oracle::cases(seed, 2, comb::kSeedBits, /*exhaustive=*/false);
 }
 
 TEST(SaltedKernel, FindsSeedAtEachDistance) {
   par::WorkerGroup pool(4);
-  Xoshiro256 rng(1);
-  const hash::Sha3SeedHash hash;
-  for (int d : {0, 1, 2}) {
-    const Seed256 base = Seed256::random(rng);
-    Seed256 truth = base;
-    for (int i = 0; i < d; ++i) truth.flip_bit(30 + 60 * i);
-    const auto r = gpu_emulated_search<hash::Sha3SeedHash>(
-        pool, base, hash(truth), 2, [](int) { return 8; },
-        /*threads_per_block=*/32, hash);
-    EXPECT_TRUE(r.found) << "d=" << d;
-    EXPECT_EQ(r.distance, d);
-    EXPECT_EQ(r.seed, truth);
-  }
+  oracle::expect_searches_match(
+      oracle::select(ball_cases(1), oracle::planted),
+      oracle::kernel_search(pool, [](int) { return 8; }));
 }
 
 TEST(SaltedKernel, HostSkipsLaterShellsAfterFlag) {
@@ -112,7 +102,8 @@ TEST(SaltedKernel, HostSkipsLaterShellsAfterFlag) {
   par::WorkerGroup pool(2);
   Xoshiro256 rng(2);
   const Seed256 base = Seed256::random(rng);
-  const Seed256 truth = flipped(base, {100});
+  Seed256 truth = base;
+  truth.flip_bit(100);
   const hash::Sha1SeedHash hash;
   const auto r = gpu_emulated_search<hash::Sha1SeedHash>(
       pool, base, hash(truth), 2, [](int) { return 4; }, 32, hash);
@@ -123,27 +114,19 @@ TEST(SaltedKernel, HostSkipsLaterShellsAfterFlag) {
 
 TEST(SaltedKernel, ExhaustsShellWhenTargetAbsent) {
   par::WorkerGroup pool(4);
-  Xoshiro256 rng(3);
-  const Seed256 base = Seed256::random(rng);
-  const Seed256 unrelated = Seed256::random(rng);
-  const hash::Sha1SeedHash hash;
-  const auto r = gpu_emulated_search<hash::Sha1SeedHash>(
-      pool, base, hash(unrelated), 2, [](int k) { return k == 1 ? 4 : 16; },
-      32, hash);
-  EXPECT_FALSE(r.found);
-  EXPECT_EQ(r.seeds_hashed, 32897u);
+  oracle::expect_searches_match(
+      oracle::select(ball_cases(3), oracle::absent),
+      oracle::kernel_search(pool, [](int k) { return k == 1 ? 4 : 16; }));
 }
 
 TEST(SaltedKernel, GuardThreadsBeyondPartitionAreInert) {
-  // p=5 partitions with block size 32: 27 guard threads must not hash.
+  // p=5 partitions with block size 32: 27 guard threads must not hash, so a
+  // miss counts exactly the ball.
   par::WorkerGroup pool(2);
-  Xoshiro256 rng(4);
-  const Seed256 base = Seed256::random(rng);
-  const Seed256 unrelated = Seed256::random(rng);
-  const hash::Sha1SeedHash hash;
-  const auto r = gpu_emulated_search<hash::Sha1SeedHash>(
-      pool, base, hash(unrelated), 1, [](int) { return 5; }, 32, hash);
-  EXPECT_EQ(r.seeds_hashed, 257u);  // exactly the ball, no double counting
+  oracle::expect_searches_match(
+      oracle::select(oracle::cases(4, 1, comb::kSeedBits, false),
+                     oracle::absent),
+      oracle::kernel_search(pool, [](int) { return 5; }));
 }
 
 TEST(SaltedKernel, SessionDeadlineStopsKernelMidShell) {
@@ -166,16 +149,11 @@ TEST(SaltedKernel, SessionDeadlineStopsKernelMidShell) {
 
 TEST(SaltedKernel, AgreesWithReferenceEngineAcrossPartitionWidths) {
   par::WorkerGroup pool(4);
-  Xoshiro256 rng(5);
-  const Seed256 base = Seed256::random(rng);
-  const Seed256 truth = flipped(base, {17, 211});
-  const hash::Sha3SeedHash hash;
   for (int p : {1, 3, 16, 64}) {
-    const auto r = gpu_emulated_search<hash::Sha3SeedHash>(
-        pool, base, hash(truth), 2, [p](int) { return p; }, 32, hash);
-    EXPECT_TRUE(r.found) << "p=" << p;
-    EXPECT_EQ(r.seed, truth);
-    EXPECT_EQ(r.distance, 2);
+    SCOPED_TRACE(::testing::Message() << "p=" << p);
+    oracle::expect_searches_match(
+        oracle::select(ball_cases(5), oracle::planted),
+        oracle::kernel_search(pool, [p](int) { return p; }));
   }
 }
 
@@ -189,40 +167,6 @@ SearchOptions hetero_opts(int max_distance, bool early_exit) {
   opts.tile_seeds = 1024;  // many tiles, so both sides actually share work
   opts.timeout_s = 600.0;
   return opts;
-}
-
-TEST(HeteroCoSearch, ByteIdenticalToCpuOnlyTiledSearch) {
-  // The acceptance property: CPU+GPU co-search over one shared scheduler is
-  // byte-identical to the CPU-only tiled search on the same ball — same
-  // found/seed/distance, and in exhaustive mode the same exact count.
-  par::WorkerGroup pool(4);
-  Xoshiro256 rng(10);
-  const hash::Sha1BatchSeedHash hash;
-  const Seed256 base = Seed256::random(rng);
-  for (const bool planted : {true, false}) {
-    const Seed256 target_seed =
-        planted ? flipped(base, {41, 183}) : Seed256::random(rng);
-    const auto digest = hash(target_seed);
-
-    const auto opts = hetero_opts(2, /*early_exit=*/false);
-    const auto hetero = hetero_cosearch<hash::Sha1BatchSeedHash>(
-        pool, base, digest, opts, /*host_units=*/2, /*device_threads=*/8,
-        /*threads_per_block=*/4, hash);
-
-    comb::ChaseFactory factory;
-    SearchOptions cpu_opts = opts;
-    const auto cpu = rbc_search<hash::Sha1BatchSeedHash>(base, digest, factory,
-                                                         pool, cpu_opts, hash);
-
-    EXPECT_EQ(hetero.found, cpu.found) << "planted=" << planted;
-    EXPECT_EQ(hetero.seeds_hashed, cpu.seeds_hashed) << "planted=" << planted;
-    EXPECT_EQ(hetero.seeds_hashed, 32897u);
-    if (planted) {
-      EXPECT_EQ(hetero.seed, cpu.seed);
-      EXPECT_EQ(hetero.distance, cpu.distance);
-      EXPECT_EQ(hetero.distance, 2);
-    }
-  }
 }
 
 TEST(HeteroCoSearch, DeviceActuallySharesTheBall) {
@@ -252,19 +196,10 @@ TEST(HeteroCoSearch, DeviceActuallySharesTheBall) {
 
 TEST(HeteroCoSearch, EarlyExitFindsPlantedSeedAtEachDistance) {
   par::WorkerGroup pool(4);
-  Xoshiro256 rng(12);
-  const hash::Sha3BatchSeedHash hash;
-  for (int d : {0, 1, 2}) {
-    const Seed256 base = Seed256::random(rng);
-    Seed256 truth = base;
-    for (int i = 0; i < d; ++i) truth.flip_bit(20 + 70 * i);
-    const auto r = hetero_cosearch<hash::Sha3BatchSeedHash>(
-        pool, base, hash(truth), hetero_opts(2, /*early_exit=*/true),
-        /*host_units=*/2, /*device_threads=*/4, /*threads_per_block=*/2, hash);
-    EXPECT_TRUE(r.found) << "d=" << d;
-    EXPECT_EQ(r.distance, d);
-    EXPECT_EQ(r.seed, truth);
-  }
+  oracle::expect_searches_match(
+      oracle::select(ball_cases(12), oracle::planted),
+      oracle::hetero_search(pool, /*device_threads=*/4,
+                            /*threads_per_block=*/2));
 }
 
 TEST(HeteroCoSearch, SessionDeadlineStopsBothSides) {

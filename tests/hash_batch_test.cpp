@@ -1,14 +1,13 @@
 // PR 3 batched hashing pipeline: the multi-lane kernels must be
 // bit-identical to the scalar fixed-padding path at EVERY dispatch level and
-// for every ragged tail, and the batched search must reproduce the scalar
-// search's results and accounting exactly.
+// for every ragged tail, and the batched search must reproduce the
+// brute-force oracle's results and accounting exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
-#include "combinatorics/chase382.hpp"
 #include "common/rng.hpp"
 #include "hash/batch.hpp"
 #include "hash/cpu_features.hpp"
@@ -16,7 +15,7 @@
 #include "hash/keccak_multi.hpp"
 #include "hash/sha1.hpp"
 #include "hash/sha1_multi.hpp"
-#include "rbc/search.hpp"
+#include "search_oracle.hpp"
 
 namespace rbc {
 namespace {
@@ -191,84 +190,37 @@ TEST(HashBatch, HashSeedBlockDegradesToScalarPolicies) {
     EXPECT_EQ(out[i], scalar(seeds[i]));
 }
 
-// --- search-level regression: batched == scalar results + accounting ------
+// --- search-level regression: batched search == brute-force oracle ------
+//
+// The oracle hashes every candidate with the scalar fixed-padding path, so
+// agreeing with it — including the exact early-exit visit count of the
+// canonical stream — is agreeing with the scalar search.
 
-Seed256 seed_at_distance(const Seed256& base, int d, u64 rng_seed) {
-  Xoshiro256 rng(rng_seed);
-  Seed256 s = base;
-  int flipped = 0;
-  while (flipped < d) {
-    const int bit = static_cast<int>(rng.next_below(256));
-    if ((s ^ base).bit(bit)) continue;
-    s.flip_bit(bit);
-    ++flipped;
-  }
-  return s;
-}
-
-template <typename Hash>
-SearchResult search_with(const Seed256& base, const Seed256& truth,
-                         bool early_exit) {
-  comb::ChaseFactory factory;
+void expect_batched_search_matches_oracle(u64 rng_seed, bool early_exit) {
   par::WorkerGroup pool(1);
-  SearchOptions opts;
-  opts.max_distance = 2;
-  opts.num_threads = 1;  // deterministic visit order => exact accounting
-  opts.early_exit = early_exit;
-  opts.timeout_s = 600.0;
-  const Hash hash;
-  const hash::Sha3SeedHash target_hash;  // digest from the scalar reference
-  return rbc_search<Hash>(base, target_hash(truth), factory, pool, opts,
-                          hash);
+  oracle::expect_searches_match(
+      oracle::select(
+          oracle::cases(rng_seed, 2, comb::kSeedBits, !early_exit),
+          [&](const oracle::Case& c) {
+            return c.algo == hash::HashAlgo::kSha3_256 &&
+                   c.early_exit == early_exit;
+          }),
+      oracle::host_search(pool, 1, oracle::chase), oracle::chase_visit);
 }
 
 TEST(HashBatch, BatchedSearchMatchesScalarSearchEarlyExit) {
-  Xoshiro256 rng(31);
-  const Seed256 base = Seed256::random(rng);
-  const Seed256 truth = seed_at_distance(base, 2, 101);
-  const auto scalar = search_with<hash::Sha3SeedHash>(base, truth, true);
-  const auto batched = search_with<hash::Sha3BatchSeedHash>(base, truth, true);
-  EXPECT_TRUE(scalar.found);
-  EXPECT_TRUE(batched.found);
-  EXPECT_EQ(batched.seed, scalar.seed);
-  EXPECT_EQ(batched.distance, scalar.distance);
-  EXPECT_EQ(batched.seeds_hashed, scalar.seeds_hashed);
+  expect_batched_search_matches_oracle(31, /*early_exit=*/true);
 }
 
 TEST(HashBatch, BatchedSearchMatchesScalarSearchExhaustive) {
-  Xoshiro256 rng(32);
-  const Seed256 base = Seed256::random(rng);
-  const Seed256 truth = seed_at_distance(base, 1, 102);
-  const auto scalar = search_with<hash::Sha3SeedHash>(base, truth, false);
-  const auto batched =
-      search_with<hash::Sha3BatchSeedHash>(base, truth, false);
-  EXPECT_TRUE(batched.found);
-  EXPECT_EQ(batched.seed, scalar.seed);
-  EXPECT_EQ(batched.distance, scalar.distance);
-  // Whole d<=2 ball: 1 + 256 + 32640.
-  EXPECT_EQ(batched.seeds_hashed, 32897u);
-  EXPECT_EQ(scalar.seeds_hashed, 32897u);
+  expect_batched_search_matches_oracle(32, /*early_exit=*/false);
 }
 
 TEST(HashBatch, BatchedSearchIsLevelIndependent) {
-  Xoshiro256 rng(33);
-  const Seed256 base = Seed256::random(rng);
-  const Seed256 truth = seed_at_distance(base, 2, 103);
-  SearchResult reference;
-  bool have_reference = false;
   for (const SimdLevel level : available_levels()) {
+    SCOPED_TRACE(hash::to_string(level));
     ScopedSimdLevel guard(level);
-    const auto r = search_with<hash::Sha3BatchSeedHash>(base, truth, true);
-    EXPECT_TRUE(r.found) << hash::to_string(level);
-    if (!have_reference) {
-      reference = r;
-      have_reference = true;
-      continue;
-    }
-    EXPECT_EQ(r.seed, reference.seed) << hash::to_string(level);
-    EXPECT_EQ(r.distance, reference.distance) << hash::to_string(level);
-    EXPECT_EQ(r.seeds_hashed, reference.seeds_hashed)
-        << hash::to_string(level);
+    expect_batched_search_matches_oracle(33, /*early_exit=*/true);
   }
 }
 

@@ -35,6 +35,7 @@
 #include "rbc/search.hpp"
 #include "server/auth_server.hpp"
 #include "server/fusion_engine.hpp"
+#include "search_oracle.hpp"
 
 namespace rbc {
 namespace {
@@ -346,13 +347,13 @@ TEST(OrderedSearch, CheapestTripleIsFirstShellThreeCandidate) {
 }
 
 TEST(OrderedSearch, MissVisitsExactlyTheBall) {
-  const Seed256 base = random_seed(0x333);
-  const auto order = order_with_likely_bits({10, 20});
-  const Seed256 truth = base ^ mask_of_weight(9, 0x3155);
-  const SearchResult r = ordered_search(base, truth, 2, order);
-  EXPECT_FALSE(r.found);
-  EXPECT_EQ(r.seeds_hashed, kBallD2);  // permutation => identical miss count
-  EXPECT_EQ(r.canonical_rank, 0u);
+  // A permutation of the ball: the miss count is the ball size.
+  par::WorkerGroup pool(1);
+  oracle::expect_searches_match(
+      oracle::select(oracle::cases(0x333, 2, comb::kSeedBits, false,
+                                   oracle::Orders::kReliability),
+                     oracle::absent),
+      oracle::host_search(pool, 1, oracle::chase));
 }
 
 TEST(OrderedSearch, ThreadCountDoesNotPerturbOrderedResults) {
@@ -360,16 +361,12 @@ TEST(OrderedSearch, ThreadCountDoesNotPerturbOrderedResults) {
   // silently fall back to an order-ignoring parallel schedule.
   const Seed256 base = random_seed(0x444);
   const auto order = order_with_likely_bits({3, 77, 200});
-  const SearchResult solo =
-      ordered_search(base, with_flipped_bit(base, 200), 2, order, 1);
   const SearchResult wide =
       ordered_search(base, with_flipped_bit(base, 200), 2, order, 4);
-  ASSERT_TRUE(solo.found);
   ASSERT_TRUE(wide.found);
-  EXPECT_EQ(solo.seed, wide.seed);
-  EXPECT_EQ(solo.seeds_hashed, wide.seeds_hashed);
-  EXPECT_EQ(solo.canonical_rank, wide.canonical_rank);
-  EXPECT_EQ(solo.seeds_hashed, 4u);  // base + bits 3, 77, 200
+  EXPECT_EQ(wide.seed, with_flipped_bit(base, 200));
+  EXPECT_EQ(wide.seeds_hashed, 4u);  // base + bits 3, 77, 200
+  EXPECT_EQ(wide.canonical_rank, 1u + 200u + 1u);
 }
 
 TEST(OrderedSearch, ExplicitCanonicalMatchesDefault) {
@@ -397,152 +394,27 @@ TEST(OrderedSearch, ExplicitCanonicalMatchesDefault) {
 }
 
 // ---------------------------------------------------------------------------
-// Solo vs fused equivalence for reliability-ordered sessions
+// Fused reliability-ordered sessions against the brute-force oracle
 // ---------------------------------------------------------------------------
 
-Bytes digest_of(const Seed256& s, hash::HashAlgo algo) {
-  if (algo == hash::HashAlgo::kSha1) {
-    const hash::Digest160 d = hash::sha1_seed(s);
-    return Bytes(d.bytes.begin(), d.bytes.end());
-  }
-  const hash::Digest256 d = hash::sha3_256_seed(s);
-  return Bytes(d.bytes.begin(), d.bytes.end());
-}
-
-struct SoloBaseline {
-  std::unique_ptr<SearchBackend> backend;
-  SoloBaseline() {
-    EngineConfig cfg;
-    cfg.host_threads = 1;
-    backend = make_backend("cpu", cfg);
-  }
-  EngineReport run(const Seed256& s_init, const Bytes& digest,
-                   hash::HashAlgo algo, const SearchOptions& opts) {
-    return backend->search(s_init, ByteSpan(digest), algo, opts, nullptr);
-  }
-};
-
-void expect_equivalent(const EngineReport& solo, const EngineReport& fused,
-                       const char* what) {
-  EXPECT_EQ(solo.result.found, fused.result.found) << what;
-  EXPECT_EQ(solo.result.seeds_hashed, fused.result.seeds_hashed) << what;
-  EXPECT_EQ(solo.result.timed_out, fused.result.timed_out) << what;
-  if (solo.result.found) {
-    EXPECT_EQ(solo.result.seed, fused.result.seed) << what;
-    EXPECT_EQ(solo.result.distance, fused.result.distance) << what;
-    EXPECT_EQ(solo.result.canonical_rank, fused.result.canonical_rank) << what;
-  }
-}
-
-SearchOptions reliability_opts(
-    std::shared_ptr<const comb::ReliabilityOrder> order) {
-  SearchOptions opts;
-  opts.max_distance = 2;
-  opts.early_exit = true;
-  opts.timeout_s = 600.0;
-  opts.num_threads = 1;
-  opts.order = SearchOrder::kReliability;
-  opts.reliability = std::move(order);
-  return opts;
+/// Reliability-ordered fused sessions of one seeded ball, one at a time:
+/// the oracle's verdict, the exact likelihood-first visit count and the
+/// match's canonical rank.
+void expect_ordered_fused_matches_oracle(u64 rng_seed, bool planted) {
+  FusionEngine engine;
+  oracle::expect_searches_match(
+      oracle::select(oracle::cases(rng_seed, 2, comb::kSeedBits, false,
+                                   oracle::Orders::kReliability),
+                     planted ? oracle::planted : oracle::absent),
+      oracle::fused_search(engine), oracle::chase_visit);
 }
 
 TEST(OrderedFusion, SoloAndFusedAgreeOnPlantedMatches) {
-  SoloBaseline solo;
-  FusionEngine engine;
-  const auto order = order_with_likely_bits({7, 42, 130, 222});
-  const SearchOptions opts = reliability_opts(order);
-  const hash::HashAlgo algos[] = {hash::HashAlgo::kSha1,
-                                  hash::HashAlgo::kSha3_256};
-  const Seed256 flips[] = {Seed256{}, with_flipped_bit(Seed256{}, 42),
-                           with_flipped_bit(with_flipped_bit(Seed256{}, 7),
-                                            222)};
-  for (hash::HashAlgo algo : algos) {
-    for (int d = 0; d <= 2; ++d) {
-      const Seed256 s_init = random_seed(0x0F0 + static_cast<u64>(d));
-      const Seed256 planted = s_init ^ flips[d];
-      const Bytes digest = digest_of(planted, algo);
-      const EngineReport want = solo.run(s_init, digest, algo, opts);
-      ASSERT_TRUE(want.result.found);
-      ASSERT_EQ(want.result.distance, d);
-      auto fused =
-          engine.try_search(s_init, ByteSpan(digest), algo, opts, nullptr);
-      ASSERT_TRUE(fused.has_value());
-      expect_equivalent(want, *fused, "ordered planted match");
-    }
-  }
+  expect_ordered_fused_matches_oracle(0x0F0, /*planted=*/true);
 }
 
 TEST(OrderedFusion, SoloAndFusedAgreeOnMiss) {
-  SoloBaseline solo;
-  FusionEngine engine;
-  const SearchOptions opts =
-      reliability_opts(order_with_likely_bits({1, 2, 3}));
-  const Seed256 s_init = random_seed(0x0F5);
-  const Bytes digest =
-      digest_of(s_init ^ mask_of_weight(8, 0xFEED), hash::HashAlgo::kSha3_256);
-  const EngineReport want =
-      solo.run(s_init, digest, hash::HashAlgo::kSha3_256, opts);
-  ASSERT_FALSE(want.result.found);
-  ASSERT_EQ(want.result.seeds_hashed, kBallD2);
-  auto fused = engine.try_search(s_init, ByteSpan(digest),
-                                 hash::HashAlgo::kSha3_256, opts, nullptr);
-  ASSERT_TRUE(fused.has_value());
-  expect_equivalent(want, *fused, "ordered miss");
-}
-
-TEST(OrderedFusion, ConcurrentMixedOrdersMatchSoloExactly) {
-  // Canonical and reliability-ordered sessions sharing one engine (and thus
-  // the same batches) must each retire with their own solo-exact accounting.
-  constexpr int kSessions = 12;
-  SoloBaseline solo;
-  FusionEngine engine;
-  const auto order = order_with_likely_bits({11, 99, 180});
-
-  struct Case {
-    Seed256 s_init;
-    Bytes digest;
-    hash::HashAlgo algo;
-    SearchOptions opts;
-    EngineReport want;
-  };
-  std::vector<Case> cases;
-  for (int i = 0; i < kSessions; ++i) {
-    Case c;
-    c.s_init = random_seed(0x313A + static_cast<u64>(i));
-    c.algo = (i % 3 == 0) ? hash::HashAlgo::kSha1 : hash::HashAlgo::kSha3_256;
-    c.opts = (i % 2 == 0) ? reliability_opts(order)
-                          : SearchOptions{};
-    if (i % 2 != 0) {
-      c.opts.max_distance = 2;
-      c.opts.timeout_s = 600.0;
-      c.opts.num_threads = 1;
-    }
-    const int kind = i % 4;  // 0..2: planted at d=kind; 3: miss
-    const int weight = kind <= 2 ? kind : 9;
-    c.digest = digest_of(
-        c.s_init ^ mask_of_weight(weight, 0xDA7A + static_cast<u64>(i)),
-        c.algo);
-    c.want = solo.run(c.s_init, c.digest, c.algo, c.opts);
-    cases.push_back(std::move(c));
-  }
-
-  std::vector<std::optional<EngineReport>> fused(kSessions);
-  std::vector<std::thread> drivers;
-  for (int i = 0; i < kSessions; ++i) {
-    drivers.emplace_back([&, i] {
-      const Case& c = cases[static_cast<unsigned>(i)];
-      fused[static_cast<unsigned>(i)] = engine.try_search(
-          c.s_init, ByteSpan(c.digest), c.algo, c.opts, nullptr);
-    });
-  }
-  for (auto& t : drivers) t.join();
-
-  for (int i = 0; i < kSessions; ++i) {
-    ASSERT_TRUE(fused[static_cast<unsigned>(i)].has_value()) << "session " << i;
-    expect_equivalent(cases[static_cast<unsigned>(i)].want,
-                      *fused[static_cast<unsigned>(i)], "mixed orders");
-  }
-  EXPECT_EQ(engine.stats().fused_sessions, static_cast<u64>(kSessions));
+  expect_ordered_fused_matches_oracle(0x0F5, /*planted=*/false);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 
 #include "combinatorics/algorithm515.hpp"
@@ -7,6 +8,7 @@
 #include "combinatorics/gosper.hpp"
 #include "common/rng.hpp"
 #include "rbc/search.hpp"
+#include "search_oracle.hpp"
 
 namespace rbc {
 namespace {
@@ -98,28 +100,25 @@ TEST_P(SearchAtDistance, Sha3GosperFindsExactSeed) {
 INSTANTIATE_TEST_SUITE_P(Distances, SearchAtDistance,
                          ::testing::Values(1, 2, 3));
 
+/// `units`-unit searches over `make`'s iterator family (batched or scalar
+/// hashing) on the oracle's d <= 2 cases that `keep` selects.
+template <bool kBatched = true, typename Make, typename Keep>
+void expect_matches_oracle(u64 rng_seed, int units, Make make, Keep keep) {
+  par::WorkerGroup pool(std::min(units, 3));
+  oracle::expect_searches_match(
+      oracle::select(oracle::cases(rng_seed, 2, comb::kSeedBits, true), keep),
+      oracle::host_search<kBatched>(pool, units, make));
+}
+
 TEST(RbcSearch, FailsWhenSeedBeyondMaxDistance) {
-  Xoshiro256 rng(5);
-  const Seed256 base = Seed256::random(rng);
-  const Seed256 truth = seed_at_distance(base, 4, 80);
-  const auto r =
-      search_for<Sha3SeedHash, comb::ChaseFactory>(base, truth, 2, 2);
-  EXPECT_FALSE(r.found);
-  EXPECT_EQ(r.distance, -1);
   // Must have searched the full d<=2 ball: 1 + 256 + 32640 seeds.
-  EXPECT_EQ(r.seeds_hashed, 32897u);
+  expect_matches_oracle(5, 2, oracle::chase, oracle::absent);
 }
 
 TEST(RbcSearch, ExhaustiveModeVisitsWholeBall) {
-  Xoshiro256 rng(6);
-  const Seed256 base = Seed256::random(rng);
-  const Seed256 truth = seed_at_distance(base, 1, 81);
-  const auto r = search_for<Sha3SeedHash, comb::ChaseFactory>(
-      base, truth, 2, 4, /*early_exit=*/false);
-  EXPECT_TRUE(r.found);
-  EXPECT_EQ(r.distance, 1);
-  // No early exit: all 32897 seeds hashed even though truth is at d=1.
-  EXPECT_EQ(r.seeds_hashed, 32897u);
+  // No early exit: all 32897 seeds hashed wherever the truth lies.
+  expect_matches_oracle(6, 2, oracle::chase,
+                        [](const oracle::Case& c) { return !c.early_exit; });
 }
 
 TEST(RbcSearch, EarlyExitVisitsFewerSeeds) {
@@ -130,20 +129,6 @@ TEST(RbcSearch, EarlyExitVisitsFewerSeeds) {
       search_for<Sha3SeedHash, comb::ChaseFactory>(base, truth, 2, 4);
   EXPECT_TRUE(r.found);
   EXPECT_LT(r.seeds_hashed, 32897u);
-}
-
-TEST(RbcSearch, SingleThreadMatchesMultiThread) {
-  Xoshiro256 rng(8);
-  const Seed256 base = Seed256::random(rng);
-  const Seed256 truth = seed_at_distance(base, 2, 83);
-  const auto r1 =
-      search_for<Sha3SeedHash, comb::ChaseFactory>(base, truth, 2, 1);
-  const auto r4 =
-      search_for<Sha3SeedHash, comb::ChaseFactory>(base, truth, 2, 4);
-  EXPECT_TRUE(r1.found);
-  EXPECT_TRUE(r4.found);
-  EXPECT_EQ(r1.seed, r4.seed);
-  EXPECT_EQ(r1.distance, r4.distance);
 }
 
 TEST(RbcSearch, TimeoutAbortsSearch) {
@@ -167,32 +152,27 @@ TEST(RbcSearch, TimeoutAbortsSearch) {
 
 TEST(RbcSearch, CheckIntervalDoesNotAffectCorrectness) {
   // §4.4: the flag-polling interval must not change results.
-  Xoshiro256 rng(10);
-  const Seed256 base = Seed256::random(rng);
-  const Seed256 truth = seed_at_distance(base, 2, 85);
+  par::WorkerGroup pool(3);
   for (u32 interval : {1u, 4u, 16u, 64u}) {
-    comb::ChaseFactory factory;
-    par::WorkerGroup pool(3);
-    SearchOptions opts;
-    opts.max_distance = 2;
-    opts.num_threads = 3;
-    opts.check_interval = interval;
-    const hash::Sha3SeedHash hash;
-    const auto r = rbc_search<Sha3SeedHash>(base, hash(truth), factory, pool,
-                                            opts, hash);
-    EXPECT_TRUE(r.found) << "interval " << interval;
-    EXPECT_EQ(r.seed, truth);
+    SCOPED_TRACE(::testing::Message() << "interval " << interval);
+    oracle::expect_searches_match(
+        oracle::select(oracle::cases(10, 2, comb::kSeedBits, false),
+                       oracle::planted),
+        [&](const oracle::Case& c) {
+          SearchOptions opts = oracle::options_for(c, 3);
+          opts.check_interval = interval;
+          return oracle::typed(c, [&](auto hash, const auto& target) {
+            return oracle::outcome_of(rbc_search<decltype(hash)>(
+                c.s_init, target, comb::ChaseFactory{}, pool, opts, hash));
+          });
+        });
   }
 }
 
 TEST(RbcSearch, WrongDigestNeverAuthenticates) {
-  Xoshiro256 rng(11);
-  const Seed256 base = Seed256::random(rng);
-  // Digest of a completely unrelated seed.
-  const Seed256 unrelated = Seed256::random(rng);
-  const auto r =
-      search_for<Sha3SeedHash, comb::ChaseFactory>(base, unrelated, 2, 2);
-  EXPECT_FALSE(r.found);
+  expect_matches_oracle(11, 2, oracle::chase, [](const oracle::Case& c) {
+    return c.early_exit && c.planted < 0;
+  });
 }
 
 TEST(RbcSearch, RejectsInvalidOptions) {
@@ -217,19 +197,7 @@ TEST(RbcSearch, RejectsInvalidOptions) {
 TEST(RbcSearch, WidthBeyondGroupSizeMultiplexes) {
   // More SPMD units than worker threads: legal under the shared-group
   // model — units queue and the result is identical.
-  Xoshiro256 rng(20);
-  const Seed256 base = Seed256::random(rng);
-  const Seed256 truth = seed_at_distance(base, 2, 90);
-  comb::ChaseFactory factory;
-  par::WorkerGroup pool(2);
-  const hash::Sha3SeedHash hash;
-  SearchOptions opts;
-  opts.max_distance = 2;
-  opts.num_threads = 9;
-  const auto r =
-      rbc_search<Sha3SeedHash>(base, hash(truth), factory, pool, opts, hash);
-  EXPECT_TRUE(r.found);
-  EXPECT_EQ(r.seed, truth);
+  expect_matches_oracle(20, 9, oracle::chase, oracle::planted);
 }
 
 TEST(RbcSearch, ExhaustiveModeHonorsTimeout) {
@@ -292,7 +260,12 @@ TEST(RbcSearch, SessionContextReportsProgress) {
   EXPECT_EQ(ctx.progress(), r.seeds_hashed);
 }
 
-// --- tiled vs single-unit stream equivalence --------------------------------
+// --- tiled search against the brute-force oracle ----------------------------
+//
+// The 3-unit tiled search must report what the brute-force oracle reports:
+// planted in every shell or absent, early exit and exhaustive.
+
+bool sha1(const oracle::Case& c) { return c.algo == hash::HashAlgo::kSha1; }
 
 template <typename Hash, typename Factory>
 SearchResult search_scheduled(const Seed256& base, const Seed256& truth,
@@ -309,48 +282,22 @@ SearchResult search_scheduled(const Seed256& base, const Seed256& truth,
   return rbc_search<Hash>(base, hash(truth), Factory(), pool, opts, hash);
 }
 
-/// The 3-unit tiled search must report what the single-unit stream reports.
-template <typename Factory>
-void expect_tiled_matches_stream(u64 rng_seed) {
-  Xoshiro256 rng(rng_seed);
-  const Seed256 base = Seed256::random(rng);
-  const Seed256 planted = seed_at_distance(base, 2, rng_seed + 40);
-  const Seed256 absent = seed_at_distance(base, 9, rng_seed + 41);
-  for (const bool early_exit : {false, true}) {
-    for (const Seed256& truth : {absent, planted}) {
-      SCOPED_TRACE(::testing::Message() << "early_exit=" << early_exit
-                                        << " planted=" << (truth == planted));
-      const auto tiled = search_scheduled<Sha1SeedHash, Factory>(
-          base, truth, 3, early_exit);
-      const auto stream = search_scheduled<Sha1SeedHash, Factory>(
-          base, truth, 1, early_exit);
-      EXPECT_EQ(tiled.found, truth == planted);
-      if (tiled.found) {
-        EXPECT_EQ(tiled.seed, planted);
-        EXPECT_EQ(tiled.distance, 2);
-      }
-      EXPECT_EQ(stream.found, tiled.found);
-      EXPECT_EQ(stream.seed, tiled.seed);
-      EXPECT_EQ(stream.distance, tiled.distance);
-      if (!early_exit || !tiled.found) {
-        // Exhaustive or missed: both visit the exact ball.
-        EXPECT_EQ(tiled.seeds_hashed, 32897u);
-        EXPECT_EQ(stream.seeds_hashed, 32897u);
-      }
-    }
-  }
-}
-
 TEST(ScheduleEquivalence, ChaseTiledMatchesStream) {
-  expect_tiled_matches_stream<comb::ChaseFactory>(30);
+  expect_matches_oracle<false>(30, 3, oracle::chase, sha1);
 }
 
 TEST(ScheduleEquivalence, Alg515TiledMatchesStream) {
-  expect_tiled_matches_stream<comb::Algorithm515Factory>(31);
+  expect_matches_oracle<false>(
+      31, 3,
+      [](int n) {
+        return comb::Algorithm515Factory(comb::Alg515Mode::kUnrankEach, n);
+      },
+      sha1);
 }
 
 TEST(ScheduleEquivalence, GosperTiledMatchesStream) {
-  expect_tiled_matches_stream<comb::GosperFactory>(32);
+  expect_matches_oracle<false>(
+      32, 3, [](int n) { return comb::GosperFactory(n); }, sha1);
 }
 
 TEST(ScheduleEquivalence, TinyTilesStillCoverTheExactBall) {
@@ -422,18 +369,17 @@ TEST(ChasePlanCache, TwoTiledSearchesWalkEachShellOnce) {
 }
 
 TEST(RbcSearch, AllIteratorsAgreeOnSeedsHashedWhenExhaustive) {
-  Xoshiro256 rng(13);
-  const Seed256 base = Seed256::random(rng);
-  const Seed256 truth = seed_at_distance(base, 5, 86);  // not findable at d=2
-  const auto chase =
-      search_for<Sha1SeedHash, comb::ChaseFactory>(base, truth, 2, 3);
-  const auto alg515 =
-      search_for<Sha1SeedHash, comb::Algorithm515Factory>(base, truth, 2, 3);
-  const auto gosper =
-      search_for<Sha1SeedHash, comb::GosperFactory>(base, truth, 2, 3);
-  EXPECT_EQ(chase.seeds_hashed, 32897u);
-  EXPECT_EQ(alg515.seeds_hashed, 32897u);
-  EXPECT_EQ(gosper.seeds_hashed, 32897u);
+  par::WorkerGroup pool(3);
+  const auto misses = oracle::select(
+      oracle::cases(13, 2, comb::kSeedBits, false), oracle::absent);
+  oracle::expect_searches_match(misses,
+                                oracle::host_search(pool, 3, oracle::chase));
+  oracle::expect_searches_match(misses, oracle::host_search(pool, 3, [](int n) {
+    return comb::Algorithm515Factory(comb::Alg515Mode::kUnrankEach, n);
+  }));
+  oracle::expect_searches_match(misses, oracle::host_search(pool, 3, [](int n) {
+    return comb::GosperFactory(n);
+  }));
 }
 
 }  // namespace
