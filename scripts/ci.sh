@@ -45,15 +45,16 @@ ctest --test-dir build --output-on-failure -j "$JOBS" --repeat until-fail:10
 step_4() {
 echo "=== [4/17] batched-hash equivalence under forced dispatch levels ==="
 # The auto run above already covered the host's best level; re-run the batch
-# suite, the search oracle (every search path against brute force) and the
-# fused, ordered, GPU-emu, hetero and distributed suites with the
-# RBC_HASH_SIMD knob capping dispatch so the scalar-tail, SWAR and (on
-# AVX-512 hosts, where auto picks avx512) AVX2 code paths are exercised too.
+# suite, the search oracle (every search path against brute force), the
+# candidate-stream contract and the fused, ordered, GPU-emu, hetero and
+# distributed suites with the RBC_HASH_SIMD knob capping dispatch so the
+# scalar-tail, SWAR and (on AVX-512 hosts, where auto picks avx512) AVX2
+# code paths are exercised too.
 for level in scalar swar avx2; do
   echo "--- RBC_HASH_SIMD=$level ---"
   RBC_HASH_SIMD="$level" ctest --test-dir build --output-on-failure \
     -j "$JOBS" \
-    -R 'HashBatch|SearchOracle|Fusion|Ordered|SaltedKernel|HeteroCoSearch|DistSearch'
+    -R 'HashBatch|SearchOracle|StreamContract|Fusion|Ordered|SaltedKernel|HeteroCoSearch|DistSearch'
 done
 }
 
@@ -156,8 +157,9 @@ fi
 step_12() {
 echo "=== [12/17] bench smoke: observability -> build-release/BENCH_PR10.json + metrics export ==="
 # The observability layer's acceptance run: the dispatch-overhead burst
-# untraced vs traced (span tracer + flight recorder armed). The binary exits
-# nonzero unless traced p95 stays within the 5% overhead gate with zero
+# untraced vs traced (span tracer + flight recorder armed), 5 back-to-back
+# pairs alternating which side runs first. The binary exits nonzero unless
+# the median pair's traced p95 stays within the 5% overhead gate with zero
 # corruptions; the exported rbc.metrics.v1 JSON document and its Prometheus
 # sidecar are then validated structurally (and cross-checked against each
 # other) by scripts/check_metrics.py.
@@ -200,6 +202,7 @@ echo "=== [15/17] ctest (tsan: concurrency suites) ==="
 # shutdown; ChaosServer does the same over lossy channels with per-session
 # fault forks; EnrollmentDatabaseConcurrency hammers the striped store;
 # FusionEngine/FusionServer drive the fused batch pump from many drivers;
+# StreamContract checks every candidate stream's cursor;
 # OrderedSearch/OrderedFusion/OrderedServer run the reliability-ordered
 # stream through multi-threaded solo scans, mixed-order fused batches and
 # a full server burst; ShellCacheLru hammers the shared shell-mask cache;
@@ -212,7 +215,7 @@ echo "=== [15/17] ctest (tsan: concurrency suites) ==="
 # (ctest registers gtest CASE names, so the filter matches suite prefixes.)
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
   --output-on-failure -j "$JOBS" \
-  -R 'SearchOracle|WorkerGroup|SearchContext|ServerStress|ShardStress|ChaosProtocol|ChaosServer|EnrollmentDatabaseConcurrency|RbcSearch|Backend|Protocol|LaunchKernel|SaltedKernel|DistSearch|Communicator|HashBatch|TileScheduler|TileSchedulerStress|ScheduleEquivalence|HeteroCoSearch|SeekEquivalence|ShellTiler|FusionStream|FusionBatch|FusionEngine|FusionServer|OrderedSearch|OrderedFusion|OrderedServer|ShellCacheLru|ChasePlanCache|SingleFlightCache|Obs'
+  -R 'SearchOracle|WorkerGroup|SearchContext|ServerStress|ShardStress|ChaosProtocol|ChaosServer|EnrollmentDatabaseConcurrency|RbcSearch|Backend|Protocol|LaunchKernel|SaltedKernel|DistSearch|Communicator|HashBatch|TileScheduler|TileSchedulerStress|ScheduleEquivalence|HeteroCoSearch|SeekEquivalence|ShellTiler|StreamContract|FusionStream|FusionBatch|FusionEngine|FusionServer|OrderedSearch|OrderedFusion|OrderedServer|ShellCacheLru|ChasePlanCache|SingleFlightCache|Obs'
 }
 
 step_16() {

@@ -5,9 +5,6 @@
 #include <bit>
 #include <tuple>
 
-#include "combinatorics/algorithm515.hpp"
-#include "combinatorics/chase382.hpp"
-#include "combinatorics/gosper.hpp"
 #include "common/single_flight_cache.hpp"
 
 namespace rbc {
@@ -47,18 +44,9 @@ ShellMaskCache::Table walk_shell(const Factory& factory, int k,
 
 ShellMaskCache::Table build_table(sim::IterAlgo iter, int k, int n_bits,
                                   std::size_t masks) {
-  switch (iter) {
-    case sim::IterAlgo::kChase382:
-      return walk_shell(comb::ChaseFactory(n_bits), k, masks);
-    case sim::IterAlgo::kAlg515:
-      return walk_shell(
-          comb::Algorithm515Factory(comb::Alg515Mode::kSuccessor, n_bits), k,
-          masks);
-    case sim::IterAlgo::kGosper:
-      return walk_shell(comb::GosperFactory(n_bits), k, masks);
-  }
-  RBC_CHECK_MSG(false, "unknown iterator family");
-  return ShellMaskCache::Table(k);
+  return with_factory(iter, n_bits, [&](const auto& factory) {
+    return walk_shell(factory, k, masks);
+  });
 }
 
 u64 table_masks(const ShellMaskCache::Table& table) { return table.size(); }
@@ -124,47 +112,22 @@ void ShellMaskCache::set_capacity(u64 max_masks) {
 TableCandidateStream::TableCandidateStream(const Seed256& s_init,
                                            int max_distance,
                                            sim::IterAlgo iter, int n_bits)
-    : s_init_(s_init), d_(max_distance) {
-  RBC_CHECK(max_distance >= 0 && max_distance <= comb::kMaxK);
-  tables_.resize(static_cast<std::size_t>(d_) + 1);
-  for (int k = 1; k <= d_; ++k)
+    : CandidateStream(s_init, max_distance) {
+  tables_.resize(static_cast<std::size_t>(max_distance) + 1);
+  for (int k = 1; k <= max_distance; ++k)
     tables_[static_cast<std::size_t>(k)] = ShellMaskCache::get(iter, k, n_bits);
 }
 
-std::size_t TableCandidateStream::fill(Seed256* seeds, std::size_t n) {
-  if (n == 0 || exhausted_) return 0;
-  while (true) {
-    if (shell_ == 0) {
-      seeds[0] = s_init_;
-      last_shell_ = 0;
-      position_ = 1;
-      if (d_ == 0) {
-        exhausted_ = true;
-      } else {
-        shell_ = 1;
-      }
-      return 1;
-    }
-    const ShellMaskCache::Table& table =
-        *tables_[static_cast<std::size_t>(shell_)];
-    const u64 left = table.size() - index_;
-    const std::size_t produced =
-        static_cast<std::size_t>(std::min<u64>(left, n));
-    if (produced > 0) {
-      table.xor_masks(s_init_, static_cast<std::size_t>(index_), produced,
-                      seeds);
-      index_ += produced;
-      last_shell_ = shell_;
-      position_ += produced;
-      return produced;
-    }
-    if (shell_ >= d_) {
-      exhausted_ = true;
-      return 0;
-    }
-    ++shell_;
-    index_ = 0;
-  }
+void TableCandidateStream::open_shell(int k) {
+  table_ = tables_[static_cast<std::size_t>(k)].get();
+  index_ = 0;
+}
+
+std::size_t TableCandidateStream::fill_shell(Seed256* seeds, std::size_t n) {
+  const std::size_t produced = std::min(table_->size() - index_, n);
+  table_->xor_masks(s_init_, index_, produced, seeds);
+  index_ += produced;
+  return produced;
 }
 
 }  // namespace rbc

@@ -10,28 +10,32 @@
 // streams by the server's fusion engine (server/fusion_engine.hpp), which
 // deals lane slots of one shared hash batch across many streams.
 //
-// Contract (what fusion equivalence tests pin down):
+// Contract (tests/fusion_test.cpp's StreamContract pins it for every
+// stream):
 //   * The first fill() emits exactly one candidate: S_init (distance 0).
 //   * A single fill() never crosses a shell boundary — every candidate of
 //     one call sits in one shell, reported by last_shell(). Callers that
 //     mirror the solo loop's between-shell deadline checks get a natural
 //     seam at each short return.
-//   * Candidates are produced in the iterator family's canonical order (the
-//     only tile of a one-tile shell plan), which the tiles of every other
-//     plan concatenate to — so counting every produced candidate up to and
-//     including a match reproduces the solo `seeds_hashed` exactly.
+//   * Shell k yields each of its C(n, k) masks once, in the stream's order,
+//     so counting every produced candidate up to and including a match
+//     reproduces the solo `seeds_hashed` exactly.
 //
-// Two implementations:
-//   * BallStream<Factory> opens each shell's one-tile plan lazily. Opening
-//     costs an unrank (Gosper, Algorithm 515) or a cached initial state
-//     (Chase): no walk.
-//   * TableCandidateStream steps through process-wide cached XOR-mask
-//     tables (ShellMaskCache): O(1) setup and O(1) stepping per candidate.
-//     The walk that builds a shell's table is paid once per process instead
-//     of once per session — this is where the fusion engine's per-session
-//     setup win comes from. Memory is bounded by the fusion admission
-//     threshold (a mask is stored as its k bit positions, one byte each; a
-//     d<=2 ball over 256 bits is ~65 KiB).
+// The cursor (S_init, the shell advance, position, skip_base) is the base
+// class; a stream only opens shell k and fills from it. Three orders:
+//   * BallStream<Factory>: the iterator family's canonical order, from the
+//     shell's one-tile plan (the tiles of every other plan concatenate to
+//     it). Opening costs an unrank (Gosper, Algorithm 515) or a cached
+//     initial state (Chase): no walk.
+//   * TableCandidateStream: the same order from process-wide cached
+//     XOR-mask tables (ShellMaskCache), O(1) per candidate. The walk that
+//     builds a shell's table is paid once per process instead of once per
+//     session — the fusion engine's per-session setup win. Memory is
+//     bounded by the fusion admission threshold (a mask is stored as its k
+//     bit positions, one byte each; a d<=2 ball over 256 bits is ~65 KiB).
+//   * OrderedBallStream: maximum-likelihood-first within each shell.
+// The CA alone picks the order (protocol.hpp), solo or fused: its backend's
+// iterator family, or under CaConfig::search_order the record's profile.
 #pragma once
 
 #include <algorithm>
@@ -40,7 +44,9 @@
 #include <vector>
 
 #include "bits/seed256.hpp"
+#include "combinatorics/algorithm515.hpp"
 #include "combinatorics/binomial.hpp"
+#include "combinatorics/chase382.hpp"
 #include "combinatorics/gosper.hpp"
 #include "combinatorics/likelihood.hpp"
 #include "combinatorics/shell.hpp"
@@ -49,24 +55,94 @@
 
 namespace rbc {
 
+/// The one shell cursor: S_init first, then shells 1..d, each opened when
+/// the previous one is drained. A stream only opens shell k and fills
+/// candidates from it.
 class CandidateStream {
  public:
   virtual ~CandidateStream() = default;
 
-  /// Writes up to `n` candidate seeds, all from one shell, in canonical
+  /// Writes up to `n` candidate seeds, all from one shell, in the stream's
   /// order. Returns the count produced; 0 means the ball is exhausted.
-  virtual std::size_t fill(Seed256* seeds, std::size_t n) = 0;
+  std::size_t fill(Seed256* seeds, std::size_t n);
+
+  /// Starts the cursor after distance 0 — for callers (rbc_search) that
+  /// have already hashed S_init themselves.
+  void skip_base() {
+    RBC_CHECK(position_ == 0);
+    position_ = 1;
+  }
 
   /// Shell (Hamming distance) of the candidates the most recent fill()
-  /// produced. Undefined before the first fill.
-  virtual int last_shell() const noexcept = 0;
+  /// produced; 0 before the first fill of a shell.
+  int last_shell() const noexcept { return shell_; }
 
   /// Candidates produced so far — equals the solo search's `seeds_hashed`
   /// when the caller hashes and counts everything up to a stop point.
-  virtual u64 position() const noexcept = 0;
+  u64 position() const noexcept { return position_; }
 
-  virtual bool exhausted() const noexcept = 0;
+  bool exhausted() const noexcept { return exhausted_; }
+
+ protected:
+  CandidateStream(const Seed256& s_init, int max_distance)
+      : s_init_(s_init), d_(max_distance) {
+    RBC_CHECK(max_distance >= 0 && max_distance <= comb::kMaxK);
+  }
+
+  /// Starts shell k; called once per shell, k = 1..d in ascending order.
+  virtual void open_shell(int k) = 0;
+  /// Writes up to `n` (> 0) candidates s_init ^ mask of the open shell;
+  /// returns 0 once the shell is drained.
+  virtual std::size_t fill_shell(Seed256* seeds, std::size_t n) = 0;
+
+  const Seed256 s_init_;
+
+ private:
+  int d_;
+  int shell_ = 0;  // the open shell; 0 until shell 1 opens
+  u64 position_ = 0;
+  bool exhausted_ = false;
 };
+
+// The cursor, BallStream and OrderedBallStream are header-inline (unlike
+// TableCandidateStream) because rbc_search instantiates them from
+// search.hpp, which headers in libraries that do not link rbc_core
+// (rbc_gpu, rbc_dist) also include.
+inline std::size_t CandidateStream::fill(Seed256* seeds, std::size_t n) {
+  if (n == 0 || exhausted_) return 0;
+  if (position_ == 0) {
+    seeds[0] = s_init_;
+    position_ = 1;
+    return 1;
+  }
+  while (true) {
+    if (shell_ > 0) {
+      const std::size_t produced = fill_shell(seeds, n);
+      position_ += produced;
+      if (produced > 0) return produced;
+    }
+    if (shell_ >= d_) {
+      exhausted_ = true;
+      return 0;
+    }
+    open_shell(++shell_);
+  }
+}
+
+/// Calls `fn(factory)` with iterator family `iter`'s factory over `n_bits`
+/// bits: the one map from a configured family to its shell order.
+template <typename Fn>
+decltype(auto) with_factory(sim::IterAlgo iter, int n_bits, Fn&& fn) {
+  switch (iter) {
+    case sim::IterAlgo::kAlg515:
+      return fn(comb::Algorithm515Factory(comb::Alg515Mode::kSuccessor, n_bits));
+    case sim::IterAlgo::kGosper:
+      return fn(comb::GosperFactory(n_bits));
+    case sim::IterAlgo::kChase382:
+      break;
+  }
+  return fn(comb::ChaseFactory(n_bits));
+}
 
 /// Number of candidates in the ball of radius `max_distance` (the d0 seed
 /// plus every shell) — the fusion engine's admission-size model.
@@ -76,73 +152,27 @@ inline u128 ball_candidates(int max_distance, int n_bits = comb::kSeedBits) {
   return total;
 }
 
-/// Streams a ball through an iterator factory. Shell k's iterator opens
-/// lazily, on the first fill that needs it.
+/// Streams a ball through an iterator factory: shell k's one-tile plan
+/// opens when the cursor reaches it.
 template <comb::SeedIteratorFactory Factory>
 class BallStream final : public CandidateStream {
  public:
   BallStream(const Seed256& s_init, int max_distance, const Factory& factory)
-      : s_init_(s_init), d_(max_distance), factory_(factory) {}
-
-  /// Starts the cursor after distance 0 — for callers (rbc_search) that
-  /// have already hashed S_init themselves.
-  void skip_base() {
-    RBC_CHECK(position_ == 0);
-    position_ = 1;
-    if (d_ == 0) {
-      exhausted_ = true;
-    } else {
-      shell_ = 1;
-    }
-  }
-
-  std::size_t fill(Seed256* seeds, std::size_t n) override {
-    if (n == 0 || exhausted_) return 0;
-    while (true) {
-      if (shell_ == 0) {
-        seeds[0] = s_init_;
-        last_shell_ = 0;
-        position_ = 1;
-        if (d_ == 0) {
-          exhausted_ = true;
-        } else {
-          shell_ = 1;
-        }
-        return 1;
-      }
-      if (!it_.has_value())
-        it_.emplace(comb::shell_iterator(factory_, shell_));
-      std::size_t produced = 0;
-      Seed256 mask;
-      while (produced < n && it_->next(mask)) {
-        seeds[produced++] = s_init_ ^ mask;
-      }
-      if (produced > 0) {
-        last_shell_ = shell_;
-        position_ += produced;
-        return produced;
-      }
-      it_.reset();
-      if (shell_ >= d_) {
-        exhausted_ = true;
-        return 0;
-      }
-      ++shell_;
-    }
-  }
-
-  int last_shell() const noexcept override { return last_shell_; }
-  u64 position() const noexcept override { return position_; }
-  bool exhausted() const noexcept override { return exhausted_; }
+      : CandidateStream(s_init, max_distance), factory_(factory) {}
 
  private:
-  Seed256 s_init_;
-  int d_;
+  void open_shell(int k) override {
+    it_.emplace(comb::shell_iterator(factory_, k));
+  }
+
+  std::size_t fill_shell(Seed256* seeds, std::size_t n) override {
+    std::size_t produced = 0;
+    Seed256 mask;
+    while (produced < n && it_->next(mask)) seeds[produced++] = s_init_ ^ mask;
+    return produced;
+  }
+
   Factory factory_;
-  int shell_ = 0;       // shell the next candidate comes from
-  int last_shell_ = -1;
-  u64 position_ = 0;
-  bool exhausted_ = false;
   std::optional<typename Factory::iterator> it_;
 };
 
@@ -250,68 +280,34 @@ class OrderedBallStream final : public CandidateStream {
                     u64 ordered_budget = kDefaultOrderedBudget,
                     int n_bits = comb::kSeedBits);
 
-  /// Starts the cursor after distance 0 — for callers (rbc_search) that
-  /// have already hashed S_init themselves.
-  void skip_base();
-
-  std::size_t fill(Seed256* seeds, std::size_t n) override;
-  int last_shell() const noexcept override { return last_shell_; }
-  u64 position() const noexcept override { return position_; }
-  bool exhausted() const noexcept override { return exhausted_; }
-
  private:
-  void open_shell(int k);
+  void open_shell(int k) override;
+  std::size_t fill_shell(Seed256* seeds, std::size_t n) override;
   bool next_mask(Seed256& mask);
 
-  Seed256 s_init_;
-  int d_;
   int n_bits_;
   u64 budget_;
   std::shared_ptr<const comb::ReliabilityOrder> order_;
-  int shell_ = 0;       // shell the next candidate comes from
-  int last_shell_ = -1;
-  u64 position_ = 0;
-  bool exhausted_ = false;
   // Per-shell state.
-  std::optional<comb::WeightedShellEnumerator> head_;
-  u64 shell_size_ = 0;
-  u64 head_emitted_ = 0;
+  std::optional<comb::WeightedShellEnumerator> head_;  // empty in the tail
   bool record_head_ = false;     // shell larger than the budget => hybrid
-  bool in_tail_ = false;
-  std::vector<Seed256> emitted_; // sorted once the head completes
-  Seed256 tail_mask_;
+  std::vector<Seed256> emitted_; // the recorded head, sorted for the tail
+  Seed256 tail_mask_;            // the shell's next canonical (Gosper) mask
   u64 tail_remaining_ = 0;
 };
-
-// OrderedBallStream is header-inline (unlike TableCandidateStream) because
-// rbc_search instantiates it from search.hpp, which headers in libraries
-// that do not link rbc_core (rbc_gpu, rbc_dist) also include.
 
 inline OrderedBallStream::OrderedBallStream(
     const Seed256& s_init, int max_distance,
     std::shared_ptr<const comb::ReliabilityOrder> order, u64 ordered_budget,
     int n_bits)
-    : s_init_(s_init),
-      d_(max_distance),
+    : CandidateStream(s_init, max_distance),
       n_bits_(n_bits),
       budget_(ordered_budget),
       order_(std::move(order)) {
-  RBC_CHECK(max_distance >= 0 && max_distance <= comb::kMaxK);
   RBC_CHECK_MSG(order_ != nullptr, "ordered stream needs a reliability order");
   RBC_CHECK_MSG(order_->n_bits >= n_bits,
                 "reliability order covers too few bits");
   RBC_CHECK(ordered_budget >= 1);
-}
-
-inline void OrderedBallStream::skip_base() {
-  RBC_CHECK(position_ == 0);
-  position_ = 1;
-  if (d_ == 0) {
-    exhausted_ = true;
-  } else {
-    shell_ = 1;
-    open_shell(1);
-  }
 }
 
 inline void OrderedBallStream::open_shell(int k) {
@@ -319,18 +315,16 @@ inline void OrderedBallStream::open_shell(int k) {
   // The canonical tail cursor counts in u64; every practical reliability
   // session has d <= 5 over 256 bits, far inside this bound.
   RBC_CHECK_MSG(size <= u128{~u64{0}}, "shell too large for ordered stream");
-  shell_size_ = static_cast<u64>(size);
   head_.emplace(*order_, k);
-  head_emitted_ = 0;
-  record_head_ = shell_size_ > budget_;
-  in_tail_ = false;
+  record_head_ = size > budget_;
   emitted_.clear();
+  tail_mask_ = Seed256::low_bits(k);
+  tail_remaining_ = static_cast<u64>(size);
 }
 
 inline bool OrderedBallStream::next_mask(Seed256& mask) {
-  if (!in_tail_) {
-    if ((!record_head_ || head_emitted_ < budget_) && head_->next(mask)) {
-      ++head_emitted_;
+  if (head_) {
+    if ((!record_head_ || emitted_.size() < budget_) && head_->next(mask)) {
       if (record_head_) emitted_.push_back(mask);
       return true;
     }
@@ -340,9 +334,6 @@ inline bool OrderedBallStream::next_mask(Seed256& mask) {
     // shell remains an exact permutation.
     std::sort(emitted_.begin(), emitted_.end());
     head_.reset();
-    in_tail_ = true;
-    tail_mask_ = Seed256::low_bits(shell_);
-    tail_remaining_ = shell_size_;
   }
   while (tail_remaining_ > 0) {
     const Seed256 m = tail_mask_;
@@ -356,36 +347,12 @@ inline bool OrderedBallStream::next_mask(Seed256& mask) {
   return false;
 }
 
-inline std::size_t OrderedBallStream::fill(Seed256* seeds, std::size_t n) {
-  if (n == 0 || exhausted_) return 0;
-  while (true) {
-    if (shell_ == 0) {
-      seeds[0] = s_init_;
-      last_shell_ = 0;
-      position_ = 1;
-      if (d_ == 0) {
-        exhausted_ = true;
-      } else {
-        shell_ = 1;
-        open_shell(1);
-      }
-      return 1;
-    }
-    std::size_t produced = 0;
-    Seed256 mask;
-    while (produced < n && next_mask(mask)) seeds[produced++] = s_init_ ^ mask;
-    if (produced > 0) {
-      last_shell_ = shell_;
-      position_ += produced;
-      return produced;
-    }
-    if (shell_ >= d_) {
-      exhausted_ = true;
-      return 0;
-    }
-    ++shell_;
-    open_shell(shell_);
-  }
+inline std::size_t OrderedBallStream::fill_shell(Seed256* seeds,
+                                                 std::size_t n) {
+  std::size_t produced = 0;
+  Seed256 mask;
+  while (produced < n && next_mask(mask)) seeds[produced++] = s_init_ ^ mask;
+  return produced;
 }
 
 /// O(1)-resume candidate stream over cached shell tables. Construction
@@ -396,20 +363,13 @@ class TableCandidateStream final : public CandidateStream {
   TableCandidateStream(const Seed256& s_init, int max_distance,
                        sim::IterAlgo iter, int n_bits = comb::kSeedBits);
 
-  std::size_t fill(Seed256* seeds, std::size_t n) override;
-  int last_shell() const noexcept override { return last_shell_; }
-  u64 position() const noexcept override { return position_; }
-  bool exhausted() const noexcept override { return exhausted_; }
-
  private:
-  Seed256 s_init_;
-  int d_;
-  int shell_ = 0;       // shell the next candidate comes from
-  int last_shell_ = -1;
-  u64 index_ = 0;       // cursor within the current shell's table
-  u64 position_ = 0;
-  bool exhausted_ = false;
+  void open_shell(int k) override;
+  std::size_t fill_shell(Seed256* seeds, std::size_t n) override;
+
   std::vector<std::shared_ptr<const ShellMaskCache::Table>> tables_;
+  const ShellMaskCache::Table* table_ = nullptr;  // the open shell's
+  std::size_t index_ = 0;  // cursor within the open shell's table
 };
 
 }  // namespace rbc

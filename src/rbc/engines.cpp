@@ -45,29 +45,17 @@ HostSearch host_search(const EngineConfig& cfg) {
     SearchOptions o = opts;
     o.num_threads = threads;
     return with_typed_target(digest, algo, [&](auto hash, const auto& target) {
-      using Hash = decltype(hash);
-      switch (iter) {
-        case sim::IterAlgo::kChase382:
-          return rbc_search<Hash>(s_init, target, comb::ChaseFactory{},
-                                  *workers, o, hash, session);
-        case sim::IterAlgo::kAlg515:
-          return rbc_search<Hash>(
-              s_init, target,
-              comb::Algorithm515Factory(comb::Alg515Mode::kSuccessor),
-              *workers, o, hash, session);
-        case sim::IterAlgo::kGosper:
-          return rbc_search<Hash>(s_init, target, comb::GosperFactory{},
-                                  *workers, o, hash, session);
-      }
-      RBC_CHECK_MSG(false, "unknown iterator algorithm");
-      return SearchResult{};
+      return with_factory(iter, comb::kSeedBits, [&](const auto& factory) {
+        return rbc_search<decltype(hash)>(s_init, target, factory, *workers, o,
+                                          hash, session);
+      });
     });
   };
 }
 
 DeviceModel cpu_model(const EngineConfig& cfg) {
   const sim::CpuModel m;
-  return {"SALTED-CPU", m.spec().name, host_search(cfg),
+  return {"SALTED-CPU", m.spec().name, cfg.iterator, host_search(cfg),
           [m](const SearchResult& r, bool, hash::HashAlgo algo) {
             return m.time_for_seeds_s(r.seeds_hashed, algo, m.spec().cores);
           },
@@ -78,7 +66,7 @@ DeviceModel cpu_model(const EngineConfig& cfg) {
 
 DeviceModel gpu_model(const EngineConfig& cfg, sim::IterAlgo iter) {
   const sim::GpuModel m;
-  return {"SALTED-GPU", m.spec().name, host_search(cfg),
+  return {"SALTED-GPU", m.spec().name, iter, host_search(cfg),
           [m, iter](const SearchResult& r, bool, hash::HashAlgo algo) {
             return m.time_for_seeds_s(r.seeds_hashed, algo, iter,
                                       /*kernels=*/std::max(r.distance, 1));
@@ -96,6 +84,7 @@ DeviceModel multi_gpu_model(const EngineConfig& cfg) {
   const sim::IterAlgo iter = cfg.iterator;
   return {"SALTED-GPU (multi)",
           std::to_string(devices) + "x " + m.gpu().spec().name,
+          iter,
           host_search(cfg),
           [m, devices, iter](const SearchResult& r, bool early_exit,
                              hash::HashAlgo algo) {
@@ -111,7 +100,7 @@ DeviceModel multi_gpu_model(const EngineConfig& cfg) {
 
 DeviceModel apu_model(const EngineConfig& cfg) {
   const sim::ApuModel m;
-  return {"SALTED-APU", m.spec().name, host_search(cfg),
+  return {"SALTED-APU", m.spec().name, cfg.iterator, host_search(cfg),
           [m](const SearchResult& r, bool, hash::HashAlgo algo) {
             return m.time_for_seeds_s(r.seeds_hashed, algo);
           },
@@ -157,6 +146,7 @@ DeviceModel hetero_model(const EngineConfig& cfg) {
   const int device_threads = cfg.device_threads;
   par::WorkerGroup* workers = resolve_workers(cfg.workers);
   return {"SALTED-HETERO (CPU+GPU)", cpu.device_name + " + " + gpu.device_name,
+          sim::IterAlgo::kChase382,
           [=](const Seed256& s_init, ByteSpan digest, hash::HashAlgo algo,
               const SearchOptions& opts, par::SearchContext* session) {
             return with_typed_target(

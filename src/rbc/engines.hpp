@@ -5,8 +5,10 @@
 // Every device is one ModeledBackend over a DeviceModel. The four paper
 // platforms run the SAME functional search (rbc_search over host threads —
 // correctness is real, not simulated); gpu-emu and hetero keep their own
-// functional paths (gpu/salted_kernel.hpp). The rest of the DeviceModel is
-// the data that tells the platforms apart, mirroring §3.2-§3.4:
+// functional paths (gpu/salted_kernel.hpp). A DeviceModel records the
+// iterator family its search walks, which the CA hands to the fused offload
+// so fused sessions walk the same order. The rest of the DeviceModel is the
+// data that tells the platforms apart, mirroring §3.2-§3.4:
 //   * the early-exit flag granularity (per seed on CPU/GPU; per 256-seed
 //     batch on the APU, §3.3: a check-interval floor),
 //   * the projected device time, produced by the platform's calibrated cost
@@ -24,9 +26,6 @@
 #include <optional>
 #include <string>
 
-#include "combinatorics/algorithm515.hpp"
-#include "combinatorics/chase382.hpp"
-#include "combinatorics/gosper.hpp"
 #include "rbc/search.hpp"
 #include "sim/apu_model.hpp"
 #include "sim/cpu_model.hpp"
@@ -67,6 +66,11 @@ class SearchBackend {
                                            hash::HashAlgo algo) const = 0;
 
   virtual std::string_view name() const = 0;
+
+  /// The iterator family whose canonical order the backend's single-unit
+  /// search visits. The CA hands it to its SearchOffload with each search,
+  /// so a fused session walks the same order and counts the same seeds.
+  virtual sim::IterAlgo iterator() const = 0;
 };
 
 /// A serving-layer hook that can absorb a session's search into a shared
@@ -75,7 +79,9 @@ class SearchBackend {
 /// large a ball, engine shutting down, unsupported options — and the
 /// session falls through to the regular SearchBackend unchanged. An accept
 /// must be a pure execution substitution: identical verdict and identical
-/// seeds_hashed to what the backend's single-thread search would report.
+/// seeds_hashed to what the backend's single-thread search would report,
+/// which is why the CA passes the backend's iterator `family` along: the
+/// order is the CA's, never the offload's.
 /// The concrete implementation is server::FusionEngine, which multiplexes
 /// many sessions' candidate streams into shared full-width hash batches.
 class SearchOffload {
@@ -83,7 +89,8 @@ class SearchOffload {
   virtual ~SearchOffload() = default;
   virtual std::optional<EngineReport> try_search(
       const Seed256& s_init, ByteSpan digest, hash::HashAlgo algo,
-      const SearchOptions& opts, par::SearchContext* session) = 0;
+      sim::IterAlgo family, const SearchOptions& opts,
+      par::SearchContext* session) = 0;
 };
 
 /// Common configuration for the concrete engines.
@@ -92,6 +99,8 @@ struct EngineConfig {
   /// concurrency. A server tuning for session throughput over single-
   /// session latency sets this low — units multiplex on the worker group.
   int host_threads = 0;
+  /// Iterator family of the host search on cpu, gpu and apu (gpu-emu and
+  /// hetero always walk Chase plans).
   sim::IterAlgo iterator = sim::IterAlgo::kChase382;
   /// Devices for the multi-GPU backend ("gpu" with num_devices > 1, §4.8):
   /// shells split evenly across the simulated A100s, modeled as the slowest
@@ -117,6 +126,8 @@ using HostSearch = std::function<SearchResult(
 struct DeviceModel {
   std::string backend_name;
   std::string device_name;
+  /// The iterator family `search` enumerates (SearchBackend::iterator).
+  sim::IterAlgo iterator = sim::IterAlgo::kChase382;
   /// rbc_search over EngineConfig::iterator for the paper platforms; the
   /// kernel emulation for gpu-emu; the CPU+GPU co-search for hetero.
   HostSearch search;
@@ -145,6 +156,7 @@ class ModeledBackend final : public SearchBackend {
     return model_.exhaustive_seconds(d, algo);
   }
   std::string_view name() const override { return model_.backend_name; }
+  sim::IterAlgo iterator() const override { return model_.iterator; }
   /// The projection search() reports as modeled_device_seconds.
   double modeled_device_seconds(const SearchResult& result, bool early_exit,
                                 hash::HashAlgo algo) const {

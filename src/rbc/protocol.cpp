@@ -105,8 +105,7 @@ net::Challenge CertificateAuthority::issue_challenge(
 net::AuthResult CertificateAuthority::process_digest(
     const net::HandshakeRequest& handshake, const net::Challenge& challenge,
     const net::DigestSubmission& submission, EngineReport* report_out,
-    par::SearchContext* session, SearchOffload* offload,
-    std::optional<SearchOrder> search_order) {
+    par::SearchContext* session, SearchOffload* offload) {
   RBC_CHECK_MSG(db_.contains(handshake.device_id),
                 "digest from un-enrolled device");
   RBC_CHECK_MSG(submission.hash_algo == handshake.hash_algo,
@@ -123,21 +122,21 @@ net::AuthResult CertificateAuthority::process_digest(
   opts.timeout_s = cfg_.time_threshold_s;
   // Reliability order needs the record's profile for this address; records
   // enrolled before profiles existed fall back to canonical order.
-  const SearchOrder order = search_order.value_or(cfg_.search_order);
-  if (order == SearchOrder::kReliability) {
+  if (cfg_.search_order == SearchOrder::kReliability) {
     if (const auto profile =
             db_.load_profile(handshake.device_id, challenge.puf_address)) {
-      opts.order = SearchOrder::kReliability;
       opts.reliability = std::make_shared<const comb::ReliabilityOrder>(
           comb::ReliabilityOrder::from_weights(profile->weights().data()));
     }
   }
-  // Offer the search to the serving layer's fused engine first; a decline
+  // Offer the search to the serving layer's fused engine first, over the
+  // backend's iterator family so both paths walk one order; a decline
   // (oversized ball, shutdown, no offload) runs the CA's own backend.
   std::optional<EngineReport> fused;
   if (offload != nullptr) {
     fused = offload->try_search(s_init, submission.digest,
-                                submission.hash_algo, opts, session);
+                                submission.hash_algo, backend_->iterator(),
+                                opts, session);
   }
   const EngineReport report =
       fused.has_value()
@@ -268,8 +267,7 @@ template <typename Ca, typename Ra>
 SessionReport run_exchange(Client& client, Ca&& ca, Ra&& ra,
                            net::LatencyModel latency,
                            par::SearchContext* session_ctx,
-                           const LinkOptions* link, SearchOffload* offload,
-                           std::optional<SearchOrder> search_order) {
+                           const LinkOptions* link, SearchOffload* offload) {
   const bool lossy = link != nullptr && link->faults.active();
   net::Channel client_end{latency, lossy ? link->faults.fork(kClientTxSalt)
                                          : net::FaultPlan()};
@@ -336,7 +334,7 @@ SessionReport run_exchange(Client& client, Ca&& ca, Ra&& ra,
   // 4-9. Search + key registration on the CA.
   session.result = ca.process_digest(
       handshake, challenge, std::get<net::DigestSubmission>(*submission_msg),
-      &session.engine, session_ctx, offload, search_order);
+      &session.engine, session_ctx, offload);
   const auto result_msg = deliver(ca_end, client_end,
                                   net::Message{session.result});
   if (!result_msg) return finish();
@@ -354,10 +352,9 @@ SessionReport run_authentication(Client& client, CertificateAuthority& ca,
                                  net::LatencyModel latency,
                                  par::SearchContext* session_ctx,
                                  const LinkOptions* link,
-                                 SearchOffload* offload,
-                                 std::optional<SearchOrder> search_order) {
+                                 SearchOffload* offload) {
   return run_exchange(client, ca, ra, std::move(latency), session_ctx, link,
-                      offload, search_order);
+                      offload);
 }
 
 SessionReport run_authentication(Client& client,
@@ -366,10 +363,9 @@ SessionReport run_authentication(Client& client,
                                  net::LatencyModel latency,
                                  par::SearchContext* session_ctx,
                                  const LinkOptions* link,
-                                 SearchOffload* offload,
-                                 std::optional<SearchOrder> search_order) {
+                                 SearchOffload* offload) {
   return run_exchange(client, ca, ra, std::move(latency), session_ctx, link,
-                      offload, search_order);
+                      offload);
 }
 
 }  // namespace rbc

@@ -252,6 +252,12 @@ class RegistrationAuthority {
   std::unique_ptr<std::array<Stripe, kAuthorityStripes>> stripes_;
 };
 
+/// Within-shell candidate order of the CA's searches. kCanonical is the
+/// backend iterator family's combinatorial order; kReliability walks each
+/// shell maximum-likelihood-first using the enrollment record's
+/// reliability profile (candidate_stream.hpp's OrderedBallStream).
+enum class SearchOrder : u8 { kCanonical = 0, kReliability = 1 };
+
 struct CaConfig {
   /// Authentication threshold T (paper: 20 s).
   double time_threshold_s = 20.0;
@@ -265,9 +271,10 @@ struct CaConfig {
   /// server has already sized that budget to fit T, so the extra noise can
   /// never cause a timeout while maximizing per-session seed freshness.
   bool request_noise_injection = false;
-  /// Within-shell candidate order for the RBC search. kReliability uses the
-  /// enrollment record's per-address reliability profile (maximum-likelihood-
-  /// first); records without profiles fall back to canonical per session.
+  /// Within-shell candidate order of every search this CA runs, solo or
+  /// fused, in or out of a server — the only place the order is set.
+  /// kReliability uses the enrollment record's per-address reliability
+  /// profile; records without profiles fall back to canonical per session.
   SearchOrder search_order = SearchOrder::kCanonical;
 };
 
@@ -311,18 +318,14 @@ class CertificateAuthority {
   /// threshold). `offload`, when non-null, is consulted before the backend:
   /// a serving shard passes its FusionEngine here so small searches join the
   /// shared cross-session hash batches; a decline falls through to the
-  /// backend unchanged.
-  /// `search_order`, when set, overrides the configured search order for
-  /// this session (the serving layer threads ServerConfig::search_order
-  /// through here without mutating the shared CaConfig).
+  /// backend unchanged. Either way the search walks the order the CA
+  /// decides: CaConfig::search_order and the backend's iterator family.
   net::AuthResult process_digest(const net::HandshakeRequest& handshake,
                                  const net::Challenge& challenge,
                                  const net::DigestSubmission& submission,
                                  EngineReport* report_out = nullptr,
                                  par::SearchContext* session = nullptr,
-                                 SearchOffload* offload = nullptr,
-                                 std::optional<SearchOrder> search_order =
-                                     std::nullopt);
+                                 SearchOffload* offload = nullptr);
 
   /// Shard-scoped handle mirroring RegistrationAuthority::ShardView: the
   /// serving shard drives its sessions through this so any cross-shard
@@ -338,12 +341,10 @@ class CertificateAuthority {
                                    const net::DigestSubmission& submission,
                                    EngineReport* report_out = nullptr,
                                    par::SearchContext* session = nullptr,
-                                   SearchOffload* offload = nullptr,
-                                   std::optional<SearchOrder> search_order =
-                                       std::nullopt) {
+                                   SearchOffload* offload = nullptr) {
       check_owned(handshake.device_id);
       return ca_->process_digest(handshake, challenge, submission, report_out,
-                                 session, offload, search_order);
+                                 session, offload);
     }
     const CaConfig& config() const noexcept { return ca_->config(); }
     u32 shard() const noexcept { return shard_; }
@@ -429,17 +430,13 @@ struct SessionReport {
 /// when non-null with an active fault plan, runs the exchange over a lossy
 /// channel with sequenced retransmit framing. `offload`, when non-null, is
 /// offered the CA search before the backend runs it (see SearchOffload).
-/// `search_order`, when set, overrides the CA's configured search order for
-/// this session.
 SessionReport run_authentication(Client& client, CertificateAuthority& ca,
                                  RegistrationAuthority& ra,
                                  net::LatencyModel latency =
                                      net::LatencyModel(0.15),
                                  par::SearchContext* session = nullptr,
                                  const LinkOptions* link = nullptr,
-                                 SearchOffload* offload = nullptr,
-                                 std::optional<SearchOrder> search_order =
-                                     std::nullopt);
+                                 SearchOffload* offload = nullptr);
 
 /// Shard-scoped overload used by the serving layer: identical exchange, but
 /// every authority access goes through the views' confinement checks.
@@ -450,8 +447,6 @@ SessionReport run_authentication(Client& client,
                                      net::LatencyModel(0.15),
                                  par::SearchContext* session = nullptr,
                                  const LinkOptions* link = nullptr,
-                                 SearchOffload* offload = nullptr,
-                                 std::optional<SearchOrder> search_order =
-                                     std::nullopt);
+                                 SearchOffload* offload = nullptr);
 
 }  // namespace rbc

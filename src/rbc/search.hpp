@@ -24,6 +24,8 @@
 //     accounting keeps `seeds_hashed` visit-order exact.
 //   * Single-unit searches stream: the calling thread scans a BallStream
 //     (candidate_stream.hpp) in canonical order (detail::scan_stream).
+//     A reliability order streams an OrderedBallStream instead, at any
+//     unit count; the fused engine picks its streams by the same rule.
 //
 // tests/search_oracle_test.cpp checks every path against brute force.
 //
@@ -62,14 +64,6 @@
 
 namespace rbc {
 
-/// Within-shell candidate order. kCanonical is the iterator family's
-/// combinatorial order — the historical behavior, byte-for-byte. kReliability
-/// re-orders each shell by descending posterior likelihood using the
-/// device's enrollment-time reliability profile (candidate_stream.hpp's
-/// OrderedBallStream); it requires SearchOptions::reliability and falls back
-/// to canonical when no profile is available.
-enum class SearchOrder : u8 { kCanonical = 0, kReliability = 1 };
-
 struct SearchOptions {
   /// Maximum Hamming distance d to search (inclusive).
   int max_distance = 3;
@@ -102,12 +96,12 @@ struct SearchOptions {
   /// straggler through this. Leave empty in production; it runs on the hot
   /// path.
   std::function<void(int unit, u64 seeds)> quantum_hook;
-  /// Within-shell candidate order. kReliability is honored only when
-  /// `reliability` is set; the ordered walk is inherently sequential, so it
-  /// runs single-unit regardless of num_threads.
-  SearchOrder order = SearchOrder::kCanonical;
-  /// Per-bit reliability order for kReliability, built from the device's
-  /// enrollment profile. Shared with the session that fetched the record.
+  /// Per-bit reliability order, built by the CA from the device's
+  /// enrollment profile when CaConfig::search_order asks for it (shared
+  /// with the session that fetched the record). When set, each shell is
+  /// walked maximum-likelihood-first (OrderedBallStream); the ordered walk
+  /// is inherently sequential, so it runs single-unit regardless of
+  /// num_threads. Null walks the iterator family's canonical order.
   std::shared_ptr<const comb::ReliabilityOrder> reliability;
   /// Likelihood-ordered head size per shell (masks). Shells no larger than
   /// this are fully likelihood-ordered; bigger shells emit this many
@@ -126,8 +120,8 @@ struct SearchResult {
   bool cancelled = false;    // externally cancelled before completion
   /// 1-based position the match would have held in the canonical ball order
   /// (S_init = 1, then shells in colex order). Only set when found; lets the
-  /// server report how much the reliability order saved — under kCanonical
-  /// with early exit it simply equals seeds_hashed.
+  /// server report how much the reliability order saved — in canonical
+  /// order with early exit it simply equals seeds_hashed.
   u64 canonical_rank = 0;
 };
 
@@ -466,7 +460,7 @@ SearchResult rbc_search(const Seed256& s_init,
                               result.seeds_hashed);
     ctx.check_deadline();
   };
-  if (opts.order == SearchOrder::kReliability && opts.reliability != nullptr) {
+  if (opts.reliability != nullptr) {
     // Reliability-ordered sessions drive the likelihood-first stream on the
     // calling thread regardless of num_threads: the best-first enumeration
     // is inherently sequential, and silently falling through to an

@@ -26,19 +26,16 @@ namespace {
 /// into own_ctx without move hazards.
 template <typename H>
 struct Job {
-  Job(const Seed256& init, int max_distance, sim::IterAlgo iter,
-      const SearchOptions& opts)
+  Job(const Seed256& init, sim::IterAlgo family, const SearchOptions& opts)
       : s_init(init) {
-    // Reliability-ordered sessions fuse through the same lane-dealing loop:
-    // only the stream's within-shell order differs, so the equivalence
-    // contract (verdicts + per-session seeds_hashed equal to the solo
-    // ordered run) holds unchanged.
-    if (opts.order == SearchOrder::kReliability &&
-        opts.reliability != nullptr) {
+    // The solo search's rule (rbc_search): a reliability order selects the
+    // likelihood-first stream, otherwise the backend family's canonical one.
+    if (opts.reliability != nullptr) {
       stream = std::make_unique<OrderedBallStream>(
-          init, max_distance, opts.reliability, opts.ordered_budget);
+          init, opts.max_distance, opts.reliability, opts.ordered_budget);
     } else {
-      stream = std::make_unique<TableCandidateStream>(init, max_distance, iter);
+      stream =
+          std::make_unique<TableCandidateStream>(init, opts.max_distance, family);
     }
   }
 
@@ -53,47 +50,44 @@ struct Job {
   u64 reported = 0;  // prefix of `counted` already flushed to add_progress
   u64 dealt = 0;     // candidates handed to batches (includes speculative)
   int batch_tag = -1;
-  bool matched = false;
+  detail::Match match;
   bool stopped = false;  // deadline expired or cancelled (latched)
   bool drained = false;  // ball exhausted
-  Seed256 match_seed;
-  int match_shell = -1;
   WallTimer timer;
   std::promise<SearchResult> promise;
+
+  bool done() const { return match || stopped || drained; }
+
+  /// Publishes the judged candidates not yet reported to the session.
+  void flush_progress() {
+    if (counted > reported) ctx->add_progress(counted - reported);
+    reported = counted;
+  }
 };
 
-/// Mirrors the solo rbc_search tail: found wins; otherwise a drained ball
-/// still takes the post-loop deadline poll, and `cancelled` means external
-/// cancellation, not a timeout.
+/// Mirrors the solo rbc_search tail: a drained ball without a match still
+/// takes the post-loop deadline poll, then detail::finish writes the
+/// verdict.
 template <typename H>
 SearchResult retire_result(Job<H>& j) {
-  if (j.counted > j.reported) {
-    j.ctx->add_progress(j.counted - j.reported);
-    j.reported = j.counted;
-  }
+  j.flush_progress();
   // Lane-residency span: how long this session lived inside the fused
   // engine (admission to retirement), how far its stream got and how many
   // lane slots it consumed (dealt >= counted when lanes past a match were
   // speculative). The pump thread writes it BEFORE set_value resolves the
   // driver's future, so the span always precedes the session's verdict.
   if (obs::SessionTrace* trace = j.ctx->trace()) {
-    const int shell = j.stream->last_shell();
     trace->span_ending_now(obs::SpanKind::kFusionLane, j.timer.elapsed_s(),
-                           static_cast<u32>(shell < 0 ? 0 : shell), j.dealt);
+                           static_cast<u32>(j.stream->last_shell()), j.dealt);
   }
   SearchResult r;
   r.seeds_hashed = j.counted;
-  if (j.matched) {
-    r.found = true;
-    r.seed = j.match_seed;
-    r.distance = j.match_shell;
-    r.canonical_rank = comb::canonical_ball_rank(j.match_seed ^ j.s_init);
-  } else {
-    if (j.drained) j.ctx->check_deadline();
-    r.timed_out = j.ctx->timed_out();
-    r.cancelled = j.ctx->cancel_requested() && !j.ctx->timed_out();
+  if (j.match) {
+    r.canonical_rank = comb::canonical_ball_rank(j.match->first ^ j.s_init);
+  } else if (j.drained) {
+    j.ctx->check_deadline();
   }
-  r.host_seconds = j.timer.elapsed_s();
+  detail::finish(r, j.match, *j.ctx, j.timer);
   return r;
 }
 
@@ -184,8 +178,7 @@ struct FusionEngine::Impl {
     while (filled < L) {
       runnable.clear();
       for (auto& j : q.active) {
-        if (!j->matched && !j->stopped && !j->drained)
-          runnable.push_back(j.get());
+        if (!j->done()) runnable.push_back(j.get());
       }
       if (runnable.empty()) {
         // Same-batch backfill: every live stream retired mid-deal, so pull
@@ -243,28 +236,20 @@ struct FusionEngine::Impl {
       // `counted = i + 1` accounting; lanes dealt past it were speculative.
       for (std::size_t i = 0; i < filled; ++i) {
         Job<H>* j = batch_jobs[tags[i]];
-        if (j->matched) continue;
+        if (j->match) continue;
         ++j->counted;
         if (((hits >> i) & 1) == 0) continue;
         if (!(digests[i] == j->target)) continue;
-        j->matched = true;
-        j->match_seed = seeds[i];
-        j->match_shell = lane_shell[i];
+        j->match = {seeds[i], lane_shell[i]};
         j->ctx->signal_match();
       }
-      for (std::size_t t = 0; t < num_tags; ++t) {
-        Job<H>* j = batch_jobs[t];
-        if (j->counted > j->reported) {
-          j->ctx->add_progress(j->counted - j->reported);
-          j->reported = j->counted;
-        }
-      }
+      for (std::size_t t = 0; t < num_tags; ++t) batch_jobs[t]->flush_progress();
     }
 
     int retired = 0;
     for (auto it = q.active.begin(); it != q.active.end();) {
       Job<H>& j = **it;
-      if (j.matched || j.stopped || j.drained) {
+      if (j.done()) {
         j.promise.set_value(retire_result(j));
         it = q.active.erase(it);
         ++retired;
@@ -302,10 +287,10 @@ struct FusionEngine::Impl {
 
   template <typename H>
   std::optional<EngineReport> submit(Queue<H>& q, const Seed256& s_init,
-                                     ByteSpan digest, const SearchOptions& opts,
+                                     ByteSpan digest, sim::IterAlgo family,
+                                     const SearchOptions& opts,
                                      par::SearchContext* session) {
-    auto job = std::make_unique<Job<H>>(s_init, opts.max_distance,
-                                        cfg.iterator, opts);
+    auto job = std::make_unique<Job<H>>(s_init, family, opts);
     std::memcpy(job->target.bytes.data(), digest.data(),
                 job->target.bytes.size());
     job->head = hash::digest_head(job->target);
@@ -344,7 +329,8 @@ FusionEngine::~FusionEngine() { shutdown(); }
 
 std::optional<EngineReport> FusionEngine::try_search(
     const Seed256& s_init, ByteSpan digest, hash::HashAlgo algo,
-    const SearchOptions& opts, par::SearchContext* session) {
+    sim::IterAlgo family, const SearchOptions& opts,
+    par::SearchContext* session) {
   // Decline anything the fused path cannot substitute bit-for-bit: the
   // equivalence contract is against the SINGLE-thread early-exit search, a
   // quantum_hook needs the private loop, and oversized balls belong on the
@@ -352,15 +338,15 @@ std::optional<EngineReport> FusionEngine::try_search(
   if (!opts.early_exit || opts.num_threads != 1 || opts.quantum_hook ||
       opts.max_distance < 0 ||
       digest.size() != hash::digest_size(algo) ||
-      ball_candidates(opts.max_distance) > u128{impl_->cfg.threshold_seeds}) {
+      ball_candidates(opts.max_distance) > u128{kMaxBallSeeds}) {
     std::lock_guard lk(impl_->mu);
     ++impl_->stats.declined;
     return std::nullopt;
   }
   if (algo == hash::HashAlgo::kSha1) {
-    return impl_->submit(impl_->sha1, s_init, digest, opts, session);
+    return impl_->submit(impl_->sha1, s_init, digest, family, opts, session);
   }
-  return impl_->submit(impl_->sha3, s_init, digest, opts, session);
+  return impl_->submit(impl_->sha3, s_init, digest, family, opts, session);
 }
 
 FusionStats FusionEngine::stats() const {

@@ -9,15 +9,18 @@
 //
 // FusionEngine is the serving-side fix: one engine per shard implements
 // rbc::SearchOffload. Driver threads submit a session's search; the engine
-// turns it into a resumable TableCandidateStream (O(1) setup against
-// process-wide shell mask tables) and a single pump thread deals lane slots
-// of shared full-width sha1_seed_multi / sha3_256_seed_multi batches across
-// every in-flight stream:
+// turns it into a resumable candidate stream and a single pump thread deals
+// lane slots of shared full-width sha1_seed_multi / sha3_256_seed_multi
+// batches across every in-flight stream. The stream follows the same rule
+// as the solo search: an OrderedBallStream when the CA attached a
+// reliability order, otherwise a TableCandidateStream (O(1) setup against
+// process-wide shell mask tables) over the iterator family the CA passes
+// in — its backend's.
 //
 //   * admission  — try_search accepts a search when its modeled ball size
-//     is at or below cfg.threshold_seeds (and the run queue has room);
-//     anything larger, exhaustive-mode searches, and post-shutdown calls
-//     decline and fall through to the session's normal backend path.
+//     is at or below kMaxBallSeeds (and the run queue has room); anything
+//     larger, exhaustive-mode searches, and post-shutdown calls decline and
+//     fall through to the session's normal backend path.
 //   * fairness   — each batch deals lane slots round-robin over the active
 //     streams in earliest-deadline-first order, so a tight-deadline stream
 //     is served first every batch and no stream starves.
@@ -28,8 +31,9 @@
 // Equivalence contract (tested in tests/fusion_test.cpp): for a given
 // (S_init, digest) the fused path reports the same verdict, seed, distance
 // and the exact same seeds_hashed as the solo single-thread search — the
-// stream enumerates in canonical order and counting stops at the match,
-// mirroring the solo loop's `counted = i + 1`.
+// stream enumerates in the solo search's order and counting stops at the
+// match, mirroring the solo loop's `counted = i + 1`; the verdict is
+// written by the solo search's detail::finish.
 #pragma once
 
 #include <memory>
@@ -39,22 +43,12 @@
 namespace rbc::server {
 
 struct FusionConfig {
-  /// Largest ball (candidate count through max_distance, d0 included) the
-  /// engine absorbs; larger searches decline to the tiled solo path. The
-  /// default admits SHA-1/SHA-3 balls through d = 2 (32 897 candidates
-  /// over 256 bits) and declines d >= 3. Also bounds the shell mask table
-  /// memory at ~32 B per candidate.
-  u64 threshold_seeds = u64{1} << 16;
   /// Lane slots per fused batch (1..hash::kMaxTaggedLanes). Wider batches
   /// amortize dispatch across more sessions; 32 = two full kernel blocks.
   int batch_lanes = 32;
   /// Bound on streams queued + active; admissions beyond it decline (the
   /// session then runs solo rather than queueing unboundedly).
   int max_streams = 256;
-  /// Iterator family whose canonical order the streams reproduce. Must
-  /// match the CA backend's iterator or the per-session seeds_hashed of
-  /// fused and solo runs diverge (the visit ORDER is the contract).
-  sim::IterAlgo iterator = sim::IterAlgo::kChase382;
 };
 
 /// Counters behind ServerStats' fusion fields. Occupancy is
@@ -71,17 +65,25 @@ struct FusionStats {
 
 class FusionEngine final : public SearchOffload {
  public:
+  /// Largest ball (candidate count through max_distance, d0 included) the
+  /// engine absorbs; larger searches decline to the solo path. Admits
+  /// balls through d = 2 (32 897 candidates over 256 bits) and declines
+  /// d >= 3, which also bounds the shell mask tables to ~65 KiB.
+  static constexpr u64 kMaxBallSeeds = u64{1} << 16;
+
   explicit FusionEngine(FusionConfig cfg = {});
   ~FusionEngine() override;
 
   FusionEngine(const FusionEngine&) = delete;
   FusionEngine& operator=(const FusionEngine&) = delete;
 
-  /// Blocking: enqueues the search as a candidate stream and waits for the
-  /// pump to retire it. Returns nullopt to decline (see header comment);
-  /// the caller then runs its own backend.
+  /// Blocking: enqueues the search as a candidate stream over `family`
+  /// (or the reliability order in `opts`) and waits for the pump to retire
+  /// it. Returns nullopt to decline (see header comment); the caller then
+  /// runs its own backend.
   std::optional<EngineReport> try_search(const Seed256& s_init,
                                          ByteSpan digest, hash::HashAlgo algo,
+                                         sim::IterAlgo family,
                                          const SearchOptions& opts,
                                          par::SearchContext* session) override;
 

@@ -44,11 +44,10 @@ Shard::Shard(const ServerConfig& cfg, int index, int num_shards,
   recorder_ = recorder;
   if (cfg_.fusion_enabled) {
     FusionConfig fusion_cfg;
-    fusion_cfg.threshold_seeds = cfg_.fusion_threshold;
     fusion_cfg.batch_lanes = cfg_.fusion_lanes;
     // Keep more stream slots than this shard has drivers so backfill never
-    // starves; the default (kChase382) iterator matches the CA backends'
-    // default enumeration order, which the fused accounting depends on.
+    // starves. No order is set here: the CA hands each search its backend's
+    // family (and reliability order), so fused and solo sessions agree.
     fusion_cfg.max_streams = std::max(drivers * 2, 8);
     fusion_ = std::make_unique<FusionEngine>(fusion_cfg);
   }
@@ -227,7 +226,7 @@ void Shard::run_session(Session& session) {
     outcome.report =
         run_authentication(*session.client, ca_view_, ra_view_,
                            base_latency_.fork(session.seq), &session.ctx,
-                           link, fusion_.get(), cfg_.search_order);
+                           link, fusion_.get());
     outcome.authenticated = outcome.report.result.authenticated;
   }
   outcome.timed_out = session.ctx.timed_out() ||

@@ -98,16 +98,8 @@ struct ServerConfig {
   /// path is verdict- and accounting-identical, but the knob keeps the
   /// seed behavior bit-for-bit reproducible.
   bool fusion_enabled = false;
-  /// Admission cap for fusion, in modeled ball candidates (d0 + shells).
-  /// The default absorbs d <= 2 over 256 bits and declines d >= 3.
-  u64 fusion_threshold = u64{1} << 16;
   /// Lane slots per fused batch (clamped to hash::kMaxTaggedLanes).
   int fusion_lanes = 32;
-  /// Within-shell search order for every session this server runs. Unset
-  /// defers to the CA's own CaConfig::search_order; kReliability turns on
-  /// maximum-likelihood-first enumeration for devices whose enrollment
-  /// records carry reliability profiles (others stay canonical).
-  std::optional<SearchOrder> search_order{};
   /// Session tracing (docs/server.md "Observability"): each shard keeps a
   /// lock-free ring of per-session span records — admission, queue wait,
   /// search shells, retransmits, fusion residency, verdict. Off by default:

@@ -4,19 +4,24 @@
 // search, the fused path must report the SAME verdict, seed, distance and
 // the EXACT same seeds_hashed as the backend's single-thread solo search —
 // fusion is an execution substitution, not a semantic change. These tests
-// pin that down candidate-by-candidate (stream order), lane-by-lane (the
+// pin that down candidate-by-candidate (stream order, and the cursor
+// contract every CandidateStream keeps: StreamContract), lane-by-lane (the
 // tagged batch kernel), search-by-search (fused against the brute-force
 // oracle; search_oracle_test.cpp also runs a whole ball's sessions through
-// one engine at once), and server-by-server (shard counts and chaos faults
-// must not perturb verdicts when fusion is on).
+// one engine at once), and server-by-server (shard counts, chaos faults
+// and the backend's iterator family must not perturb what fusion reports).
 //
 // FusionEngine*/FusionServer* run under TSan in CI: driver threads block on
 // futures while one pump deals their streams into shared batches, which
 // exercises the admission/backfill/retire seams concurrently.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <future>
 #include <memory>
+#include <ostream>
+#include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -33,6 +38,7 @@ namespace rbc::server {
 namespace {
 
 constexpr u64 kBallD2 = 1 + 256 + 32640;  // |ball(d<=2)| over 256 bits
+constexpr sim::IterAlgo kChase = sim::IterAlgo::kChase382;
 
 Seed256 random_seed(u64 salt) {
   Xoshiro256 rng(salt);
@@ -63,75 +69,115 @@ SearchOptions small_search_opts() {
 // Stream contract
 // ---------------------------------------------------------------------------
 
-template <comb::SeedIteratorFactory Factory>
-std::vector<Seed256> ball_stream_order(const Seed256& s_init, int d,
-                                       Factory factory) {
-  BallStream<Factory> stream(s_init, d, factory);
-  std::vector<Seed256> order;
-  std::array<Seed256, 64> buf;
-  while (std::size_t n = stream.fill(buf.data(), buf.size()))
-    order.insert(order.end(), buf.begin(), buf.begin() + n);
-  return order;
-}
-
 TEST(FusionStream, TableStreamReproducesBallStreamOrder) {
   // The cached-table stream must emit the byte-identical candidate sequence
   // the factory-walking stream emits, for every iterator family and
   // regardless of the fill granularity — resumability cannot perturb the
   // enumeration order.
   const Seed256 s_init = random_seed(0xF051);
-  const std::pair<sim::IterAlgo, std::vector<Seed256>> families[] = {
-      {sim::IterAlgo::kChase382,
-       ball_stream_order(s_init, 2, comb::ChaseFactory())},
-      {sim::IterAlgo::kAlg515,
-       ball_stream_order(
-           s_init, 2, comb::Algorithm515Factory(comb::Alg515Mode::kSuccessor))},
-      {sim::IterAlgo::kGosper,
-       ball_stream_order(s_init, 2, comb::GosperFactory())},
-  };
-  for (const auto& [iter, want] : families) {
+  for (const auto iter : {sim::IterAlgo::kChase382, sim::IterAlgo::kAlg515,
+                          sim::IterAlgo::kGosper}) {
     SCOPED_TRACE(sim::to_string(iter));
+    const std::vector<Seed256> want =
+        with_factory(iter, comb::kSeedBits, [&](const auto& factory) {
+          BallStream<std::decay_t<decltype(factory)>> ball(s_init, 2, factory);
+          return oracle::drain(ball, /*ragged=*/false);
+        });
     ASSERT_EQ(want.size(), kBallD2);
     TableCandidateStream table(s_init, 2, iter);
-    std::vector<Seed256> got;
-    std::array<Seed256, 64> buf;
-    std::size_t ask = 1;  // ragged asks: 1, 2, 3, ... wraps shell boundaries
-    while (std::size_t n = table.fill(buf.data(), (ask % 63) + 1)) {
-      got.insert(got.end(), buf.begin(), buf.begin() + n);
-      ++ask;
-    }
-    ASSERT_EQ(got.size(), want.size());
+    EXPECT_TRUE(oracle::drain(table) == want);
     EXPECT_TRUE(table.exhausted());
-    EXPECT_EQ(table.position(), kBallD2);
-    for (std::size_t i = 0; i < want.size(); ++i)
-      ASSERT_EQ(got[i], want[i]) << "candidate " << i;
   }
 }
 
-TEST(FusionStream, FillsNeverCrossShellBoundaries) {
+/// Every stream, d <= 3 over 20 bits: each family walks three shells, and
+/// the budget-1 ordered stream runs each shell as a one-mask head plus its
+/// canonical tail.
+constexpr int kContractD = 3;
+constexpr int kContractBits = 20;
+
+struct StreamCase {
+  std::string name;
+  std::function<std::unique_ptr<CandidateStream>(const Seed256&)> open;
+};
+
+void PrintTo(const StreamCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<StreamCase> stream_cases() {
+  std::vector<StreamCase> out;
+  for (const auto& [iter, family] :
+       {std::pair{sim::IterAlgo::kChase382, "chase"},
+        std::pair{sim::IterAlgo::kAlg515, "alg515"},
+        std::pair{sim::IterAlgo::kGosper, "gosper"}}) {
+    out.push_back({std::string("ball_") + family, [iter](const Seed256& s) {
+      return with_factory(
+          iter, kContractBits,
+          [&](const auto& f) -> std::unique_ptr<CandidateStream> {
+            using Factory = std::decay_t<decltype(f)>;
+            return std::make_unique<BallStream<Factory>>(s, kContractD, f);
+          });
+    }});
+    out.push_back({std::string("table_") + family, [iter](const Seed256& s) {
+      return std::make_unique<TableCandidateStream>(s, kContractD, iter,
+                                                    kContractBits);
+    }});
+  }
+  std::array<u8, 256> weights{};
+  Xoshiro256 rng(0xC0);
+  for (u8& w : weights) w = static_cast<u8>(rng.next_below(256));
+  const auto order = std::make_shared<const comb::ReliabilityOrder>(
+      comb::ReliabilityOrder::from_weights(weights.data(), kContractBits));
+  for (const u64 budget : {OrderedBallStream::kDefaultOrderedBudget, u64{1}}) {
+    out.push_back({budget == 1 ? "ordered_budget1" : "ordered",
+                   [order, budget](const Seed256& s) {
+                     return std::make_unique<OrderedBallStream>(
+                         s, kContractD, order, budget, kContractBits);
+                   }});
+  }
+  return out;
+}
+
+class StreamContract : public ::testing::TestWithParam<StreamCase> {};
+
+TEST_P(StreamContract, HoldsOnEveryFill) {
   const Seed256 s_init = random_seed(0xF052);
-  TableCandidateStream stream(s_init, 2, sim::IterAlgo::kChase382);
-  std::array<Seed256, 48> buf;
-
-  // First fill emits exactly the d0 candidate.
-  ASSERT_EQ(stream.fill(buf.data(), buf.size()), 1u);
-  EXPECT_EQ(stream.last_shell(), 0);
+  const auto stream = GetParam().open(s_init);
+  std::array<Seed256, 64> buf;
+  // The first fill is exactly S_init.
+  ASSERT_EQ(stream->fill(buf.data(), buf.size()), 1u);
   EXPECT_EQ(buf[0], s_init);
-
-  u64 per_shell[3] = {1, 0, 0};
-  int prev_shell = 0;
-  while (std::size_t n = stream.fill(buf.data(), buf.size())) {
-    const int shell = stream.last_shell();
-    ASSERT_GE(shell, prev_shell) << "shells must be visited in order";
-    for (std::size_t i = 0; i < n; ++i)
-      ASSERT_EQ((buf[i] ^ s_init).popcount(), shell)
-          << "fill mixed candidates from different shells";
-    per_shell[shell] += n;
-    prev_shell = shell;
+  EXPECT_EQ(stream->last_shell(), 0);
+  // Ragged asks wrap shell boundaries. No fill mixes shells, shells ascend,
+  // and shell k yields its C(n, k) weight-k masks once each.
+  std::vector<std::set<Seed256>> shells(kContractD + 1);
+  std::size_t ask = 0;
+  while (const std::size_t n = stream->fill(buf.data(), ask++ % 64 + 1)) {
+    const auto shell = static_cast<std::size_t>(stream->last_shell());
+    for (std::size_t above = shell + 1; above < shells.size(); ++above)
+      ASSERT_TRUE(shells[above].empty()) << "shells must ascend";
+    for (std::size_t i = 0; i < n; ++i) {
+      const Seed256 mask = buf[i] ^ s_init;
+      ASSERT_EQ(static_cast<std::size_t>(mask.popcount()), shell);
+      ASSERT_LT(mask.highest_set_bit(), kContractBits);
+      ASSERT_TRUE(shells[shell].insert(mask).second) << "repeated candidate";
+    }
   }
-  EXPECT_EQ(per_shell[1], 256u);
-  EXPECT_EQ(per_shell[2], 32640u);
+  for (int k = 1; k <= kContractD; ++k)
+    EXPECT_EQ(shells[static_cast<std::size_t>(k)].size(),
+              comb::binomial64(kContractBits, k));
+  EXPECT_TRUE(stream->exhausted());
+  EXPECT_EQ(stream->position(),
+            static_cast<u64>(ball_candidates(kContractD, kContractBits)));
+  // After skip_base() the first fill comes from shell 1.
+  const auto skipped = GetParam().open(s_init);
+  skipped->skip_base();
+  ASSERT_GT(skipped->fill(buf.data(), buf.size()), 0u);
+  EXPECT_EQ(skipped->last_shell(), 1);
 }
+
+INSTANTIATE_TEST_SUITE_P(AllStreams, StreamContract,
+                         ::testing::ValuesIn(stream_cases()),
+                         [](const auto& test) { return test.param.name; });
 
 // ---------------------------------------------------------------------------
 // Tagged batch kernel
@@ -239,7 +285,8 @@ TEST(FusionEngine, PreExpiredDeadlineCountsExactlyTheBaseSeed) {
 
   par::SearchContext fused_ctx = par::SearchContext::with_budget(0.0);
   auto fused = engine.try_search(s_init, ByteSpan(digest),
-                                 hash::HashAlgo::kSha3_256, opts, &fused_ctx);
+                                 hash::HashAlgo::kSha3_256, kChase, opts,
+                                 &fused_ctx);
   ASSERT_TRUE(fused.has_value());
   expect_equivalent(want, *fused, "pre-expired deadline");
 }
@@ -253,7 +300,7 @@ TEST(FusionEngine, CancelledSessionRetiresAsCancelled) {
   par::SearchContext ctx;
   ctx.cancel();
   auto fused = engine.try_search(s_init, ByteSpan(digest),
-                                 hash::HashAlgo::kSha1, opts, &ctx);
+                                 hash::HashAlgo::kSha1, kChase, opts, &ctx);
   ASSERT_TRUE(fused.has_value());
   EXPECT_FALSE(fused->result.found);
   EXPECT_TRUE(fused->result.cancelled);
@@ -273,7 +320,8 @@ TEST(FusionEngine, MidStreamDeadlineExpiryStaysSane) {
       digest_of(s_init ^ mask_of_weight(8, 0x456), hash::HashAlgo::kSha3_256);
   par::SearchContext ctx = par::SearchContext::with_budget(200e-6);
   auto fused = engine.try_search(s_init, ByteSpan(digest),
-                                 hash::HashAlgo::kSha3_256, opts, &ctx);
+                                 hash::HashAlgo::kSha3_256, kChase, opts,
+                                 &ctx);
   ASSERT_TRUE(fused.has_value());
   EXPECT_FALSE(fused->result.found);
   EXPECT_GE(fused->result.seeds_hashed, 1u);
@@ -290,23 +338,29 @@ TEST(FusionEngine, DeclinesEverythingOutsideTheContract) {
 
   SearchOptions exhaustive = small_search_opts();
   exhaustive.early_exit = false;  // exhaustive runs keep the private loop
-  EXPECT_FALSE(
-      engine.try_search(s_init, ByteSpan(digest), algo, exhaustive, nullptr)
-          .has_value());
+  EXPECT_FALSE(engine
+                   .try_search(s_init, ByteSpan(digest), algo, kChase,
+                               exhaustive, nullptr)
+                   .has_value());
 
   SearchOptions wide = small_search_opts();
   wide.num_threads = 2;  // equivalence is against the 1-thread search
-  EXPECT_FALSE(engine.try_search(s_init, ByteSpan(digest), algo, wide, nullptr)
+  EXPECT_FALSE(engine
+                   .try_search(s_init, ByteSpan(digest), algo, kChase, wide,
+                               nullptr)
                    .has_value());
 
   SearchOptions big = small_search_opts();
   big.max_distance = 3;  // ball(d<=3) is ~2.8M candidates, over threshold
-  EXPECT_FALSE(engine.try_search(s_init, ByteSpan(digest), algo, big, nullptr)
+  EXPECT_FALSE(engine
+                   .try_search(s_init, ByteSpan(digest), algo, kChase, big,
+                               nullptr)
                    .has_value());
 
   engine.shutdown();
-  EXPECT_FALSE(engine.try_search(s_init, ByteSpan(digest), algo,
-                                 small_search_opts(), nullptr)
+  EXPECT_FALSE(engine
+                   .try_search(s_init, ByteSpan(digest), algo, kChase,
+                               small_search_opts(), nullptr)
                    .has_value());
 
   EXPECT_EQ(engine.stats().declined, 4u);
@@ -338,7 +392,8 @@ struct FusionServerFixture {
   RegistrationAuthority ra;
   std::unique_ptr<CertificateAuthority> ca;
 
-  explicit FusionServerFixture(int num_devices, u64 id_base) {
+  FusionServerFixture(int num_devices, u64 id_base,
+                      sim::IterAlgo iterator = kChase) {
     EnrollmentDatabase db(master_key());
     for (int i = 0; i < num_devices; ++i) {
       const u64 id = id_base + static_cast<u64>(i);
@@ -353,6 +408,7 @@ struct FusionServerFixture {
     ca_cfg.time_threshold_s = 600.0;
     EngineConfig engine_cfg;
     engine_cfg.host_threads = 1;
+    engine_cfg.iterator = iterator;
     ca = std::make_unique<CertificateAuthority>(
         ca_cfg, std::move(db), make_backend("cpu", engine_cfg), &ra);
   }
@@ -403,6 +459,34 @@ TEST(FusionServer, FusedBurstAuthenticatesAndReportsOccupancy) {
   EXPECT_LE(stats.fusion_lanes_filled, stats.fusion_lanes_issued);
   EXPECT_GT(stats.lane_occupancy, 0.0);
   EXPECT_LE(stats.lane_occupancy, 1.0);
+}
+
+TEST(FusionServer, FusedSessionsWalkTheBackendsIteratorFamily) {
+  // The fused stream enumerates the CA backend's family, not Chase: the same
+  // planted d = 2 sessions (one driver, the same challenge draws, identically
+  // seeded clients) count the same seeds with fusion off and on.
+  constexpr int kSessions = 8;
+  for (const auto family : {sim::IterAlgo::kAlg515, sim::IterAlgo::kGosper}) {
+    SCOPED_TRACE(sim::to_string(family));
+    std::vector<u64> seeds_hashed[2];
+    for (const bool fusion : {false, true}) {
+      FusionServerFixture f(kSessions, /*id_base=*/4500, family);
+      ServerConfig cfg;
+      cfg.max_in_flight = 1;
+      cfg.session_budget_s = 600.0;
+      cfg.fusion_enabled = fusion;
+      AuthServer server(cfg, f.ca.get(), &f.ra);
+      for (int i = 0; i < kSessions; ++i) {
+        const auto client = f.make_client(i, /*injected_distance=*/2, 0xFA31);
+        const SessionOutcome outcome = server.submit(client.get()).get();
+        ASSERT_TRUE(outcome.authenticated) << "session " << i;
+        seeds_hashed[fusion].push_back(
+            outcome.report.engine.result.seeds_hashed);
+      }
+      EXPECT_EQ(server.stats().fused_sessions, fusion ? u64{kSessions} : 0u);
+    }
+    EXPECT_EQ(seeds_hashed[0], seeds_hashed[1]);
+  }
 }
 
 TEST(FusionServer, FusionOffLeavesStatsZeroAndVerdictsIntact) {

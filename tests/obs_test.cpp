@@ -396,15 +396,16 @@ TEST(ObsTrace, TraceOffIsByteIdenticalToTraceOn) {
   // Identical fixtures, identical clients, identical per-session salts; the
   // only difference is the observability config. Verdicts and seeds_hashed
   // must match session for session, and the untraced server must have
-  // recorded nothing.
-  constexpr int kDevices = 6;
+  // recorded nothing. The sessions replay identically only if no challenge
+  // draw can depend on thread interleaving: one device per stripe's
+  // challenge RNG, and one session per device.
   constexpr int kSessions = 12;
+  std::vector<u64> ids = ObsFixture::one_id_per_stripe(41000);
+  ids.resize(kSessions);
   std::vector<SessionOutcome> outcomes[2];
-  std::unique_ptr<AuthServer> traced_server;
-  ObsFixture fixtures[2] = {ObsFixture(kDevices), ObsFixture(kDevices)};
   u64 untraced_events = 0;
   for (int variant = 0; variant < 2; ++variant) {
-    ObsFixture& f = fixtures[variant];
+    ObsFixture f(ids);
     ServerConfig cfg = quiet_config(2);
     if (variant == 1) {
       cfg.trace_enabled = true;
@@ -415,7 +416,7 @@ TEST(ObsTrace, TraceOffIsByteIdenticalToTraceOn) {
     std::vector<std::future<SessionOutcome>> futures;
     for (int i = 0; i < kSessions; ++i) {
       clients.push_back(
-          f.make_client(i % kDevices, 1 + (i % 2), 0xCAFE + static_cast<u64>(i)));
+          f.make_client(i, 1 + (i % 2), 0xCAFE + static_cast<u64>(i)));
       futures.push_back(server.submit(clients.back().get(), /*budget_s=*/600.0,
                                       /*net_salt=*/0x900D + static_cast<u64>(i)));
     }

@@ -1,9 +1,9 @@
 // Reliability-guided search ordering: maximum-likelihood-first enumeration.
 //
-// The load-bearing property is the permutation contract: within every shell
-// the ordered stream visits EXACTLY the canonical shell's candidates — only
-// the order changes — so misses count identical seeds_hashed and verdicts
-// can never diverge from the canonical search. On top of that sit the
+// The load-bearing property is the permutation contract (fusion_test.cpp's
+// StreamContract pins it for the stream): within every shell the ordered
+// stream visits EXACTLY the canonical shell's candidates, so misses count
+// identical seeds_hashed and verdicts never diverge. On top of that sit the
 // likelihood guarantees (weight sums non-decreasing, the cheapest subset
 // first), the solo-vs-fused equivalence for SearchOrder::kReliability, the
 // single-pass enrollment calibration (mask + profile from one read stream),
@@ -49,15 +49,6 @@ Seed256 random_seed(u64 salt) {
   return Seed256::random(rng);
 }
 
-/// A mask with exactly `k` distinct bits set, drawn from `salt`.
-Seed256 mask_of_weight(int k, u64 salt) {
-  Xoshiro256 rng(salt);
-  Seed256 mask;
-  while (mask.popcount() < k)
-    mask.set_bit(static_cast<int>(rng.next() % 256));
-  return mask;
-}
-
 /// A reliability order over 256 bits where `likely` bits carry low weight
 /// (likely to flip) and every other bit carries a high uniform weight.
 std::shared_ptr<const comb::ReliabilityOrder> order_with_likely_bits(
@@ -67,17 +58,6 @@ std::shared_ptr<const comb::ReliabilityOrder> order_with_likely_bits(
   for (int bit : likely) weights[static_cast<unsigned>(bit)] = low;
   return std::make_shared<const comb::ReliabilityOrder>(
       comb::ReliabilityOrder::from_weights(weights.data()));
-}
-
-std::vector<Seed256> drain(CandidateStream& stream) {
-  std::vector<Seed256> out;
-  std::array<Seed256, 64> buf;
-  std::size_t ask = 1;  // ragged asks wrap shell boundaries
-  while (std::size_t n = stream.fill(buf.data(), (ask % 63) + 1)) {
-    out.insert(out.end(), buf.begin(), buf.begin() + n);
-    ++ask;
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -201,7 +181,7 @@ TEST(OrderedShell, CanonicalBallRankMatchesCanonicalStreamPosition) {
   const Seed256 s_init = random_seed(0x4A4A);
   comb::GosperFactory factory;
   BallStream<comb::GosperFactory> stream(s_init, 2, factory);
-  const std::vector<Seed256> ball = drain(stream);
+  const std::vector<Seed256> ball = oracle::drain(stream);
   ASSERT_EQ(ball.size(), kBallD2);
   for (std::size_t i = 0; i < ball.size(); i += 17) {  // sampled, plus ends
     EXPECT_EQ(comb::canonical_ball_rank(ball[i] ^ s_init),
@@ -213,72 +193,9 @@ TEST(OrderedShell, CanonicalBallRankMatchesCanonicalStreamPosition) {
 }
 
 // ---------------------------------------------------------------------------
-// OrderedBallStream: the CandidateStream contract
+// OrderedBallStream (its cursor contract, at the default budget and at a
+// budget of 1: fusion_test.cpp's StreamContract)
 // ---------------------------------------------------------------------------
-
-TEST(OrderedStream, FirstFillIsBaseAndFillsNeverCrossShells) {
-  const auto order = order_with_likely_bits({1, 2});
-  const Seed256 s_init = random_seed(0x0B51);
-  OrderedBallStream stream(s_init, 2, order);
-  std::array<Seed256, 48> buf;
-
-  ASSERT_EQ(stream.fill(buf.data(), buf.size()), 1u);
-  EXPECT_EQ(stream.last_shell(), 0);
-  EXPECT_EQ(buf[0], s_init);
-
-  u64 per_shell[3] = {1, 0, 0};
-  int prev_shell = 0;
-  while (std::size_t n = stream.fill(buf.data(), buf.size())) {
-    const int shell = stream.last_shell();
-    ASSERT_GE(shell, prev_shell);
-    for (std::size_t i = 0; i < n; ++i)
-      ASSERT_EQ((buf[i] ^ s_init).popcount(), shell)
-          << "fill mixed candidates from different shells";
-    per_shell[shell] += n;
-    prev_shell = shell;
-  }
-  EXPECT_EQ(per_shell[1], 256u);
-  EXPECT_EQ(per_shell[2], 32640u);
-  EXPECT_TRUE(stream.exhausted());
-  EXPECT_EQ(stream.position(), kBallD2);
-}
-
-TEST(OrderedStream, HybridBudgetBallIsExactPermutation) {
-  // n_bits = 18, d = 3, budget = 100: shells 1 (18) and 2 (153) are fully
-  // ordered, shell 3 (C(18,3) = 816) overflows the budget and must finish
-  // through the canonical tail without duplicating or dropping a candidate.
-  std::array<u8, 256> weights{};
-  Xoshiro256 rng(0x18bd);
-  for (auto& w : weights) w = static_cast<u8>(rng.next() % 199);
-  const auto order = std::make_shared<const comb::ReliabilityOrder>(
-      comb::ReliabilityOrder::from_weights(weights.data(), 18));
-  const Seed256 s_init = random_seed(0x1818);
-
-  OrderedBallStream stream(s_init, 3, order, /*ordered_budget=*/100, 18);
-  const std::vector<Seed256> got = drain(stream);
-
-  comb::GosperFactory factory(18);
-  BallStream<comb::GosperFactory> reference(s_init, 3, factory);
-  const std::vector<Seed256> want = drain(reference);
-
-  ASSERT_EQ(want.size(), 988u);  // 1 + 18 + 153 + 816
-  ASSERT_EQ(got.size(), want.size());
-  EXPECT_EQ(std::set<Seed256>(got.begin(), got.end()),
-            std::set<Seed256>(want.begin(), want.end()));
-  EXPECT_EQ(stream.position(), 988u);
-}
-
-TEST(OrderedStream, BudgetOfOneStillCoversTheWholeBall) {
-  // Degenerate budget: every shell switches to the tail after one ordered
-  // emission — the worst case for the skip logic.
-  const auto order = order_with_likely_bits({9, 200});
-  const Seed256 s_init = random_seed(0xB1);
-  OrderedBallStream stream(s_init, 2, order, /*ordered_budget=*/1);
-  const std::vector<Seed256> got = drain(stream);
-  ASSERT_EQ(got.size(), kBallD2);
-  std::set<Seed256> unique(got.begin(), got.end());
-  EXPECT_EQ(unique.size(), kBallD2);
-}
 
 TEST(OrderedStream, SkipBaseStartsAtShellOne) {
   const auto order = order_with_likely_bits({5});
@@ -293,7 +210,7 @@ TEST(OrderedStream, SkipBaseStartsAtShellOne) {
 }
 
 // ---------------------------------------------------------------------------
-// rbc_search under SearchOrder::kReliability
+// rbc_search with a reliability order
 // ---------------------------------------------------------------------------
 
 template <typename Hash = hash::Sha3SeedHash>
@@ -307,7 +224,6 @@ SearchResult ordered_search(const Seed256& base, const Seed256& truth,
   opts.max_distance = max_distance;
   opts.num_threads = threads;
   opts.timeout_s = 600.0;
-  opts.order = SearchOrder::kReliability;
   opts.reliability = std::move(rel);
   const Hash hash;
   return rbc_search<Hash>(base, hash(truth), factory, pool, opts, hash);
@@ -367,30 +283,6 @@ TEST(OrderedSearch, ThreadCountDoesNotPerturbOrderedResults) {
   EXPECT_EQ(wide.seed, with_flipped_bit(base, 200));
   EXPECT_EQ(wide.seeds_hashed, 4u);  // base + bits 3, 77, 200
   EXPECT_EQ(wide.canonical_rank, 1u + 200u + 1u);
-}
-
-TEST(OrderedSearch, ExplicitCanonicalMatchesDefault) {
-  const Seed256 base = random_seed(0x555);
-  const Seed256 truth = base ^ mask_of_weight(2, 0xCC);
-  comb::GosperFactory factory;
-  par::WorkerGroup pool(1);
-  SearchOptions opts;
-  opts.max_distance = 2;
-  opts.timeout_s = 600.0;
-  const hash::Sha3SeedHash hash;
-  const SearchResult dflt =
-      rbc_search<hash::Sha3SeedHash>(base, hash(truth), factory, pool, opts,
-                                     hash);
-  opts.order = SearchOrder::kCanonical;
-  const SearchResult expl =
-      rbc_search<hash::Sha3SeedHash>(base, hash(truth), factory, pool, opts,
-                                     hash);
-  ASSERT_TRUE(dflt.found);
-  EXPECT_EQ(dflt.seed, expl.seed);
-  EXPECT_EQ(dflt.seeds_hashed, expl.seeds_hashed);
-  EXPECT_EQ(dflt.canonical_rank, expl.canonical_rank);
-  // Under canonical order with early exit, the rank IS the visit count.
-  EXPECT_EQ(dflt.canonical_rank, dflt.seeds_hashed);
 }
 
 // ---------------------------------------------------------------------------
@@ -593,6 +485,7 @@ TEST(OrderedServer, ReliabilityOrderedBurstAuthenticatesAndRanks) {
   CaConfig ca_cfg;
   ca_cfg.max_distance = 2;
   ca_cfg.time_threshold_s = 600.0;
+  ca_cfg.search_order = SearchOrder::kReliability;
   EngineConfig engine_cfg;
   engine_cfg.host_threads = 1;
   CertificateAuthority ca(ca_cfg, std::move(db),
@@ -603,7 +496,6 @@ TEST(OrderedServer, ReliabilityOrderedBurstAuthenticatesAndRanks) {
   cfg.max_in_flight = kSessions;
   cfg.session_budget_s = 600.0;
   cfg.fusion_enabled = true;  // ordered streams must ride the fused path too
-  cfg.search_order = SearchOrder::kReliability;
   server::AuthServer server(cfg, &ca, &ra);
 
   std::vector<std::unique_ptr<Client>> clients;

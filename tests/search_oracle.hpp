@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <memory>
@@ -191,11 +192,8 @@ inline SearchOptions options_for(const Case& c, int units,
   opts.early_exit = c.early_exit;
   opts.timeout_s = 600.0;
   opts.tile_seeds = tile_seeds;
-  if (c.reliability != nullptr) {
-    opts.order = SearchOrder::kReliability;
-    opts.reliability = c.reliability;
-    opts.ordered_budget = kOrderedBudget;
-  }
+  opts.reliability = c.reliability;
+  opts.ordered_budget = kOrderedBudget;
   return opts;
 }
 
@@ -212,17 +210,24 @@ Outcome typed(const Case& c, Search&& search) {
                                 hash::Sha3SeedHash>{});
 }
 
+/// Every candidate `stream` has left, in order; `ragged` fills ask for 1,
+/// 2, ..., 64 candidates in turn (wrapping shell boundaries), else for 64.
+inline std::vector<Seed256> drain(CandidateStream& stream, bool ragged = true) {
+  std::vector<Seed256> out;
+  std::array<Seed256, 64> block;
+  for (std::size_t call = 0;; ++call) {
+    const std::size_t n =
+        stream.fill(block.data(), ragged ? call % 64 + 1 : block.size());
+    if (n == 0) return out;
+    out.insert(out.end(), block.begin(), block.begin() + n);
+  }
+}
+
 /// 1-based position of `seed` in a candidate stream's order, 0 if absent.
 inline u64 stream_position(CandidateStream& stream, const Seed256& seed) {
-  std::array<Seed256, 64> block;
-  u64 seen = 0;
-  while (const std::size_t n = stream.fill(block.data(), block.size())) {
-    for (std::size_t i = 0; i < n; ++i) {
-      ++seen;
-      if (block[i] == seed) return seen;
-    }
-  }
-  return 0;
+  const std::vector<Seed256> order = drain(stream);
+  const auto at = std::find(order.begin(), order.end(), seed);
+  return at == order.end() ? 0 : static_cast<u64>(at - order.begin()) + 1;
 }
 
 /// The exact early-exit count of a single-unit search over `factory`: the
@@ -259,12 +264,14 @@ inline comb::ChaseFactory chase(int n_bits) {
   return comb::ChaseFactory(n_bits);
 }
 
-/// Sessions of `engine` over 256 bits, fused with whatever else it holds.
-inline Runner fused_search(server::FusionEngine& engine) {
-  return [&engine](const Case& c) {
+/// Sessions of `engine` over 256 bits in `family`'s canonical order (or the
+/// case's reliability order), fused with whatever else it holds.
+inline Runner fused_search(server::FusionEngine& engine,
+                           sim::IterAlgo family = sim::IterAlgo::kChase382) {
+  return [&engine, family](const Case& c) {
     const Bytes digest = digest_of(c.truth, c.algo);
     const auto report = engine.try_search(c.s_init, ByteSpan(digest), c.algo,
-                                          options_for(c, 1), nullptr);
+                                          family, options_for(c, 1), nullptr);
     EXPECT_TRUE(report.has_value());
     return report ? outcome_of(report->result) : Outcome{};
   };

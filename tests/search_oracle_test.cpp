@@ -1,7 +1,8 @@
 // One differential property test for every search path: the single-unit
 // stream (each iterator family, batched and scalar hashing), the tiled
 // search at 2-4 units and with tiny tiles, the reliability-ordered stream,
-// the fused engine (canonical and ordered sessions sharing batches), the
+// the fused engine (canonical and ordered sessions sharing batches, and each
+// iterator family's canonical sessions at that family's exact count), the
 // GPU-emu kernel, the hetero co-search, the distributed ranks and the APU
 // bit-sliced kernel. Each runs the oracle's cases (search_oracle.hpp), all
 // at once as concurrent sessions, and must agree with brute force.
@@ -68,6 +69,12 @@ std::vector<Path> paths() {
        host_search(pool(), 3, chase), chase_visit},
       {"fused", 2, kFull, false, Orders::kBoth, fused_search(engine),
        chase_visit},
+      {"fused_alg515", 2, kFull, false, canonical,
+       fused_search(engine, sim::IterAlgo::kAlg515),
+       [](const Case& c) { return visit_position(c, alg515(c.n_bits)); }},
+      {"fused_gosper", 2, kFull, false, canonical,
+       fused_search(engine, sim::IterAlgo::kGosper),
+       [](const Case& c) { return visit_position(c, gosper(c.n_bits)); }},
       {"gpu_emu", 2, kFull, false, canonical,
        kernel_search(pool(), [](int k) { return k == 1 ? 3 : 16; }, 4),
        nullptr},
