@@ -24,8 +24,8 @@ cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
 step_1() {
-echo "=== [1/17] configure + build (default) ==="
-cmake --preset default >/dev/null
+echo "=== [1/17] configure + build (default, warnings are errors) ==="
+cmake --preset default -DRBC_WERROR=ON >/dev/null
 cmake --build --preset default -j "$JOBS"
 }
 

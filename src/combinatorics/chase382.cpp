@@ -9,11 +9,13 @@ namespace {
 
 // One transition of Chase's Algorithm 382 in its iterative "twiddle"
 // formulation. `ctrl` is the 1-based control array with sentinels at indices
-// 0 and n+1. On a normal step, writes the 0-based bit position entering the
-// combination to `in` and the position leaving to `out` and returns true;
-// returns false when the sequence is exhausted.
-bool twiddle_step(std::int16_t* ctrl, int& in, int& out) noexcept {
-  int j = 1;
+// 0 and n+1. The scan for the first positive entry starts at `first`, which
+// must not lie past it; ChaseSequence::advance passes the entry itself, so
+// the scan reads one entry. On a normal step, writes the 0-based bit position
+// entering the combination to `in` and the position leaving to `out` and
+// returns true; returns false when the sequence is exhausted.
+bool twiddle_step(std::int16_t* ctrl, int first, int& in, int& out) noexcept {
+  int j = first;
   while (ctrl[j] <= 0) ++j;
   if (ctrl[j - 1] == 0) {
     for (int i = j - 1; i != 1; --i) ctrl[i] = -1;
@@ -83,8 +85,13 @@ ChaseSequence::ChaseSequence(const ChaseState& state, int n_bits)
 
 // Aligned so its scan loops' cache-line offsets do not depend on link order.
 [[gnu::aligned(64)]] bool ChaseSequence::advance() noexcept {
+  // control[i] > 0 exactly when bit i - 1 of the mask is set, so the first
+  // positive entry sits at the lowest set bit + 1. The one exception is
+  // k = 0: its mask is empty and its m = 0 sentinel is control[1].
+  const int low = state_.mask.count_trailing_zeros();
+  const int first = low == kSeedBits ? 1 : low + 1;
   int in = 0, out = 0;
-  if (!twiddle_step(state_.control.data(), in, out)) return false;
+  if (!twiddle_step(state_.control.data(), first, in, out)) return false;
   state_.mask.set_bit(in);
   state_.mask.clear_bit(out);
   ++state_.step_index;

@@ -1,8 +1,11 @@
 // Chase's Algorithm 382 (CACM 13(6), 1970) — the winning seed iterator.
 //
 // Chase's sequence is a combinatorial Gray code: consecutive combinations
-// differ by moving a single element, so stepping costs O(1) bit flips plus a
-// short scan of the control array. It is inherently sequential (each step
+// differ by moving a single element, so a step costs O(1) bit flips. It finds
+// the control array's first positive entry without scanning for it: the
+// positive entries are exactly the mask's set bits (control[i] > 0 iff bit
+// i - 1 is set), so the first one sits at the mask's lowest set bit + 1, one
+// count-trailing-zeros away. It is inherently sequential (each step
 // depends on the previous state), which §3.2.1 solves by *state
 // snapshotting*: the sequence is walked once, saving the generator state at
 // regular intervals; each of the p threads then resumes from its snapshot and

@@ -64,10 +64,12 @@ inline Bytes encode_want(int shell) {
   return Bytes{kMsgWant, static_cast<u8>(shell)};
 }
 
+/// Found: tag + shell + the 32-byte seed.
 inline Bytes encode_found(const Seed256& seed, int shell) {
-  Bytes out{kMsgFound, static_cast<u8>(shell)};
-  const auto bytes = seed.to_bytes();
-  out.insert(out.end(), bytes.begin(), bytes.end());
+  Bytes out(2 + Seed256::kBytes);
+  out[0] = kMsgFound;
+  out[1] = static_cast<u8>(shell);
+  std::memcpy(out.data() + 2, seed.to_bytes().data(), Seed256::kBytes);
   return out;
 }
 

@@ -21,7 +21,8 @@ using detail::kKeccakRoundConstants;
 
 template <int L>
 void sha3_seed_lanes(const Seed256* seeds, Digest256* out) noexcept {
-  u64 s[25][L];
+  constexpr auto kLanes = static_cast<std::size_t>(L);
+  u64 s[25][kLanes];
   for (int l = 0; l < L; ++l) {
     for (int t = 0; t < 4; ++t) s[t][l] = seeds[l].word(t);
     s[4][l] = 0x06ULL;  // domain/pad byte at offset 32
@@ -31,7 +32,7 @@ void sha3_seed_lanes(const Seed256* seeds, Digest256* out) noexcept {
   }
 
   for (int round = 0; round < 24; ++round) {
-    u64 c[5][L], d[5][L];
+    u64 c[5][kLanes], d[5][kLanes];
     for (int x = 0; x < 5; ++x)
       for (int l = 0; l < L; ++l)
         c[x][l] = s[x][l] ^ s[x + 5][l] ^ s[x + 10][l] ^ s[x + 15][l] ^
@@ -42,7 +43,7 @@ void sha3_seed_lanes(const Seed256* seeds, Digest256* out) noexcept {
     for (int i = 0; i < 25; ++i)
       for (int l = 0; l < L; ++l) s[i][l] ^= d[i % 5][l];
 
-    u64 b[25][L];
+    u64 b[25][kLanes];
     for (int x = 0; x < 5; ++x) {
       for (int y = 0; y < 5; ++y) {
         const int src = x + 5 * y;
@@ -165,12 +166,12 @@ RBC_TARGET_AVX2 void sha3_seed_x4_avx2(const Seed256* seeds,
     keccak_round_x4(t, s, kKeccakRoundConstants[round + 1]);
   }
 
-  alignas(32) u64 lanes[4][4];  // lanes[t][l] = Keccak lane t of hash lane l
-  for (int t = 0; t < 4; ++t)
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes[t]), s[t]);
+  alignas(32) u64 lanes[4][4];  // lanes[w][l] = Keccak lane w of hash lane l
+  for (int w = 0; w < 4; ++w)
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes[w]), s[w]);
   for (int l = 0; l < 4; ++l) {
     u8* p = out[l].bytes.data();
-    for (int t = 0; t < 4; ++t) std::memcpy(p + 8 * t, &lanes[t][l], 8);
+    for (int w = 0; w < 4; ++w) std::memcpy(p + 8 * w, &lanes[w][l], 8);
   }
 }
 

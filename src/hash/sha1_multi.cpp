@@ -42,7 +42,8 @@ inline void store_be32(u8* p, u32 v) noexcept {
 
 template <int L>
 void sha1_seed_lanes(const Seed256* seeds, Digest160* out) noexcept {
-  u32 w[16][L];
+  constexpr auto kLanes = static_cast<std::size_t>(L);
+  u32 w[16][kLanes];
   for (int l = 0; l < L; ++l) {
     for (int t = 0; t < 8; ++t) w[t][l] = seed_be32(seeds[l], t);
     w[8][l] = 0x80000000u;
@@ -50,7 +51,7 @@ void sha1_seed_lanes(const Seed256* seeds, Digest160* out) noexcept {
     w[15][l] = 256u;  // message length in bits
   }
 
-  u32 a[L], b[L], c[L], d[L], e[L];
+  u32 a[kLanes], b[kLanes], c[kLanes], d[kLanes], e[kLanes];
   for (int l = 0; l < L; ++l) {
     a[l] = kInit[0];
     b[l] = kInit[1];
@@ -61,7 +62,7 @@ void sha1_seed_lanes(const Seed256* seeds, Digest160* out) noexcept {
 
   auto rounds = [&](int t0, int t1, u32 k, auto&& f) {
     for (int t = t0; t < t1; ++t) {
-      u32 wt[L];
+      u32 wt[kLanes];
       if (t < 16) {
         for (int l = 0; l < L; ++l) wt[l] = w[t][l];
       } else {

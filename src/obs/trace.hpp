@@ -91,17 +91,19 @@ struct TraceEvent {
   double vclock_s = 0.0;
 };
 
-/// Bounded MPMC trace ring. push() is wait-free (one fetch_add plus plain
-/// atomic stores); snapshot() is lock-free and may run concurrently with
-/// any number of writers. Consistency protocol: a writer claims a slot by
-/// sequence, invalidates its stamp, stores the payload fields, then
-/// publishes stamp = seq + 1 (release). A reader accepts a slot only when
-/// the stamp reads identical (acquire) on both sides of the payload copy
-/// and is nonzero — a slot mid-write or re-claimed during the copy is
-/// simply skipped. Under extreme wrap pressure (>= capacity pushes during
-/// one slot copy) a reader could in principle accept a mixed record; the
-/// ring is diagnostic telemetry, so that vanishing tail risk buys a
-/// mutex-free hot path.
+/// Bounded MPMC trace ring. push() is wait-free (one fetch_add, one
+/// compare-and-swap and plain atomic stores); snapshot() is lock-free and
+/// may run concurrently with any number of writers. Consistency protocol, a
+/// seqlock per slot: a writer takes a sequence number, then claims the slot
+/// by swapping its stamp from the published value it read to kWriting, so
+/// no two writers ever store one slot's payload at once. It stores the
+/// payload fields after a release fence and publishes stamp = seq + 1
+/// (release). A writer that finds the slot mid-write, or already holding a
+/// newer record (it is a lap late), drops its record instead of waiting, so
+/// a slot's stamp only grows. A reader accepts a slot only when the stamp
+/// reads identical on both sides of the payload copy (acquire load, then an
+/// acquire fence before the second load) and is neither empty nor kWriting:
+/// a slot mid-write or re-claimed during the copy is skipped.
 class TraceRing {
  public:
   explicit TraceRing(std::size_t min_capacity)
@@ -127,7 +129,17 @@ class TraceRing {
   void push(const TraceEvent& e) noexcept {
     const u64 seq = head_.fetch_add(1, std::memory_order_relaxed);
     Slot& s = slots_[static_cast<std::size_t>(seq) & (capacity_ - 1)];
-    s.stamp.store(0, std::memory_order_release);  // invalidate while writing
+    u64 stamp = s.stamp.load(std::memory_order_relaxed);
+    // Claim the slot, invalidating it while writing. A slot mid-write
+    // (kWriting) or holding a newer record has a stamp above seq: drop this
+    // record rather than wait or overwrite.
+    if (stamp > seq ||
+        !s.stamp.compare_exchange_strong(stamp, kWriting,
+                                         std::memory_order_acquire,
+                                         std::memory_order_relaxed)) {
+      return;
+    }
+    std::atomic_thread_fence(std::memory_order_release);
     s.session.store(e.session, std::memory_order_relaxed);
     s.device.store(e.device, std::memory_order_relaxed);
     s.kind.store(static_cast<u32>(e.kind), std::memory_order_relaxed);
@@ -148,7 +160,7 @@ class TraceRing {
     for (std::size_t i = 0; i < capacity_; ++i) {
       const Slot& s = slots_[i];
       const u64 before = s.stamp.load(std::memory_order_acquire);
-      if (before == 0) continue;
+      if (before == 0 || before == kWriting) continue;
       TraceEvent e;
       e.seq = before - 1;
       e.session = s.session.load(std::memory_order_relaxed);
@@ -160,7 +172,8 @@ class TraceRing {
       e.wall_start_s = s.wall_start_s.load(std::memory_order_relaxed);
       e.wall_end_s = s.wall_end_s.load(std::memory_order_relaxed);
       e.vclock_s = s.vclock_s.load(std::memory_order_relaxed);
-      const u64 after = s.stamp.load(std::memory_order_acquire);
+      std::atomic_thread_fence(std::memory_order_acquire);
+      const u64 after = s.stamp.load(std::memory_order_relaxed);
       if (after != before) continue;  // re-claimed mid-copy: torn, discard
       out.push_back(e);
     }
@@ -181,7 +194,8 @@ class TraceRing {
     return out;
   }
 
-  /// Total records ever pushed / overwritten-without-read (capacity bound).
+  /// Total records ever pushed / not resident: overwritten, or dropped by a
+  /// writer a lap late (capacity bound).
   u64 recorded() const noexcept {
     return head_.load(std::memory_order_relaxed);
   }
@@ -194,8 +208,10 @@ class TraceRing {
   }
 
  private:
+  static constexpr u64 kWriting = ~u64{0};  // stamp of a slot mid-write
+
   struct Slot {
-    std::atomic<u64> stamp{0};  // 0 = empty/being written; else seq + 1
+    std::atomic<u64> stamp{0};  // 0 = empty; kWriting; else seq + 1
     std::atomic<u64> session{0};
     std::atomic<u64> device{0};
     std::atomic<u32> kind{0};

@@ -15,7 +15,7 @@ Aes128::Key key_from_hex(const std::string& hex) {
 
 Aes128::Block block_from_hex(const std::string& hex) {
   const Bytes raw = from_hex(hex);
-  Aes128::Block b;
+  Aes128::Block b{};
   std::copy(raw.begin(), raw.end(), b.begin());
   return b;
 }

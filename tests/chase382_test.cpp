@@ -123,6 +123,33 @@ TEST(ChaseSequence, EmptyCombinationKeepsItsSentinel) {
   }
 }
 
+// FNV-1a over the little-endian bytes of every mask the sequence visits, in
+// order, for its first `max_states` states.
+u64 visit_order_digest(int n, int k, u64 max_states) {
+  ChaseSequence seq(k, n);
+  u64 h = 0xcbf29ce484222325;
+  u64 states = 0;
+  do {
+    for (const u8 byte : seq.mask().to_bytes()) {
+      h ^= byte;
+      h *= 0x100000001b3;
+    }
+  } while (++states < max_states && seq.advance());
+  return h;
+}
+
+TEST(ChaseSequence, VisitOrderIsPinned) {
+  // ChaseCoverage accepts any one-swap Gray code over the k-subsets; these
+  // digests pin Chase's order itself, which fixes every search's seed order
+  // and so every exhaustive miss's seeds_hashed tally.
+  constexpr u64 kAll = ~u64{0};
+  EXPECT_EQ(visit_order_digest(kSeedBits, 1, kAll), 0xd14c6fe43ca15a05u);
+  EXPECT_EQ(visit_order_digest(kSeedBits, 2, kAll), 0x9bad81e807690c45u);
+  EXPECT_EQ(visit_order_digest(kSeedBits, 3, u64{1} << 20),
+            0x55e672a0e18ba00eu);
+  EXPECT_EQ(visit_order_digest(40, 4, kAll), 0x3843d716eed412aeu);
+}
+
 TEST(ChaseSequence, InitialCombinationIsHighestPositions) {
   ChaseSequence seq(3, 8);
   const Seed256 m = seq.mask();

@@ -34,9 +34,13 @@ std::string slurp(const std::string& path) {
 }
 
 /// A database loaded from a v01 file holding exactly these blobs: the way to
-/// get legacy (profile-less) and damaged records into a store.
+/// get legacy (profile-less) and damaged records into a store. The file is
+/// named after the running test, so tests run in parallel from one directory
+/// never write, read or delete each other's file.
 EnrollmentDatabase store_of(const std::vector<std::pair<u64, Bytes>>& blobs) {
-  const std::string path = "enroll_blobs.bin";
+  const std::string path =
+      std::string("enroll_blobs_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".bin";
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     auto put = [&out](u64 v) {

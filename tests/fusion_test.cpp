@@ -326,8 +326,9 @@ TEST(FusionEngine, MidStreamDeadlineExpiryStaysSane) {
   EXPECT_FALSE(fused->result.found);
   EXPECT_GE(fused->result.seeds_hashed, 1u);
   EXPECT_LE(fused->result.seeds_hashed, kBallD2);
-  if (!fused->result.timed_out)
+  if (!fused->result.timed_out) {
     EXPECT_EQ(fused->result.seeds_hashed, kBallD2);
+  }
 }
 
 TEST(FusionEngine, DeclinesEverythingOutsideTheContract) {

@@ -46,7 +46,9 @@ TEST(GosperNext, EnumeratesExactlyAllSubsetsInNumericOrder) {
   for (u64 i = 0; i < total; ++i) {
     EXPECT_EQ(m.popcount(), k);
     EXPECT_LE(m.highest_set_bit(), n - 1);
-    if (!seen.empty()) EXPECT_GT(m, seen.back());
+    if (!seen.empty()) {
+      EXPECT_GT(m, seen.back());
+    }
     seen.push_back(m);
     m = gosper_next(m);
   }

@@ -378,9 +378,10 @@ TEST(ReliabilityProfile, DatabaseRoundtripPreservesProfiles) {
     EXPECT_EQ(record.masks[a].stable_bits(), cal.mask.stable_bits());
     // Every TAPKI-masked bit must be pinned in the stored profile.
     for (int b = 0; b < 256; ++b) {
-      if (!record.masks[a].stable_bits().bit(b))
+      if (!record.masks[a].stable_bits().bit(b)) {
         ASSERT_EQ(record.profiles[a].weight(b),
                   puf::ReliabilityProfile::kPinnedWeight);
+      }
     }
   }
 }
