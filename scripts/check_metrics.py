@@ -9,7 +9,8 @@ This validator is the CI gate on both:
     numeric series, and every REQUIRED_SERIES key is present.
   * Prometheus (<json-path>.prom by default): every sample line parses, every
     family is preceded by matching # HELP and # TYPE lines, and the declared
-    type is counter or gauge.
+    type is counter or gauge: counter if and only if the family name ends in
+    _total (the Prometheus naming convention).
   * Cross-check: every unlabeled series must carry the SAME value in both
     formats — the two renderings come from one snapshot, so any divergence
     is a renderer bug, not jitter.
@@ -100,7 +101,12 @@ def check_prometheus(path):
                 continue
             m = TYPE_LINE.match(line)
             if m:
-                typed.add(m.group("name"))
+                name = m.group("name")
+                typed.add(name)
+                if (m.group("type") == "counter") != name.endswith("_total"):
+                    errors.append(f"{path}:{lineno}: {name} is typed "
+                                  f"{m.group('type')}; counters, and only "
+                                  f"counters, end in _total")
                 continue
             if line.startswith("#"):
                 errors.append(f"{path}:{lineno}: unparseable comment: {line}")

@@ -41,12 +41,12 @@ Plane associative_match(const std::array<hash::Digest<N>, kLanes>& digests,
     for (int bit = 0; bit < 8; ++bit) {
       Plane plane = 0;
       for (int l = 0; l < kLanes; ++l) {
-        plane |= static_cast<u64>(
-                     (digests[static_cast<unsigned>(l)].bytes[byte] >> bit) & 1u)
-                 << l;
+        const unsigned lane_byte =
+            digests[static_cast<unsigned>(l)].bytes[byte];
+        plane |= static_cast<u64>((lane_byte >> bit) & 1u) << l;
       }
-      const Plane target_plane =
-          ((target.bytes[byte] >> bit) & 1u) ? ~0ULL : 0ULL;
+      const unsigned target_byte = target.bytes[byte];
+      const Plane target_plane = ((target_byte >> bit) & 1u) ? ~0ULL : 0ULL;
       // XNOR then accumulate: two column ops per digest bit.
       match = vu.vand(match, vu.vnot(vu.vxor(plane, target_plane)));
     }

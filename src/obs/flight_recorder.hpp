@@ -38,8 +38,8 @@ struct FlightRecord {
   u64 net_salt = 0;    // replay key (see header comment)
   u64 fault_seed = 0;  // the server's fault stream seed at capture
   u32 shard = 0;
-  std::string reason;  // "transport_failure" | "deadline_expired" |
-                       // "auth_failed" | "cancelled"
+  std::string reason;  // verdict_name(): "transport_failure" |
+                       // "deadline_expired" | "auth_failed" | "cancelled"
   double session_budget_s = 0.0;
   double queue_wait_s = 0.0;
   double session_s = 0.0;

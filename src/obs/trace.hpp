@@ -72,6 +72,18 @@ constexpr std::string_view kind_name(SpanKind k) {
   return "unknown";
 }
 
+/// A finished session's classification as its flight record names it.
+constexpr std::string_view verdict_name(Verdict v) {
+  switch (v) {
+    case Verdict::kFailed: return "auth_failed";
+    case Verdict::kAuthenticated: return "authenticated";
+    case Verdict::kTimedOut: return "deadline_expired";
+    case Verdict::kTransportFailed: return "transport_failure";
+    case Verdict::kCancelled: return "cancelled";
+  }
+  return "unknown";
+}
+
 /// One decoded trace record (the snapshot-side value type; ring slots store
 /// the same fields as atomics). `session` is the session's net_salt — the
 /// same identifier the fault plan forks from, so a timeline keys directly

@@ -8,6 +8,85 @@
 
 namespace rbc::server {
 
+namespace {
+
+/// A SessionCounters field and its metric family (nullptr: summed only).
+struct CounterRow {
+  u64 SessionCounters::*field;
+  const char* name;
+  const char* help;
+};
+
+/// Every u64 SessionCounters field, once, in export order: the check below
+/// fails the build when a field has no row.
+constexpr CounterRow kCounterRows[] = {
+    // Session lifecycle (the ServerStats invariant family).
+    {&SessionCounters::submitted, "rbc_sessions_submitted_total",
+     "Sessions submitted"},
+    {&SessionCounters::rejected, "rbc_sessions_rejected_total",
+     "Sessions shed at admission"},
+    {&SessionCounters::shed_infeasible, "rbc_sessions_shed_infeasible_total",
+     "Rejected as deadline-infeasible at submit"},
+    {&SessionCounters::completed, "rbc_sessions_completed_total",
+     "Sessions fully processed"},
+    {&SessionCounters::authenticated, "rbc_sessions_authenticated_total",
+     "Sessions authenticated"},
+    {&SessionCounters::timed_out, "rbc_sessions_timed_out_total",
+     "Sessions past threshold T"},
+    {&SessionCounters::cancelled, "rbc_sessions_cancelled_total",
+     "Sessions cancelled in queue"},
+    {&SessionCounters::transport_failed, "rbc_sessions_transport_failed_total",
+     "Sessions that exhausted their retransmit budget"},
+    // Link / fault injection (net::LinkStats rollup).
+    {&SessionCounters::retransmits, "rbc_link_retransmits_total",
+     "ARQ retransmissions"},
+    {&SessionCounters::link_timeouts, "rbc_link_timeouts_total",
+     "ARQ response timeouts"},
+    {&SessionCounters::frames_dropped, "rbc_link_frames_dropped_total",
+     "Frames swallowed in flight"},
+    {&SessionCounters::frames_corrupted, "rbc_link_frames_corrupted_total",
+     "Frames bit-flipped"},
+    {&SessionCounters::frames_duplicated, "rbc_link_frames_duplicated_total",
+     "Duplicate frame copies"},
+    {&SessionCounters::frames_reordered, "rbc_link_frames_reordered_total",
+     "Frames reordered"},
+    {&SessionCounters::frames_stalled, "rbc_link_frames_stalled_total",
+     "Frames stalled"},
+    // Lane fusion (FusionEngine rollup).
+    {&SessionCounters::fused_sessions, "rbc_fusion_sessions_total",
+     "Sessions absorbed by fusion"},
+    {&SessionCounters::fusion_declined, "rbc_fusion_declined_total",
+     "Sessions fusion declined"},
+    {&SessionCounters::fusion_batches, "rbc_fusion_batches_total",
+     "Fused hash batches issued"},
+    {&SessionCounters::fusion_lanes_filled, "rbc_fusion_lanes_filled_total",
+     "Lane slots carrying work"},
+    {&SessionCounters::fusion_lanes_issued, "rbc_fusion_lanes_issued_total",
+     "Lane slots dealt"},
+    // Observability subsystem self-accounting.
+    {&SessionCounters::trace_events_recorded,
+     "rbc_trace_events_recorded_total", "Trace records published"},
+    {&SessionCounters::trace_events_dropped, "rbc_trace_events_dropped_total",
+     "Trace records overwritten by ring wrap"},
+    // Search-order telemetry; the rank sums feed the mean-rank gauges.
+    {&SessionCounters::ranked_sessions, "rbc_ranked_sessions_total",
+     "Authenticated sessions with rank data"},
+    {&SessionCounters::hit_rank_sum, nullptr, nullptr},
+    {&SessionCounters::canonical_rank_sum, nullptr, nullptr},
+};
+static_assert(sizeof(SessionCounters) ==
+              std::size(kCounterRows) * sizeof(u64) + sizeof(double));
+
+/// sum / count, or the 0.0 sentinel while count is zero: pre-traffic
+/// snapshots must never divide by zero or abort.
+template <typename Sum>
+double ratio(Sum sum, u64 count) {
+  return count > 0 ? static_cast<double>(sum) / static_cast<double>(count)
+                   : 0.0;
+}
+
+}  // namespace
+
 AuthServer::AuthServer(ServerConfig cfg, CertificateAuthority* ca,
                        RegistrationAuthority* ra)
     : cfg_(cfg) {
@@ -79,69 +158,26 @@ ServerStats AuthServer::aggregate(
     const std::vector<Shard::StatsSlice>& slices) const {
   ServerStats agg;
   agg.shards = static_cast<int>(shards_.size());
-  double time_sum = 0.0;
-  u64 hit_rank_sum = 0;
-  u64 canonical_rank_sum = 0;
   std::vector<const ReservoirSample*> reservoirs;
   reservoirs.reserve(slices.size());
   for (const Shard::StatsSlice& s : slices) {
-    agg.submitted += s.submitted;
-    agg.rejected += s.rejected;
-    agg.shed_infeasible += s.shed_infeasible;
-    agg.completed += s.completed;
-    agg.authenticated += s.authenticated;
-    agg.timed_out += s.timed_out;
-    agg.cancelled += s.cancelled;
-    agg.transport_failed += s.transport_failed;
-    agg.retransmits += s.retransmits;
-    agg.frames_dropped += s.frames_dropped;
-    agg.frames_corrupted += s.frames_corrupted;
-    agg.frames_duplicated += s.frames_duplicated;
-    agg.frames_reordered += s.frames_reordered;
-    agg.frames_stalled += s.frames_stalled;
-    agg.link_timeouts += s.link_timeouts;
-    agg.trace_events_recorded += s.trace_events_recorded;
-    agg.trace_events_dropped += s.trace_events_dropped;
+    for (const CounterRow& row : kCounterRows)
+      agg.*row.field += s.counters.*row.field;
+    agg.session_time_sum += s.counters.session_time_sum;
     agg.queue_depth += s.queue_depth;
     agg.in_flight += s.in_flight;
     agg.device_states += s.device_states;
-    agg.fused_sessions += s.fused_sessions;
-    agg.fusion_declined += s.fusion_declined;
-    agg.fusion_batches += s.fusion_batches;
-    agg.fusion_lanes_filled += s.fusion_lanes_filled;
-    agg.fusion_lanes_issued += s.fusion_lanes_issued;
-    agg.ranked_sessions += s.ranked_sessions;
-    hit_rank_sum += s.hit_rank_sum;
-    canonical_rank_sum += s.canonical_rank_sum;
-    time_sum += s.session_time_sum;
     if (!s.session_times.empty()) reservoirs.push_back(&s.session_times);
   }
   // Mean-of-sums, never mean-of-means: slices report integer SUMS
   // (hit_rank_sum / canonical_rank_sum) precisely so the N-shard aggregate
   // is the same weighted mean a 1-shard server computes over the identical
-  // session set — obs_test pins this equivalence. All ratio derivations
-  // below are denominator-guarded; zero denominators render the 0.0
-  // sentinel (pre-traffic snapshots must never divide by zero or abort).
-  if (agg.ranked_sessions > 0) {
-    agg.mean_hit_rank = static_cast<double>(hit_rank_sum) /
-                        static_cast<double>(agg.ranked_sessions);
-    agg.mean_canonical_rank = static_cast<double>(canonical_rank_sum) /
-                              static_cast<double>(agg.ranked_sessions);
-  }
-  // Process-wide shell-mask cache counters (shared across every server in
-  // the process, not a per-instance view).
-  const ShellMaskCache::Stats cache = ShellMaskCache::stats();
-  agg.shell_cache_hits = cache.hits;
-  agg.shell_cache_misses = cache.misses;
-  agg.shell_cache_evictions = cache.evictions;
-  agg.shell_cache_masks = cache.cached_masks;
-  if (agg.fusion_lanes_issued > 0) {
-    agg.lane_occupancy = static_cast<double>(agg.fusion_lanes_filled) /
-                         static_cast<double>(agg.fusion_lanes_issued);
-  }
-  if (agg.completed > 0) {
-    agg.mean_session_s = time_sum / static_cast<double>(agg.completed);
-  }
+  // session set — obs_test pins this equivalence.
+  agg.mean_hit_rank = ratio(agg.hit_rank_sum, agg.ranked_sessions);
+  agg.mean_canonical_rank = ratio(agg.canonical_rank_sum, agg.ranked_sessions);
+  agg.lane_occupancy = ratio(agg.fusion_lanes_filled, agg.fusion_lanes_issued);
+  agg.mean_session_s = ratio(agg.session_time_sum, agg.completed);
+  agg.shell_cache = ShellMaskCache::stats();
   // merged_percentile itself renders 0.0 for no/empty reservoirs now, but
   // skipping the call keeps the pre-traffic path allocation-free.
   if (!reservoirs.empty()) {
@@ -174,74 +210,23 @@ std::string AuthServer::export_metrics(obs::MetricsFormat format) const {
   const ServerStats s = aggregate(slices);
 
   obs::MetricsRegistry reg;
-  // Session lifecycle counters (the ServerStats invariant family).
-  reg.counter("rbc_sessions_submitted_total", "Sessions submitted",
-              static_cast<double>(s.submitted));
-  reg.counter("rbc_sessions_rejected_total", "Sessions shed at admission",
-              static_cast<double>(s.rejected));
-  reg.counter("rbc_sessions_shed_infeasible_total",
-              "Rejected as deadline-infeasible at submit",
-              static_cast<double>(s.shed_infeasible));
-  reg.counter("rbc_sessions_completed_total", "Sessions fully processed",
-              static_cast<double>(s.completed));
-  reg.counter("rbc_sessions_authenticated_total", "Sessions authenticated",
-              static_cast<double>(s.authenticated));
-  reg.counter("rbc_sessions_timed_out_total", "Sessions past threshold T",
-              static_cast<double>(s.timed_out));
-  reg.counter("rbc_sessions_cancelled_total", "Sessions cancelled in queue",
-              static_cast<double>(s.cancelled));
-  reg.counter("rbc_sessions_transport_failed_total",
-              "Sessions that exhausted their retransmit budget",
-              static_cast<double>(s.transport_failed));
-  // Link / fault-injection counters (net::LinkStats rollup).
-  reg.counter("rbc_link_retransmits_total", "ARQ retransmissions",
-              static_cast<double>(s.retransmits));
-  reg.counter("rbc_link_timeouts_total", "ARQ response timeouts",
-              static_cast<double>(s.link_timeouts));
-  reg.counter("rbc_link_frames_dropped_total", "Frames swallowed in flight",
-              static_cast<double>(s.frames_dropped));
-  reg.counter("rbc_link_frames_corrupted_total", "Frames bit-flipped",
-              static_cast<double>(s.frames_corrupted));
-  reg.counter("rbc_link_frames_duplicated_total", "Duplicate frame copies",
-              static_cast<double>(s.frames_duplicated));
-  reg.counter("rbc_link_frames_reordered_total", "Frames reordered",
-              static_cast<double>(s.frames_reordered));
-  reg.counter("rbc_link_frames_stalled_total", "Frames stalled",
-              static_cast<double>(s.frames_stalled));
-  // Lane-fusion counters (FusionEngine rollup).
-  reg.counter("rbc_fusion_sessions_total", "Sessions absorbed by fusion",
-              static_cast<double>(s.fused_sessions));
-  reg.counter("rbc_fusion_declined_total", "Sessions fusion declined",
-              static_cast<double>(s.fusion_declined));
-  reg.counter("rbc_fusion_batches_total", "Fused hash batches issued",
-              static_cast<double>(s.fusion_batches));
-  reg.counter("rbc_fusion_lanes_filled_total", "Lane slots carrying work",
-              static_cast<double>(s.fusion_lanes_filled));
-  reg.counter("rbc_fusion_lanes_issued_total", "Lane slots dealt",
-              static_cast<double>(s.fusion_lanes_issued));
-  // Search-order telemetry.
-  reg.counter("rbc_ranked_sessions_total",
-              "Authenticated sessions with rank data",
-              static_cast<double>(s.ranked_sessions));
+  for (const CounterRow& row : kCounterRows) {
+    if (row.name != nullptr)
+      reg.counter(row.name, row.help, static_cast<double>(s.*row.field));
+  }
   reg.gauge("rbc_mean_hit_rank", "Mean seeds hashed at the hit",
             s.mean_hit_rank);
   reg.gauge("rbc_mean_canonical_rank",
             "Mean canonical-order rank of the hit", s.mean_canonical_rank);
   // Shell-mask cache (process-wide, shared by every server).
   reg.counter("rbc_shell_cache_hits_total", "Shell mask table cache hits",
-              static_cast<double>(s.shell_cache_hits));
+              static_cast<double>(s.shell_cache.hits));
   reg.counter("rbc_shell_cache_misses_total", "Shell mask table cache misses",
-              static_cast<double>(s.shell_cache_misses));
+              static_cast<double>(s.shell_cache.misses));
   reg.counter("rbc_shell_cache_evictions_total", "Shell tables evicted",
-              static_cast<double>(s.shell_cache_evictions));
+              static_cast<double>(s.shell_cache.evictions));
   reg.gauge("rbc_shell_cache_masks", "Masks currently cached",
-            static_cast<double>(s.shell_cache_masks));
-  // Observability subsystem self-accounting.
-  reg.counter("rbc_trace_events_recorded_total", "Trace records published",
-              static_cast<double>(s.trace_events_recorded));
-  reg.counter("rbc_trace_events_dropped_total",
-              "Trace records overwritten by ring wrap",
-              static_cast<double>(s.trace_events_dropped));
+            static_cast<double>(s.shell_cache.cached_masks));
   reg.counter("rbc_flight_records_total", "Failures flight-recorded",
               static_cast<double>(s.flight_records));
   // Point-in-time gauges, aggregate and per-shard.

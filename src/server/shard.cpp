@@ -6,7 +6,7 @@ namespace rbc::server {
 
 namespace {
 
-/// kVerdict span detail code from a completed outcome's classification.
+/// A completed outcome's one classification (kVerdict detail, flight reason).
 obs::Verdict verdict_of(const SessionOutcome& outcome) {
   if (outcome.authenticated) return obs::Verdict::kAuthenticated;
   if (outcome.timed_out) return obs::Verdict::kTimedOut;
@@ -93,19 +93,19 @@ std::future<SessionOutcome> Shard::submit(Client* client, double budget_s,
         net_salt.value_or(mix_device_id(rejection.device_id) ^ next_seq_);
     session->net_salt = salt;
     rejection.net_salt = salt;
-    ++submitted_;
+    ++counters_.submitted;
     RejectReason reason = RejectReason::kNone;
     if (shutdown_) {
       reason = RejectReason::kShutdown;
     } else if (session->ctx.remaining_s() < floor_s) {
       reason = RejectReason::kInfeasible;
-      ++shed_infeasible_;
+      ++counters_.shed_infeasible;
     } else if (queue_.size() >= static_cast<std::size_t>(queue_depth_)) {
       // Backpressure: shed at admission, before any search cycles burn.
       reason = RejectReason::kQueueFull;
     }
     if (reason != RejectReason::kNone) {
-      ++rejected_;
+      ++counters_.rejected;
       rejection.reject_reason = reason;
       // Admission event even for refusals: a shed session's only trace IS
       // this record (detail = RejectReason, value = queue depth at refusal).
@@ -268,15 +268,7 @@ void Shard::maybe_flight_record(const Session& session,
   record.net_salt = outcome.net_salt;
   record.fault_seed = cfg_.fault_seed;
   record.shard = static_cast<u32>(index_);
-  if (outcome.transport_failed) {
-    record.reason = "transport_failure";
-  } else if (outcome.timed_out) {
-    record.reason = "deadline_expired";
-  } else if (outcome.cancelled) {
-    record.reason = "cancelled";
-  } else {
-    record.reason = "auth_failed";
-  }
+  record.reason = obs::verdict_name(verdict_of(outcome));
   record.session_budget_s = session.budget_s;
   record.queue_wait_s = outcome.queue_wait_s;
   record.session_s = outcome.session_s;
@@ -290,26 +282,27 @@ void Shard::maybe_flight_record(const Session& session,
 void Shard::record_outcome(const SessionOutcome& outcome, bool on_driver) {
   std::lock_guard lock(stats_mutex_);
   if (on_driver) --in_flight_;
-  ++completed_;
+  SessionCounters& c = counters_;
+  ++c.completed;
   if (outcome.authenticated) {
-    ++authenticated_;
+    ++c.authenticated;
     // Rank telemetry: where the hit actually landed (seeds hashed this
     // session) versus where canonical enumeration would have placed it.
-    ++ranked_sessions_;
-    hit_rank_sum_ += outcome.report.engine.result.seeds_hashed;
-    canonical_rank_sum_ += outcome.report.engine.result.canonical_rank;
+    ++c.ranked_sessions;
+    c.hit_rank_sum += outcome.report.engine.result.seeds_hashed;
+    c.canonical_rank_sum += outcome.report.engine.result.canonical_rank;
   }
-  if (outcome.timed_out) ++timed_out_;
-  if (outcome.cancelled) ++cancelled_;
-  if (outcome.transport_failed) ++transport_failed_;
-  retransmits_ += outcome.report.link.retransmits;
-  frames_dropped_ += outcome.report.link.dropped;
-  frames_corrupted_ += outcome.report.link.corrupted;
-  frames_duplicated_ += outcome.report.link.duplicated;
-  frames_reordered_ += outcome.report.link.reordered;
-  frames_stalled_ += outcome.report.link.stalled;
-  link_timeouts_ += outcome.report.link.timeouts;
-  session_time_sum_ += outcome.session_s;
+  if (outcome.timed_out) ++c.timed_out;
+  if (outcome.cancelled) ++c.cancelled;
+  if (outcome.transport_failed) ++c.transport_failed;
+  c.retransmits += outcome.report.link.retransmits;
+  c.frames_dropped += outcome.report.link.dropped;
+  c.frames_corrupted += outcome.report.link.corrupted;
+  c.frames_duplicated += outcome.report.link.duplicated;
+  c.frames_reordered += outcome.report.link.reordered;
+  c.frames_stalled += outcome.report.link.stalled;
+  c.link_timeouts += outcome.report.link.timeouts;
+  c.session_time_sum += outcome.session_s;
   session_times_.add(outcome.session_s);
 }
 
@@ -321,43 +314,26 @@ Shard::StatsSlice Shard::stats_slice() const {
   }
   {
     std::lock_guard lock(stats_mutex_);
-    slice.submitted = submitted_;
-    slice.rejected = rejected_;
-    slice.shed_infeasible = shed_infeasible_;
-    slice.completed = completed_;
-    slice.authenticated = authenticated_;
-    slice.timed_out = timed_out_;
-    slice.cancelled = cancelled_;
-    slice.transport_failed = transport_failed_;
-    slice.retransmits = retransmits_;
-    slice.frames_dropped = frames_dropped_;
-    slice.frames_corrupted = frames_corrupted_;
-    slice.frames_duplicated = frames_duplicated_;
-    slice.frames_reordered = frames_reordered_;
-    slice.frames_stalled = frames_stalled_;
-    slice.link_timeouts = link_timeouts_;
+    slice.counters = counters_;
     slice.in_flight = in_flight_;
-    slice.ranked_sessions = ranked_sessions_;
-    slice.hit_rank_sum = hit_rank_sum_;
-    slice.canonical_rank_sum = canonical_rank_sum_;
-    slice.session_time_sum = session_time_sum_;
     slice.session_times = session_times_;
   }
   {
     std::lock_guard lock(devices_mutex_);
     slice.device_states = devices_.size();
   }
+  SessionCounters& c = slice.counters;
   if (fusion_) {
     const FusionStats fusion = fusion_->stats();
-    slice.fused_sessions = fusion.fused_sessions;
-    slice.fusion_declined = fusion.declined;
-    slice.fusion_batches = fusion.batch_count;
-    slice.fusion_lanes_filled = fusion.lanes_filled;
-    slice.fusion_lanes_issued = fusion.lanes_issued;
+    c.fused_sessions = fusion.fused_sessions;
+    c.fusion_declined = fusion.declined;
+    c.fusion_batches = fusion.batch_count;
+    c.fusion_lanes_filled = fusion.lanes_filled;
+    c.fusion_lanes_issued = fusion.lanes_issued;
   }
   if (ring_) {
-    slice.trace_events_recorded = ring_->recorded();
-    slice.trace_events_dropped = ring_->dropped();
+    c.trace_events_recorded = ring_->recorded();
+    c.trace_events_dropped = ring_->dropped();
   }
   return slice;
 }

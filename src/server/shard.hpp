@@ -39,6 +39,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/trace.hpp"
 #include "parallel/search_context.hpp"
+#include "rbc/candidate_stream.hpp"
 #include "rbc/protocol.hpp"
 #include "server/fusion_engine.hpp"
 
@@ -150,14 +151,9 @@ struct SessionOutcome {
   SessionReport report;        // full Table-5 decomposition (when run)
 };
 
-/// Point-in-time operational snapshot, aggregated across shards.
-///
-/// Counter invariant at quiescence (no queued or in-flight sessions):
-///   submitted == rejected + completed
-/// with shed_infeasible <= rejected and cancelled + timed_out counted
-/// inside completed. Percentiles are reservoir estimates (bounded memory;
-/// see ReservoirSample for the approximation bound); the mean is exact.
-struct ServerStats {
+/// The additive counters, declared once: each shard keeps one record,
+/// ServerStats sums them, and auth_server.cpp's table exports each field.
+struct SessionCounters {
   u64 submitted = 0;
   u64 rejected = 0;         // shed at admission (all reasons)
   u64 shed_infeasible = 0;  // ...of which: deadline-infeasible at submit
@@ -173,6 +169,31 @@ struct ServerStats {
   u64 frames_reordered = 0;  // frames that overtook queued ones
   u64 frames_stalled = 0;    // frames that drew an extra stall
   u64 link_timeouts = 0;     // ARQ response timeouts charged
+  // Read from the shard's FusionEngine and trace ring (zero while off).
+  u64 fused_sessions = 0;
+  u64 fusion_declined = 0;
+  u64 fusion_batches = 0;
+  u64 fusion_lanes_filled = 0;
+  u64 fusion_lanes_issued = 0;
+  u64 trace_events_recorded = 0;
+  u64 trace_events_dropped = 0;
+  u64 ranked_sessions = 0;     // authenticated sessions with rank data
+  u64 hit_rank_sum = 0;        // seeds_hashed: where the search stopped
+  u64 canonical_rank_sum = 0;  // where the canonical order would stop
+  double session_time_sum = 0.0;  // wall seconds, admission -> completion
+
+  friend bool operator==(const SessionCounters&,
+                         const SessionCounters&) = default;
+};
+
+/// Point-in-time operational snapshot, aggregated across shards.
+///
+/// Counter invariant at quiescence (no queued or in-flight sessions):
+///   submitted == rejected + completed
+/// with shed_infeasible <= rejected and cancelled + timed_out counted
+/// inside completed. Percentiles are reservoir estimates (bounded memory;
+/// see ReservoirSample for the approximation bound); the mean is exact.
+struct ServerStats : SessionCounters {
   int queue_depth = 0;      // sessions admitted, not yet picked up
   int in_flight = 0;        // sessions currently on a driver
   int shards = 1;
@@ -180,36 +201,15 @@ struct ServerStats {
   double mean_session_s = 0.0;
   double p50_session_s = 0.0;
   double p95_session_s = 0.0;
-  /// Lane-fusion counters (zero unless cfg.fusion_enabled), summed across
-  /// the shards' engines. lane_occupancy = fusion_lanes_filled /
-  /// fusion_lanes_issued — the fraction of dealt lane slots that carried a
-  /// candidate (0 when no fused batch ran).
-  u64 fused_sessions = 0;
-  u64 fusion_declined = 0;
-  u64 fusion_batches = 0;
-  u64 fusion_lanes_filled = 0;
-  u64 fusion_lanes_issued = 0;
-  double lane_occupancy = 0.0;
-  /// Search-order observability: over authenticated sessions, the mean hit
-  /// rank (seeds_hashed — where the search actually stopped) vs the mean
-  /// canonical rank (where the canonical order would have stopped). Under
-  /// kCanonical the two coincide; under kReliability their ratio is the
-  /// realized expected-case saving.
-  u64 ranked_sessions = 0;     // authenticated sessions with rank data
+  double lane_occupancy = 0.0;  // fusion_lanes_filled / fusion_lanes_issued
+  /// Under kCanonical the two coincide; under kReliability their ratio is
+  /// the realized expected-case saving.
   double mean_hit_rank = 0.0;
   double mean_canonical_rank = 0.0;
   /// Process-wide ShellMaskCache counters (shared by ALL servers and solo
   /// streams in the process, not just this server's sessions).
-  u64 shell_cache_hits = 0;
-  u64 shell_cache_misses = 0;
-  u64 shell_cache_evictions = 0;
-  u64 shell_cache_masks = 0;
-  /// Observability subsystem counters (zero unless cfg.trace_enabled /
-  /// cfg.flight_recorder): ring records published and overwritten across
-  /// the shards' rings, and failures the flight recorder ever captured.
-  u64 trace_events_recorded = 0;
-  u64 trace_events_dropped = 0;
-  u64 flight_records = 0;
+  ShellMaskCache::Stats shell_cache;
+  u64 flight_records = 0;  // failures the flight recorder ever captured
 };
 
 class Shard {
@@ -234,35 +234,10 @@ class Shard {
 
   /// One shard's contribution to the aggregate ServerStats.
   struct StatsSlice {
-    u64 submitted = 0;
-    u64 rejected = 0;
-    u64 shed_infeasible = 0;
-    u64 completed = 0;
-    u64 authenticated = 0;
-    u64 timed_out = 0;
-    u64 cancelled = 0;
-    u64 transport_failed = 0;
-    u64 retransmits = 0;
-    u64 frames_dropped = 0;
-    u64 frames_corrupted = 0;
-    u64 frames_duplicated = 0;
-    u64 frames_reordered = 0;
-    u64 frames_stalled = 0;
-    u64 link_timeouts = 0;
-    u64 trace_events_recorded = 0;
-    u64 trace_events_dropped = 0;
+    SessionCounters counters;
     int queue_depth = 0;
     int in_flight = 0;
     std::size_t device_states = 0;
-    double session_time_sum = 0.0;
-    u64 fused_sessions = 0;
-    u64 fusion_declined = 0;
-    u64 fusion_batches = 0;
-    u64 fusion_lanes_filled = 0;
-    u64 fusion_lanes_issued = 0;
-    u64 ranked_sessions = 0;
-    u64 hit_rank_sum = 0;
-    u64 canonical_rank_sum = 0;
     ReservoirSample session_times{1};  // copy of the shard's reservoir
   };
   StatsSlice stats_slice() const;
@@ -353,28 +328,10 @@ class Shard {
   std::unordered_map<u64, DeviceSlot> devices_;
   u64 device_seq_ = 0;
 
-  /// This shard's stats stripe.
+  /// This shard's stats stripe (fusion and trace counters stay zero here).
   mutable std::mutex stats_mutex_;
-  u64 submitted_ = 0;
-  u64 rejected_ = 0;
-  u64 shed_infeasible_ = 0;
-  u64 completed_ = 0;
-  u64 authenticated_ = 0;
-  u64 timed_out_ = 0;
-  u64 cancelled_ = 0;
-  u64 transport_failed_ = 0;
-  u64 retransmits_ = 0;
-  u64 frames_dropped_ = 0;
-  u64 frames_corrupted_ = 0;
-  u64 frames_duplicated_ = 0;
-  u64 frames_reordered_ = 0;
-  u64 frames_stalled_ = 0;
-  u64 link_timeouts_ = 0;
+  SessionCounters counters_;
   int in_flight_ = 0;
-  double session_time_sum_ = 0.0;
-  u64 ranked_sessions_ = 0;
-  u64 hit_rank_sum_ = 0;
-  u64 canonical_rank_sum_ = 0;
   ReservoirSample session_times_;
 };
 

@@ -18,6 +18,7 @@
 
 #include <future>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "server/auth_server.hpp"
@@ -501,6 +502,8 @@ TEST(ChaosServer, FourShardChaosRunCompletesAndReconciles) {
   cfg.fault.corrupt_rate = 0.02;
   cfg.fault.duplicate_rate = 0.02;
   cfg.fault.reorder_rate = 0.02;
+  cfg.fault.stall_rate = 0.02;
+  cfg.fault.stall_s = 0.001;
   cfg.fault_seed = 0xC4A05;
   cfg.retry = fast_retry();
   AuthServer server(cfg, f.ca.get(), &f.ra);
@@ -514,16 +517,14 @@ TEST(ChaosServer, FourShardChaosRunCompletesAndReconciles) {
   }
 
   u64 accepted = 0, transport_failed = 0, authenticated = 0;
-  u64 retransmits = 0, dropped = 0, corrupted = 0;
+  net::LinkStats wire;  // summed over the per-outcome reports
   std::vector<u64> failed_salts;
   for (int i = 0; i < kSessions; ++i) {
     const SessionOutcome outcome = futures[static_cast<std::size_t>(i)].get();
     EXPECT_EQ(outcome.net_salt, static_cast<u64>(i));
     ASSERT_TRUE(outcome.accepted) << "session " << i;
     ++accepted;
-    retransmits += outcome.report.link.retransmits;
-    dropped += outcome.report.link.dropped;
-    corrupted += outcome.report.link.corrupted;
+    wire.merge(outcome.report.link);
     if (outcome.transport_failed) {
       ++transport_failed;
       failed_salts.push_back(outcome.net_salt);
@@ -541,12 +542,17 @@ TEST(ChaosServer, FourShardChaosRunCompletesAndReconciles) {
   EXPECT_EQ(stats.queue_depth, 0);
   EXPECT_EQ(stats.in_flight, 0);
   EXPECT_EQ(stats.transport_failed, transport_failed);
-  EXPECT_EQ(stats.retransmits, retransmits);
-  EXPECT_EQ(stats.frames_dropped, dropped);
-  EXPECT_EQ(stats.frames_corrupted, corrupted);
-  // At a ~10% compound fault rate over 2000+ frames the plan must have
+  EXPECT_EQ(stats.retransmits, wire.retransmits);
+  EXPECT_EQ(stats.frames_dropped, wire.dropped);
+  EXPECT_EQ(stats.frames_corrupted, wire.corrupted);
+  EXPECT_EQ(stats.frames_duplicated, wire.duplicated);
+  EXPECT_EQ(stats.frames_reordered, wire.reordered);
+  EXPECT_EQ(stats.frames_stalled, wire.stalled);
+  EXPECT_EQ(stats.link_timeouts, wire.timeouts);
+  // At a ~12% compound fault rate over 2000+ frames the plan must have
   // actually fired, and the ARQ must have actually recovered.
   EXPECT_GT(stats.frames_dropped, 0u);
+  EXPECT_GT(stats.frames_stalled, 0u);
   EXPECT_GT(stats.retransmits, 0u);
   EXPECT_GT(authenticated, static_cast<u64>(kSessions) * 9 / 10);
 
@@ -600,11 +606,11 @@ TEST(ChaosServer, SingleAndFourShardServersAgreeUnderIdenticalFaultPlans) {
           server.submit(client.get(), 600.0, 0xAB00 + static_cast<u64>(i))
               .get());
     }
-    return outcomes;
+    return std::pair{outcomes, server.stats()};
   };
 
-  const auto single = run_with_shards(1);
-  const auto sharded = run_with_shards(4);
+  const auto [single, single_stats] = run_with_shards(1);
+  const auto [sharded, sharded_stats] = run_with_shards(4);
   ASSERT_EQ(single.size(), sharded.size());
   int failures = 0;
   for (std::size_t i = 0; i < single.size(); ++i) {
@@ -628,6 +634,13 @@ TEST(ChaosServer, SingleAndFourShardServersAgreeUnderIdenticalFaultPlans) {
   // produce BOTH verdict kinds — otherwise the equivalence is vacuous.
   EXPECT_GT(failures, 0) << "fault plan produced no transport failures";
   EXPECT_LT(failures, static_cast<int>(single.size()));
+
+  // Every additive counter sums across the 4 shards to the 1-shard value;
+  // session time alone is wall clock and may differ.
+  SessionCounters one = single_stats, four = sharded_stats;
+  one.session_time_sum = four.session_time_sum = 0.0;
+  EXPECT_EQ(one, four);
+  EXPECT_EQ(four.completed, single.size());
 }
 
 TEST(ChaosServer, TotalLossResolvesEverySessionAsTransportFailure) {

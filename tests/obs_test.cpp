@@ -25,9 +25,13 @@
 
 #include <atomic>
 #include <future>
+#include <map>
 #include <memory>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "rbc/candidate_stream.hpp"
@@ -623,6 +627,41 @@ TEST(ObsFlightRecorder, CapturesTransportFailureAndReplaysFromSalt) {
   EXPECT_NE(dump.find("ab5a17"), std::string::npos);  // the replay key, hex
 }
 
+TEST(ObsFlightRecorder, DeadlineExpiredInQueueIsRecordedAsTimedOut) {
+  // A 1 ns budget is gone before any driver picks the session up: the
+  // session completes timed out without a search, its verdict span says
+  // so, and the recorder files it under deadline_expired.
+  ObsFixture f(1);
+  ServerConfig cfg = quiet_config(1);
+  cfg.trace_enabled = true;
+  cfg.flight_recorder = true;
+  AuthServer server(cfg, f.ca.get(), &f.ra);
+
+  auto client = f.make_client(0, 1, 0xDEAD);
+  const u64 salt = 0x7135;
+  const SessionOutcome outcome =
+      server.submit(client.get(), /*budget_s=*/1e-9, salt).get();
+  ASSERT_TRUE(outcome.accepted);
+  EXPECT_TRUE(outcome.timed_out);
+  EXPECT_FALSE(outcome.authenticated);
+  EXPECT_FALSE(outcome.transport_failed);
+
+  u64 verdicts = 0;
+  for (const obs::TraceEvent& e : server.trace_events()) {
+    if (e.session != salt || e.kind != obs::SpanKind::kVerdict) continue;
+    ++verdicts;
+    EXPECT_EQ(e.detail, static_cast<u32>(obs::Verdict::kTimedOut));
+  }
+  EXPECT_EQ(verdicts, 1u);
+
+  const std::vector<obs::FlightRecord> records =
+      server.flight_recorder()->records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].net_salt, salt);
+  EXPECT_EQ(records[0].reason, "deadline_expired");
+  EXPECT_DOUBLE_EQ(records[0].session_budget_s, 1e-9);
+}
+
 // ---------------------------------------------------------------------------
 // ObsMetrics: golden output and the server's exported series.
 
@@ -662,10 +701,143 @@ TEST(ObsMetrics, RejectsTypeConfusionAcrossRegistrations) {
   EXPECT_THROW(reg.gauge("rbc_demo_total", "Demo counter.", 2), CheckFailure);
 }
 
+/// One family of the server's export, as an operator's scrape config sees
+/// it. `field` is the ServerStats counter a `_total` family must carry;
+/// nullptr for gauges and the process-wide shell-cache counters.
+struct ExportedFamily {
+  const char* name;
+  const char* type;
+  const char* help;
+  u64 ServerStats::*field;
+};
+
+const ExportedFamily kExportedFamilies[] = {
+    {"rbc_sessions_submitted_total", "counter", "Sessions submitted",
+     &ServerStats::submitted},
+    {"rbc_sessions_rejected_total", "counter", "Sessions shed at admission",
+     &ServerStats::rejected},
+    {"rbc_sessions_shed_infeasible_total", "counter",
+     "Rejected as deadline-infeasible at submit",
+     &ServerStats::shed_infeasible},
+    {"rbc_sessions_completed_total", "counter", "Sessions fully processed",
+     &ServerStats::completed},
+    {"rbc_sessions_authenticated_total", "counter", "Sessions authenticated",
+     &ServerStats::authenticated},
+    {"rbc_sessions_timed_out_total", "counter", "Sessions past threshold T",
+     &ServerStats::timed_out},
+    {"rbc_sessions_cancelled_total", "counter", "Sessions cancelled in queue",
+     &ServerStats::cancelled},
+    {"rbc_sessions_transport_failed_total", "counter",
+     "Sessions that exhausted their retransmit budget",
+     &ServerStats::transport_failed},
+    {"rbc_link_retransmits_total", "counter", "ARQ retransmissions",
+     &ServerStats::retransmits},
+    {"rbc_link_timeouts_total", "counter", "ARQ response timeouts",
+     &ServerStats::link_timeouts},
+    {"rbc_link_frames_dropped_total", "counter", "Frames swallowed in flight",
+     &ServerStats::frames_dropped},
+    {"rbc_link_frames_corrupted_total", "counter", "Frames bit-flipped",
+     &ServerStats::frames_corrupted},
+    {"rbc_link_frames_duplicated_total", "counter", "Duplicate frame copies",
+     &ServerStats::frames_duplicated},
+    {"rbc_link_frames_reordered_total", "counter", "Frames reordered",
+     &ServerStats::frames_reordered},
+    {"rbc_link_frames_stalled_total", "counter", "Frames stalled",
+     &ServerStats::frames_stalled},
+    {"rbc_fusion_sessions_total", "counter", "Sessions absorbed by fusion",
+     &ServerStats::fused_sessions},
+    {"rbc_fusion_declined_total", "counter", "Sessions fusion declined",
+     &ServerStats::fusion_declined},
+    {"rbc_fusion_batches_total", "counter", "Fused hash batches issued",
+     &ServerStats::fusion_batches},
+    {"rbc_fusion_lanes_filled_total", "counter", "Lane slots carrying work",
+     &ServerStats::fusion_lanes_filled},
+    {"rbc_fusion_lanes_issued_total", "counter", "Lane slots dealt",
+     &ServerStats::fusion_lanes_issued},
+    {"rbc_ranked_sessions_total", "counter",
+     "Authenticated sessions with rank data", &ServerStats::ranked_sessions},
+    {"rbc_mean_hit_rank", "gauge", "Mean seeds hashed at the hit", nullptr},
+    {"rbc_mean_canonical_rank", "gauge", "Mean canonical-order rank of the hit",
+     nullptr},
+    {"rbc_shell_cache_hits_total", "counter", "Shell mask table cache hits",
+     nullptr},
+    {"rbc_shell_cache_misses_total", "counter", "Shell mask table cache misses",
+     nullptr},
+    {"rbc_shell_cache_evictions_total", "counter", "Shell tables evicted",
+     nullptr},
+    {"rbc_shell_cache_masks", "gauge", "Masks currently cached", nullptr},
+    {"rbc_trace_events_recorded_total", "counter", "Trace records published",
+     &ServerStats::trace_events_recorded},
+    {"rbc_trace_events_dropped_total", "counter",
+     "Trace records overwritten by ring wrap",
+     &ServerStats::trace_events_dropped},
+    {"rbc_flight_records_total", "counter", "Failures flight-recorded",
+     &ServerStats::flight_records},
+    {"rbc_shards", "gauge", "Serving shards", nullptr},
+    {"rbc_queue_depth", "gauge", "Sessions admitted, not yet picked up",
+     nullptr},
+    {"rbc_in_flight", "gauge", "Sessions currently on a driver", nullptr},
+    {"rbc_device_states", "gauge", "Retained per-device lock states", nullptr},
+    {"rbc_shard_queue_depth", "gauge", "Per-shard admission queue depth",
+     nullptr},
+    {"rbc_shard_in_flight", "gauge", "Per-shard sessions on a driver", nullptr},
+    {"rbc_session_time_seconds_mean", "gauge", "Mean session time (exact)",
+     nullptr},
+    {"rbc_session_time_seconds_p50", "gauge",
+     "Median session time (reservoir estimate)", nullptr},
+    {"rbc_session_time_seconds_p95", "gauge",
+     "p95 session time (reservoir estimate)", nullptr},
+    {"rbc_fusion_lane_occupancy", "gauge",
+     "Filled fraction of dealt lane slots", nullptr},
+};
+
+/// A Prometheus text exposition, parsed per family: TYPE, HELP and the
+/// samples as (label block, value) pairs.
+struct ParsedFamily {
+  std::string type;
+  std::string help;
+  std::vector<std::pair<std::string, double>> samples;
+};
+
+std::map<std::string, ParsedFamily> parse_prometheus(const std::string& text) {
+  std::map<std::string, ParsedFamily> families;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.starts_with("# HELP ") || line.starts_with("# TYPE ")) {
+      const std::size_t name_end = line.find(' ', 7);
+      ParsedFamily& fam = families[line.substr(7, name_end - 7)];
+      (line[2] == 'H' ? fam.help : fam.type) = line.substr(name_end + 1);
+    } else if (!line.empty()) {
+      const std::size_t value_at = line.rfind(' ');
+      const std::string series = line.substr(0, value_at);
+      const std::size_t brace = series.find('{');
+      families[series.substr(0, brace)].samples.emplace_back(
+          brace == std::string::npos ? "" : series.substr(brace),
+          std::stod(line.substr(value_at + 1)));
+    }
+  }
+  return families;
+}
+
 TEST(ObsMetrics, ServerExportMatchesStats) {
   ObsFixture f(4);
   ServerConfig cfg = quiet_config(2);
   cfg.trace_enabled = true;
+  // Fusion, the flight recorder and a lossy link put nonzero values behind
+  // most counter families, so a family that reads the wrong field shows.
+  cfg.fusion_enabled = true;
+  cfg.flight_recorder = true;
+  cfg.fault.drop_rate = 0.1;
+  cfg.fault.duplicate_rate = 0.1;
+  cfg.fault.corrupt_rate = 0.05;
+  cfg.fault.reorder_rate = 0.1;
+  cfg.fault.stall_rate = 0.1;
+  cfg.fault.stall_s = 0.001;
+  cfg.fault_seed = 0xE4E4;
+  cfg.retry.max_attempts = 6;
+  cfg.retry.timeout_s = 0.01;
+  cfg.retry.max_timeout_s = 0.04;
   AuthServer server(cfg, f.ca.get(), &f.ra);
   std::vector<std::unique_ptr<Client>> clients;
   std::vector<std::future<SessionOutcome>> futures;
@@ -692,6 +864,31 @@ TEST(ObsMetrics, ServerExportMatchesStats) {
                       std::to_string(s.trace_events_recorded)),
             std::string::npos);
   EXPECT_GT(s.trace_events_recorded, 0u);
+
+  // Every family, typed and described exactly as pinned, in any order...
+  const std::map<std::string, ParsedFamily> exported = parse_prometheus(prom);
+  std::set<std::tuple<std::string, std::string, std::string>> want, got;
+  for (const ExportedFamily& e : kExportedFamilies)
+    want.emplace(e.name, e.type, e.help);
+  for (const auto& [name, fam] : exported)
+    got.emplace(name, fam.type, fam.help);
+  EXPECT_EQ(want.size(), 40u);
+  EXPECT_EQ(got, want);
+  // ...and every server counter carrying its ServerStats field's value.
+  for (const ExportedFamily& e : kExportedFamilies) {
+    const std::string name = e.name;
+    if (!name.ends_with("_total") || name.starts_with("rbc_shell_cache_"))
+      continue;
+    ASSERT_NE(e.field, nullptr) << name;
+    const auto it = exported.find(name);
+    ASSERT_NE(it, exported.end()) << name;
+    ASSERT_EQ(it->second.samples.size(), 1u) << name;
+    EXPECT_EQ(it->second.samples[0].first, "") << name;
+    EXPECT_EQ(it->second.samples[0].second, static_cast<double>(s.*e.field))
+        << name;
+  }
+  EXPECT_GT(s.fused_sessions, 0u);
+  EXPECT_GT(s.retransmits, 0u);
 
   const std::string json = server.export_metrics(obs::MetricsFormat::kJson);
   EXPECT_NE(json.find("\"schema\": \"rbc.metrics.v1\""), std::string::npos);
