@@ -29,6 +29,6 @@ rbc_add_bench(bench_ext_scaling rbc_sim)
 rbc_add_bench(bench_security_analysis rbc_core)
 rbc_add_bench(bench_apu_bitslice rbc_apu rbc_comb rbc_sim)
 
-rbc_add_bench(bench_hash_throughput rbc_hash rbc_comb rbc_crypto benchmark::benchmark)
+rbc_add_bench(bench_hash_throughput rbc_hash rbc_comb rbc_crypto rbc_core benchmark::benchmark)
 rbc_add_bench(bench_ecc_comparison rbc_core)
 rbc_add_bench(bench_server_throughput rbc_server rbc_core)

@@ -1,10 +1,13 @@
 // Raw primitive throughput on the host (google-benchmark): seed hashing
-// (fixed, generic, and batched multi-lane paths), the bare Keccak
-// permutation, the three seed iterators, and the three key generators.
-// Supporting data for Tables 4, 5 and 7 — all other benches' host sections
-// build on these primitives. The batched benches report seeds/sec at each
-// available SIMD dispatch level; the PR-3 acceptance bar is batched >= 2x
-// BM_*SeedFixed on items/sec.
+// (fixed, generic, batched multi-lane and heads-only paths), the bare Keccak
+// permutation, the three seed iterators, the search's scan over whole
+// shells, and the three key generators. Supporting data for Tables 4, 5
+// and 7 — all other benches' host sections build on these primitives. The
+// batched benches report seeds/sec at each available SIMD dispatch level;
+// the PR-3 acceptance bar is batched >= 2x BM_*SeedFixed on items/sec.
+// BM_ScanShell is the L1 ledger row of the search loop: ns per candidate of
+// hash::SeedScan (iterate + hash + head check) for each candidate source,
+// to read against the BM_Iter* plus BM_Sha3SeedHeadsBatched split.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -17,7 +20,9 @@
 #include "hash/batch.hpp"
 #include "hash/cpu_features.hpp"
 #include "hash/keccak.hpp"
+#include "hash/keccak_multi.hpp"
 #include "hash/sha1.hpp"
+#include "rbc/candidate_stream.hpp"
 
 namespace {
 
@@ -111,6 +116,106 @@ void BM_Sha3SeedBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha3SeedBatched)->DenseRange(0, 3);
 
+// Heads-only x8 (and below): the 64-bit digest heads a scan rejects on.
+void BM_Sha3SeedHeadsBatched(benchmark::State& state) {
+  const auto level = static_cast<hash::SimdLevel>(state.range(0));
+  if (level > hash::detected_simd_level()) {
+    state.SkipWithError("SIMD level not supported on this host");
+    return;
+  }
+  constexpr std::size_t kBlock = hash::Sha3BatchSeedHash::kBatch;
+  std::array<Seed256, kBlock> seeds;
+  std::array<u64, kBlock> heads;
+  Xoshiro256 rng(0xbead);
+  for (auto& s : seeds) s = Seed256::random(rng);
+  for (auto _ : state) {
+    hash::sha3_256_seed_heads_multi_level(level, seeds.data(), kBlock,
+                                          heads.data());
+    benchmark::DoNotOptimize(heads);
+    seeds[0].word(0) += 1;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kBlock));
+  state.SetLabel(std::string(hash::to_string(level)));
+}
+BENCHMARK(BM_Sha3SeedHeadsBatched)->DenseRange(0, 3);
+
+// A cached shell table (ShellMaskCache, the fused engine's source) as a
+// scan source: one out-of-line table read per candidate.
+class TableCandidates {
+ public:
+  TableCandidates(std::shared_ptr<const ShellMaskCache::Table> table,
+                  std::size_t count, const Seed256& base)
+      : table_(std::move(table)),
+        end_(std::min(count, table_->size())),
+        base_(base) {}
+  bool next(Seed256& candidate) noexcept {
+    if (index_ == end_) return false;
+    candidate = base_ ^ (*table_)[index_++];
+    return true;
+  }
+
+ private:
+  std::shared_ptr<const ShellMaskCache::Table> table_;
+  std::size_t index_ = 0;
+  std::size_t end_;
+  Seed256 base_;
+};
+
+// hash::SeedScan (SHA-3, active SIMD level) over the first `count`
+// candidates of shell k in each source's order, against a target that
+// never matches: range(0) = source (0 Chase, 1 Gosper, 2 Algorithm 515
+// successor, 3 Chase shell table), range(1) = k. k = 2 scans the whole
+// shell (32,640 candidates); k = 3 scans its first 65,536. Reports the
+// time per candidate.
+void BM_ScanShell(benchmark::State& state) {
+  const int family = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  const u64 count = std::min<u64>(comb::binomial64(256, k), u64{1} << 16);
+  const Seed256 base = bench_seed();
+  const hash::Sha3BatchSeedHash hash;
+  const hash::Digest256 target = hash(Seed256::ones());
+  const auto table = family == 3
+                         ? ShellMaskCache::get(sim::IterAlgo::kChase382, k)
+                         : nullptr;
+  u64 scanned = 0;
+  const auto run = [&](auto source) {
+    hash::SeedScan<hash::Sha3BatchSeedHash> scan(hash, target, true);
+    scan.start(source);
+    while (scan.pending()) scanned += scan.step(source).counted;
+  };
+  for (auto _ : state) {
+    switch (family) {
+      case 0:
+        run(comb::candidates(
+            comb::ChaseIterator(comb::ChaseSequence(k).state(), count), base));
+        break;
+      case 1:
+        run(comb::candidates(comb::GosperIterator(k, 0, count), base));
+        break;
+      case 2:
+        run(comb::candidates(
+            comb::Algorithm515Iterator(k, 0, count,
+                                       comb::Alg515Mode::kSuccessor),
+            base));
+        break;
+      default:
+        run(TableCandidates(table, count, base));
+        break;
+    }
+  }
+  static constexpr const char* kNames[] = {"chase", "gosper", "alg515",
+                                           "table"};
+  state.SetLabel(std::string(kNames[family]) + " " +
+                 std::string(hash::to_string(hash::active_simd_level())));
+  state.SetItemsProcessed(static_cast<int64_t>(scanned));
+  // Seconds per candidate, printed with an SI prefix (e.g. "55.2n").
+  state.counters["per_candidate"] = benchmark::Counter(
+      static_cast<double>(scanned),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ScanShell)->ArgsProduct({{0, 1, 2, 3}, {2, 3}});
+
 void BM_KeccakF1600(benchmark::State& state) {
   u64 lanes[25] = {1, 2, 3};
   for (auto _ : state) {
@@ -121,6 +226,8 @@ void BM_KeccakF1600(benchmark::State& state) {
 }
 BENCHMARK(BM_KeccakF1600);
 
+// ChaseSequence::advance, out of line: the step of the plan walks and the
+// Table 4 probes (the scan takes it inline).
 void BM_IterChase(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   comb::ChaseSequence seq(k);
@@ -132,7 +239,7 @@ void BM_IterChase(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_IterChase)->Arg(3)->Arg(5);
+BENCHMARK(BM_IterChase)->Arg(2)->Arg(3)->Arg(5);
 
 void BM_IterGosper(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));

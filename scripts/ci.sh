@@ -86,12 +86,14 @@ ctest --test-dir build --output-on-failure -j "$JOBS" \
 step_7() {
 echo "=== [7/17] bench smoke: batched hash throughput ==="
 # Release-configured bench build; one quick repetition proves the batched
-# kernels run at every advertised level (full numbers: docs/perf.md).
+# and heads-only kernels run at every advertised level and the scan runs
+# over every candidate source (full numbers: docs/perf.md).
 if [[ "${RBC_CI_BENCH:-1}" == "1" ]]; then
   cmake --preset release >/dev/null
   cmake --build --preset release -j "$JOBS" --target bench_hash_throughput
   ./build-release/bench/bench_hash_throughput \
-    --benchmark_filter='SeedBatched|SeedFixed' --benchmark_min_time=0.05
+    --benchmark_filter='SeedBatched|SeedHeadsBatched|SeedFixed|ScanShell' \
+    --benchmark_min_time=0.05
 else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
@@ -219,8 +221,8 @@ TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
 }
 
 step_16() {
-echo "=== [16/17] configure + build (AddressSanitizer + UBSan) ==="
-cmake --preset asan -DRBC_SANITIZE=address,undefined >/dev/null
+echo "=== [16/17] configure + build (AddressSanitizer + UBSan, warnings are errors) ==="
+cmake --preset asan -DRBC_SANITIZE=address,undefined -DRBC_WERROR=ON >/dev/null
 cmake --build --preset asan -j "$JOBS"
 }
 

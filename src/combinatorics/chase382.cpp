@@ -10,10 +10,10 @@ namespace {
 // One transition of Chase's Algorithm 382 in its iterative "twiddle"
 // formulation. `ctrl` is the 1-based control array with sentinels at indices
 // 0 and n+1. The scan for the first positive entry starts at `first`, which
-// must not lie past it; ChaseSequence::advance passes the entry itself, so
-// the scan reads one entry. On a normal step, writes the 0-based bit position
-// entering the combination to `in` and the position leaving to `out` and
-// returns true; returns false when the sequence is exhausted.
+// must not lie past it; ChaseSequence::step_general passes the entry itself,
+// so the scan reads one entry. On a normal step, writes the 0-based bit
+// position entering the combination to `in` and the position leaving to
+// `out` and returns true; returns false when the sequence is exhausted.
 bool twiddle_step(std::int16_t* ctrl, int first, int& in, int& out) noexcept {
   int j = first;
   while (ctrl[j] <= 0) ++j;
@@ -78,22 +78,26 @@ ChaseSequence::ChaseSequence(int k, int n_bits) : n_bits_(n_bits) {
   state_.mask = Seed256{};
   for (int i = n - m; i < n; ++i) state_.mask.set_bit(i);
   state_.step_index = 0;
+  low_ = state_.mask.count_trailing_zeros();
 }
 
 ChaseSequence::ChaseSequence(const ChaseState& state, int n_bits)
-    : n_bits_(n_bits), state_(state) {}
+    : n_bits_(n_bits),
+      state_(state),
+      low_(state.mask.count_trailing_zeros()) {}
 
-// Aligned so its scan loops' cache-line offsets do not depend on link order.
-[[gnu::aligned(64)]] bool ChaseSequence::advance() noexcept {
-  // control[i] > 0 exactly when bit i - 1 of the mask is set, so the first
-  // positive entry sits at the lowest set bit + 1. The one exception is
-  // k = 0: its mask is empty and its m = 0 sentinel is control[1].
-  const int low = state_.mask.count_trailing_zeros();
-  const int first = low == kSeedBits ? 1 : low + 1;
+bool ChaseSequence::advance() noexcept {
   int in = 0, out = 0;
+  return step(in, out);
+}
+
+bool ChaseSequence::step_general(int& in, int& out) noexcept {
+  // k = 0's mask is empty; its m = 0 sentinel is control[1].
+  const int first = low_ == kSeedBits ? 1 : low_ + 1;
   if (!twiddle_step(state_.control.data(), first, in, out)) return false;
   state_.mask.set_bit(in);
   state_.mask.clear_bit(out);
+  low_ = state_.mask.count_trailing_zeros();
   ++state_.step_index;
   return true;
 }

@@ -22,7 +22,13 @@
 //
 // The implementation is the classic iterative "twiddle" formulation of
 // Chase's algorithm: a control array p[0..n+1] drives each transition, and
-// every call reports one position entering the combination and one leaving.
+// every step reports one position entering the combination and one leaving.
+// Almost every step moves the lowest element up one place; that step is
+// header-inline and loop-free (ChaseSequence::step_up), so the search's
+// candidate cursor, ChaseCandidates, takes it inside the fused scan kernel
+// (hash/keccak_lanes.hpp) between its Keccak rounds, flipping the entering
+// and leaving bits of a running candidate S_init ^ mask. Every other step
+// runs the twiddle out of line.
 #pragma once
 
 #include <array>
@@ -62,11 +68,43 @@ class ChaseSequence {
   /// exhausted (the current mask was the last one).
   bool advance() noexcept;
 
+  /// advance(), reporting the bit that entered the mask (`in`) and the bit
+  /// that left it (`out`): the common step inline, any other out of line.
+  bool step(int& in, int& out) noexcept {
+    return step_up(in, out) || step_general(in, out);
+  }
+
+  /// The common step, inline and without loops: when the mask's lowest
+  /// element moves up one place (~98% of a k = 3 shell's steps), takes that
+  /// step and returns true; otherwise returns false and changes nothing.
+  /// control[i] > 0 exactly when bit i - 1 of the mask is set, so the
+  /// twiddle's first positive entry is control[low + 1]; when control[low]
+  /// is not 0 and control[low + 2] is -1, its scans each read one entry and
+  /// it ends in its swap branch.
+  [[gnu::always_inline]] bool step_up(int& in, int& out) noexcept {
+    std::int16_t* p = state_.control.data();
+    if (low_ + 1 >= n_bits_ || p[low_] == 0 || p[low_ + 2] != -1) return false;
+    out = low_;
+    in = low_ + 1;
+    if (out > 0) p[out] = 0;
+    p[in + 1] = p[in];
+    p[in] = -1;
+    state_.mask.flip_bit(out);
+    state_.mask.flip_bit(in);
+    low_ = in;  // nothing lies below the moved element
+    ++state_.step_index;
+    return true;
+  }
+
   const ChaseState& state() const noexcept { return state_; }
 
  private:
   int n_bits_;
   ChaseState state_;
+  /// Any step: the twiddle from the lowest set bit.
+  bool step_general(int& in, int& out) noexcept;
+
+  int low_;  // the mask's lowest set bit; kSeedBits when it is empty
 };
 
 /// Walks the sequence once, saving a snapshot at every `stride`-th step
@@ -103,11 +141,74 @@ class ChaseIterator {
   u64 produced() const noexcept { return produced_; }
 
  private:
+  friend class ChaseCandidates;
   ChaseSequence seq_;
   u64 count_;
   u64 produced_;
   bool exhausted_ = false;
 };
+
+/// The candidates base ^ mask of a ChaseIterator's remaining masks, in its
+/// order: the search's candidate cursor over a Chase tile or shell. Each
+/// step flips the entering and leaving bits in a running candidate.
+/// next_inline() is the fused scan kernel's entry (hash/keccak_lanes.hpp):
+/// it takes only the common step, inline scalar code with no loop or call,
+/// and leaves every other step to next().
+class ChaseCandidates {
+ public:
+  ChaseCandidates(const ChaseIterator& it, const Seed256& base) noexcept
+      : seq_(it.seq_),
+        candidate_(base ^ it.seq_.mask()),
+        remaining_(it.exhausted_ ? 0 : it.count_ - it.produced_) {}
+
+  /// Writes the next candidate; false once the masks are exhausted (and on
+  /// every later call).
+  bool next(Seed256& candidate) noexcept {
+    if (remaining_ == 0) return false;
+    candidate = candidate_;
+    if (--remaining_ == 0) return true;
+    int in = 0, out = 0;
+    // The count normally bounds the slice exactly; a count past the
+    // sequence's end stops at genuine exhaustion, as ChaseIterator does.
+    if (!seq_.step(in, out)) {
+      remaining_ = 0;
+      return true;
+    }
+    candidate_.flip_bit(in);
+    candidate_.flip_bit(out);
+    return true;
+  }
+
+  /// next(), when the step after this candidate is the common one (or there
+  /// is none); otherwise returns false and changes nothing, so next() takes
+  /// the candidate and its step.
+  [[gnu::always_inline]] bool next_inline(Seed256& candidate) noexcept {
+    if (remaining_ == 0) return false;
+    if (remaining_ > 1) {
+      int in = 0, out = 0;
+      if (!seq_.step_up(in, out)) return false;
+      candidate = candidate_;
+      candidate_.flip_bit(in);
+      candidate_.flip_bit(out);
+    } else {
+      candidate = candidate_;
+    }
+    --remaining_;
+    return true;
+  }
+
+ private:
+  ChaseSequence seq_;
+  Seed256 candidate_;
+  u64 remaining_;
+};
+
+/// The search's candidate source over a Chase iterator (the overload the
+/// generic comb::candidates in shell.hpp defers to).
+inline ChaseCandidates candidates(const ChaseIterator& it,
+                                  const Seed256& base) noexcept {
+  return ChaseCandidates(it, base);
+}
 
 /// Immutable tile decomposition of one shell: tile t resumes from the
 /// snapshot saved at step t*stride and walks min(stride, total - t*stride)

@@ -18,6 +18,11 @@
 //     only tile is the whole shell in canonical order (shell_iterator);
 //   * the prior-work and GPU-kernel baselines give unit r tile r of a
 //     ceil(C(n_bits, k) / p)-stride plan, the paper's §3.2.1 equal split.
+//
+// A search hashes candidates S_init ^ mask: candidates(it, s_init) turns any
+// family's iterator into that candidate source. Chase overrides it with a
+// cursor that flips each step's two bits in a running candidate
+// (chase382.hpp).
 #pragma once
 
 #include <algorithm>
@@ -25,6 +30,7 @@
 #include <functional>
 #include <memory>
 #include <string_view>
+#include <utility>
 
 #include "bits/seed256.hpp"
 #include "combinatorics/binomial.hpp"
@@ -53,6 +59,34 @@ concept SeedIteratorFactory =
       { plan.tile_count(t) } -> std::convertible_to<u64>;
       { plan.make_tile(t) } -> std::same_as<typename F::iterator>;
     };
+
+/// The candidates base ^ mask of a mask iterator's remaining masks, in its
+/// order. next() may call out of line (Gosper, Algorithm 515), so the scan
+/// produces each block of these before hashing it.
+template <typename MaskIterator>
+class MaskCandidates {
+ public:
+  MaskCandidates(MaskIterator it, const Seed256& base)
+      : it_(std::move(it)), base_(base) {}
+
+  /// Writes the next candidate; false once the masks are exhausted.
+  bool next(Seed256& candidate) noexcept {
+    Seed256 mask;
+    if (!it_.next(mask)) return false;
+    candidate = base_ ^ mask;
+    return true;
+  }
+
+ private:
+  MaskIterator it_;
+  Seed256 base_;
+};
+
+/// The search's candidate source over `it`: base ^ each remaining mask.
+template <typename MaskIterator>
+MaskCandidates<MaskIterator> candidates(MaskIterator it, const Seed256& base) {
+  return MaskCandidates<MaskIterator>(std::move(it), base);
+}
 
 /// Tile stride that cuts C(n_bits, k) into at most `parts` equal tiles, the
 /// last one ragged.

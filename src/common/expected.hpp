@@ -24,6 +24,10 @@ template <typename T, typename E>
 class Expected {
  public:
   Expected(T value) : storage_(std::in_place_index<0>, std::move(value)) {}
+  /// Builds the value in place from `args` — no temporary T to move from.
+  template <typename... Args>
+  explicit Expected(std::in_place_t, Args&&... args)
+      : storage_(std::in_place_index<0>, std::forward<Args>(args)...) {}
   Expected(Unexpected<E> u)
       : storage_(std::in_place_index<1>, std::move(u.error)) {}
 

@@ -8,7 +8,7 @@
 // SELF-SCHEDULING rather than static slices: a rank asks rank 0 for
 // work (WANT), rank 0 grants a run of the current shell's tiles — about
 // half an even share of the seeds left, down to one tile — and the rank
-// scans them with scan_block. There are NO per-shell barriers: as soon as
+// scans them with hash::SeedScan. There are NO per-shell barriers: as soon as
 // a shell's tiles are all granted, rank 0 moves its grant pointer to the
 // next shell while stragglers finish their last tiles in the background; a
 // rank that outruns the coordinator has its request deferred until the
@@ -27,7 +27,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -147,25 +146,23 @@ DistSearchResult distributed_search(Communicator& comm, const Seed256& s_init,
     // under early exit, abandons the rest of the grant (the lanes after a
     // match are speculative); exhaustive mode finishes the grant so the
     // aggregated count is the exact ball size.
-    std::array<Seed256, hash::seed_hash_batch<Hash>()> candidates;
+    hash::SeedScan<Hash> scan(hash, target, opts.early_exit);
     auto search_tiles = [&](int shell, u64 first, u64 count) {
       const auto plan = factory.plan(shell, tile_seeds);
       par::CheckThrottle throttle(check_blocks);
       for (u64 t = first; t < first + count; ++t) {
-        auto it = plan->make_tile(t);
-        while (true) {
+        auto source = comb::candidates(plan->make_tile(t), s_init);
+        scan.start(source);
+        while (scan.pending()) {
           if (throttle.due()) {
             sctx.check_deadline();
             if (poll_stop()) return;
           }
-          const std::size_t n = hash::fill_block(it, s_init, candidates);
-          if (n == 0) break;
-          const hash::BlockScan scan = hash::scan_block(
-              hash, candidates.data(), n, target, opts.early_exit);
-          local_hashed += scan.counted;
-          if (!scan.found()) continue;
+          const hash::BlockScan block = scan.step(source);
+          local_hashed += block.counted;
+          if (!block.found()) continue;
           ctx.send(0, detail::kTagWork,
-                   detail::encode_found(candidates[scan.match], shell));
+                   detail::encode_found(*block.match, shell));
           if (opts.early_exit) return;
         }
       }

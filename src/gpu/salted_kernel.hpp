@@ -12,8 +12,8 @@
 //   3. stages each tile's Chase Algorithm-382 snapshot into the block's
 //      SHARED MEMORY arena (§3.2.3 optimization) before iterating,
 //   4. runs the host search's tile loop (rbc::detail::drain_tiles, whose
-//      inner step is hash::scan_block) and polls the unified flag between
-//      blocks,
+//      inner step is hash::SeedScan: the fused iterator+hash kernel of
+//      §4.5) and polls the unified flag between blocks,
 //   5. on a match, atomically publishes the result and raises the flag.
 //
 // hetero_cosearch() goes one step further: host worker units and one

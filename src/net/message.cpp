@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstring>
+#include <utility>
 
 namespace rbc::net {
 
@@ -159,7 +160,7 @@ Expected<Message, WireError> deserialize(ByteSpan frame) {
         return unexpected(WireError::kBadEnumValue);
       m.hash_algo = static_cast<hash::HashAlgo>(hash);
       m.keygen_algo = static_cast<crypto::KeygenAlgo>(keygen);
-      return Message{m};
+      return Expected<Message, WireError>(std::in_place, std::move(m));
     }
     case kChallenge: {
       Challenge m;
@@ -170,7 +171,7 @@ Expected<Message, WireError> deserialize(ByteSpan frame) {
       if (!r.at_end()) return unexpected(WireError::kTrailingBytes);
       if (tapki > 1) return unexpected(WireError::kBadEnumValue);
       m.tapki_enabled = tapki != 0;
-      return Message{m};
+      return Expected<Message, WireError>(std::in_place, std::move(m));
     }
     case kDigest: {
       DigestSubmission m;
@@ -191,7 +192,7 @@ Expected<Message, WireError> deserialize(ByteSpan frame) {
       m.hash_algo = static_cast<hash::HashAlgo>(hash);
       if (len != hash::digest_size(m.hash_algo))
         return unexpected(WireError::kBadDigestLength);
-      return Message{m};
+      return Expected<Message, WireError>(std::in_place, std::move(m));
     }
     case kResult: {
       AuthResult m;
@@ -205,7 +206,7 @@ Expected<Message, WireError> deserialize(ByteSpan frame) {
       m.authenticated = auth != 0;
       m.found_distance = static_cast<int>(dist);
       m.timed_out = timeout != 0;
-      return Message{m};
+      return Expected<Message, WireError>(std::in_place, std::move(m));
     }
     default:
       return unexpected(WireError::kUnknownTag);

@@ -22,7 +22,10 @@
 //     reproduces the solo `seeds_hashed` exactly.
 //
 // The cursor (S_init, the shell advance, position, skip_base) is the base
-// class; a stream only opens shell k and fills from it. Three orders:
+// class; a stream only opens shell k and fills from it. BallStream and
+// OrderedBallStream also hand out shell k's candidate source
+// (shell_candidates(k)), which the solo search scans directly: its scan
+// (rbc/search.hpp) makes no virtual call per block. Three orders:
 //   * BallStream<Factory>: the iterator family's canonical order, from the
 //     shell's one-tile plan (the tiles of every other plan concatenate to
 //     it). Opening costs an unrank (Gosper, Algorithm 515) or a cached
@@ -41,6 +44,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "bits/seed256.hpp"
@@ -82,6 +86,9 @@ class CandidateStream {
   u64 position() const noexcept { return position_; }
 
   bool exhausted() const noexcept { return exhausted_; }
+
+  /// The ball's radius d.
+  int max_distance() const noexcept { return d_; }
 
  protected:
   CandidateStream(const Seed256& s_init, int max_distance)
@@ -160,20 +167,27 @@ class BallStream final : public CandidateStream {
   BallStream(const Seed256& s_init, int max_distance, const Factory& factory)
       : CandidateStream(s_init, max_distance), factory_(factory) {}
 
- private:
-  void open_shell(int k) override {
-    it_.emplace(comb::shell_iterator(factory_, k));
+  /// comb::candidates over the family's iterator: a running-candidate
+  /// cursor for Chase.
+  using Source = decltype(comb::candidates(
+      std::declval<typename Factory::iterator>(), std::declval<Seed256>()));
+
+  /// Shell k's candidates in canonical order.
+  Source shell_candidates(int k) const {
+    return comb::candidates(comb::shell_iterator(factory_, k), s_init_);
   }
+
+ private:
+  void open_shell(int k) override { shell_.emplace(shell_candidates(k)); }
 
   std::size_t fill_shell(Seed256* seeds, std::size_t n) override {
     std::size_t produced = 0;
-    Seed256 mask;
-    while (produced < n && it_->next(mask)) seeds[produced++] = s_init_ ^ mask;
+    while (produced < n && shell_->next(seeds[produced])) ++produced;
     return produced;
   }
 
   Factory factory_;
-  std::optional<typename Factory::iterator> it_;
+  std::optional<Source> shell_;  // the open shell
 };
 
 /// Process-wide cache of per-shell XOR-delta tables: table entry i is the
@@ -254,41 +268,26 @@ class ShellMaskCache {
   static constexpr u64 kDefaultCapacityMasks = u64{1} << 21;
 };
 
-/// Streams a ball in maximum-likelihood-first order within each shell:
-/// distance 0 first, then shells 1..d (fills never cross shells), but each
-/// shell's masks come from a comb::WeightedShellEnumerator in non-decreasing
-/// weight-sum order instead of the canonical combinatorial order. The union
-/// of candidates per shell is identical to the canonical stream — only the
-/// order inside a shell changes — so exhaustive counts and verdicts match.
-///
-/// Memory bound: best-first enumeration of a huge shell would grow the
-/// successor frontier without limit on a miss, so each shell is hybrid —
-/// shells with C(n, k) <= ordered_budget are enumerated fully in likelihood
-/// order; larger shells emit the `ordered_budget` most likely masks first
-/// (recording them), then drop the enumerator and walk the canonical Gosper
-/// order from the shell's start, skipping the recorded head. The hit is in
-/// the ordered head in all but pathological sessions, so the tail is the
-/// rare worst case and the shell stays an exact permutation either way.
-class OrderedBallStream final : public CandidateStream {
+/// One shell of an OrderedBallStream as a candidate source: the shell's
+/// masks in non-decreasing weight-sum order (a comb::WeightedShellEnumerator),
+/// XOR-ed into S_init. Shells with C(n, k) <= `budget` are enumerated fully
+/// in likelihood order; larger shells emit the `budget` most likely masks
+/// first (recording them), then drop the enumerator and walk the canonical
+/// Gosper order from the shell's start, skipping the recorded head, so the
+/// shell stays an exact permutation. `order` must outlive the source.
+class OrderedShell {
  public:
-  static constexpr u64 kDefaultOrderedBudget = u64{1} << 16;
+  OrderedShell(const Seed256& s_init, const comb::ReliabilityOrder& order,
+               int k, u64 budget, int n_bits);
 
-  /// `order` is shared with the session that fetched the enrollment record;
-  /// it must describe at least `n_bits` positions.
-  OrderedBallStream(const Seed256& s_init, int max_distance,
-                    std::shared_ptr<const comb::ReliabilityOrder> order,
-                    u64 ordered_budget = kDefaultOrderedBudget,
-                    int n_bits = comb::kSeedBits);
+  /// Writes the next candidate; false once the shell is exhausted.
+  bool next(Seed256& candidate);
 
  private:
-  void open_shell(int k) override;
-  std::size_t fill_shell(Seed256* seeds, std::size_t n) override;
   bool next_mask(Seed256& mask);
 
-  int n_bits_;
+  Seed256 s_init_;
   u64 budget_;
-  std::shared_ptr<const comb::ReliabilityOrder> order_;
-  // Per-shell state.
   std::optional<comb::WeightedShellEnumerator> head_;  // empty in the tail
   bool record_head_ = false;     // shell larger than the budget => hybrid
   std::vector<Seed256> emitted_; // the recorded head, sorted for the tail
@@ -296,33 +295,21 @@ class OrderedBallStream final : public CandidateStream {
   u64 tail_remaining_ = 0;
 };
 
-inline OrderedBallStream::OrderedBallStream(
-    const Seed256& s_init, int max_distance,
-    std::shared_ptr<const comb::ReliabilityOrder> order, u64 ordered_budget,
-    int n_bits)
-    : CandidateStream(s_init, max_distance),
-      n_bits_(n_bits),
-      budget_(ordered_budget),
-      order_(std::move(order)) {
-  RBC_CHECK_MSG(order_ != nullptr, "ordered stream needs a reliability order");
-  RBC_CHECK_MSG(order_->n_bits >= n_bits,
-                "reliability order covers too few bits");
-  RBC_CHECK(ordered_budget >= 1);
-}
-
-inline void OrderedBallStream::open_shell(int k) {
-  const u128 size = comb::binomial128(n_bits_, k);
+inline OrderedShell::OrderedShell(const Seed256& s_init,
+                                  const comb::ReliabilityOrder& order, int k,
+                                  u64 budget, int n_bits)
+    : s_init_(s_init), budget_(budget) {
+  const u128 size = comb::binomial128(n_bits, k);
   // The canonical tail cursor counts in u64; every practical reliability
   // session has d <= 5 over 256 bits, far inside this bound.
   RBC_CHECK_MSG(size <= u128{~u64{0}}, "shell too large for ordered stream");
-  head_.emplace(*order_, k);
+  head_.emplace(order, k);
   record_head_ = size > budget_;
-  emitted_.clear();
   tail_mask_ = Seed256::low_bits(k);
   tail_remaining_ = static_cast<u64>(size);
 }
 
-inline bool OrderedBallStream::next_mask(Seed256& mask) {
+inline bool OrderedShell::next_mask(Seed256& mask) {
   if (head_) {
     if ((!record_head_ || emitted_.size() < budget_) && head_->next(mask)) {
       if (record_head_) emitted_.push_back(mask);
@@ -347,11 +334,69 @@ inline bool OrderedBallStream::next_mask(Seed256& mask) {
   return false;
 }
 
+inline bool OrderedShell::next(Seed256& candidate) {
+  Seed256 mask;
+  if (!next_mask(mask)) return false;
+  candidate = s_init_ ^ mask;
+  return true;
+}
+
+/// Streams a ball in maximum-likelihood-first order within each shell:
+/// distance 0 first, then shells 1..d (fills never cross shells), each
+/// shell an OrderedShell instead of the canonical combinatorial order. The
+/// union of candidates per shell is identical to the canonical stream —
+/// only the order inside a shell changes — so exhaustive counts and
+/// verdicts match.
+///
+/// Memory bound: best-first enumeration of a huge shell would grow the
+/// successor frontier without limit on a miss, so each shell is hybrid
+/// (see OrderedShell) with an `ordered_budget`-mask likelihood head. The
+/// hit is in the ordered head in all but pathological sessions, so the
+/// canonical tail is the rare worst case.
+class OrderedBallStream final : public CandidateStream {
+ public:
+  static constexpr u64 kDefaultOrderedBudget = u64{1} << 16;
+
+  /// `order` is shared with the session that fetched the enrollment record;
+  /// it must describe at least `n_bits` positions.
+  OrderedBallStream(const Seed256& s_init, int max_distance,
+                    std::shared_ptr<const comb::ReliabilityOrder> order,
+                    u64 ordered_budget = kDefaultOrderedBudget,
+                    int n_bits = comb::kSeedBits);
+
+  /// Shell k's candidates, most likely first.
+  OrderedShell shell_candidates(int k) const {
+    return OrderedShell(s_init_, *order_, k, budget_, n_bits_);
+  }
+
+ private:
+  void open_shell(int k) override { shell_.emplace(shell_candidates(k)); }
+  std::size_t fill_shell(Seed256* seeds, std::size_t n) override;
+
+  int n_bits_;
+  u64 budget_;
+  std::shared_ptr<const comb::ReliabilityOrder> order_;
+  std::optional<OrderedShell> shell_;  // the open shell
+};
+
+inline OrderedBallStream::OrderedBallStream(
+    const Seed256& s_init, int max_distance,
+    std::shared_ptr<const comb::ReliabilityOrder> order, u64 ordered_budget,
+    int n_bits)
+    : CandidateStream(s_init, max_distance),
+      n_bits_(n_bits),
+      budget_(ordered_budget),
+      order_(std::move(order)) {
+  RBC_CHECK_MSG(order_ != nullptr, "ordered stream needs a reliability order");
+  RBC_CHECK_MSG(order_->n_bits >= n_bits,
+                "reliability order covers too few bits");
+  RBC_CHECK(ordered_budget >= 1);
+}
+
 inline std::size_t OrderedBallStream::fill_shell(Seed256* seeds,
                                                  std::size_t n) {
   std::size_t produced = 0;
-  Seed256 mask;
-  while (produced < n && next_mask(mask)) seeds[produced++] = s_init_ ^ mask;
+  while (produced < n && shell_->next(seeds[produced])) ++produced;
   return produced;
 }
 

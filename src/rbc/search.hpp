@@ -7,25 +7,31 @@
 // the whole search (§3: "RBC uses a time threshold for which it must
 // authenticate a client").
 //
-// Every path runs one inner loop, hash::scan_block (hash/batch.hpp): refill
-// a candidate block by XOR-ing iterator deltas into S_init, hash all lanes
-// in one call, reject on a 32-bit digest head, confirm on the full digest,
-// and count the visit-order prefix (through the match under early exit).
-// Two drivers feed it (see docs/scheduler.md):
+// Every path runs one inner loop, hash::SeedScan (hash/batch.hpp): a
+// candidate source (comb::candidates: S_init ^ each mask of a tile or
+// shell) writes 8-candidate blocks in the hash kernels' lane layout, each
+// block is hashed to 64-bit digest heads while the source writes the next
+// one, a head match is confirmed on the full digest, and the visit-order
+// prefix is counted (through the match under early exit). For SHA-3 at
+// AVX-512, a Chase source steps inside the Keccak rounds (§4.5's fused
+// kernel, hash/keccak_lanes.hpp). Two drivers feed it (see
+// docs/scheduler.md):
 //
 //   * Multi-unit searches tile: the ball is decomposed into fixed-size
 //     tiles (comb::ShellTiler) handed out by a work-stealing
 //     par::TileScheduler and drained by detail::drain_tiles, which the
-//     GPU-emu kernels share. Chase tile plans are walked once per process;
-//     on a cold cache, one extra pipeline unit fetches shell k+1's plan
-//     while shell k's tiles drain, so workers flow across shell boundaries
-//     instead of parking at a barrier. Exhaustive mode records the MINIMAL
-//     shell containing a match (shells overlap in flight), and per-tile
-//     accounting keeps `seeds_hashed` visit-order exact.
+//     GPU-emu kernels and the hetero co-search share. Chase tile plans are
+//     walked once per process; on a cold cache, one extra pipeline unit
+//     fetches shell k+1's plan while shell k's tiles drain, so workers flow
+//     across shell boundaries instead of parking at a barrier. Exhaustive
+//     mode records the MINIMAL shell containing a match (shells overlap in
+//     flight), and per-tile accounting keeps `seeds_hashed` visit-order
+//     exact.
 //   * Single-unit searches stream: the calling thread scans a BallStream
-//     (candidate_stream.hpp) in canonical order (detail::scan_stream).
-//     A reliability order streams an OrderedBallStream instead, at any
-//     unit count; the fused engine picks its streams by the same rule.
+//     (candidate_stream.hpp) shell by shell in canonical order
+//     (detail::scan_stream). A reliability order streams an
+//     OrderedBallStream instead, at any unit count; the fused engine picks
+//     its streams by the same rule.
 //
 // tests/search_oracle_test.cpp checks every path against brute force.
 //
@@ -40,10 +46,10 @@
 // iterator factory so the hot loop compiles to straight-line code — the same
 // reason the paper fuses seed iteration and hashing into one GPU kernel
 // (§4.5). Scalar policies run the loop with a block of one, so results and
-// accounting are identical across policies.
+// accounting are identical across policies. A stop (match under early exit,
+// deadline, cancel) leaves the block produced ahead uncounted.
 #pragma once
 
-#include <array>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -174,10 +180,10 @@ inline void finish(SearchResult& result, const Match& found,
 }
 
 /// The stop cadence in whole scan blocks: `check_interval` seeds rounded up
-/// to blocks of policy Hash, so a poll never splits a batch.
+/// to SeedScan blocks of policy Hash, so a poll never splits a block.
 template <hash::SeedHash Hash>
 u32 blocks_per_check(u32 check_interval) {
-  constexpr u64 kBlock = hash::seed_hash_batch<Hash>();
+  constexpr u64 kBlock = hash::SeedScan<Hash>::kLanes;
   return static_cast<u32>((std::max<u64>(check_interval, 1) + kBlock - 1) /
                           kBlock);
 }
@@ -231,9 +237,9 @@ class ShellPlans {
 /// GPU-emu shell kernel and both sides of the hetero co-search
 /// (gpu/salted_kernel.hpp). Scheduler slot `unit` claims tiles until none
 /// is left or `stop()` fires; `open(tile)` turns a claimed tile into a mask
-/// iterator, and an empty optional ends the unit. Each tile is refilled and
-/// scanned block by block, `stop()` polled every `check_blocks` blocks; a
-/// fully visited tile completes on the scheduler. A match goes to
+/// iterator, and an empty optional ends the unit. Each tile's candidates
+/// are scanned block by block, `stop()` polled every `check_blocks` blocks;
+/// a fully visited tile completes on the scheduler. A match goes to
 /// `record(seed, shell)`; under `early_exit` the lanes past it are not
 /// counted and the unit ends. `on_tile(seeds)` sees each tile's count.
 /// Returns the seeds the unit hashed.
@@ -243,29 +249,27 @@ u64 drain_tiles(par::TileScheduler& sched, int unit, const Seed256& s_init,
                 const typename Hash::digest_type& target, const Hash& hash,
                 bool early_exit, u32 check_blocks, Open&& open, Stop&& stop,
                 Record&& record, OnTile&& on_tile) {
-  constexpr std::size_t kBlock = hash::seed_hash_batch<Hash>();
-  std::array<Seed256, kBlock> candidates;
+  hash::SeedScan<Hash> scan(hash, target, early_exit);
   u64 hashed = 0;
   bool matched = false;
   par::TileScheduler::Tile tile;
   while (!matched && !stop() && sched.acquire(unit, tile)) {
     auto it = open(tile);
     if (!it) break;
+    auto source = comb::candidates(*it, s_init);
+    scan.start(source);
     par::CheckThrottle throttle(check_blocks);
     u64 tile_hashed = 0;
     bool tile_done = true;  // fully visited (completes the watermark)
-    while (true) {
+    while (scan.pending()) {
       if (throttle.due() && stop()) {
         tile_done = false;
         break;
       }
-      const std::size_t n = hash::fill_block(*it, s_init, candidates);
-      if (n == 0) break;  // tile exhausted
-      const hash::BlockScan scan =
-          hash::scan_block(hash, candidates.data(), n, target, early_exit);
-      tile_hashed += scan.counted;
-      if (!scan.found()) continue;
-      record(candidates[scan.match], tile.shell);
+      const hash::BlockScan block = scan.step(source);
+      tile_hashed += block.counted;
+      if (!block.found()) continue;
+      record(*block.match, tile.shell);
       if (early_exit) {
         matched = true;
         tile_done = false;
@@ -346,76 +350,68 @@ void rbc_search_tiled(const Seed256& s_init,
   }
 }
 
-/// Single-unit scan of a CandidateStream: the tile loop's scan_block step
-/// driving a resumable cursor. This is the reference enumeration the fusion
-/// engine's interleaved execution must reproduce candidate-for-candidate:
-/// the stream yields S_init first, then shells 1..d in canonical order, and
-/// the counted prefix stops at the match.
+/// Single-unit scan of a ball stream's shells 1..d (distance 0 is the
+/// caller's): SeedScan over each shell's candidate source
+/// (`stream.shell_candidates(k)`, no virtual call per block). This is the
+/// reference enumeration the fusion engine's interleaved execution must
+/// reproduce candidate-for-candidate: shells in order, each in the
+/// stream's order, and the counted prefix stops at the match.
 ///
 /// The deadline/early-exit poll fires at the check-interval cadence AND
-/// whenever a refill crosses into a new shell; candidates fetched but not
-/// yet hashed when a stop fires are discarded uncounted.
-template <hash::SeedHash Hash>
-void scan_stream(CandidateStream& stream,
-                 const typename Hash::digest_type& target, const Hash& hash,
-                 const SearchOptions& opts, par::SearchContext& ctx,
-                 Match& found,
-                 u64& hashed_out) {
-  constexpr std::size_t kBlock = hash::seed_hash_batch<Hash>();
-  std::array<Seed256, kBlock> candidates;
+/// before each shell's first block; a stop discards the block produced
+/// ahead uncounted.
+template <hash::SeedHash Hash, typename Stream>
+void scan_stream(Stream& stream, const typename Hash::digest_type& target,
+                 const Hash& hash, const SearchOptions& opts,
+                 par::SearchContext& ctx, Match& found, u64& hashed_out) {
+  hash::SeedScan<Hash> scan(hash, target, opts.early_exit);
   par::CheckThrottle throttle(blocks_per_check<Hash>(opts.check_interval));
 
   u64 local_hashed = 0;
   u64 since_hook = 0;
-  int last_shell = stream.last_shell();
   // Per-shell trace spans (obs/trace.hpp): opened/closed only at shell
-  // transitions, so the hook cost is one null test per refill and nothing
+  // transitions, so the hook cost is one null test per shell and nothing
   // per candidate. Null trace (the untraced default) records nothing.
   obs::SessionTrace* trace = ctx.trace();
-  int span_shell = -1;
-  u64 span_hashed = 0;
-  double span_open_s = 0.0;
-  const auto close_shell_span = [&] {
-    if (trace == nullptr || span_shell < 0) return;
-    trace->span(obs::SpanKind::kSearchShell, span_open_s, trace->now_s(),
-                static_cast<u32>(span_shell), span_hashed);
-  };
-  while (true) {
-    bool check_now = false;
-    if (throttle.due()) {
-      if (opts.quantum_hook) {
-        opts.quantum_hook(0, since_hook);
-        since_hook = 0;
+  bool stopped = false;
+  for (int k = 1; k <= stream.max_distance() && !stopped; ++k) {
+    const double span_open_s = trace != nullptr ? trace->now_s() : 0.0;
+    auto source = stream.shell_candidates(k);
+    scan.start(source);
+    if (!scan.pending()) continue;  // an empty shell opens no span
+    u64 span_hashed = 0;
+    bool check_now = true;  // between-shell poll point
+    while (scan.pending()) {
+      if (throttle.due()) {
+        if (opts.quantum_hook) {
+          opts.quantum_hook(0, since_hook);
+          since_hook = 0;
+        }
+        check_now = true;
       }
-      check_now = true;
-    }
-    const std::size_t n = stream.fill(candidates.data(), kBlock);
-    if (n == 0) break;
-    if (stream.last_shell() != last_shell) {
-      last_shell = stream.last_shell();
-      check_now = true;  // between-shell poll point
-      if (trace != nullptr) {
-        close_shell_span();
-        span_shell = last_shell;
-        span_open_s = trace->now_s();
-        span_hashed = 0;
+      if (check_now &&
+          (ctx.check_deadline() || ctx.should_stop(opts.early_exit))) {
+        stopped = true;  // the block produced ahead is discarded unhashed
+        break;
+      }
+      check_now = false;
+      const hash::BlockScan block = scan.step(source);
+      local_hashed += block.counted;
+      since_hook += block.counted;
+      span_hashed += block.counted;
+      if (!block.found()) continue;
+      if (!found) found = {*block.match, k};
+      ctx.signal_match();
+      if (opts.early_exit) {
+        stopped = true;
+        break;
       }
     }
-    if (check_now &&
-        (ctx.check_deadline() || ctx.should_stop(opts.early_exit))) {
-      break;  // the just-fetched block is discarded unhashed
+    if (trace != nullptr) {
+      trace->span(obs::SpanKind::kSearchShell, span_open_s, trace->now_s(),
+                  static_cast<u32>(k), span_hashed);
     }
-    const hash::BlockScan scan =
-        hash::scan_block(hash, candidates.data(), n, target, opts.early_exit);
-    local_hashed += scan.counted;
-    since_hook += scan.counted;
-    span_hashed += scan.counted;
-    if (!scan.found()) continue;
-    if (!found) found = {candidates[scan.match], last_shell};
-    ctx.signal_match();
-    if (opts.early_exit) break;
   }
-  close_shell_span();
   if (opts.quantum_hook && since_hook > 0) opts.quantum_hook(0, since_hook);
   ctx.add_progress(local_hashed);
   hashed_out += local_hashed;
@@ -453,9 +449,8 @@ SearchResult rbc_search(const Seed256& s_init,
   }
   detail::Match found;
 
-  // The single-unit streams start after distance 0, hashed above.
+  // The single-unit streams scan shells 1..d; distance 0 was hashed above.
   const auto scan = [&](auto&& stream) {
-    stream.skip_base();
     detail::scan_stream<Hash>(stream, target, hash, opts, ctx, found,
                               result.seeds_hashed);
     ctx.check_deadline();

@@ -42,7 +42,7 @@ struct Job {
   Seed256 s_init;
   std::unique_ptr<CandidateStream> stream;
   typename H::digest_type target;
-  u32 head = 0;  // target digest's first 32 bits (prefilter word)
+  u64 head = 0;  // target digest's first 8 bytes (prefilter word)
   std::optional<par::SearchContext> own_ctx;
   par::SearchContext* ctx = nullptr;
   u64 admit_seq = 0;
@@ -147,17 +147,17 @@ struct FusionEngine::Impl {
     abort_queue(sha3);
   }
 
-  /// Deals one fused batch over q.active, hashes it through the tagged
-  /// multi-lane kernel, judges the lanes and retires finished streams.
+  /// Deals one fused batch over q.active, hashes it to digest heads through
+  /// the tagged multi-lane kernel, judges the lanes (a head hit is confirmed
+  /// with the scalar hash) and retires finished streams.
   template <typename H>
   void run_batch(Queue<H>& q) {
     if (q.active.empty()) return;
     const std::size_t L = static_cast<std::size_t>(cfg.batch_lanes);
     std::array<Seed256, hash::kMaxTaggedLanes> seeds;
-    std::array<typename H::digest_type, hash::kMaxTaggedLanes> digests;
     std::array<u16, hash::kMaxTaggedLanes> tags;
     std::array<int, hash::kMaxTaggedLanes> lane_shell;
-    std::array<u32, hash::kMaxTaggedLanes> heads;
+    std::array<u64, hash::kMaxTaggedLanes> heads;
     std::array<Job<H>*, hash::kMaxTaggedLanes> batch_jobs;
     std::size_t num_tags = 0;
     for (auto& j : q.active) j->batch_tag = -1;
@@ -228,9 +228,9 @@ struct FusionEngine::Impl {
     }
 
     if (filled > 0) {
-      const u64 hits =
-          hash::hash_seed_block_tagged(H{}, seeds.data(), filled, tags.data(),
-                                       heads.data(), digests.data());
+      const H hasher;
+      const u64 hits = hash::hash_seed_block_tagged(
+          hasher, seeds.data(), filled, tags.data(), heads.data());
       // Judge lanes in deal order — within one stream that IS enumeration
       // order, so stopping the count at the match lane reproduces the solo
       // `counted = i + 1` accounting; lanes dealt past it were speculative.
@@ -239,7 +239,7 @@ struct FusionEngine::Impl {
         if (j->match) continue;
         ++j->counted;
         if (((hits >> i) & 1) == 0) continue;
-        if (!(digests[i] == j->target)) continue;
+        if (!(hasher(seeds[i]) == j->target)) continue;
         j->match = {seeds[i], lane_shell[i]};
         j->ctx->signal_match();
       }

@@ -148,6 +148,70 @@ TEST(HashBatch, KnownAnswerVectorsInEveryLane) {
   }
 }
 
+// --- heads-only forms --------------------------------------------------------
+
+// A digest's first 8 bytes, little-endian, assembled byte by byte.
+template <std::size_t N>
+u64 first_eight_bytes(const hash::Digest<N>& digest) {
+  u64 head = 0;
+  for (unsigned b = 0; b < 8; ++b) head |= u64{digest.bytes[b]} << (8 * b);
+  return head;
+}
+
+TEST(HashBatch, Sha3HeadsMatchScalarDigestPrefixAtEveryLevel) {
+  const auto seeds = random_seeds(17, 0x4ead);
+  for (const SimdLevel level : available_levels()) {
+    for (std::size_t count = 1; count <= seeds.size(); ++count) {
+      std::vector<u64> heads(count, 0);
+      hash::sha3_256_seed_heads_multi_level(level, seeds.data(), count,
+                                            heads.data());
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(heads[i], first_eight_bytes(hash::sha3_256_seed(seeds[i])))
+            << "level=" << hash::to_string(level) << " count=" << count
+            << " lane=" << i;
+      }
+    }
+    // The lane-sliced block form, ragged counts 1..8.
+    hash::LaneBlock block;
+    for (std::size_t l = 0; l < hash::LaneBlock::kLanes; ++l) {
+      block.set(l, seeds[l]);
+      EXPECT_EQ(block.seed(l), seeds[l]);
+    }
+    for (std::size_t count = 1; count <= hash::LaneBlock::kLanes; ++count) {
+      std::vector<u64> heads(count, 0);
+      hash::sha3_256_block_heads_level(level, block, count, heads.data());
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(heads[i], first_eight_bytes(hash::sha3_256_seed(seeds[i])))
+            << "level=" << hash::to_string(level) << " block count=" << count
+            << " lane=" << i;
+      }
+    }
+  }
+}
+
+TEST(HashBatch, PolicyHeadsMatchScalarDigestPrefixAtEveryLevel) {
+  // The policies' heads-only block form (what the fusion engine's tagged
+  // batches and the SHA-1 scan hash through) at every forced level.
+  const auto seeds = random_seeds(17, 0x4eae);
+  const hash::Sha1BatchSeedHash h1;
+  const hash::Sha3BatchSeedHash h3;
+  for (const SimdLevel level : available_levels()) {
+    ScopedSimdLevel guard(level);
+    for (std::size_t count = 1; count <= seeds.size(); ++count) {
+      std::vector<u64> heads1(count, 0);
+      std::vector<u64> heads3(count, 0);
+      hash::hash_seed_heads(h1, seeds.data(), count, heads1.data());
+      hash::hash_seed_heads(h3, seeds.data(), count, heads3.data());
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(heads1[i], first_eight_bytes(h1(seeds[i])))
+            << "level=" << hash::to_string(level) << " count=" << count;
+        EXPECT_EQ(heads3[i], first_eight_bytes(h3(seeds[i])))
+            << "level=" << hash::to_string(level) << " count=" << count;
+      }
+    }
+  }
+}
+
 // --- policy layer ----------------------------------------------------------
 
 TEST(HashBatch, PolicyBatchMatchesPolicyScalar) {
@@ -180,14 +244,14 @@ TEST(HashBatch, ForcedLevelIsCappedByDetection) {
 TEST(HashBatch, HashSeedBlockDegradesToScalarPolicies) {
   // The block helper must also serve plain SeedHash policies via the B=1
   // fallback — that is what keeps the scalar policies usable in the search.
-  static_assert(hash::seed_hash_batch<hash::Sha1SeedHash>() == 1);
-  static_assert(hash::seed_hash_batch<hash::Sha1BatchSeedHash>() == 16);
+  static_assert(hash::SeedScan<hash::Sha1SeedHash>::kLanes == 1);
+  static_assert(hash::SeedScan<hash::Sha1BatchSeedHash>::kLanes == 8);
   const auto seeds = random_seeds(5, 0xb10c);
   const hash::Sha1SeedHash scalar;
-  std::vector<hash::Digest160> out(seeds.size());
-  hash::hash_seed_block(scalar, seeds.data(), seeds.size(), out.data());
+  std::vector<u64> heads(seeds.size());
+  hash::hash_seed_heads(scalar, seeds.data(), seeds.size(), heads.data());
   for (std::size_t i = 0; i < seeds.size(); ++i)
-    EXPECT_EQ(out[i], scalar(seeds[i]));
+    EXPECT_EQ(heads[i], hash::digest_head(scalar(seeds[i])));
 }
 
 // --- search-level regression: batched search == brute-force oracle ------
