@@ -4,15 +4,19 @@
 // Section 1 projects the scaling curve from the calibrated CPU model
 // (PlatformA, 64 cores). Section 2 measures real strong scaling of this
 // repo's search engine on the host across its available cores. Section 3
-// measures work stealing on skewed workloads — a slow region of the ball
-// and matches planted at different positions in it — by comparing 1,024-seed
+// measures fine tiles on skewed workloads — a slow region of the ball and
+// matches planted at different positions in it — by comparing 1,024-seed
 // tiles with coarse tiles of ceil(C(256, 2) / 4) = 8,160 seeds, one per
-// worker in shell 2, so nobody can steal the rest of the slow tile once a
-// worker has started it; it also measures what the fine tiles cost on a
-// uniform workload.
+// worker in shell 2, so the worker that takes the slow tile works through
+// all of it alone; it also measures what the fine tiles cost on a uniform
+// workload. It exits nonzero if a slow-region search owed no sleep, since
+// such a run measures no skew at all.
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -68,16 +72,19 @@ class SlowRegion {
   std::vector<bool> pairs_;
 };
 
-// Slow-region seeds this thread hashed since its last scheduling quantum.
+// Slow-region seeds this thread hashed since its last scheduling quantum,
+// and all the slow-region seeds the current search has slept for.
 thread_local u64 slow_seeds_owed = 0;
+std::atomic<u64> slow_seeds_slept{0};
 
-// Batched SHA-1 that counts the slow-region seeds it hashes on each thread.
+// Batched SHA-1 that counts the slow-region seeds it hashes on each thread,
+// in the block form the search's scan hashes through (hash::SeedScan).
 struct SlowRegionSha1 : hash::Sha1BatchSeedHash {
   const Seed256* base = nullptr;
   const SlowRegion* slow = nullptr;
-  void hash_batch(const Seed256* seeds, std::size_t n,
-                  digest_type* out) const noexcept {
-    Sha1BatchSeedHash::hash_batch(seeds, n, out);
+  void hash_heads(const Seed256* seeds, std::size_t n,
+                  u64* heads) const noexcept {
+    Sha1BatchSeedHash::hash_heads(seeds, n, heads);
     if (slow == nullptr) return;
     for (std::size_t i = 0; i < n; ++i) {
       if (slow->contains(seeds[i] ^ *base)) ++slow_seeds_owed;
@@ -86,7 +93,8 @@ struct SlowRegionSha1 : hash::Sha1BatchSeedHash {
 };
 
 // One timed search on 4 workers. With `slow`, each worker pays its sleep
-// for the slow seeds it hashed after every tile, through the quantum hook.
+// for the slow seeds it hashed after every tile, through the quantum hook;
+// a slow-region search that owed no sleep ends the bench with an error.
 double run_once(const Seed256& base,
                 const hash::Sha1BatchSeedHash::digest_type& target,
                 u64 tile_seeds, bool early_exit, const SlowRegion* slow,
@@ -101,14 +109,22 @@ double run_once(const Seed256& base,
     opts.quantum_hook = [](int, u64) {
       std::this_thread::sleep_for(
           std::chrono::microseconds(4 * slow_seeds_owed));
+      slow_seeds_slept += slow_seeds_owed;
       slow_seeds_owed = 0;
     };
   }
   SlowRegionSha1 hash;
   hash.base = &base;
   hash.slow = slow;
+  slow_seeds_slept = 0;
   const auto r = rbc_search<SlowRegionSha1>(base, target, comb::ChaseFactory(),
                                             pool, opts, hash);
+  if (slow != nullptr && slow_seeds_slept == 0) {
+    std::fprintf(stderr,
+                 "error: a slow-region search hashed no slow seed through "
+                 "SlowRegionSha1::hash_heads, so it measured no skew\n");
+    std::exit(1);
+  }
   return r.host_seconds;
 }
 
@@ -182,7 +198,7 @@ int main() {
                 "in the model section)\n");
   }
 
-  // --- work stealing: fine tiles vs one coarse tile per worker ------------
+  // --- fine tiles vs one coarse tile per worker ---------------------------
   print_title(
       "Skewed workload — slow last quarter of shell 2, 1024-seed vs "
       "8160-seed tiles (d = 2, SHA-1, 4 workers, median of 11 after a "
@@ -197,7 +213,7 @@ int main() {
   const SlowRegion slow;
   par::WorkerGroup skew_pool(5);  // 4 workers + the pipeline unit
 
-  Table skew({"scenario", "coarse (s)", "fine (s)", "stealing speedup"});
+  Table skew({"scenario", "coarse (s)", "fine (s)", "fine-tile speedup"});
   double headline_coarse = 0.0, headline_fine = 0.0;
 
   {  // exhaustive: the whole slow quarter matters

@@ -60,7 +60,7 @@ done
 
 step_5() {
 echo "=== [5/17] schedule equivalence: every search path == brute-force oracle ==="
-# The work-stealing tile scheduler (docs/scheduler.md) must be a pure
+# The one-cursor tile scheduler (docs/scheduler.md) must be a pure
 # performance change: found/seed/distance and exhaustive seeds_hashed equal
 # to the brute-force oracle's for every iterator family and unit count,
 # tile plans lossless down to the ragged last tile, and the heterogeneous

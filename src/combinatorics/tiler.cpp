@@ -8,66 +8,29 @@
 namespace rbc::comb {
 
 ShellTiler::ShellTiler(int max_distance, u64 tile_seeds, int n_bits)
-    : d_(max_distance), n_bits_(n_bits) {
+    : d_(max_distance) {
   RBC_CHECK(max_distance >= 0 && max_distance <= kMaxK);
   RBC_CHECK(tile_seeds >= 1);
   RBC_CHECK(n_bits >= 1 && n_bits <= kSeedBits);
 
-  totals_.reserve(static_cast<std::size_t>(d_));
   strides_.reserve(static_cast<std::size_t>(d_));
   tiles_.reserve(static_cast<std::size_t>(d_));
-  prefix_.reserve(static_cast<std::size_t>(d_));
   for (int k = 1; k <= d_; ++k) {
-    const u128 total128 = binomial128(n_bits_, k);
+    const u128 total128 = binomial128(n_bits, k);
     RBC_CHECK_MSG(total128 <= std::numeric_limits<u64>::max(),
                   "tiled schedule needs every shell to fit 64-bit ranks");
     const u64 total = static_cast<u64>(total128);
     // Grow the stride on huge shells so the tile count stays bounded.
     const u64 min_stride = (total + kMaxTilesPerShell - 1) / kMaxTilesPerShell;
     const u64 stride = std::max<u64>({tile_seeds, min_stride, 1});
-    const u64 tiles = total == 0 ? 0 : (total - 1) / stride + 1;
-    totals_.push_back(total);
     strides_.push_back(stride);
-    tiles_.push_back(tiles);
-    prefix_.push_back(total_tiles_);
-    total_tiles_ += tiles;
+    tiles_.push_back(total == 0 ? 0 : (total - 1) / stride + 1);
   }
-}
-
-int ShellTiler::check_shell(int k) const {
-  RBC_CHECK(k >= 1 && k <= d_);
-  return k - 1;
-}
-
-u64 ShellTiler::shell_total(int k) const {
-  return totals_[static_cast<std::size_t>(check_shell(k))];
 }
 
 u64 ShellTiler::stride(int k) const {
-  return strides_[static_cast<std::size_t>(check_shell(k))];
-}
-
-u64 ShellTiler::tiles_in_shell(int k) const {
-  return tiles_[static_cast<std::size_t>(check_shell(k))];
-}
-
-TileCoord ShellTiler::coord(u64 global) const {
-  RBC_CHECK(global < total_tiles_);
-  // Shells are few (d <= 16); a linear scan beats a binary search here.
-  int k = d_;
-  for (int i = 1; i < d_; ++i) {
-    if (global < prefix_[static_cast<std::size_t>(i)]) {
-      k = i;
-      break;
-    }
-  }
-  return TileCoord{k, global - prefix_[static_cast<std::size_t>(k - 1)]};
-}
-
-u64 ShellTiler::global_index(int shell, u64 index) const {
-  const int i = check_shell(shell);
-  RBC_CHECK(index < tiles_[static_cast<std::size_t>(i)]);
-  return prefix_[static_cast<std::size_t>(i)] + index;
+  RBC_CHECK(k >= 1 && k <= d_);
+  return strides_[static_cast<std::size_t>(k - 1)];
 }
 
 }  // namespace rbc::comb

@@ -1,4 +1,4 @@
-// Tile decomposition of the Hamming ball for the work-stealing scheduler.
+// Tile decomposition of the Hamming ball for the tiled search.
 //
 // Cutting each shell into exactly p contiguous slices, one per work unit,
 // lets a planted match, a ragged last slice, or a slow worker idle the rest
@@ -9,11 +9,11 @@
 // Gosper and Algorithm 515 unrank the tile's start directly; Chase 382
 // resumes from a snapshot saved at every stride boundary (the per-shell
 // stride is the single source of truth, so a family's shell plan always
-// produces exactly tiles_in_shell(k) tiles).
+// produces exactly as many tiles as tiles_per_shell() counts).
 //
-// Tiles are numbered globally in shell order (all of shell 1, then shell 2,
-// ...), which is what lets par::TileScheduler hand out the whole ball from
-// one atomic cursor and keep a shell-order completion watermark.
+// par::TileScheduler hands the tiles out in shell order (all of shell 1,
+// then shell 2, ...) from one atomic cursor and keeps a shell-order
+// completion watermark.
 #pragma once
 
 #include <vector>
@@ -24,17 +24,12 @@
 
 namespace rbc::comb {
 
-struct TileCoord {
-  int shell = 0;  // Hamming distance k, 1-based
-  u64 index = 0;  // tile index within the shell
-};
-
 class ShellTiler {
  public:
   /// Default candidate count per tile: large enough that the per-tile costs
   /// (one scheduler claim, one iterator seek) are noise next to ~4k hashes,
   /// small enough that a shell splits into many more tiles than workers —
-  /// the granularity stealing needs to absorb skew.
+  /// the granularity that lets the others absorb a slow unit.
   static constexpr u64 kDefaultTileSeeds = 4096;
 
   /// Upper bound on tiles per shell; the stride grows past `tile_seeds` on
@@ -46,32 +41,18 @@ class ShellTiler {
              int n_bits = kSeedBits);
 
   int max_distance() const noexcept { return d_; }
-  int n_bits() const noexcept { return n_bits_; }
 
-  /// C(n_bits, k) — the shell's candidate count. k in [1, max_distance].
-  u64 shell_total(int k) const;
-  /// Seeds per tile in shell k (the last tile may be ragged).
+  /// Seeds per tile in shell k, k in [1, max_distance] (the last tile may
+  /// be ragged).
   u64 stride(int k) const;
-  u64 tiles_in_shell(int k) const;
-  u64 total_tiles() const noexcept { return total_tiles_; }
 
   /// Tile counts indexed by shell - 1, the shape par::TileScheduler takes.
   std::vector<u64> tiles_per_shell() const { return tiles_; }
 
-  /// Global tile id (shell-order) <-> per-shell coordinates.
-  TileCoord coord(u64 global) const;
-  u64 global_index(int shell, u64 index) const;
-
  private:
-  int check_shell(int k) const;
-
   int d_;
-  int n_bits_;
-  std::vector<u64> totals_;  // [k-1] = C(n_bits, k)
-  std::vector<u64> strides_;
-  std::vector<u64> tiles_;
-  std::vector<u64> prefix_;  // [k-1] = first global id of shell k
-  u64 total_tiles_ = 0;
+  std::vector<u64> strides_;  // [k-1] = seeds per tile in shell k
+  std::vector<u64> tiles_;    // [k-1] = tiles in shell k
 };
 
 }  // namespace rbc::comb

@@ -5,10 +5,9 @@
 // memory flag in between — exactly the structure §3.2 describes). Each
 // thread:
 //   1. computes its global id r,
-//   2. claims snapshot tiles off a work-stealing TileScheduler (PR 4: the
-//      static thread->slice assignment became dynamic, so a thread that
-//      drains its share keeps pulling tiles instead of idling at the end of
-//      the launch),
+//   2. claims snapshot tiles off the shell's TileScheduler cursor instead
+//      of owning a fixed slice, so a thread that finishes its tile keeps
+//      pulling tiles instead of idling at the end of the launch,
 //   3. stages each tile's Chase Algorithm-382 snapshot into the block's
 //      SHARED MEMORY arena (§3.2.3 optimization) before iterating,
 //   4. runs the host search's tile loop (rbc::detail::drain_tiles, whose
@@ -62,9 +61,9 @@ inline std::optional<comb::ChaseIterator> staged_tile(
 /// Searches one Hamming shell with a single kernel launch and returns the
 /// seeds it hashed. `plan` cuts the shell's Chase sequence into tiles; the
 /// launch spawns plan.tiles() logical threads rounded up to whole blocks,
-/// and the tiles are handed out dynamically by a work-stealing scheduler
-/// rather than bound one-to-one to threads, so an uneven schedule (or an
-/// early straggler block) cannot leave the tail of the shell on one thread.
+/// and the tiles are handed out dynamically by one scheduler cursor rather
+/// than bound one-to-one to threads, so an uneven schedule (or an early
+/// straggler block) cannot leave the tail of the shell on one thread.
 ///
 /// `ctx`, when non-null, is the session's cancellation context: device
 /// threads poll it and its deadline alongside the unified flag (the CUDA
@@ -83,10 +82,9 @@ u64 launch_salted_shell(
   const Dim3 block{threads_per_block, 1, 1};
 
   std::atomic<u64> seeds_hashed{0};
-  // One shell of p snapshot tiles; every logical thread owns one scheduler
-  // slot and starts at its own tile id, so an undisturbed launch gives
-  // thread r tile r.
-  par::TileScheduler sched(std::vector<u64>{p}, shell, static_cast<int>(p));
+  // One shell of p snapshot tiles, claimed in order by whichever logical
+  // thread asks next.
+  par::TileScheduler sched(std::vector<u64>{p}, shell);
   launch_kernel(
       workers, grid, block, chase_shared_bytes(threads_per_block),
       [&](const KernelCtx& kctx) {
@@ -95,7 +93,7 @@ u64 launch_salted_shell(
         // The unified flag (and the session) is polled once per block — the
         // device-side analogue of the §4.4 check interval.
         const u64 hashed = rbc::detail::drain_tiles(
-            sched, static_cast<int>(r), s_init, target, hash,
+            sched, s_init, target, hash,
             /*early_exit=*/true, /*check_blocks=*/1,
             [&](const par::TileScheduler::Tile& tile) {
               return staged_tile(plan, tile.index, kctx);
@@ -159,7 +157,7 @@ rbc::SearchResult gpu_emulated_search(
 
 /// Heterogeneous CPU+GPU co-search: `host_units` host worker units and one
 /// emulated device (device_threads logical threads) drain tiles of the SAME
-/// Hamming ball from one shared work-stealing scheduler. Shell plans are the
+/// Hamming ball from one shared tile scheduler. Shell plans are the
 /// tiled ChaseFactory plans the host engine uses, so every tile is exactly a
 /// slice of the rank-0 Chase walk and results are byte-identical to a
 /// CPU-only tiled search over the same ball: same found/seed/distance, and
@@ -210,17 +208,16 @@ rbc::SearchResult hetero_cosearch(
     // The tiled search's plans: each shell's snapshot walk (the one-time
     // cost §3.2.1 excludes from timings) runs once per process.
     rbc::detail::ShellPlans plans(factory, tiler, stop);
-    par::TileScheduler sched(tiler.tiles_per_shell(), /*first_shell=*/1,
-                             host_units + device_threads);
+    par::TileScheduler sched(tiler.tiles_per_shell(), /*first_shell=*/1);
     std::atomic<u64> hashed{0};
     std::atomic<u64> device_hashed{0};
     const u32 check_blocks =
         rbc::detail::blocks_per_check<Hash>(opts.check_interval);
     // Host units and device threads run the same tile loop; they differ
     // only in how a claimed tile becomes an iterator (`open`).
-    const auto drain = [&](int slot_id, auto&& open) {
+    const auto drain = [&](auto&& open) {
       const u64 h = rbc::detail::drain_tiles(
-          sched, slot_id, s_init, target, hash, opts.early_exit, check_blocks,
+          sched, s_init, target, hash, opts.early_exit, check_blocks,
           open, stop,
           [&](const Seed256& seed, int shell) {
             slot.record(seed, shell);
@@ -236,7 +233,7 @@ rbc::SearchResult hetero_cosearch(
 
     workers.parallel_workers(host_units + 1, [&](int unit) {
       if (unit < host_units) {
-        drain(unit, [&](const par::TileScheduler::Tile& tile) {
+        drain([&](const par::TileScheduler::Tile& tile) {
           return plans.open(tile);
         });
         return;
@@ -251,14 +248,12 @@ rbc::SearchResult hetero_cosearch(
           [&](const KernelCtx& kctx) {
             const u64 t = kctx.global_thread_id();
             if (t >= static_cast<u64>(device_threads)) return;
-            const u64 h = drain(
-                host_units + static_cast<int>(t),
-                [&](const par::TileScheduler::Tile& tile)
-                    -> std::optional<comb::ChaseIterator> {
-                  const auto plan = plans.get(tile.shell);
-                  if (plan == nullptr) return std::nullopt;
-                  return staged_tile(*plan, tile.index, kctx);
-                });
+            const u64 h = drain([&](const par::TileScheduler::Tile& tile)
+                                    -> std::optional<comb::ChaseIterator> {
+              const auto plan = plans.get(tile.shell);
+              if (plan == nullptr) return std::nullopt;
+              return staged_tile(*plan, tile.index, kctx);
+            });
             device_hashed.fetch_add(h, std::memory_order_relaxed);
           });
     });

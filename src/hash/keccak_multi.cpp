@@ -80,6 +80,20 @@ void sha3_seed_lanes_digests(const Seed256* seeds, Digest256* out) noexcept {
   }
 }
 
+/// Heads of block lanes [first, first + L). A function of its own, like
+/// sha3_seed_lanes_digests: written inline in the dispatch loop, the same
+/// rounds ran slower for heads than for full digests (docs/perf.md).
+template <int L>
+void sha3_block_heads_lanes(const LaneBlock& block, std::size_t first,
+                            u64* heads) noexcept {
+  u64 s[25][static_cast<std::size_t>(L)];
+  sha3_seed_lanes<L>(s, [&](int l, int t) {
+    return block.words[static_cast<unsigned>(t)]
+                      [first + static_cast<std::size_t>(l)];
+  });
+  std::memcpy(heads, s[0], sizeof(s[0]));
+}
+
 #if RBC_HAVE_AVX2_TARGET
 
 using detail::absorb_x4;
@@ -192,14 +206,8 @@ void sha3_256_block_heads_level(SimdLevel level, const LaneBlock& block,
   }
 #endif
   if (level >= SimdLevel::kSwar) {
-    for (; i + 4 <= count; i += 4) {
-      u64 s[25][4];
-      sha3_seed_lanes<4>(s, [&](int l, int t) {
-        return block.words[static_cast<unsigned>(t)]
-                          [i + static_cast<std::size_t>(l)];
-      });
-      std::memcpy(heads + i, s[0], sizeof(s[0]));
-    }
+    for (; i + 4 <= count; i += 4)
+      sha3_block_heads_lanes<4>(block, i, heads + i);
   }
   for (; i < count; ++i) heads[i] = scalar_head(block.seed(i));
 }

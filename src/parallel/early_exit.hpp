@@ -10,7 +10,6 @@
 
 #include <atomic>
 
-#include "common/check.hpp"
 #include "common/types.hpp"
 
 namespace rbc::par {
@@ -54,26 +53,5 @@ class CheckThrottle {
   u32 interval_;
   u32 countdown_;
 };
-
-/// Contiguous range assigned to worker r of p over `total` items:
-/// [begin, end). The remainder spreads over the first (total % p) workers so
-/// loads differ by at most one item — the "equal workloads" property §3.2.1
-/// requires of the Chase snapshot spacing.
-struct WorkRange {
-  u64 begin = 0;
-  u64 end = 0;
-  u64 size() const noexcept { return end - begin; }
-};
-
-inline WorkRange partition_range(u64 total, int num_workers, int worker) {
-  RBC_CHECK(num_workers > 0 && worker >= 0 && worker < num_workers);
-  const u64 p = static_cast<u64>(num_workers);
-  const u64 r = static_cast<u64>(worker);
-  const u64 base = total / p;
-  const u64 extra = total % p;
-  const u64 begin = r * base + std::min(r, extra);
-  const u64 len = base + (r < extra ? 1 : 0);
-  return WorkRange{begin, begin + len};
-}
 
 }  // namespace rbc::par

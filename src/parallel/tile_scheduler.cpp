@@ -1,98 +1,24 @@
 #include "parallel/tile_scheduler.hpp"
 
-#include <algorithm>
-#include <limits>
+#include "common/check.hpp"
 
 namespace rbc::par {
 
-TileScheduler::TileScheduler(std::vector<u64> tiles_per_shell, int first_shell,
-                             int num_slots, u32 claim_ahead)
+TileScheduler::TileScheduler(std::vector<u64> tiles_per_shell, int first_shell)
     : tiles_per_shell_(std::move(tiles_per_shell)),
       first_shell_(first_shell),
-      claim_ahead_(claim_ahead == 0 ? 1 : claim_ahead),
-      slots_(static_cast<std::size_t>(num_slots)) {
-  RBC_CHECK(num_slots >= 1);
-  shell_prefix_.reserve(tiles_per_shell_.size());
-  for (const u64 tiles : tiles_per_shell_) {
-    shell_prefix_.push_back(total_);
-    total_ += tiles;
-  }
-  RBC_CHECK_MSG(total_ <= std::numeric_limits<u32>::max(),
-                "tile ids must fit 32 bits (grow the tile stride)");
-  completed_.reset(new std::atomic<u64>[tiles_per_shell_.size()]);
-  for (std::size_t i = 0; i < tiles_per_shell_.size(); ++i)
-    completed_[i].store(0, std::memory_order_relaxed);
+      completed_(tiles_per_shell_.size()) {
+  for (const u64 tiles : tiles_per_shell_) total_ += tiles;
 }
 
-TileScheduler::Tile TileScheduler::tile_at(u32 global) const {
-  // d is small; scan shells linearly.
-  std::size_t i = shell_prefix_.size() - 1;
-  while (shell_prefix_[i] > global) --i;
-  return Tile{first_shell_ + static_cast<int>(i), global - shell_prefix_[i]};
-}
-
-bool TileScheduler::pop_own(int slot, u32& out) {
-  auto& span = slots_[static_cast<std::size_t>(slot)].span;
-  u64 s = span.load(std::memory_order_acquire);
-  while (span_cur(s) < span_end(s)) {
-    const u64 desired = pack(span_cur(s) + 1, span_end(s));
-    if (span.compare_exchange_weak(s, desired, std::memory_order_acq_rel,
-                                   std::memory_order_acquire)) {
-      out = span_cur(s);
-      return true;
-    }
-    // s was reloaded by the failed CAS (a thief shrank the back).
-  }
-  return false;
-}
-
-bool TileScheduler::steal(int slot, u32& out) {
-  const int n = num_slots();
-  while (true) {
-    bool any_left = false;
-    for (int i = 1; i <= n; ++i) {
-      auto& span = slots_[static_cast<std::size_t>((slot + i) % n)].span;
-      u64 s = span.load(std::memory_order_acquire);
-      if (span_cur(s) >= span_end(s)) continue;
-      any_left = true;
-      const u64 desired = pack(span_cur(s), span_end(s) - 1);
-      if (span.compare_exchange_strong(s, desired, std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-        out = span_end(s) - 1;
-        return true;
-      }
-    }
-    if (!any_left) return false;  // every span drained; ball is done
-  }
-}
-
-bool TileScheduler::acquire(int slot, Tile& out) {
-  RBC_CHECK(slot >= 0 && slot < num_slots());
-  if (halted()) return false;
-  u32 g;
-  if (pop_own(slot, g)) {
-    out = tile_at(g);
-    return true;
-  }
-  const u64 start = cursor_.fetch_add(claim_ahead_, std::memory_order_relaxed);
-  if (start < total_) {
-    const u64 end = std::min<u64>(start + claim_ahead_, total_);
-    if (end > start + 1) {
-      // Publish the unclaimed tail of this batch for thieves. The slot's
-      // span is empty here (pop_own failed and only the owner refills), so
-      // a plain store cannot clobber live tiles.
-      slots_[static_cast<std::size_t>(slot)].span.store(
-          pack(static_cast<u32>(start) + 1, static_cast<u32>(end)),
-          std::memory_order_release);
-    }
-    out = tile_at(static_cast<u32>(start));
-    return true;
-  }
-  if (steal(slot, g)) {
-    out = tile_at(g);
-    return true;
-  }
-  return false;
+bool TileScheduler::acquire(Tile& out) {
+  u64 index = cursor_.fetch_add(1, std::memory_order_relaxed);
+  if (index >= total_) return false;
+  // d is small; walk the shells.
+  std::size_t i = 0;
+  while (index >= tiles_per_shell_[i]) index -= tiles_per_shell_[i++];
+  out = Tile{first_shell_ + static_cast<int>(i), index};
+  return true;
 }
 
 void TileScheduler::complete(const Tile& tile) {

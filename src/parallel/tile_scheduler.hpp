@@ -1,30 +1,23 @@
-// Work-stealing tile scheduler for the Hamming-ball search.
+// Tile scheduler for the Hamming-ball search.
 //
 // The ball of radius d is decomposed (by comb::ShellTiler) into tiles
-// numbered globally in shell order. One atomic cursor hands out fresh tiles;
-// each worker slot claims CLAIM-AHEAD consecutive tiles at a time and keeps
-// the tail in a private span, so the cursor is touched once per few tiles,
-// not once per tile. When the cursor drains, idle workers steal from the
-// BACK of other slots' spans (one CAS per stolen tile). The combination of
-// shell-ordered numbering + claim-ahead + stealing is what lets workers that
-// finish shell k flow straight into shell k+1 tiles instead of parking at a
-// barrier, while still visiting earlier shells first in aggregate.
+// numbered globally in shell order. One atomic cursor hands them out, one
+// tile per claim, so every tile goes to exactly one unit and tiles leave in
+// shell order. A unit that finishes shell k flows straight into shell k+1's
+// tiles instead of parking at a barrier, and a slow unit holds only the tile
+// it is working on: the others drain the rest of the ball past it. A tile is
+// thousands of hashes, so the cursor is touched far too rarely to contend.
 //
 // Exhaustive mode needs `distance` to be the MINIMAL shell containing a
-// match even though shells now overlap in flight; complete() maintains
+// match even though shells overlap in flight; complete() maintains
 // per-shell completion counts and completed_through() reports the highest
 // shell k such that shells 1..k are fully processed — the shell-order
-// watermark the search layer uses to reason about coverage.
-//
-// Every tile is handed out exactly once (claim and steal both linearize on
-// the same span words), so per-tile accounting sums to exact totals.
+// watermark the search layer uses to certify full coverage.
 #pragma once
 
 #include <atomic>
-#include <memory>
 #include <vector>
 
-#include "common/check.hpp"
 #include "common/types.hpp"
 
 namespace rbc::par {
@@ -36,24 +29,14 @@ class TileScheduler {
     u64 index = 0;  // tile index within the shell
   };
 
-  /// How many tiles a slot claims per cursor touch. Small enough that the
-  /// tail available for stealing stays fresh, large enough to amortize the
-  /// shared-cursor contention.
-  static constexpr u32 kDefaultClaimAhead = 4;
+  /// `tiles_per_shell[i]` is the tile count of shell `first_shell + i`.
+  TileScheduler(std::vector<u64> tiles_per_shell, int first_shell);
 
-  /// `tiles_per_shell[i]` is the tile count of shell `first_shell + i`;
-  /// `num_slots` is the number of worker slots (each acquire() caller owns
-  /// one slot id).
-  TileScheduler(std::vector<u64> tiles_per_shell, int first_shell,
-                int num_slots, u32 claim_ahead = kDefaultClaimAhead);
-
-  int num_slots() const noexcept { return static_cast<int>(slots_.size()); }
   u64 total_tiles() const noexcept { return total_; }
 
-  /// Hands the calling worker (owner of `slot`) its next tile: from its
-  /// private span, else a fresh claim-ahead batch off the cursor, else a
-  /// steal. Returns false when the ball is drained or halt() was called.
-  bool acquire(int slot, Tile& out);
+  /// Hands out the next tile in shell order. Returns false once the ball is
+  /// drained.
+  bool acquire(Tile& out);
 
   /// Marks a tile fully processed (call once per tile, only after visiting
   /// every candidate in it).
@@ -63,38 +46,12 @@ class TileScheduler {
   /// first_shell - 1 when none is.
   int completed_through() const;
 
-  /// Stops handing out tiles (early exit); idempotent.
-  void halt() { halted_.store(true, std::memory_order_release); }
-  bool halted() const { return halted_.load(std::memory_order_acquire); }
-
  private:
-  // A slot's claim-ahead span [cur, end) packed into one atomic word:
-  // cur in the high 32 bits, end in the low 32. The owner pops the front,
-  // thieves CAS the back; both race on the same word, so a tile is won by
-  // exactly one of them.
-  static u64 pack(u32 cur, u32 end) noexcept {
-    return (static_cast<u64>(cur) << 32) | end;
-  }
-  static u32 span_cur(u64 s) noexcept { return static_cast<u32>(s >> 32); }
-  static u32 span_end(u64 s) noexcept { return static_cast<u32>(s); }
-
-  Tile tile_at(u32 global) const;
-  bool pop_own(int slot, u32& out);
-  bool steal(int slot, u32& out);
-
-  struct alignas(64) Slot {
-    std::atomic<u64> span{0};
-  };
-
   std::vector<u64> tiles_per_shell_;
-  std::vector<u64> shell_prefix_;  // first global id of each shell
   int first_shell_;
   u64 total_ = 0;
-  u32 claim_ahead_;
   std::atomic<u64> cursor_{0};
-  std::vector<Slot> slots_;
-  std::unique_ptr<std::atomic<u64>[]> completed_;  // per-shell tile counts
-  std::atomic<bool> halted_{false};
+  std::vector<std::atomic<u64>> completed_;  // per-shell completed tiles
 };
 
 }  // namespace rbc::par

@@ -1,5 +1,7 @@
 #include "parallel/worker_group.hpp"
 
+#include <algorithm>
+
 namespace rbc::par {
 
 WorkerGroup::WorkerGroup(int num_threads) {
@@ -23,16 +25,6 @@ WorkerGroup& WorkerGroup::shared() {
   return group;
 }
 
-bool WorkerGroup::pop_task(std::unique_lock<std::mutex>&, Task& out) {
-  for (auto& queue : queues_) {
-    if (queue.empty()) continue;
-    out = std::move(queue.front());
-    queue.pop_front();
-    return true;
-  }
-  return false;
-}
-
 void WorkerGroup::run_round_units(std::unique_lock<std::mutex>& lock,
                                   Round& round) {
   while (round.next < round.width) {
@@ -51,8 +43,7 @@ void WorkerGroup::run_round_units(std::unique_lock<std::mutex>& lock,
 }
 
 void WorkerGroup::parallel_workers(int width,
-                                   const std::function<void(int)>& body,
-                                   Priority priority) {
+                                   const std::function<void(int)>& body) {
   RBC_CHECK_MSG(width >= 1, "SPMD round needs at least one unit");
   auto round = std::make_shared<Round>();
   round->body = &body;
@@ -62,8 +53,7 @@ void WorkerGroup::parallel_workers(int width,
   // One ticket per worker that could usefully help; each ticket drains the
   // round's claim counter, so more tickets than workers buy nothing.
   const int tickets = std::min(width, size());
-  auto& queue = queues_[static_cast<int>(priority)];
-  for (int i = 0; i < tickets; ++i) queue.push_back(Task{round, {}});
+  for (int i = 0; i < tickets; ++i) tickets_.push_back(round);
   cv_work_.notify_all();
 
   // Caller-helps: claim and run this round's units alongside the workers.
@@ -74,40 +64,14 @@ void WorkerGroup::parallel_workers(int width,
   if (error) std::rethrow_exception(error);
 }
 
-std::future<void> WorkerGroup::submit(std::function<void()> fn,
-                                      Priority priority) {
-  RBC_CHECK_MSG(fn != nullptr, "cannot submit an empty task");
-  auto task = std::make_shared<std::packaged_task<void()>>(std::move(fn));
-  std::future<void> future = task->get_future();
-  {
-    std::lock_guard lock(mutex_);
-    RBC_CHECK_MSG(!shutdown_, "submit on a shut-down worker group");
-    queues_[static_cast<int>(priority)].push_back(
-        Task{nullptr, [task] { (*task)(); }});
-  }
-  cv_work_.notify_one();
-  return future;
-}
-
 void WorkerGroup::worker_loop() {
   std::unique_lock lock(mutex_);
   while (true) {
-    Task task;
-    cv_work_.wait(lock, [&] {
-      if (shutdown_) return true;
-      for (const auto& queue : queues_)
-        if (!queue.empty()) return true;
-      return false;
-    });
+    cv_work_.wait(lock, [&] { return shutdown_ || !tickets_.empty(); });
     if (shutdown_) return;
-    if (!pop_task(lock, task)) continue;
-    if (task.round) {
-      run_round_units(lock, *task.round);
-    } else {
-      lock.unlock();
-      task.fn();  // packaged_task captures exceptions into its future
-      lock.lock();
-    }
+    const std::shared_ptr<Round> round = std::move(tickets_.front());
+    tickets_.pop_front();
+    run_round_units(lock, *round);
   }
 }
 

@@ -5,12 +5,11 @@
 // oversubscription a throughput-oriented server must avoid. WorkerGroup is
 // one fixed set of worker threads that MULTIPLEXES many sessions:
 //
-//   * parallel_workers(width, body) keeps Algorithm 1's SPMD shape — body(r)
-//     runs exactly once for each r in [0, width) — but is safe to call from
-//     MANY threads at once; the rounds' units interleave on the shared
-//     workers instead of each owning a pool.
-//   * submit(fn, priority) queues a one-shot task (the server layer uses it
-//     for bookkeeping work that must not sit behind long search rounds).
+// parallel_workers(width, body) keeps Algorithm 1's SPMD shape — body(r)
+// runs exactly once for each r in [0, width) — but is safe to call from MANY
+// threads at once; the rounds' units interleave on the shared workers
+// instead of each owning a pool. A round queues one ticket per worker that
+// could help it, and workers take tickets in arrival order.
 //
 // Scheduling is caller-helps: the thread that opens a round claims and runs
 // work units itself whenever no pool worker gets there first. This bounds
@@ -27,8 +26,8 @@
 
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -41,8 +40,6 @@ namespace rbc::par {
 
 class WorkerGroup {
  public:
-  enum class Priority { kHigh = 0, kNormal = 1, kLow = 2 };
-
   explicit WorkerGroup(int num_threads);
   ~WorkerGroup();
 
@@ -66,13 +63,7 @@ class WorkerGroup {
   /// threads; width may exceed size() (units queue and multiplex). The
   /// calling thread helps execute its own round's units. The first exception
   /// thrown by any unit is rethrown here after the round retires.
-  void parallel_workers(int width, const std::function<void(int)>& body,
-                        Priority priority = Priority::kNormal);
-
-  /// Queues fn for execution on a pool worker; the future resolves when it
-  /// has run (exceptions propagate through the future).
-  std::future<void> submit(std::function<void()> fn,
-                           Priority priority = Priority::kNormal);
+  void parallel_workers(int width, const std::function<void(int)>& body);
 
  private:
   /// One SPMD round: width units claimed off a shared counter.
@@ -85,22 +76,16 @@ class WorkerGroup {
     std::condition_variable done_cv;
   };
 
-  struct Task {
-    std::shared_ptr<Round> round;        // SPMD ticket when set ...
-    std::function<void()> fn;            // ... one-shot task otherwise
-  };
-
   void worker_loop();
-  bool pop_task(std::unique_lock<std::mutex>& lock, Task& out);
   /// Claims and runs units of `round` until none remain unclaimed. Returns
   /// with the group mutex held by `lock`.
   void run_round_units(std::unique_lock<std::mutex>& lock, Round& round);
 
   std::vector<std::thread> workers_;
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_work_;
-  std::deque<Task> queues_[3];  // indexed by Priority
+  std::deque<std::shared_ptr<Round>> tickets_;  // rounds asking for helpers
   bool shutdown_ = false;
 };
 

@@ -169,10 +169,10 @@ DeviceModel hetero_model(const EngineConfig& cfg) {
 
 }  // namespace
 
-EngineReport ModeledBackend::search(const Seed256& s_init, ByteSpan digest,
-                                    hash::HashAlgo algo,
-                                    const SearchOptions& opts,
-                                    par::SearchContext* session) {
+EngineReport SearchBackend::search(const Seed256& s_init, ByteSpan digest,
+                                   hash::HashAlgo algo,
+                                   const SearchOptions& opts,
+                                   par::SearchContext* session) const {
   SearchOptions o = opts;
   o.check_interval = std::max(o.check_interval, model_.check_interval_floor);
   EngineReport report;
@@ -207,7 +207,7 @@ std::unique_ptr<SearchBackend> make_backend(std::string_view device,
                   "unknown backend device (want cpu|gpu|apu|gpu-emu|hetero)");
     return {};
   };
-  return std::make_unique<ModeledBackend>(model());
+  return std::make_unique<SearchBackend>(model());
 }
 
 }  // namespace rbc

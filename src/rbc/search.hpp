@@ -18,15 +18,15 @@
 // docs/scheduler.md):
 //
 //   * Multi-unit searches tile: the ball is decomposed into fixed-size
-//     tiles (comb::ShellTiler) handed out by a work-stealing
-//     par::TileScheduler and drained by detail::drain_tiles, which the
-//     GPU-emu kernels and the hetero co-search share. Chase tile plans are
-//     walked once per process; on a cold cache, one extra pipeline unit
-//     fetches shell k+1's plan while shell k's tiles drain, so workers flow
-//     across shell boundaries instead of parking at a barrier. Exhaustive
-//     mode records the MINIMAL shell containing a match (shells overlap in
-//     flight), and per-tile accounting keeps `seeds_hashed` visit-order
-//     exact.
+//     tiles (comb::ShellTiler) that par::TileScheduler's one cursor hands
+//     out in shell order, one per claim, and detail::drain_tiles drains;
+//     the GPU-emu kernels and the hetero co-search share that loop. Chase
+//     tile plans are walked once per process; on a cold cache, one extra
+//     pipeline unit fetches shell k+1's plan while shell k's tiles drain,
+//     so workers flow across shell boundaries instead of parking at a
+//     barrier. Exhaustive mode records the MINIMAL shell containing a
+//     match (shells overlap in flight), and per-tile accounting keeps
+//     `seeds_hashed` visit-order exact.
 //   * Single-unit searches stream: the calling thread scans a BallStream
 //     (candidate_stream.hpp) shell by shell in canonical order
 //     (detail::scan_stream). A reliability order streams an
@@ -235,8 +235,8 @@ class ShellPlans {
 
 /// The tile loop of every tiled path: the multi-unit search below, the
 /// GPU-emu shell kernel and both sides of the hetero co-search
-/// (gpu/salted_kernel.hpp). Scheduler slot `unit` claims tiles until none
-/// is left or `stop()` fires; `open(tile)` turns a claimed tile into a mask
+/// (gpu/salted_kernel.hpp). The calling unit claims tiles until none is
+/// left or `stop()` fires; `open(tile)` turns a claimed tile into a mask
 /// iterator, and an empty optional ends the unit. Each tile's candidates
 /// are scanned block by block, `stop()` polled every `check_blocks` blocks;
 /// a fully visited tile completes on the scheduler. A match goes to
@@ -245,7 +245,7 @@ class ShellPlans {
 /// Returns the seeds the unit hashed.
 template <hash::SeedHash Hash, typename Open, typename Stop, typename Record,
           typename OnTile>
-u64 drain_tiles(par::TileScheduler& sched, int unit, const Seed256& s_init,
+u64 drain_tiles(par::TileScheduler& sched, const Seed256& s_init,
                 const typename Hash::digest_type& target, const Hash& hash,
                 bool early_exit, u32 check_blocks, Open&& open, Stop&& stop,
                 Record&& record, OnTile&& on_tile) {
@@ -253,7 +253,7 @@ u64 drain_tiles(par::TileScheduler& sched, int unit, const Seed256& s_init,
   u64 hashed = 0;
   bool matched = false;
   par::TileScheduler::Tile tile;
-  while (!matched && !stop() && sched.acquire(unit, tile)) {
+  while (!matched && !stop() && sched.acquire(tile)) {
     auto it = open(tile);
     if (!it) break;
     auto source = comb::candidates(*it, s_init);
@@ -283,8 +283,8 @@ u64 drain_tiles(par::TileScheduler& sched, int unit, const Seed256& s_init,
   return hashed;
 }
 
-/// Tiled work-stealing driver. Assumes distance 0 was already checked and
-/// missed; fills everything but host_seconds / the d0 contribution.
+/// Tiled driver. Assumes distance 0 was already checked and missed; fills
+/// everything but host_seconds / the d0 contribution.
 template <hash::SeedHash Hash, comb::SeedIteratorFactory Factory>
 void rbc_search_tiled(const Seed256& s_init,
                       const typename Hash::digest_type& target,
@@ -303,7 +303,7 @@ void rbc_search_tiled(const Seed256& s_init,
   // +1: a pipeline unit that publishes upcoming shell plans ahead of the
   // hashing front, then joins the tile loop as one more worker.
   const int units = opts.num_threads + 1;
-  par::TileScheduler sched(tiler.tiles_per_shell(), /*first_shell=*/1, units);
+  par::TileScheduler sched(tiler.tiles_per_shell(), /*first_shell=*/1);
 
   const std::function<bool()> stop = [&ctx, &opts] {
     return ctx.check_deadline() || ctx.should_stop(opts.early_exit);
@@ -323,7 +323,7 @@ void rbc_search_tiled(const Seed256& s_init,
       }
     }
     const u64 unit_hashed = drain_tiles(
-        sched, unit, s_init, target, hash, opts.early_exit, check_blocks,
+        sched, s_init, target, hash, opts.early_exit, check_blocks,
         [&](const par::TileScheduler::Tile& tile) { return plans.open(tile); },
         stop,
         [&](const Seed256& seed, int shell) {
@@ -463,9 +463,9 @@ SearchResult rbc_search(const Seed256& s_init,
     scan(OrderedBallStream(s_init, opts.max_distance, opts.reliability,
                            opts.ordered_budget, factory.n_bits()));
   } else if (opts.num_threads == 1) {
-    // A single unit has nobody to steal from and nothing to pipeline into,
-    // so it streams the ball on the calling thread (e.g. per-session server
-    // searches).
+    // A single unit has nobody to share tiles with and nothing to pipeline
+    // into, so it streams the ball on the calling thread (e.g. per-session
+    // server searches).
     scan(BallStream<Factory>(s_init, opts.max_distance, factory));
   } else {
     // Tiled shells overlap in flight, so a per-shell span would lie about

@@ -100,20 +100,18 @@ struct FusionEngine::Impl {
     std::vector<std::unique_ptr<Job<H>>> active;  // pump-owned
   };
 
-  explicit Impl(FusionConfig c) : cfg(c) {
-    cfg.batch_lanes = std::clamp(cfg.batch_lanes, 1,
-                                 static_cast<int>(hash::kMaxTaggedLanes));
-    cfg.max_streams = std::max(cfg.max_streams, 1);
+  explicit Impl(int lanes)
+      : batch_lanes(std::clamp(lanes, 1,
+                               static_cast<int>(hash::kMaxTaggedLanes))) {
     pump = std::thread([this] { pump_loop(); });
   }
 
-  FusionConfig cfg;
+  const int batch_lanes;
   mutable std::mutex mu;
   std::condition_variable cv;
   bool shutting_down = false;  // guarded by mu
   FusionStats stats;           // guarded by mu
   u64 admit_seq = 0;           // guarded by mu
-  int in_flight = 0;           // pending + active, guarded by mu
   Queue<hash::Sha1BatchSeedHash> sha1;
   Queue<hash::Sha3BatchSeedHash> sha3;
   std::mutex join_mu;
@@ -153,7 +151,7 @@ struct FusionEngine::Impl {
   template <typename H>
   void run_batch(Queue<H>& q) {
     if (q.active.empty()) return;
-    const std::size_t L = static_cast<std::size_t>(cfg.batch_lanes);
+    const std::size_t L = static_cast<std::size_t>(batch_lanes);
     std::array<Seed256, hash::kMaxTaggedLanes> seeds;
     std::array<u16, hash::kMaxTaggedLanes> tags;
     std::array<int, hash::kMaxTaggedLanes> lane_shell;
@@ -246,25 +244,22 @@ struct FusionEngine::Impl {
       for (std::size_t t = 0; t < num_tags; ++t) batch_jobs[t]->flush_progress();
     }
 
-    int retired = 0;
     for (auto it = q.active.begin(); it != q.active.end();) {
       Job<H>& j = **it;
       if (j.done()) {
         j.promise.set_value(retire_result(j));
         it = q.active.erase(it);
-        ++retired;
       } else {
         ++it;
       }
     }
 
-    std::lock_guard lk(mu);
     if (filled > 0) {
+      std::lock_guard lk(mu);
       ++stats.batch_count;
       stats.lanes_filled += filled;
       stats.lanes_issued += L;
     }
-    in_flight -= retired;
   }
 
   /// Shutdown path: cancel and retire everything still queued or active.
@@ -274,15 +269,11 @@ struct FusionEngine::Impl {
       std::lock_guard lk(mu);
       drain_pending_locked(q);
     }
-    int aborted = 0;
     for (auto& j : q.active) {
       j->ctx->cancel();
       j->promise.set_value(retire_result(*j));
-      ++aborted;
     }
     q.active.clear();
-    std::lock_guard lk(mu);
-    in_flight -= aborted;
   }
 
   template <typename H>
@@ -304,12 +295,11 @@ struct FusionEngine::Impl {
     auto fut = job->promise.get_future();
     {
       std::lock_guard lk(mu);
-      if (shutting_down || in_flight >= cfg.max_streams) {
+      if (shutting_down) {
         ++stats.declined;
         return std::nullopt;
       }
       job->admit_seq = admit_seq++;
-      ++in_flight;
       ++stats.fused_sessions;
       q.pending.push_back(std::move(job));
     }
@@ -322,8 +312,8 @@ struct FusionEngine::Impl {
   }
 };
 
-FusionEngine::FusionEngine(FusionConfig cfg)
-    : impl_(std::make_unique<Impl>(cfg)) {}
+FusionEngine::FusionEngine(int batch_lanes)
+    : impl_(std::make_unique<Impl>(batch_lanes)) {}
 
 FusionEngine::~FusionEngine() { shutdown(); }
 

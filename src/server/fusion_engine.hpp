@@ -18,9 +18,11 @@
 // in — its backend's.
 //
 //   * admission  — try_search accepts a search when its modeled ball size
-//     is at or below kMaxBallSeeds (and the run queue has room); anything
-//     larger, exhaustive-mode searches, and post-shutdown calls decline and
-//     fall through to the session's normal backend path.
+//     is at or below kMaxBallSeeds; anything larger, exhaustive-mode
+//     searches, and post-shutdown calls decline and fall through to the
+//     session's normal backend path. There is no bound of its own: each
+//     caller blocks on its one search, so a shard's run queue never holds
+//     more streams than the shard has drivers.
 //   * fairness   — each batch deals lane slots round-robin over the active
 //     streams in earliest-deadline-first order, so a tight-deadline stream
 //     is served first every batch and no stream starves.
@@ -42,15 +44,6 @@
 
 namespace rbc::server {
 
-struct FusionConfig {
-  /// Lane slots per fused batch (1..hash::kMaxTaggedLanes). Wider batches
-  /// amortize dispatch across more sessions; 32 = two full kernel blocks.
-  int batch_lanes = 32;
-  /// Bound on streams queued + active; admissions beyond it decline (the
-  /// session then runs solo rather than queueing unboundedly).
-  int max_streams = 256;
-};
-
 /// Counters behind ServerStats' fusion fields. Occupancy is
 /// lanes_filled / lanes_issued: the fraction of dealt lane slots that
 /// carried a candidate (idle slots appear only when every stream drained
@@ -71,7 +64,10 @@ class FusionEngine final : public SearchOffload {
   /// d >= 3, which also bounds the shell mask tables to ~65 KiB.
   static constexpr u64 kMaxBallSeeds = u64{1} << 16;
 
-  explicit FusionEngine(FusionConfig cfg = {});
+  /// `batch_lanes`: lane slots per fused batch, clamped to
+  /// 1..hash::kMaxTaggedLanes. Wider batches amortize dispatch across more
+  /// sessions; 32 = two full kernel blocks.
+  explicit FusionEngine(int batch_lanes = 32);
   ~FusionEngine() override;
 
   FusionEngine(const FusionEngine&) = delete;

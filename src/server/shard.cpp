@@ -43,13 +43,9 @@ Shard::Shard(const ServerConfig& cfg, int index, int num_shards,
   }
   recorder_ = recorder;
   if (cfg_.fusion_enabled) {
-    FusionConfig fusion_cfg;
-    fusion_cfg.batch_lanes = cfg_.fusion_lanes;
-    // Keep more stream slots than this shard has drivers so backfill never
-    // starves. No order is set here: the CA hands each search its backend's
-    // family (and reliability order), so fused and solo sessions agree.
-    fusion_cfg.max_streams = std::max(drivers * 2, 8);
-    fusion_ = std::make_unique<FusionEngine>(fusion_cfg);
+    // No order is set here: the CA hands each search its backend's family
+    // (and reliability order), so fused and solo sessions agree.
+    fusion_ = std::make_unique<FusionEngine>(cfg_.fusion_lanes);
   }
   drivers_.reserve(static_cast<std::size_t>(drivers));
   for (int i = 0; i < drivers; ++i)

@@ -103,8 +103,8 @@ TEST(Backends, ModeledTimesPreserveDeviceOrdering) {
   effort.distance = 1;
   const auto seconds = [&](const char* device) {
     const auto backend = make_backend(device, small_cfg());
-    return dynamic_cast<const ModeledBackend&>(*backend).modeled_device_seconds(
-        effort, /*early_exit=*/true, hash::HashAlgo::kSha3_256);
+    return backend->modeled_device_seconds(effort, /*early_exit=*/true,
+                                           hash::HashAlgo::kSha3_256);
   };
   EXPECT_LT(seconds("gpu"), seconds("apu"));
   EXPECT_LT(seconds("apu"), seconds("cpu"));
@@ -113,7 +113,7 @@ TEST(Backends, ModeledTimesPreserveDeviceOrdering) {
 TEST(Backends, CostProjectionsArePinned) {
   // modeled_device_seconds for a fixed (seeds_hashed, distance, early-exit)
   // and modeled_exhaustive_time_s, as the four per-platform backend classes
-  // computed them before they became one ModeledBackend. The Table 5-7
+  // computed them before they became one backend class. The Table 5-7
   // model rows read these values.
   struct Row {
     const char* device;  // "gpu4": "gpu" with num_devices = 4
@@ -173,7 +173,7 @@ TEST(Backends, CostProjectionsArePinned) {
     const bool multi = std::string_view(row.device) == "gpu4";
     if (multi) cfg.num_devices = 4;
     const auto backend = make_backend(multi ? "gpu" : row.device, cfg);
-    const auto& modeled = dynamic_cast<const ModeledBackend&>(*backend);
+    const SearchBackend& modeled = *backend;
     SearchResult result;
     result.seeds_hashed = row.seeds;
     result.distance = row.d;

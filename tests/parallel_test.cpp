@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
+#include <future>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -52,48 +52,6 @@ TEST(CheckThrottle, ZeroIntervalTreatedAsOne) {
   EXPECT_TRUE(throttle.due());
 }
 
-TEST(PartitionRange, ExactDivision) {
-  for (int r = 0; r < 4; ++r) {
-    const auto range = partition_range(100, 4, r);
-    EXPECT_EQ(range.size(), 25u);
-    EXPECT_EQ(range.begin, static_cast<u64>(25 * r));
-  }
-}
-
-TEST(PartitionRange, RemainderSpreadEvenly) {
-  // 10 items over 4 workers: sizes 3,3,2,2.
-  std::vector<u64> sizes;
-  u64 expected_begin = 0;
-  for (int r = 0; r < 4; ++r) {
-    const auto range = partition_range(10, 4, r);
-    EXPECT_EQ(range.begin, expected_begin) << "worker " << r;
-    sizes.push_back(range.size());
-    expected_begin = range.end;
-  }
-  EXPECT_EQ(expected_begin, 10u);
-  EXPECT_EQ(sizes, (std::vector<u64>{3, 3, 2, 2}));
-}
-
-TEST(PartitionRange, MoreWorkersThanItems) {
-  u64 total = 0;
-  for (int r = 0; r < 8; ++r) {
-    const auto range = partition_range(3, 8, r);
-    EXPECT_LE(range.size(), 1u);
-    total += range.size();
-  }
-  EXPECT_EQ(total, 3u);
-}
-
-TEST(PartitionRange, EmptyTotal) {
-  const auto range = partition_range(0, 4, 2);
-  EXPECT_EQ(range.size(), 0u);
-}
-
-TEST(PartitionRange, InvalidWorkerRejected) {
-  EXPECT_THROW(partition_range(10, 4, 4), rbc::CheckFailure);
-  EXPECT_THROW(partition_range(10, 0, 0), rbc::CheckFailure);
-}
-
 TEST(WorkerGroup, RunsEachIndexExactlyOnce) {
   WorkerGroup group(4);
   std::vector<std::atomic<int>> hits(4);
@@ -125,9 +83,9 @@ TEST(WorkerGroup, ParallelSumMatchesSerial) {
   const u64 total = 100000;
   std::vector<u64> partial(4, 0);
   group.parallel_workers(4, [&](int id) {
-    const auto range = partition_range(total, 4, id);
+    const u64 r = static_cast<u64>(id);
     u64 sum = 0;
-    for (u64 i = range.begin; i < range.end; ++i) sum += i;
+    for (u64 i = total * r / 4; i < total * (r + 1) / 4; ++i) sum += i;
     partial[static_cast<unsigned>(id)] = sum;
   });
   const u64 sum = std::accumulate(partial.begin(), partial.end(), u64{0});
@@ -175,53 +133,26 @@ TEST(WorkerGroup, ConcurrentRoundsMultiplex) {
 }
 
 TEST(WorkerGroup, CallerHelpsWhenWorkersAreBusy) {
-  // Saturate the only worker with a task parked on a latch; a round opened
-  // meanwhile must still complete (the caller runs its own units).
+  // Park the only worker inside another thread's round: both of that
+  // round's units block on a latch, so one runs on its caller and the other
+  // on the worker. A round opened meanwhile must still complete (the caller
+  // runs its own units).
   WorkerGroup group(1);
   std::promise<void> release;
   std::shared_future<void> latch = release.get_future().share();
-  auto parked = group.submit([latch] { latch.wait(); });
+  std::atomic<int> parked{0};
+  std::thread other([&] {
+    group.parallel_workers(2, [&](int) {
+      parked++;
+      latch.wait();
+    });
+  });
+  while (parked.load() < 2) std::this_thread::yield();
   std::atomic<int> ran{0};
   group.parallel_workers(4, [&](int) { ran++; });
   EXPECT_EQ(ran.load(), 4);
   release.set_value();
-  parked.get();
-}
-
-TEST(WorkerGroup, SubmitRunsTaskAndResolvesFuture) {
-  WorkerGroup group(2);
-  auto future = group.submit([] { return; });
-  future.get();
-  auto failing = group.submit([] { throw std::runtime_error("task failure"); });
-  EXPECT_THROW(failing.get(), std::runtime_error);
-}
-
-TEST(WorkerGroup, HighPriorityTaskOvertakesLowPriority) {
-  // One worker, parked on a latch; enqueue low then high. On release the
-  // worker must pop the high-priority task first.
-  WorkerGroup group(1);
-  std::promise<void> release;
-  std::shared_future<void> latch = release.get_future().share();
-  auto parked = group.submit([latch] { latch.wait(); });
-  std::mutex order_mutex;
-  std::vector<int> order;
-  auto low = group.submit(
-      [&] {
-        std::lock_guard lock(order_mutex);
-        order.push_back(2);
-      },
-      WorkerGroup::Priority::kLow);
-  auto high = group.submit(
-      [&] {
-        std::lock_guard lock(order_mutex);
-        order.push_back(1);
-      },
-      WorkerGroup::Priority::kHigh);
-  release.set_value();
-  parked.get();
-  low.get();
-  high.get();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  other.join();
 }
 
 TEST(WorkerGroup, EarlyExitStopsAllUnits) {

@@ -301,8 +301,8 @@ TEST(ScheduleEquivalence, GosperTiledMatchesStream) {
 }
 
 TEST(ScheduleEquivalence, TinyTilesStillCoverTheExactBall) {
-  // tile_seeds far below the default: many ragged tiles per shell, heavy
-  // stealing — the accounting must stay exact.
+  // tile_seeds far below the default: many ragged tiles per shell, many
+  // claims per unit — the accounting must stay exact.
   Xoshiro256 rng(33);
   const Seed256 base = Seed256::random(rng);
   const Seed256 absent = seed_at_distance(base, 9, 99);

@@ -304,11 +304,11 @@ TEST(SearchOracleScan, DrainTilesCountsThroughAMatchInATilesLastCandidate) {
       const std::vector<Seed256> tile =
           reference_candidates(plan->make_tile(t), base);
       const auto target = hash(tile.back());
-      par::TileScheduler sched(std::vector<u64>{plan->tiles()}, k, 1);
+      par::TileScheduler sched(std::vector<u64>{plan->tiles()}, k);
       std::optional<Seed256> matched;
       int matched_shell = 0;
       const u64 hashed = detail::drain_tiles(
-          sched, 0, base, target, hash, /*early_exit=*/true,
+          sched, base, target, hash, /*early_exit=*/true,
           /*check_blocks=*/1,
           [&](const par::TileScheduler::Tile& claimed) {
             return std::optional(plan->make_tile(claimed.index));
@@ -335,10 +335,10 @@ TEST(SearchOracleScan, DrainTilesCountsNothingPastAStop) {
   const Seed256 base = random_base(0x5709);
   const hash::Sha3BatchSeedHash hash;
   const auto target = hash(random_base(0xbeef));
-  par::TileScheduler sched(std::vector<u64>{plan->tiles()}, 2, 1);
+  par::TileScheduler sched(std::vector<u64>{plan->tiles()}, 2);
   int polls = 0;
   const u64 hashed = detail::drain_tiles(
-      sched, 0, base, target, hash, /*early_exit=*/true, /*check_blocks=*/1,
+      sched, base, target, hash, /*early_exit=*/true, /*check_blocks=*/1,
       [&](const par::TileScheduler::Tile& claimed) {
         return std::optional(plan->make_tile(claimed.index));
       },

@@ -1,6 +1,6 @@
-// ShellTiler decomposition math and TileScheduler hand-out/steal semantics:
-// every tile exactly once, shell-order watermark, halt, and a thread stress
-// suite exercised under TSan by scripts/ci.sh.
+// ShellTiler decomposition math and TileScheduler hand-out semantics: every
+// tile exactly once in shell order, the shell-order watermark, and a thread
+// stress suite exercised under TSan by scripts/ci.sh.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "combinatorics/binomial.hpp"
 #include "combinatorics/tiler.hpp"
 #include "parallel/tile_scheduler.hpp"
 
@@ -18,54 +17,27 @@ namespace {
 using comb::ShellTiler;
 using par::TileScheduler;
 
-TEST(ShellTiler, ShellTotalsMatchBinomials) {
-  ShellTiler tiler(3, 4096);
-  EXPECT_EQ(tiler.max_distance(), 3);
-  EXPECT_EQ(tiler.shell_total(1), 256u);
-  EXPECT_EQ(tiler.shell_total(2), 32640u);
-  EXPECT_EQ(tiler.shell_total(3),
-            static_cast<u64>(comb::binomial128(comb::kSeedBits, 3)));
-}
-
 TEST(ShellTiler, TileCountsCoverEachShellWithRaggedLastTile) {
   ShellTiler tiler(2, 1000);
-  // Shell 1: 256 seeds in one ragged tile.
-  EXPECT_EQ(tiler.tiles_in_shell(1), 1u);
+  EXPECT_EQ(tiler.max_distance(), 2);
   EXPECT_EQ(tiler.stride(1), 1000u);
-  // Shell 2: 32640 = 32 * 1000 + 640.
-  EXPECT_EQ(tiler.tiles_in_shell(2), 33u);
-  EXPECT_EQ(tiler.total_tiles(), 34u);
-  const auto per_shell = tiler.tiles_per_shell();
-  ASSERT_EQ(per_shell.size(), 2u);
-  EXPECT_EQ(per_shell[0], 1u);
-  EXPECT_EQ(per_shell[1], 33u);
-}
-
-TEST(ShellTiler, CoordAndGlobalIndexRoundTrip) {
-  ShellTiler tiler(3, 512);
-  for (u64 g = 0; g < tiler.total_tiles(); g += 97) {
-    const auto c = tiler.coord(g);
-    EXPECT_GE(c.shell, 1);
-    EXPECT_LE(c.shell, 3);
-    EXPECT_LT(c.index, tiler.tiles_in_shell(c.shell));
-    EXPECT_EQ(tiler.global_index(c.shell, c.index), g);
-  }
+  EXPECT_EQ(tiler.stride(2), 1000u);
+  // Shell 1: 256 seeds in one ragged tile. Shell 2: 32640 = 32 * 1000 + 640.
+  EXPECT_EQ(tiler.tiles_per_shell(), (std::vector<u64>{1, 33}));
 }
 
 TEST(ShellTiler, SmallSeedSpaceUsesNBits) {
+  // C(8, 1) = 8 and C(8, 2) = 28 seeds in 4-seed tiles.
   ShellTiler tiler(2, 4, /*n_bits=*/8);
-  EXPECT_EQ(tiler.shell_total(1), 8u);
-  EXPECT_EQ(tiler.shell_total(2), 28u);
-  EXPECT_EQ(tiler.tiles_in_shell(1), 2u);
-  EXPECT_EQ(tiler.tiles_in_shell(2), 7u);
+  EXPECT_EQ(tiler.tiles_per_shell(), (std::vector<u64>{2, 7}));
 }
 
 TEST(TileScheduler, SingleSlotDrainsEveryTileOnceInOrder) {
-  TileScheduler sched({3, 5, 2}, /*first_shell=*/1, /*num_slots=*/1);
+  TileScheduler sched({3, 5, 2}, /*first_shell=*/1);
   EXPECT_EQ(sched.total_tiles(), 10u);
   TileScheduler::Tile tile;
   std::vector<std::pair<int, u64>> seen;
-  while (sched.acquire(0, tile)) {
+  while (sched.acquire(tile)) {
     seen.emplace_back(tile.shell, tile.index);
     sched.complete(tile);
   }
@@ -80,10 +52,10 @@ TEST(TileScheduler, SingleSlotDrainsEveryTileOnceInOrder) {
 }
 
 TEST(TileScheduler, ZeroTileShellsAreSkippedAndComplete) {
-  TileScheduler sched({2, 0, 3}, 1, 1);
+  TileScheduler sched({2, 0, 3}, 1);
   TileScheduler::Tile tile;
   std::set<std::pair<int, u64>> seen;
-  while (sched.acquire(0, tile)) {
+  while (sched.acquire(tile)) {
     EXPECT_TRUE(seen.emplace(tile.shell, tile.index).second);
     sched.complete(tile);
   }
@@ -93,11 +65,11 @@ TEST(TileScheduler, ZeroTileShellsAreSkippedAndComplete) {
 }
 
 TEST(TileScheduler, WatermarkAdvancesOnlyInShellOrder) {
-  TileScheduler sched({1, 1, 1}, 1, 3);
+  TileScheduler sched({1, 1, 1}, 1);
   TileScheduler::Tile by_shell[4];
-  for (int slot = 0; slot < 3; ++slot) {
+  for (int unit = 0; unit < 3; ++unit) {
     TileScheduler::Tile tile;
-    ASSERT_TRUE(sched.acquire(slot, tile));
+    ASSERT_TRUE(sched.acquire(tile));
     by_shell[tile.shell] = tile;
   }
   EXPECT_EQ(sched.completed_through(), 0);
@@ -110,39 +82,32 @@ TEST(TileScheduler, WatermarkAdvancesOnlyInShellOrder) {
   EXPECT_EQ(sched.completed_through(), 3);
 }
 
-TEST(TileScheduler, HaltStopsHandingOutTiles) {
-  TileScheduler sched({100}, 1, 2);
+TEST(TileScheduler, AStalledUnitHoldsOnlyItsOwnTile) {
+  // One unit takes a tile and stalls on it; another must take all 15 other
+  // tiles, so nothing waits behind the stalled unit.
+  TileScheduler sched({16}, 1);
+  TileScheduler::Tile stalled;
+  ASSERT_TRUE(sched.acquire(stalled));
   TileScheduler::Tile tile;
-  ASSERT_TRUE(sched.acquire(0, tile));
-  sched.halt();
-  EXPECT_FALSE(sched.acquire(0, tile));
-  EXPECT_FALSE(sched.acquire(1, tile));
-}
-
-TEST(TileScheduler, ThievesDrainAStalledSlotsClaimAheadSpan) {
-  // Slot 0 claims a batch (claim_ahead = 8) and then stalls; the other slot
-  // must still be able to finish the whole ball by stealing the tail.
-  TileScheduler sched({16}, 1, 2, /*claim_ahead=*/8);
-  TileScheduler::Tile tile;
-  ASSERT_TRUE(sched.acquire(0, tile));  // claims tiles 0..7, works on 0
-  std::set<u64> seen{tile.index};
-  while (sched.acquire(1, tile)) seen.insert(tile.index);
-  EXPECT_EQ(seen.size(), 16u);  // 1..7 were stolen back, 8..15 claimed fresh
+  std::set<u64> seen;
+  while (sched.acquire(tile)) seen.insert(tile.index);
+  EXPECT_EQ(seen.size(), 15u);
+  EXPECT_EQ(seen.count(stalled.index), 0u);
 }
 
 TEST(TileSchedulerStress, ConcurrentWorkersCoverEveryTileExactlyOnce) {
-  constexpr int kSlots = 8;
+  constexpr int kUnits = 8;
   const std::vector<u64> shells{7, 301, 1024, 93};
-  TileScheduler sched(shells, 1, kSlots, /*claim_ahead=*/4);
+  TileScheduler sched(shells, 1);
   std::vector<std::atomic<u32>> visits(
       static_cast<std::size_t>(sched.total_tiles()));
   std::atomic<u64> acquired{0};
 
   std::vector<std::thread> threads;
-  for (int slot = 0; slot < kSlots; ++slot) {
-    threads.emplace_back([&, slot] {
+  for (int unit = 0; unit < kUnits; ++unit) {
+    threads.emplace_back([&] {
       TileScheduler::Tile tile;
-      while (sched.acquire(slot, tile)) {
+      while (sched.acquire(tile)) {
         u64 global = tile.index;
         for (int s = 1; s < tile.shell; ++s)
           global += shells[static_cast<std::size_t>(s - 1)];
@@ -157,27 +122,6 @@ TEST(TileSchedulerStress, ConcurrentWorkersCoverEveryTileExactlyOnce) {
   EXPECT_EQ(acquired.load(), sched.total_tiles());
   for (const auto& v : visits) EXPECT_EQ(v.load(), 1u);
   EXPECT_EQ(sched.completed_through(), 4);
-}
-
-TEST(TileSchedulerStress, HaltRacesWithAcquireWithoutDoubleHandOut) {
-  for (int round = 0; round < 20; ++round) {
-    constexpr int kSlots = 4;
-    TileScheduler sched({5000}, 1, kSlots);
-    std::vector<std::atomic<u32>> visits(5000);
-    std::vector<std::thread> threads;
-    for (int slot = 0; slot < kSlots; ++slot) {
-      threads.emplace_back([&, slot] {
-        TileScheduler::Tile tile;
-        while (sched.acquire(slot, tile)) {
-          visits[static_cast<std::size_t>(tile.index)].fetch_add(1);
-          sched.complete(tile);
-          if (tile.index == 1000) sched.halt();  // early exit mid-ball
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    for (const auto& v : visits) EXPECT_LE(v.load(), 1u);
-  }
 }
 
 }  // namespace
