@@ -4,12 +4,10 @@
 // The paper finds the minimum at n = 100, b = 128 (4.67 s) inside a broad
 // flat region, with clear penalties at the extremes (n = 1 spawns >8 billion
 // threads; huge blocks blow the shared-memory budget for the per-thread
-// Chase state). The grid below is produced by the calibrated GPU execution
-// model; the marked cell is the model's minimum.
-#include <limits>
-
+// Chase state). The grid below is sim::autotune_gpu's sweep over the
+// calibrated GPU execution model; the marked cell is its minimum.
 #include "bench_util.hpp"
-#include "sim/gpu_model.hpp"
+#include "sim/autotune.hpp"
 
 int main() {
   using namespace rbc;
@@ -17,41 +15,30 @@ int main() {
 
   print_title("Figure 3 — GPU grid search, SHA-3 exhaustive d = 5 (model, s)");
 
-  sim::GpuModel gpu;
-  const int ns[] = {1, 5, 10, 25, 50, 100, 200, 400, 800, 1600, 3200, 12800};
-  const int bs[] = {32, 64, 128, 256, 512, 1024};
+  const sim::TuneResult tuned =
+      sim::autotune_gpu(sim::GpuModel{}, 5, hash::HashAlgo::kSha3_256);
+  const sim::TunePoint& best = tuned.best;
 
-  // Find the minimum first so it can be highlighted.
-  double best = std::numeric_limits<double>::max();
-  int best_n = 0, best_b = 0;
-  auto ball_time = [&gpu](int n, int b) {
-    sim::GpuSearchConfig proto;
-    proto.seeds_per_thread = n;
-    proto.threads_per_block = b;
-    proto.hash = hash::HashAlgo::kSha3_256;
-    return gpu.ball_time_s(5, proto);
-  };
-  for (int n : ns) {
-    for (int b : bs) {
-      const double t = ball_time(n, b);
-      if (t < best) {
-        best = t;
-        best_n = n;
-        best_b = b;
-      }
-    }
-  }
-
+  // The grid is row-major over n x b: one table row per n.
   std::vector<std::string> headers{"n \\ b"};
-  for (int b : bs) headers.push_back(std::to_string(b));
+  for (const sim::TunePoint& p : tuned.grid) {
+    if (p.seeds_per_thread != tuned.grid.front().seeds_per_thread) break;
+    headers.push_back(std::to_string(p.threads_per_block));
+  }
   headers.push_back("total threads");
+  const std::size_t row_cells = headers.size() - 2;
   Table table(headers);
-  for (int n : ns) {
+  double paper_cell = 0.0;
+  for (std::size_t i = 0; i < tuned.grid.size(); i += row_cells) {
+    const int n = tuned.grid[i].seeds_per_thread;
     std::vector<std::string> row{std::to_string(n)};
-    for (int b : bs) {
-      const double t = ball_time(n, b);
-      std::string cell = fmt(t, 2);
-      if (n == best_n && b == best_b) cell = "[" + cell + "]";
+    for (std::size_t j = i; j < i + row_cells; ++j) {
+      const sim::TunePoint& p = tuned.grid[j];
+      std::string cell = fmt(p.time_s, 2);
+      if (n == best.seeds_per_thread &&
+          p.threads_per_block == best.threads_per_block)
+        cell = "[" + cell + "]";
+      if (n == 100 && p.threads_per_block == 128) paper_cell = p.time_s;
       row.push_back(std::move(cell));
     }
     const u64 threads = (u64{8987138113} + static_cast<u64>(n) - 1) /
@@ -63,21 +50,14 @@ int main() {
 
   std::printf("\nModel minimum: %.2f s at n=%d, b=%d   (paper: 4.67 s at "
               "n=100, b=128)\n",
-              best, best_n, best_b);
+              best.time_s, best.seeds_per_thread, best.threads_per_block);
   std::printf("Paper-choice cell (100,128): %.2f s (%.1f%% off the model "
               "minimum)\n",
-              ball_time(100, 128), (ball_time(100, 128) / best - 1.0) * 100);
+              paper_cell, (paper_cell / best.time_s - 1.0) * 100);
   std::printf(
       "Flatness check (paper: \"several sets of parameters achieve similarly "
       "good performance\"):\n");
-  int within_5pct = 0, cells = 0;
-  for (int n : ns) {
-    for (int b : bs) {
-      ++cells;
-      if (ball_time(n, b) <= best * 1.05) ++within_5pct;
-    }
-  }
-  std::printf("  %d of %d grid cells within 5%% of the minimum\n", within_5pct,
-              cells);
+  std::printf("  %d of %zu grid cells within 5%% of the minimum\n",
+              tuned.near_optimal_count, tuned.grid.size());
   return 0;
 }

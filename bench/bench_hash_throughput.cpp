@@ -15,6 +15,7 @@
 #include "combinatorics/algorithm515.hpp"
 #include "combinatorics/chase382.hpp"
 #include "combinatorics/gosper.hpp"
+#include "combinatorics/shell.hpp"
 #include "common/rng.hpp"
 #include "crypto/pqc_keygen.hpp"
 #include "hash/batch.hpp"
@@ -22,7 +23,6 @@
 #include "hash/keccak.hpp"
 #include "hash/keccak_multi.hpp"
 #include "hash/sha1.hpp"
-#include "rbc/candidate_stream.hpp"
 
 namespace {
 
@@ -140,34 +140,12 @@ void BM_Sha3SeedHeadsBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha3SeedHeadsBatched)->DenseRange(0, 3);
 
-// A cached shell table (ShellMaskCache, the fused engine's source) as a
-// scan source: one out-of-line table read per candidate.
-class TableCandidates {
- public:
-  TableCandidates(std::shared_ptr<const ShellMaskCache::Table> table,
-                  std::size_t count, const Seed256& base)
-      : table_(std::move(table)),
-        end_(std::min(count, table_->size())),
-        base_(base) {}
-  bool next(Seed256& candidate) noexcept {
-    if (index_ == end_) return false;
-    candidate = base_ ^ (*table_)[index_++];
-    return true;
-  }
-
- private:
-  std::shared_ptr<const ShellMaskCache::Table> table_;
-  std::size_t index_ = 0;
-  std::size_t end_;
-  Seed256 base_;
-};
-
 // hash::SeedScan (SHA-3, active SIMD level) over the first `count`
 // candidates of shell k in each source's order, against a target that
 // never matches: range(0) = source (0 Chase, 1 Gosper, 2 Algorithm 515
-// successor, 3 Chase shell table), range(1) = k. k = 2 scans the whole
-// shell (32,640 candidates); k = 3 scans its first 65,536. Reports the
-// time per candidate.
+// successor), range(1) = k. k = 2 scans the whole shell (32,640
+// candidates); k = 3 scans its first 65,536. Reports the time per
+// candidate.
 void BM_ScanShell(benchmark::State& state) {
   const int family = static_cast<int>(state.range(0));
   const int k = static_cast<int>(state.range(1));
@@ -175,9 +153,6 @@ void BM_ScanShell(benchmark::State& state) {
   const Seed256 base = bench_seed();
   const hash::Sha3BatchSeedHash hash;
   const hash::Digest256 target = hash(Seed256::ones());
-  const auto table = family == 3
-                         ? ShellMaskCache::get(sim::IterAlgo::kChase382, k)
-                         : nullptr;
   u64 scanned = 0;
   const auto run = [&](auto source) {
     hash::SeedScan<hash::Sha3BatchSeedHash> scan(hash, target, true);
@@ -193,19 +168,15 @@ void BM_ScanShell(benchmark::State& state) {
       case 1:
         run(comb::candidates(comb::GosperIterator(k, 0, count), base));
         break;
-      case 2:
+      default:
         run(comb::candidates(
             comb::Algorithm515Iterator(k, 0, count,
                                        comb::Alg515Mode::kSuccessor),
             base));
         break;
-      default:
-        run(TableCandidates(table, count, base));
-        break;
     }
   }
-  static constexpr const char* kNames[] = {"chase", "gosper", "alg515",
-                                           "table"};
+  static constexpr const char* kNames[] = {"chase", "gosper", "alg515"};
   state.SetLabel(std::string(kNames[family]) + " " +
                  std::string(hash::to_string(hash::active_simd_level())));
   state.SetItemsProcessed(static_cast<int64_t>(scanned));
@@ -214,7 +185,7 @@ void BM_ScanShell(benchmark::State& state) {
       static_cast<double>(scanned),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_ScanShell)->ArgsProduct({{0, 1, 2, 3}, {2, 3}});
+BENCHMARK(BM_ScanShell)->ArgsProduct({{0, 1, 2}, {2, 3}});
 
 void BM_KeccakF1600(benchmark::State& state) {
   u64 lanes[25] = {1, 2, 3};

@@ -36,10 +36,10 @@
 //
 // Phase 5 is the LANE FUSION phase (PR 8): a many-small-sessions burst
 // (4096 sessions, SHA-3, d = 2) run solo and then with the per-shard
-// FusionEngine multiplexing every in-flight session's candidate stream into
-// shared 64-lane tagged hash batches. Gates: fused >= 1.3x solo sessions/s
-// and lane occupancy >= 0.9. `--fusion-only` runs just this phase (the CI
-// fusion smoke) and `--json` records it as BENCH_PR8.json.
+// FusionEngine running every in-flight session's scan in 64-lane turns on
+// one pump thread. Gates: fused >= 1.3x solo sessions/s and lane occupancy
+// >= 0.9. `--fusion-only` runs just this phase (the CI fusion smoke) and
+// `--json` records it as BENCH_PR8.json.
 //
 // Phase 6 is the SEARCH ORDERING phase (PR 9): a d = 3 burst with TAPKI off
 // and model-default erratic-cell noise, run under canonical enumeration and
@@ -314,7 +314,7 @@ std::unique_ptr<Client> make_fusion_client(const Workload& w,
 
 /// One fusion point: `sessions` non-realtime burst sessions on one shard
 /// with `drivers` drivers, fusion on or off. Deep driver overlap is what
-/// feeds the fused batches; the unfused run gets the identical shape.
+/// keeps the fused pump busy; the unfused run gets the identical shape.
 RunResult run_fusion_point(Workload& w, int sessions, int submitters,
                            int drivers, bool fused, u64 salt) {
   server::ServerConfig cfg;
@@ -325,7 +325,7 @@ RunResult run_fusion_point(Workload& w, int sessions, int submitters,
   cfg.per_message_latency_s = 0.0;
   cfg.realtime_comm = false;
   cfg.fusion_enabled = fused;
-  cfg.fusion_lanes = 64;  // full tagged-kernel width amortizes batch setup
+  cfg.fusion_lanes = 64;  // 8-block turns amortize the pump's round setup
   server::AuthServer server(cfg, w.ca.get(), &w.ra);
 
   std::vector<std::unique_ptr<Client>> clients;
@@ -379,12 +379,11 @@ FusionPhaseResult run_fusion_phase(Workload& w, int sessions) {
   constexpr int kSubmitters = 4;
   constexpr int kDrivers = 16;
   rbc::bench::print_title(
-      "Lane fusion — continuous batching of hash work across sessions");
+      "Lane fusion — small sessions in turns on one pump thread");
   std::printf(
       "%d-session open-loop burst (SHA-3, d=2), %d drivers, 1 shard;\n"
-      "fused runs multiplex every in-flight session's candidate stream into "
-      "shared\n64-lane hash batches (cached shell tables replace per-session "
-      "shell iterators).\n",
+      "fused runs give every in-flight session's scan a 64-lane turn per "
+      "round\non one pump thread.\n",
       sessions, kDrivers);
 
   FusionPhaseResult p;
@@ -454,8 +453,8 @@ void write_fusion_json(const std::string& path, int sessions,
                "  \"fusion_burst\": {\n"
                "    \"note\": \"%d-session open-loop burst, SHA-3 d=2, 16 "
                "drivers, 1 shard, non-realtime channel; fused = per-shard "
-               "FusionEngine multiplexing all in-flight candidate streams "
-               "into shared 64-lane tagged batches\",\n",
+               "FusionEngine giving every in-flight session's scan "
+               "64-lane turns on one pump thread\",\n",
                sessions);
   emit_run("solo", p.unfused, false);
   emit_run("fused", p.fused, false);

@@ -131,8 +131,9 @@ fi
 step_10() {
 echo "=== [10/17] bench smoke: lane fusion -> build-release/BENCH_PR8.json ==="
 # The fusion engine's acceptance run: the 4096-session SHA-3 d=2 burst solo
-# and fused. The binary exits nonzero unless fused throughput is >= 1.3x
-# solo with lane occupancy >= 0.9 and zero corrupt registrations.
+# and fused (every session's scan in 64-lane turns on the shard's one pump
+# thread). The binary exits nonzero unless fused throughput is >= 1.3x solo
+# with lane occupancy >= 0.9 and zero corrupt registrations.
 if [[ "${RBC_CI_BENCH:-1}" == "1" ]]; then
   ./build-release/bench/bench_server_throughput --fusion-only \
     --json build-release/BENCH_PR8.json
@@ -203,21 +204,21 @@ echo "=== [15/17] ctest (tsan: concurrency suites) ==="
 # runs the sharded server (shards > 1) through concurrent submit/stats/
 # shutdown; ChaosServer does the same over lossy channels with per-session
 # fault forks; EnrollmentDatabaseConcurrency hammers the striped store;
-# FusionEngine/FusionServer drive the fused batch pump from many drivers;
+# FusionEngine/FusionServer drive the fused engine's pump from many drivers;
 # StreamContract checks every candidate stream's cursor;
 # OrderedSearch/OrderedFusion/OrderedServer run the reliability-ordered
-# stream through multi-threaded solo scans, mixed-order fused batches and
-# a full server burst; ShellCacheLru hammers the shared shell-mask cache;
-# ChasePlanCache and SingleFlightCache cover the process-wide tile-plan cache
-# (concurrent first fetches, cut walks, waiters polling their own deadline);
+# stream through multi-threaded solo scans, mixed-order fused sessions and
+# a full server burst; ChasePlanCache and SingleFlightCache cover the
+# process-wide tile-plan cache (concurrent first fetches, cut walks, waiters
+# polling their own deadline, LRU eviction);
 # ShardStress includes concurrent same-device submits drawing their salts;
-# Obs* covers the lock-free trace ring under concurrent writers/snapshots,
-# mid-traffic metrics export, and the shell-cache counter churn case;
+# Obs* covers the lock-free trace ring under concurrent writers/snapshots
+# and mid-traffic metrics export;
 # SearchOracle runs every threaded search path against brute force.
 # (ctest registers gtest CASE names, so the filter matches suite prefixes.)
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
   --output-on-failure -j "$JOBS" \
-  -R 'SearchOracle|WorkerGroup|SearchContext|ServerStress|ShardStress|ChaosProtocol|ChaosServer|EnrollmentDatabaseConcurrency|RbcSearch|Backend|Protocol|LaunchKernel|SaltedKernel|DistSearch|Communicator|HashBatch|TileScheduler|TileSchedulerStress|ScheduleEquivalence|HeteroCoSearch|SeekEquivalence|ShellTiler|StreamContract|FusionStream|FusionBatch|FusionEngine|FusionServer|OrderedSearch|OrderedFusion|OrderedServer|ShellCacheLru|ChasePlanCache|SingleFlightCache|Obs'
+  -R 'SearchOracle|WorkerGroup|SearchContext|ServerStress|ShardStress|ChaosProtocol|ChaosServer|EnrollmentDatabaseConcurrency|RbcSearch|Backend|Protocol|LaunchKernel|SaltedKernel|DistSearch|Communicator|HashBatch|TileScheduler|TileSchedulerStress|ScheduleEquivalence|HeteroCoSearch|SeekEquivalence|ShellTiler|StreamContract|FusionStream|FusionEngine|FusionServer|OrderedSearch|OrderedFusion|OrderedServer|ChasePlanCache|SingleFlightCache|Obs'
 }
 
 step_16() {

@@ -1,9 +1,8 @@
 // A bounded LRU cache of immutable values whose misses are single-flight:
 // concurrent fetches of one key wait for ONE build instead of each building
-// the value. Two process-wide caches use it — the shell mask tables of the
-// fused search (rbc/candidate_stream.cpp) and the Chase tile plans of the
-// tiled searches (combinatorics/chase382.cpp) — because both values are
-// O(C(n, k)) walks that every session would otherwise repeat.
+// the value. The process-wide cache of Chase tile plans
+// (combinatorics/chase382.cpp) uses it: a plan is an O(C(n, k)) walk that
+// every tiled search would otherwise repeat.
 //
 // A build may give up (return nullptr): a deadline cut its walk short. A
 // given-up build is neither retained nor handed to the fetches waiting on
@@ -114,13 +113,6 @@ class SingleFlightCache {
     return stats_;
   }
 
-  /// Sets the LRU capacity and evicts down to it.
-  void set_capacity(u64 capacity) {
-    std::lock_guard lock(mutex_);
-    capacity_ = capacity;
-    evict_to_capacity();
-  }
-
  private:
   /// How often a fetch waiting on another's build polls its stop predicate.
   static constexpr std::chrono::milliseconds kStopPoll{2};
@@ -171,8 +163,8 @@ class SingleFlightCache {
 
   const CostFn cost_;
   const u64 max_retained_cost_;
+  const u64 capacity_;
   mutable std::mutex mutex_;  // guards every member below
-  u64 capacity_;
   std::condition_variable built_;  // one flight finished (any key)
   std::map<Key, Entry> entries_;
   std::map<Key, std::shared_ptr<Flight>> building_;

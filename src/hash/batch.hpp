@@ -1,8 +1,9 @@
 // BatchSeedHash — the batched hash policy layer over SeedHash, and the one
 // scan primitive every search loop runs.
 //
-// The search hot loop (rbc_search, the emulated GPU kernels, the
-// distributed ranks) is monomorphized over a hash policy. A BatchSeedHash
+// The search hot loop (rbc_search, the fused engine's sessions, the
+// emulated GPU kernels, the distributed ranks) is monomorphized over a
+// hash policy. A BatchSeedHash
 // extends the SeedHash contract with block forms — `hash_batch(seeds, n,
 // out)` for full digests and `hash_heads(seeds, n, heads)` for 64-bit
 // digest heads — that compress many candidates per call through the
@@ -20,8 +21,7 @@
 // AVX-512, SHA-3 and an inline source (Chase) run §4.5's fused
 // iterator+hash kernel (keccak_lanes.hpp), which takes the source's steps
 // between its Keccak rounds; everywhere else the block is produced after
-// the current one is hashed. The fused form hash_seed_block_tagged shares
-// its head prefilter across many targets.
+// the current one is hashed.
 //
 // The policies' scalar operator() remains the exact fixed-padding fast path,
 // which is what makes batch-vs-scalar equivalence directly testable lane by
@@ -196,32 +196,6 @@ class SeedScan {
   std::size_t cur_ = 0;      // the pending block's index in blocks_
   std::size_t pending_ = 0;  // its lanes
 };
-
-/// Maximum lanes per tagged block — the hit mask is one u64.
-inline constexpr std::size_t kMaxTaggedLanes = 64;
-
-/// Fused-batch form: one heads-only multi-lane compression over `n`
-/// candidates that belong to DIFFERENT searches. `tags[i]` names lane i's
-/// stream and `stream_heads[tags[i]]` is that stream's target digest head;
-/// the returned bitmask has bit i set when lane i survives the head
-/// prefilter (the caller confirms survivors with the policy's scalar hash
-/// against the stream's full digest). The kernels already treat lanes as
-/// unrelated buffers, so cross-session batches cost exactly what
-/// same-session batches do — this is the primitive the server's
-/// FusionEngine feeds.
-template <SeedHash H>
-inline u64 hash_seed_block_tagged(const H& h, const Seed256* seeds,
-                                  std::size_t n, const u16* tags,
-                                  const u64* stream_heads) noexcept {
-  if (n > kMaxTaggedLanes) n = kMaxTaggedLanes;
-  std::array<u64, kMaxTaggedLanes> heads;
-  hash_seed_heads(h, seeds, n, heads.data());
-  u64 hits = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (heads[i] == stream_heads[tags[i]]) hits |= u64{1} << i;
-  }
-  return hits;
-}
 
 /// Batched SHA-1 policy: scalar calls take the fixed-padding fast path,
 /// blocks go through the 4/8-lane multi-buffer kernels.

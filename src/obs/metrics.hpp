@@ -2,8 +2,8 @@
 //
 // The serving stack already keeps every number an operator wants —
 // ServerStats counters, LinkStats fault/ARQ tallies, FusionEngine lane
-// accounting, the process-wide ShellMaskCache — but each in its own struct
-// with its own accessor. MetricsRegistry is the flattening seam: callers
+// accounting, the flight recorder — but each in its own struct with its own
+// accessor. MetricsRegistry is the flattening seam: callers
 // (AuthServer::export_metrics, the throughput bench's --metrics-out)
 // register named counter/gauge series once per snapshot and render them as
 //

@@ -47,7 +47,7 @@ enum class SpanKind : u8 {
   kQueueWait = 2,   // admission -> driver pickup; value = admission seq
   kSearchShell = 3, // one Hamming shell scanned; detail = shell, value = hashed
   kRetransmit = 4,  // one ARQ retransmission; detail = attempt, value = seq
-  kFusionLane = 5,  // fused-engine residency; detail = last shell, value = dealt
+  kFusionLane = 5,  // fused residency; detail = last shell, value = lanes hashed
   kVerdict = 6,     // dispatch -> outcome; detail = Verdict, value = seeds_hashed
 };
 

@@ -3,39 +3,32 @@
 // rbc_search's enumeration order is a protocol-visible contract: verdicts
 // and the per-session `seeds_hashed` accounting both depend on the exact
 // visit order (S_init first, then shells 1..d in the iterator family's
-// sequence). A CandidateStream reifies that order as a *resumable* cursor —
-// fill(seeds, n) produces the next n candidates and can stop at any point —
-// so the same enumeration can be driven by a private search loop (the
-// single-unit search in search.hpp) or interleaved with other sessions'
-// streams by the server's fusion engine (server/fusion_engine.hpp), which
-// deals lane slots of one shared hash batch across many streams.
+// sequence). A CandidateStream reifies that order as a *resumable* cursor:
+// fill(seeds, n) produces the next n candidates and can stop at any point.
 //
 // Contract (tests/fusion_test.cpp's StreamContract pins it for every
 // stream):
 //   * The first fill() emits exactly one candidate: S_init (distance 0).
 //   * A single fill() never crosses a shell boundary — every candidate of
-//     one call sits in one shell, reported by last_shell(). Callers that
-//     mirror the solo loop's between-shell deadline checks get a natural
-//     seam at each short return.
+//     one call sits in one shell, reported by last_shell().
 //   * Shell k yields each of its C(n, k) masks once, in the stream's order,
 //     so counting every produced candidate up to and including a match
 //     reproduces the solo `seeds_hashed` exactly.
 //
-// The cursor (S_init, the shell advance, position, skip_base) is the base
-// class; a stream only opens shell k and fills from it. BallStream and
+// The cursor (S_init, the shell advance, position) is the base class; a
+// stream only opens shell k and fills from it. BallStream and
 // OrderedBallStream also hand out shell k's candidate source
-// (shell_candidates(k)), which the solo search scans directly: its scan
-// (rbc/search.hpp) makes no virtual call per block. Three orders:
+// (shell_candidates(k)), which every single-unit search scans directly,
+// with no virtual call per block: the solo search (rbc/search.hpp) and
+// each fused session (server/fusion_engine.hpp) alike. Three orders:
 //   * BallStream<Factory>: the iterator family's canonical order, from the
 //     shell's one-tile plan (the tiles of every other plan concatenate to
 //     it). Opening costs an unrank (Gosper, Algorithm 515) or a cached
 //     initial state (Chase): no walk.
-//   * TableCandidateStream: the same order from process-wide cached
-//     XOR-mask tables (ShellMaskCache), O(1) per candidate. The walk that
-//     builds a shell's table is paid once per process instead of once per
-//     session — the fusion engine's per-session setup win. Memory is
-//     bounded by the fusion admission threshold (a mask is stored as its k
-//     bit positions, one byte each; a d<=2 ball over 256 bits is ~65 KiB).
+//   * TableCandidateStream: the same order from XOR-mask tables the stream
+//     builds at construction, one walk of each shell, then O(1) per
+//     candidate. No search uses it: perfbench times it as the table-driven
+//     alternative to the shell iterators.
 //   * OrderedBallStream: maximum-likelihood-first within each shell.
 // The CA alone picks the order (protocol.hpp), solo or fused: its backend's
 // iterator family, or under CaConfig::search_order the record's profile.
@@ -69,13 +62,6 @@ class CandidateStream {
   /// Writes up to `n` candidate seeds, all from one shell, in the stream's
   /// order. Returns the count produced; 0 means the ball is exhausted.
   std::size_t fill(Seed256* seeds, std::size_t n);
-
-  /// Starts the cursor after distance 0 — for callers (rbc_search) that
-  /// have already hashed S_init themselves.
-  void skip_base() {
-    RBC_CHECK(position_ == 0);
-    position_ = 1;
-  }
 
   /// Shell (Hamming distance) of the candidates the most recent fill()
   /// produced; 0 before the first fill of a shell.
@@ -188,84 +174,6 @@ class BallStream final : public CandidateStream {
 
   Factory factory_;
   std::optional<Source> shell_;  // the open shell
-};
-
-/// Process-wide cache of per-shell XOR-delta tables: table entry i is the
-/// i-th mask of shell k in the iterator family's canonical order. Built
-/// once per (iterator, n_bits, k) by walking the shell — every later stream
-/// steps through it at O(1) per candidate without opening a shell iterator.
-/// Thread-safe; entries are immutable once published. The single-flight and
-/// LRU logic is common/single_flight_cache.hpp, shared with the Chase
-/// tile-plan cache.
-///
-/// The cache is bounded: total retained masks are capped (LRU eviction,
-/// least-recently-fetched table first), so a long-lived server process that
-/// cycles through many (iterator, n_bits, k) keys holds bounded memory.
-/// The most recently fetched table is never evicted, so the cap is soft by
-/// at most one table. Outstanding shared_ptrs keep evicted tables alive
-/// until their streams drain.
-class ShellMaskCache {
- public:
-  /// One shell's masks in canonical order. Each mask is stored as its k set
-  /// bit positions, one byte each (n_bits <= 256), instead of a 32-byte
-  /// Seed256: 2 bytes per mask at k = 2. Candidates are rebuilt by XOR-ing
-  /// k single-bit masks from a static 256-entry table.
-  class Table {
-   public:
-    explicit Table(int k) : k_(static_cast<std::size_t>(k)) {}
-
-    /// Makes room for exactly `masks` masks, so building never regrows.
-    void reserve(std::size_t masks) { bits_.reserve(masks * k_); }
-    /// Appends `mask`, which must have exactly k bits set.
-    void push_back(const Seed256& mask);
-
-    std::size_t size() const noexcept { return bits_.size() / k_; }
-    /// Mask `i`.
-    Seed256 operator[](std::size_t i) const noexcept;
-    /// out[j] = base ^ mask(first + j) for j in [0, n).
-    void xor_masks(const Seed256& base, std::size_t first, std::size_t n,
-                   Seed256* out) const noexcept;
-
-   private:
-    std::size_t k_;
-    std::vector<u8> bits_;  // mask i's bit positions at [k*i, k*i + k)
-  };
-
-  /// Process-wide counters, surfaced through ServerStats and the metrics
-  /// export. Counter updates and this snapshot share the cache mutex, so a
-  /// snapshot is internally consistent (never a torn hits/misses pair from
-  /// mid-update) and safe to call concurrently with get()/set_capacity()
-  /// from any thread — the ObsShellCacheTorn TSan stress pins this.
-  struct Stats {
-    u64 hits = 0;         // includes fetches that waited for another's build
-    u64 misses = 0;       // table built on this fetch
-    u64 evictions = 0;    // tables dropped by the LRU cap
-    u64 cached_masks = 0; // masks currently retained
-    u64 cached_tables = 0;
-  };
-
-  /// Fetches (building on first use) the mask table for shell k. The first
-  /// fetch of a key builds it; concurrent fetches of the same key wait for
-  /// that build, while other keys build in parallel. CHECK-fails on shells
-  /// too large to sensibly materialize (the fusion admission threshold keeps
-  /// real callers far below the cap).
-  static std::shared_ptr<const Table> get(sim::IterAlgo iter, int k,
-                                          int n_bits = comb::kSeedBits);
-
-  static Stats stats();
-
-  /// Sets the LRU capacity in total masks (k bytes each) and evicts down to
-  /// it. Process-wide; tests should restore kDefaultCapacityMasks afterwards.
-  static void set_capacity(u64 max_masks);
-
-  /// Hard size cap per shell table, in masks (k bytes each). Guards the cache
-  /// against a misconfigured threshold; d<=3 over 256 bits fits.
-  static constexpr u64 kMaxTableMasks = u64{1} << 22;
-
-  /// Default LRU capacity in total masks (at most 6 MiB for shells k <= 3):
-  /// the full d<=2 working set of every iterator family plus slack for
-  /// small-n_bits test tables.
-  static constexpr u64 kDefaultCapacityMasks = u64{1} << 21;
 };
 
 /// One shell of an OrderedBallStream as a candidate source: the shell's
@@ -400,9 +308,10 @@ inline std::size_t OrderedBallStream::fill_shell(Seed256* seeds,
   return produced;
 }
 
-/// O(1)-resume candidate stream over cached shell tables. Construction
-/// fetches the tables for shells 1..max_distance (building any that are not
-/// cached yet — a once-per-process cost); stepping is an XOR per candidate.
+/// A ball's candidates from XOR-mask tables: construction walks shells
+/// 1..max_distance once through the iterator family and stores each mask
+/// as its k bit positions, one byte each; stepping is then k XORs per
+/// candidate.
 class TableCandidateStream final : public CandidateStream {
  public:
   TableCandidateStream(const Seed256& s_init, int max_distance,
@@ -412,9 +321,10 @@ class TableCandidateStream final : public CandidateStream {
   void open_shell(int k) override;
   std::size_t fill_shell(Seed256* seeds, std::size_t n) override;
 
-  std::vector<std::shared_ptr<const ShellMaskCache::Table>> tables_;
-  const ShellMaskCache::Table* table_ = nullptr;  // the open shell's
-  std::size_t index_ = 0;  // cursor within the open shell's table
+  /// bits_[k][k*i .. k*i + k) are shell k's mask i's bit positions.
+  std::vector<std::vector<u8>> bits_;
+  std::size_t k_ = 0;      // the open shell
+  std::size_t index_ = 0;  // cursor within the open shell's masks
 };
 
 }  // namespace rbc

@@ -117,8 +117,8 @@ class SearchBackend {
 /// seeds_hashed to what the backend's single-thread search would report,
 /// which is why the CA passes the backend's iterator `family` along: the
 /// order is the CA's, never the offload's.
-/// The concrete implementation is server::FusionEngine, which multiplexes
-/// many sessions' candidate streams into shared full-width hash batches.
+/// The concrete implementation is server::FusionEngine, whose one pump
+/// thread gives many sessions' scans turns.
 class SearchOffload {
  public:
   virtual ~SearchOffload() = default;

@@ -316,10 +316,10 @@ class CertificateAuthority {
   /// `session`, when non-null, carries the session deadline into the search
   /// (queue and communication time already spent count against the
   /// threshold). `offload`, when non-null, is consulted before the backend:
-  /// a serving shard passes its FusionEngine here so small searches join the
-  /// shared cross-session hash batches; a decline falls through to the
-  /// backend unchanged. Either way the search walks the order the CA
-  /// decides: CaConfig::search_order and the backend's iterator family.
+  /// a serving shard passes its FusionEngine here so small searches run on
+  /// its pump thread; a decline falls through to the backend unchanged.
+  /// Either way the search walks the order the CA decides:
+  /// CaConfig::search_order and the backend's iterator family.
   net::AuthResult process_digest(const net::HandshakeRequest& handshake,
                                  const net::Challenge& challenge,
                                  const net::DigestSubmission& submission,

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/shard_hash.hpp"
-#include "rbc/candidate_stream.hpp"
 
 namespace rbc::server {
 
@@ -58,11 +57,11 @@ constexpr CounterRow kCounterRows[] = {
     {&SessionCounters::fusion_declined, "rbc_fusion_declined_total",
      "Sessions fusion declined"},
     {&SessionCounters::fusion_batches, "rbc_fusion_batches_total",
-     "Fused hash batches issued"},
+     "Fused rounds that hashed a block"},
     {&SessionCounters::fusion_lanes_filled, "rbc_fusion_lanes_filled_total",
-     "Lane slots carrying work"},
+     "Hashed lanes judged"},
     {&SessionCounters::fusion_lanes_issued, "rbc_fusion_lanes_issued_total",
-     "Lane slots dealt"},
+     "Lanes hashed"},
     // Observability subsystem self-accounting.
     {&SessionCounters::trace_events_recorded,
      "rbc_trace_events_recorded_total", "Trace records published"},
@@ -177,7 +176,6 @@ ServerStats AuthServer::aggregate(
   agg.mean_canonical_rank = ratio(agg.canonical_rank_sum, agg.ranked_sessions);
   agg.lane_occupancy = ratio(agg.fusion_lanes_filled, agg.fusion_lanes_issued);
   agg.mean_session_s = ratio(agg.session_time_sum, agg.completed);
-  agg.shell_cache = ShellMaskCache::stats();
   // merged_percentile itself renders 0.0 for no/empty reservoirs now, but
   // skipping the call keeps the pre-traffic path allocation-free.
   if (!reservoirs.empty()) {
@@ -218,15 +216,6 @@ std::string AuthServer::export_metrics(obs::MetricsFormat format) const {
             s.mean_hit_rank);
   reg.gauge("rbc_mean_canonical_rank",
             "Mean canonical-order rank of the hit", s.mean_canonical_rank);
-  // Shell-mask cache (process-wide, shared by every server).
-  reg.counter("rbc_shell_cache_hits_total", "Shell mask table cache hits",
-              static_cast<double>(s.shell_cache.hits));
-  reg.counter("rbc_shell_cache_misses_total", "Shell mask table cache misses",
-              static_cast<double>(s.shell_cache.misses));
-  reg.counter("rbc_shell_cache_evictions_total", "Shell tables evicted",
-              static_cast<double>(s.shell_cache.evictions));
-  reg.gauge("rbc_shell_cache_masks", "Masks currently cached",
-            static_cast<double>(s.shell_cache.cached_masks));
   reg.counter("rbc_flight_records_total", "Failures flight-recorded",
               static_cast<double>(s.flight_records));
   // Point-in-time gauges, aggregate and per-shard.
@@ -252,7 +241,7 @@ std::string AuthServer::export_metrics(obs::MetricsFormat format) const {
   reg.gauge("rbc_session_time_seconds_p95",
             "p95 session time (reservoir estimate)", s.p95_session_s);
   reg.gauge("rbc_fusion_lane_occupancy",
-            "Filled fraction of dealt lane slots", s.lane_occupancy);
+            "Judged fraction of hashed lanes", s.lane_occupancy);
   return reg.render(format);
 }
 

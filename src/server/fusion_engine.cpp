@@ -1,14 +1,13 @@
 #include "server/fusion_engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <future>
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -21,41 +20,28 @@
 namespace rbc::server {
 namespace {
 
-/// One admitted search: a resumable stream plus the bookkeeping that makes
-/// its retirement byte-equal to a solo run. Heap-allocated so ctx can point
-/// into own_ctx without move hazards.
-template <typename H>
+/// What one turn hashed: the lanes of its blocks and the candidates judged
+/// in them (all but the lanes past a match).
+struct Turn {
+  u64 lanes = 0;
+  u64 judged = 0;
+};
+
+/// One admitted search: the bookkeeping that makes its retirement
+/// byte-equal to a solo run. ScanJob adds the typed scan, so searches of
+/// every hash and stream share the pump's one queue. Pinned on the heap:
+/// ctx may point into own_ctx, and ScanJob's scan into its own members.
 struct Job {
-  Job(const Seed256& init, sim::IterAlgo family, const SearchOptions& opts)
-      : s_init(init) {
-    // The solo search's rule (rbc_search): a reliability order selects the
-    // likelihood-first stream, otherwise the backend family's canonical one.
-    if (opts.reliability != nullptr) {
-      stream = std::make_unique<OrderedBallStream>(
-          init, opts.max_distance, opts.reliability, opts.ordered_budget);
-    } else {
-      stream =
-          std::make_unique<TableCandidateStream>(init, opts.max_distance, family);
-    }
-  }
+  explicit Job(const Seed256& init) : s_init(init) {}
+  Job(const Job&) = delete;
+  Job& operator=(const Job&) = delete;
+  virtual ~Job() = default;
 
-  Seed256 s_init;
-  std::unique_ptr<CandidateStream> stream;
-  typename H::digest_type target;
-  u64 head = 0;  // target digest's first 8 bytes (prefilter word)
-  std::optional<par::SearchContext> own_ctx;
-  par::SearchContext* ctx = nullptr;
-  u64 admit_seq = 0;
-  u64 counted = 0;   // judged candidates — the solo seeds_hashed at retire
-  u64 reported = 0;  // prefix of `counted` already flushed to add_progress
-  u64 dealt = 0;     // candidates handed to batches (includes speculative)
-  int batch_tag = -1;
-  detail::Match match;
-  bool stopped = false;  // deadline expired or cancelled (latched)
-  bool drained = false;  // ball exhausted
-  WallTimer timer;
-  std::promise<SearchResult> promise;
+  /// Runs one turn: the first hashes S_init alone, each later one scans up
+  /// to `blocks` blocks and ends at a match. Sets `match` or `drained`.
+  virtual Turn turn(std::size_t blocks) = 0;
 
+  bool started() const { return counted > 0; }  // S_init hashed
   bool done() const { return match || stopped || drained; }
 
   /// Publishes the judged candidates not yet reported to the session.
@@ -63,22 +49,124 @@ struct Job {
     if (counted > reported) ctx->add_progress(counted - reported);
     reported = counted;
   }
+
+  void record(const Seed256& seed) {
+    match = {seed, shell};
+    ctx->signal_match();
+  }
+
+  const Seed256 s_init;
+  std::optional<par::SearchContext> own_ctx;
+  par::SearchContext* ctx = nullptr;
+  u64 admit_seq = 0;
+  int shell = 0;     // the shell of the last block hashed
+  u64 counted = 0;   // judged candidates — the solo seeds_hashed
+  u64 reported = 0;  // prefix of `counted` already flushed to the session
+  u64 lanes = 0;     // lanes of the blocks hashed
+  detail::Match match;
+  bool stopped = false;  // deadline expired or cancelled (latched)
+  bool drained = false;  // ball exhausted
+  WallTimer timer;
+  std::promise<SearchResult> promise;
 };
+
+template <typename Digest>
+Digest typed_digest(ByteSpan bytes) {
+  Digest digest;
+  std::memcpy(digest.bytes.data(), bytes.data(), digest.bytes.size());
+  return digest;
+}
+
+/// A search as the solo single-unit scan runs it (detail::scan_stream):
+/// one SeedScan over shell k's candidate source, stream.shell_candidates(k),
+/// for k = 1..d.
+template <hash::SeedHash H, typename Stream>
+class ScanJob final : public Job {
+ public:
+  /// `stream_args` follow S_init in Stream's constructor.
+  template <typename... Args>
+  ScanJob(const Seed256& init, ByteSpan digest, Args&&... stream_args)
+      : Job(init),
+        target_(typed_digest<typename H::digest_type>(digest)),
+        stream_(init, std::forward<Args>(stream_args)...) {}
+
+  Turn turn(std::size_t blocks) override {
+    Turn t;
+    if (!started()) {
+      // The solo search's distance 0 (detail::matches_at_distance_zero).
+      counted = 1;
+      if (hash_(s_init) == target_) record(s_init);
+      return t;
+    }
+    for (std::size_t b = 0; b < blocks; ++b) {
+      if (!open_pending()) {
+        drained = true;
+        break;
+      }
+      const hash::BlockScan block = scan_.step(*source_);
+      t.lanes += hash::SeedScan<H>::kLanes;
+      t.judged += block.counted;
+      if (block.found()) {
+        record(*block.match);
+        break;
+      }
+    }
+    counted += t.judged;
+    return t;
+  }
+
+ private:
+  /// Opens shells until one has a block pending; false once the ball is
+  /// drained.
+  bool open_pending() {
+    while (!scan_.pending()) {
+      if (shell == stream_.max_distance()) return false;
+      source_.emplace(stream_.shell_candidates(++shell));
+      scan_.start(*source_);
+    }
+    return true;
+  }
+
+  const H hash_{};
+  const typename H::digest_type target_;
+  Stream stream_;
+  std::optional<decltype(std::declval<const Stream&>().shell_candidates(1))>
+      source_;  // the open shell's
+  hash::SeedScan<H> scan_{hash_, target_, /*stop_at_match=*/true};
+};
+
+/// The solo search's rule (rbc_search): a reliability order selects the
+/// likelihood-first stream, otherwise the backend family's canonical one.
+template <hash::SeedHash H>
+std::unique_ptr<Job> make_job(const Seed256& s_init, ByteSpan digest,
+                              sim::IterAlgo family, const SearchOptions& opts) {
+  if (opts.reliability != nullptr) {
+    return std::make_unique<ScanJob<H, OrderedBallStream>>(
+        s_init, digest, opts.max_distance, opts.reliability,
+        opts.ordered_budget);
+  }
+  return with_factory(
+      family, comb::kSeedBits,
+      [&](const auto& factory) -> std::unique_ptr<Job> {
+        using Stream = BallStream<std::decay_t<decltype(factory)>>;
+        return std::make_unique<ScanJob<H, Stream>>(
+            s_init, digest, opts.max_distance, factory);
+      });
+}
 
 /// Mirrors the solo rbc_search tail: a drained ball without a match still
 /// takes the post-loop deadline poll, then detail::finish writes the
 /// verdict.
-template <typename H>
-SearchResult retire_result(Job<H>& j) {
+void retire(Job& j) {
   j.flush_progress();
   // Lane-residency span: how long this session lived inside the fused
-  // engine (admission to retirement), how far its stream got and how many
-  // lane slots it consumed (dealt >= counted when lanes past a match were
-  // speculative). The pump thread writes it BEFORE set_value resolves the
-  // driver's future, so the span always precedes the session's verdict.
+  // engine (admission to retirement), how far its scan got and how many
+  // lanes its blocks took. The pump thread writes it BEFORE set_value
+  // resolves the driver's future, so the span always precedes the
+  // session's verdict.
   if (obs::SessionTrace* trace = j.ctx->trace()) {
     trace->span_ending_now(obs::SpanKind::kFusionLane, j.timer.elapsed_s(),
-                           static_cast<u32>(j.stream->last_shell()), j.dealt);
+                           static_cast<u32>(j.shell), j.lanes);
   }
   SearchResult r;
   r.seeds_hashed = j.counted;
@@ -88,203 +176,106 @@ SearchResult retire_result(Job<H>& j) {
     j.ctx->check_deadline();
   }
   detail::finish(r, j.match, *j.ctx, j.timer);
-  return r;
+  j.promise.set_value(r);
 }
 
 }  // namespace
 
 struct FusionEngine::Impl {
-  template <typename H>
-  struct Queue {
-    std::deque<std::unique_ptr<Job<H>>> pending;  // guarded by mu
-    std::vector<std::unique_ptr<Job<H>>> active;  // pump-owned
-  };
-
   explicit Impl(int lanes)
-      : batch_lanes(std::clamp(lanes, 1,
-                               static_cast<int>(hash::kMaxTaggedLanes))) {
+      : turn_blocks((static_cast<std::size_t>(std::max(lanes, 1)) +
+                     hash::LaneBlock::kLanes - 1) /
+                    hash::LaneBlock::kLanes) {
     pump = std::thread([this] { pump_loop(); });
   }
 
-  const int batch_lanes;
+  const std::size_t turn_blocks;  // blocks a turn may hash
   mutable std::mutex mu;
   std::condition_variable cv;
-  bool shutting_down = false;  // guarded by mu
-  FusionStats stats;           // guarded by mu
-  u64 admit_seq = 0;           // guarded by mu
-  Queue<hash::Sha1BatchSeedHash> sha1;
-  Queue<hash::Sha3BatchSeedHash> sha3;
+  bool shutting_down = false;                 // guarded by mu
+  FusionStats stats;                          // guarded by mu
+  u64 admit_seq = 0;                          // guarded by mu
+  std::vector<std::unique_ptr<Job>> pending;  // guarded by mu
   std::mutex join_mu;
   std::thread pump;
 
-  template <typename H>
-  void drain_pending_locked(Queue<H>& q) {
-    while (!q.pending.empty()) {
-      q.active.push_back(std::move(q.pending.front()));
-      q.pending.pop_front();
-    }
-  }
-
   void pump_loop() {
+    std::vector<std::unique_ptr<Job>> active;  // pump-owned
+    const auto admit_pending = [&] {
+      for (auto& j : pending) active.push_back(std::move(j));
+      pending.clear();
+    };
     for (;;) {
       {
         std::unique_lock lk(mu);
         cv.wait(lk, [&] {
-          return shutting_down || !sha1.pending.empty() ||
-                 !sha3.pending.empty() || !sha1.active.empty() ||
-                 !sha3.active.empty();
+          return shutting_down || !pending.empty() || !active.empty();
         });
         if (shutting_down) break;
-        drain_pending_locked(sha1);
-        drain_pending_locked(sha3);
+        admit_pending();
       }
-      run_batch(sha1);
-      run_batch(sha3);
+      run_round(active);
     }
-    abort_queue(sha1);
-    abort_queue(sha3);
+    // Shutdown: cancel and retire everything still queued or active.
+    {
+      std::lock_guard lk(mu);
+      admit_pending();
+    }
+    for (auto& j : active) {
+      j->ctx->cancel();
+      retire(*j);
+    }
   }
 
-  /// Deals one fused batch over q.active, hashes it to digest heads through
-  /// the tagged multi-lane kernel, judges the lanes (a head hit is confirmed
-  /// with the scalar hash) and retires finished streams.
-  template <typename H>
-  void run_batch(Queue<H>& q) {
-    if (q.active.empty()) return;
-    const std::size_t L = static_cast<std::size_t>(batch_lanes);
-    std::array<Seed256, hash::kMaxTaggedLanes> seeds;
-    std::array<u16, hash::kMaxTaggedLanes> tags;
-    std::array<int, hash::kMaxTaggedLanes> lane_shell;
-    std::array<u64, hash::kMaxTaggedLanes> heads;
-    std::array<Job<H>*, hash::kMaxTaggedLanes> batch_jobs;
-    std::size_t num_tags = 0;
-    for (auto& j : q.active) j->batch_tag = -1;
-
-    // One clock read serves every stop check this batch; streams that
-    // expire mid-batch are caught at the next batch's read, a cadence at
+  /// One round: each active search, earliest deadline first, is stopped or
+  /// takes a turn; then the finished ones retire.
+  void run_round(std::vector<std::unique_ptr<Job>>& active) {
+    std::sort(active.begin(), active.end(), [](const auto& a, const auto& b) {
+      const auto da = a->ctx->deadline();
+      const auto db = b->ctx->deadline();
+      if (da != db) return da < db;
+      return a->admit_seq < b->admit_seq;
+    });
+    // One clock read serves every stop check this round; a search that
+    // expires mid-round is caught at the next round's read, a cadence at
     // least as tight as the solo loop's check_interval.
     const auto now = par::SearchContext::Clock::now();
-
-    // Deal lane slots in EDF order, round by round, until the batch is full
-    // or nothing is left to deal. The stop check runs before every fill of
-    // a stream that has already been dealt once — the unconditional first
-    // fill produces exactly the d0 candidate, mirroring the solo path where
-    // S_init is hashed before any deadline poll.
-    std::size_t filled = 0;
-    std::vector<Job<H>*> runnable;
-    runnable.reserve(q.active.size());
-    while (filled < L) {
-      runnable.clear();
-      for (auto& j : q.active) {
-        if (!j->done()) runnable.push_back(j.get());
-      }
-      if (runnable.empty()) {
-        // Same-batch backfill: every live stream retired mid-deal, so pull
-        // whatever is queued straight into this batch's remaining lanes.
-        std::lock_guard lk(mu);
-        if (q.pending.empty()) break;
-        drain_pending_locked(q);
+    Turn round;
+    for (auto& j : active) {
+      // S_init is hashed before the first stop check, as on the solo path.
+      if (j->started() &&
+          (j->ctx->cancel_requested() || now >= j->ctx->deadline())) {
+        j->ctx->check_deadline();  // latch timed_out when it's the cause
+        j->stopped = true;
         continue;
       }
-      std::sort(runnable.begin(), runnable.end(),
-                [](const Job<H>* a, const Job<H>* b) {
-                  const auto da = a->ctx->deadline();
-                  const auto db = b->ctx->deadline();
-                  if (da != db) return da < db;
-                  return a->admit_seq < b->admit_seq;
-                });
-      const std::size_t share =
-          std::max<std::size_t>(1, (L - filled) / runnable.size());
-      for (Job<H>* j : runnable) {
-        if (filled >= L) break;
-        if (j->dealt > 0 &&
-            (j->ctx->cancel_requested() || now >= j->ctx->deadline())) {
-          j->ctx->check_deadline();  // latch timed_out when it's the cause
-          j->stopped = true;
-          continue;
-        }
-        const std::size_t got =
-            j->stream->fill(&seeds[filled], std::min(share, L - filled));
-        if (got == 0) {
-          j->drained = true;
-          continue;
-        }
-        if (j->batch_tag < 0) {
-          j->batch_tag = static_cast<int>(num_tags);
-          batch_jobs[num_tags] = j;
-          heads[num_tags] = j->head;
-          ++num_tags;
-        }
-        const int shell = j->stream->last_shell();
-        for (std::size_t i = 0; i < got; ++i) {
-          tags[filled + i] = static_cast<u16>(j->batch_tag);
-          lane_shell[filled + i] = shell;
-        }
-        j->dealt += got;
-        filled += got;
-      }
+      const Turn t = j->turn(turn_blocks);
+      j->lanes += t.lanes;
+      j->flush_progress();
+      round.lanes += t.lanes;
+      round.judged += t.judged;
     }
-
-    if (filled > 0) {
-      const H hasher;
-      const u64 hits = hash::hash_seed_block_tagged(
-          hasher, seeds.data(), filled, tags.data(), heads.data());
-      // Judge lanes in deal order — within one stream that IS enumeration
-      // order, so stopping the count at the match lane reproduces the solo
-      // `counted = i + 1` accounting; lanes dealt past it were speculative.
-      for (std::size_t i = 0; i < filled; ++i) {
-        Job<H>* j = batch_jobs[tags[i]];
-        if (j->match) continue;
-        ++j->counted;
-        if (((hits >> i) & 1) == 0) continue;
-        if (!(hasher(seeds[i]) == j->target)) continue;
-        j->match = {seeds[i], lane_shell[i]};
-        j->ctx->signal_match();
-      }
-      for (std::size_t t = 0; t < num_tags; ++t) batch_jobs[t]->flush_progress();
+    // Counted before any verdict resolves, so a caller that has its
+    // verdict sees its lanes in stats().
+    if (round.lanes > 0) {
+      std::lock_guard lk(mu);
+      ++stats.batch_count;
+      stats.lanes_filled += round.judged;
+      stats.lanes_issued += round.lanes;
     }
-
-    for (auto it = q.active.begin(); it != q.active.end();) {
-      Job<H>& j = **it;
-      if (j.done()) {
-        j.promise.set_value(retire_result(j));
-        it = q.active.erase(it);
+    for (auto it = active.begin(); it != active.end();) {
+      if ((*it)->done()) {
+        retire(**it);
+        it = active.erase(it);
       } else {
         ++it;
       }
     }
-
-    if (filled > 0) {
-      std::lock_guard lk(mu);
-      ++stats.batch_count;
-      stats.lanes_filled += filled;
-      stats.lanes_issued += L;
-    }
   }
 
-  /// Shutdown path: cancel and retire everything still queued or active.
-  template <typename H>
-  void abort_queue(Queue<H>& q) {
-    {
-      std::lock_guard lk(mu);
-      drain_pending_locked(q);
-    }
-    for (auto& j : q.active) {
-      j->ctx->cancel();
-      j->promise.set_value(retire_result(*j));
-    }
-    q.active.clear();
-  }
-
-  template <typename H>
-  std::optional<EngineReport> submit(Queue<H>& q, const Seed256& s_init,
-                                     ByteSpan digest, sim::IterAlgo family,
+  std::optional<EngineReport> submit(std::unique_ptr<Job> job,
                                      const SearchOptions& opts,
                                      par::SearchContext* session) {
-    auto job = std::make_unique<Job<H>>(s_init, family, opts);
-    std::memcpy(job->target.bytes.data(), digest.data(),
-                job->target.bytes.size());
-    job->head = hash::digest_head(job->target);
     if (session != nullptr) {
       job->ctx = session;
     } else {
@@ -301,7 +292,7 @@ struct FusionEngine::Impl {
       }
       job->admit_seq = admit_seq++;
       ++stats.fused_sessions;
-      q.pending.push_back(std::move(job));
+      pending.push_back(std::move(job));
     }
     cv.notify_one();
     EngineReport report;
@@ -312,8 +303,7 @@ struct FusionEngine::Impl {
   }
 };
 
-FusionEngine::FusionEngine(int batch_lanes)
-    : impl_(std::make_unique<Impl>(batch_lanes)) {}
+FusionEngine::FusionEngine(int lanes) : impl_(std::make_unique<Impl>(lanes)) {}
 
 FusionEngine::~FusionEngine() { shutdown(); }
 
@@ -324,7 +314,7 @@ std::optional<EngineReport> FusionEngine::try_search(
   // Decline anything the fused path cannot substitute bit-for-bit: the
   // equivalence contract is against the SINGLE-thread early-exit search, a
   // quantum_hook needs the private loop, and oversized balls belong on the
-  // tiled path (and would blow the shell table cap).
+  // tiled path.
   if (!opts.early_exit || opts.num_threads != 1 || opts.quantum_hook ||
       opts.max_distance < 0 ||
       digest.size() != hash::digest_size(algo) ||
@@ -333,10 +323,11 @@ std::optional<EngineReport> FusionEngine::try_search(
     ++impl_->stats.declined;
     return std::nullopt;
   }
-  if (algo == hash::HashAlgo::kSha1) {
-    return impl_->submit(impl_->sha1, s_init, digest, family, opts, session);
-  }
-  return impl_->submit(impl_->sha3, s_init, digest, family, opts, session);
+  std::unique_ptr<Job> job =
+      algo == hash::HashAlgo::kSha1
+          ? make_job<hash::Sha1BatchSeedHash>(s_init, digest, family, opts)
+          : make_job<hash::Sha3BatchSeedHash>(s_init, digest, family, opts);
+  return impl_->submit(std::move(job), opts, session);
 }
 
 FusionStats FusionEngine::stats() const {

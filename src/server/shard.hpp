@@ -39,7 +39,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/trace.hpp"
 #include "parallel/search_context.hpp"
-#include "rbc/candidate_stream.hpp"
 #include "rbc/protocol.hpp"
 #include "server/fusion_engine.hpp"
 
@@ -92,14 +91,15 @@ struct ServerConfig {
   /// Retransmit policy for lossy sessions (ignored while `fault` is
   /// inactive). Retries charge the session's threshold budget.
   RetryPolicy retry{};
-  /// Cross-session lane fusion (docs/perf.md): when true each shard runs a
+  /// Lane fusion (docs/server.md): when true each shard runs a
   /// FusionEngine and offers every session's search to it; small searches
-  /// are multiplexed into shared full-width hash batches, large ones
-  /// decline and run the regular backend path. Off by default — the fused
-  /// path is verdict- and accounting-identical, but the knob keeps the
-  /// seed behavior bit-for-bit reproducible.
+  /// take turns on the engine's one pump thread, large ones decline and run
+  /// the regular backend path. Off by default — the fused path is verdict-
+  /// and accounting-identical, but the knob keeps the seed behavior
+  /// bit-for-bit reproducible.
   bool fusion_enabled = false;
-  /// Lane slots per fused batch (clamped to hash::kMaxTaggedLanes).
+  /// Candidates a fused search hashes per turn, rounded up to whole 8-lane
+  /// blocks (at least one).
   int fusion_lanes = 32;
   /// Session tracing (docs/server.md "Observability"): each shard keeps a
   /// lock-free ring of per-session span records — admission, queue wait,
@@ -206,9 +206,6 @@ struct ServerStats : SessionCounters {
   /// the realized expected-case saving.
   double mean_hit_rank = 0.0;
   double mean_canonical_rank = 0.0;
-  /// Process-wide ShellMaskCache counters (shared by ALL servers and solo
-  /// streams in the process, not just this server's sessions).
-  ShellMaskCache::Stats shell_cache;
   u64 flight_records = 0;  // failures the flight recorder ever captured
 };
 
@@ -299,7 +296,7 @@ class Shard {
   /// Shared across shards by construction (same cfg seed, no shard salt):
   /// per-session plans depend only on (fault_seed, net_salt).
   net::FaultPlan base_faults_;
-  /// Per-shard fused batch engine (cfg.fusion_enabled); drivers offer every
+  /// Per-shard fused engine (cfg.fusion_enabled); drivers offer every
   /// session's search to it through the SearchOffload seam. Shut down AFTER
   /// the drivers join — in-flight sessions block on its futures.
   std::unique_ptr<FusionEngine> fusion_;

@@ -154,5 +154,37 @@ TEST(SingleFlightCache, BuildErrorReachesEveryWaiter) {
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
+TEST(SingleFlightCache, EvictsLeastRecentlyFetchedAndCounts) {
+  // Every value costs 3, so a capacity of 9 retains three.
+  SingleFlightCache<int, int> cache([](const int&) -> u64 { return 3; }, 9);
+  const auto fetch = [&cache](int key) {
+    return cache.get(key, [key] { return std::make_shared<const int>(key); });
+  };
+  const auto one = fetch(1);
+  const auto two = fetch(2);
+  fetch(3);
+  EXPECT_EQ(fetch(1), one);  // a hit: 1 is now the most recently fetched
+  fetch(4);                  // a miss over capacity: evicts 2, not 1
+  CacheStats s = cache.stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 4u);
+  EXPECT_EQ(s.evictions, 1u);
+  EXPECT_EQ(s.cached_cost, 9u);
+  EXPECT_EQ(s.cached_entries, 3u);
+
+  // The evicted key builds afresh and evicts the least recent survivor, 3.
+  EXPECT_EQ(fetch(1), one);
+  const auto two_again = fetch(2);
+  EXPECT_NE(two_again, two);
+  EXPECT_EQ(fetch(4), fetch(4));
+  s = cache.stats();
+  EXPECT_EQ(s.hits, 4u);
+  EXPECT_EQ(s.misses, 5u);
+  EXPECT_EQ(s.evictions, 2u);
+  EXPECT_EQ(s.cached_cost, 9u);
+  // An evicted value stays alive through the Ptr its fetch returned.
+  EXPECT_EQ(*two, 2);
+}
+
 }  // namespace
 }  // namespace rbc

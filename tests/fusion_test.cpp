@@ -5,15 +5,15 @@
 // the EXACT same seeds_hashed as the backend's single-thread solo search —
 // fusion is an execution substitution, not a semantic change. These tests
 // pin that down candidate-by-candidate (stream order, and the cursor
-// contract every CandidateStream keeps: StreamContract), lane-by-lane (the
-// tagged batch kernel), search-by-search (fused against the brute-force
-// oracle; search_oracle_test.cpp also runs a whole ball's sessions through
-// one engine at once), and server-by-server (shard counts, chaos faults
-// and the backend's iterator family must not perturb what fusion reports).
+// contract every CandidateStream keeps: StreamContract), search-by-search
+// (fused against the brute-force oracle; search_oracle_test.cpp also runs a
+// whole ball's sessions through one engine at once), and server-by-server
+// (shard counts, chaos faults and the backend's iterator family must not
+// perturb what fusion reports).
 //
 // FusionEngine*/FusionServer* run under TSan in CI: driver threads block on
-// futures while one pump deals their streams into shared batches, which
-// exercises the admission/backfill/retire seams concurrently.
+// futures while one pump gives their searches turns, which exercises the
+// admission/turn/retire seams concurrently.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -70,7 +70,7 @@ SearchOptions small_search_opts() {
 // ---------------------------------------------------------------------------
 
 TEST(FusionStream, TableStreamReproducesBallStreamOrder) {
-  // The cached-table stream must emit the byte-identical candidate sequence
+  // The table stream must emit the byte-identical candidate sequence
   // the factory-walking stream emits, for every iterator family and
   // regardless of the fill granularity — resumability cannot perturb the
   // enumeration order.
@@ -168,54 +168,11 @@ TEST_P(StreamContract, HoldsOnEveryFill) {
   EXPECT_TRUE(stream->exhausted());
   EXPECT_EQ(stream->position(),
             static_cast<u64>(ball_candidates(kContractD, kContractBits)));
-  // After skip_base() the first fill comes from shell 1.
-  const auto skipped = GetParam().open(s_init);
-  skipped->skip_base();
-  ASSERT_GT(skipped->fill(buf.data(), buf.size()), 0u);
-  EXPECT_EQ(skipped->last_shell(), 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStreams, StreamContract,
                          ::testing::ValuesIn(stream_cases()),
                          [](const auto& test) { return test.param.name; });
-
-// ---------------------------------------------------------------------------
-// Tagged batch kernel
-// ---------------------------------------------------------------------------
-
-TEST(FusionBatch, TaggedBlockPrefiltersPerLaneTargets) {
-  // Lanes from two different "streams" in one block: the hit mask must
-  // flag each planted match against ITS OWN stream's target head (the
-  // heads themselves are checked lane by lane in HashBatch).
-  const Seed256 a = random_seed(0xAB01);
-  const Seed256 b = random_seed(0xAB02);
-  const hash::Digest256 target_a = hash::sha3_256_seed(a);
-  const hash::Digest256 target_b = hash::sha3_256_seed(b);
-  const u64 heads[2] = {hash::digest_head(target_a),
-                        hash::digest_head(target_b)};
-
-  std::array<Seed256, 8> seeds;
-  std::array<u16, 8> tags;
-  for (std::size_t i = 0; i < 8; ++i) {
-    seeds[i] = random_seed(0x9000 + i);
-    tags[i] = static_cast<u16>(i % 2);
-  }
-  seeds[3] = b;  // planted: stream 1's match in a stream-1 lane
-  seeds[6] = a;  // planted: stream 0's match in a stream-0 lane
-  tags[3] = 1;
-  tags[6] = 0;
-
-  const u64 hits = hash::hash_seed_block_tagged(
-      hash::Sha3BatchSeedHash{}, seeds.data(), 8, tags.data(), heads);
-  // Exactly the planted lanes survive: a random lane's 64-bit head never
-  // equals its stream's target head.
-  EXPECT_EQ(hits, (u64{1} << 3) | (u64{1} << 6));
-  // A planted seed under the other stream's tag is rejected.
-  tags[3] = 0;
-  EXPECT_EQ(hash::hash_seed_block_tagged(hash::Sha3BatchSeedHash{},
-                                         seeds.data(), 8, tags.data(), heads),
-            u64{1} << 6);
-}
 
 // ---------------------------------------------------------------------------
 // Solo vs fused equivalence
@@ -440,6 +397,7 @@ TEST(FusionServer, FusedBurstAuthenticatesAndReportsOccupancy) {
     clients.push_back(f.make_client(i, /*injected_distance=*/2, 0xF00D));
     futures.push_back(server.submit(clients.back().get()));
   }
+  u64 seeds_hashed = 0;
   for (int i = 0; i < kSessions; ++i) {
     const SessionOutcome outcome = futures[static_cast<unsigned>(i)].get();
     ASSERT_TRUE(outcome.accepted) << "session " << i;
@@ -448,6 +406,7 @@ TEST(FusionServer, FusedBurstAuthenticatesAndReportsOccupancy) {
     ASSERT_TRUE(registered.has_value());
     EXPECT_EQ(*registered, clients[static_cast<unsigned>(i)]->derive_public_key(
                                f.ca->config().salt));
+    seeds_hashed += outcome.report.engine.result.seeds_hashed;
   }
 
   const ServerStats stats = server.stats();
@@ -456,7 +415,12 @@ TEST(FusionServer, FusedBurstAuthenticatesAndReportsOccupancy) {
   // session fuses; each client submits one digest per protocol run.
   EXPECT_EQ(stats.fused_sessions, static_cast<u64>(kSessions));
   EXPECT_GT(stats.fusion_batches, 0u);
-  EXPECT_LE(stats.fusion_lanes_filled, stats.fusion_lanes_issued);
+  // The lanes judged are every session's candidates but S_init, which is
+  // hashed alone; 256-bit d <= 2 shells fill whole 8-lane blocks, so each
+  // session leaves fewer than 8 lanes unjudged: those past its match.
+  EXPECT_EQ(stats.fusion_lanes_filled, seeds_hashed - stats.fused_sessions);
+  EXPECT_LT(stats.fusion_lanes_issued - stats.fusion_lanes_filled,
+            8 * stats.fused_sessions);
   EXPECT_GT(stats.lane_occupancy, 0.0);
   EXPECT_LE(stats.lane_occupancy, 1.0);
 }

@@ -190,8 +190,8 @@ TEST(HashBatch, Sha3HeadsMatchScalarDigestPrefixAtEveryLevel) {
 }
 
 TEST(HashBatch, PolicyHeadsMatchScalarDigestPrefixAtEveryLevel) {
-  // The policies' heads-only block form (what the fusion engine's tagged
-  // batches and the SHA-1 scan hash through) at every forced level.
+  // The policies' heads-only block form (what the SHA-1 scan and the SHA-3
+  // scan's below-AVX-512 path hash through) at every forced level.
   const auto seeds = random_seeds(17, 0x4eae);
   const hash::Sha1BatchSeedHash h1;
   const hash::Sha3BatchSeedHash h3;

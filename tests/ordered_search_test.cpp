@@ -7,22 +7,19 @@
 // likelihood guarantees (weight sums non-decreasing, the cheapest subset
 // first), the solo-vs-fused equivalence for SearchOrder::kReliability, the
 // single-pass enrollment calibration (mask + profile from one read stream),
-// profile persistence (encrypted at rest, legacy records still load), and
-// the shell-mask cache LRU bound.
+// and profile persistence (encrypted at rest, legacy records still load).
 //
 // OrderedFusion*/OrderedServer* run under TSan in CI alongside the fusion
-// suites: the ordered stream must ride the shared-batch pump unchanged.
+// suites: the ordered stream must ride the fused pump unchanged.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <latch>
 #include <memory>
 #include <optional>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "combinatorics/gosper.hpp"
@@ -197,15 +194,16 @@ TEST(OrderedShell, CanonicalBallRankMatchesCanonicalStreamPosition) {
 // budget of 1: fusion_test.cpp's StreamContract)
 // ---------------------------------------------------------------------------
 
-TEST(OrderedStream, SkipBaseStartsAtShellOne) {
+TEST(OrderedStream, ShellOneStartsAtTheLikeliestFlip) {
   const auto order = order_with_likely_bits({5});
   const Seed256 s_init = random_seed(0x5B);
   OrderedBallStream stream(s_init, 1, order);
-  stream.skip_base();
   std::array<Seed256, 8> buf;
+  ASSERT_EQ(stream.fill(buf.data(), buf.size()), 1u);  // S_init
   ASSERT_GT(stream.fill(buf.data(), buf.size()), 0u);
   EXPECT_EQ(stream.last_shell(), 1);
-  // Likelihood order: the most erratic bit's flip is the first candidate.
+  // Likelihood order: the most erratic bit's flip is shell 1's first
+  // candidate.
   EXPECT_EQ(buf[0], with_flipped_bit(s_init, 5));
 }
 
@@ -525,74 +523,6 @@ TEST(OrderedServer, ReliabilityOrderedBurstAuthenticatesAndRanks) {
   EXPECT_EQ(stats.ranked_sessions, static_cast<u64>(kSessions));
   EXPECT_GT(stats.mean_hit_rank, 0.0);
   EXPECT_GT(stats.mean_canonical_rank, 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// ShellMaskCache LRU bound
-// ---------------------------------------------------------------------------
-
-TEST(ShellCacheLru, EvictsLeastRecentlyUsedAndCounts) {
-  // The cache is process-global: use odd n_bits no other suite touches and
-  // count by deltas. C(41,2) = 820 and C(43,2) = 903 never fit a 1000-mask
-  // cap together.
-  const auto before = ShellMaskCache::stats();
-  ShellMaskCache::set_capacity(1000);
-
-  auto t41 = ShellMaskCache::get(sim::IterAlgo::kGosper, 2, 41);
-  EXPECT_EQ(t41->size(), 820u);
-  auto t43 = ShellMaskCache::get(sim::IterAlgo::kGosper, 2, 43);
-  EXPECT_EQ(t43->size(), 903u);  // inserting this must evict the 41 table
-
-  auto after_build = ShellMaskCache::stats();
-  EXPECT_EQ(after_build.misses, before.misses + 2);
-  EXPECT_GE(after_build.evictions, before.evictions + 1);
-
-  // The survivor hits; the evicted table rebuilds (a fresh miss).
-  auto t43_again = ShellMaskCache::get(sim::IterAlgo::kGosper, 2, 43);
-  auto after_hit = ShellMaskCache::stats();
-  EXPECT_EQ(after_hit.hits, after_build.hits + 1);
-  auto t41_again = ShellMaskCache::get(sim::IterAlgo::kGosper, 2, 41);
-  auto after_rebuild = ShellMaskCache::stats();
-  EXPECT_EQ(after_rebuild.misses, after_hit.misses + 1);
-
-  // Evicted-but-referenced tables stay alive through their shared_ptr.
-  EXPECT_EQ(t41->size(), 820u);
-  EXPECT_EQ((*t41)[0], (*t41_again)[0]);
-
-  ShellMaskCache::set_capacity(ShellMaskCache::kDefaultCapacityMasks);
-}
-
-TEST(ShellCacheLru, ConcurrentFirstFetchesBuildOnce) {
-  // Eight first fetches of a key no other test uses, released together: one
-  // builds the table and the others wait for it, counting as hits.
-  constexpr int kThreads = 8;
-  const auto before = ShellMaskCache::stats();
-  std::latch start(kThreads);
-  std::array<std::shared_ptr<const ShellMaskCache::Table>, kThreads> got;
-  std::vector<std::thread> threads;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    threads.emplace_back([&start, &got, i] {
-      start.arrive_and_wait();
-      got[i] = ShellMaskCache::get(sim::IterAlgo::kAlg515, 3, 97);
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  const auto after = ShellMaskCache::stats();
-  EXPECT_EQ(after.misses, before.misses + 1);
-  EXPECT_EQ(after.hits, before.hits + kThreads - 1);
-  EXPECT_EQ(got[0]->size(), 147440u);  // C(97, 3)
-  for (const auto& table : got) EXPECT_EQ(table, got[0]);
-}
-
-TEST(ShellCacheLru, StatsTrackRetainedMasks) {
-  ShellMaskCache::set_capacity(ShellMaskCache::kDefaultCapacityMasks);
-  auto t = ShellMaskCache::get(sim::IterAlgo::kGosper, 2, 37);  // C(37,2)=666
-  const auto stats = ShellMaskCache::stats();
-  EXPECT_GE(stats.cached_masks, 666u);
-  EXPECT_GE(stats.cached_tables, 1u);
-  EXPECT_LE(stats.cached_masks, ShellMaskCache::kDefaultCapacityMasks +
-                                    ShellMaskCache::kMaxTableMasks);
 }
 
 }  // namespace
