@@ -46,15 +46,16 @@ step_4() {
 echo "=== [4/17] batched-hash equivalence under forced dispatch levels ==="
 # The auto run above already covered the host's best level; re-run the batch
 # suite, the search oracle (every search path against brute force), the
-# candidate-stream contract and the fused, ordered, GPU-emu, hetero and
-# distributed suites with the RBC_HASH_SIMD knob capping dispatch so the
-# scalar-tail, SWAR and (on AVX-512 hosts, where auto picks avx512) AVX2
-# code paths are exercised too.
+# candidate-stream contract, the fused, ordered, GPU-emu, hetero and
+# distributed suites, and the multi-stream SHAKE suite with the key
+# generators' golden keys (which expand their streams through it) with the
+# RBC_HASH_SIMD knob capping dispatch so the scalar-tail, SWAR and (on
+# AVX-512 hosts, where auto picks avx512) AVX2 code paths are exercised too.
 for level in scalar swar avx2; do
   echo "--- RBC_HASH_SIMD=$level ---"
   RBC_HASH_SIMD="$level" ctest --test-dir build --output-on-failure \
     -j "$JOBS" \
-    -R 'HashBatch|SearchOracle|StreamContract|Fusion|Ordered|SaltedKernel|HeteroCoSearch|DistSearch'
+    -R 'HashBatch|SearchOracle|StreamContract|Fusion|Ordered|SaltedKernel|HeteroCoSearch|DistSearch|ShakeMulti|KeygenGoldenVectors'
 done
 }
 
@@ -86,13 +87,14 @@ ctest --test-dir build --output-on-failure -j "$JOBS" \
 step_7() {
 echo "=== [7/17] bench smoke: batched hash throughput ==="
 # Release-configured bench build; one quick repetition proves the batched
-# and heads-only kernels run at every advertised level and the scan runs
-# over every candidate source (full numbers: docs/perf.md).
+# and heads-only kernels run at every advertised level, the scan runs over
+# every candidate source, the multi-stream SHAKE runs at every level and the
+# key generators run on it (full numbers: docs/perf.md).
 if [[ "${RBC_CI_BENCH:-1}" == "1" ]]; then
   cmake --preset release >/dev/null
   cmake --build --preset release -j "$JOBS" --target bench_hash_throughput
   ./build-release/bench/bench_hash_throughput \
-    --benchmark_filter='SeedBatched|SeedHeadsBatched|SeedFixed|ScanShell' \
+    --benchmark_filter='SeedBatched|SeedHeadsBatched|SeedFixed|ScanShell|Keygen|ShakeMulti' \
     --benchmark_min_time=0.05
 else
   echo "(skipped: RBC_CI_BENCH=0)"

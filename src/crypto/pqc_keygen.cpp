@@ -1,41 +1,100 @@
 #include "crypto/pqc_keygen.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <span>
+#include <type_traits>
 
 #include "hash/keccak.hpp"
+#include "hash/keccak_multi.hpp"
 
 namespace rbc::crypto {
 
 namespace {
 
+using Subseed = std::array<u8, 32>;
+
 // Domain-separated sub-seed: SHA3-256(seed || tag).
-std::array<u8, 32> derive_subseed(const Seed256& seed, u8 tag) {
+Subseed derive_subseed(const Seed256& seed, u8 tag) {
+  std::array<u8, Seed256::kBytes + 1> msg;
   const auto bytes = seed.to_bytes();
-  Bytes msg(bytes.begin(), bytes.end());
-  msg.push_back(tag);
+  std::copy(bytes.begin(), bytes.end(), msg.begin());
+  msg.back() = tag;
   return hash::sha3_256(msg).bytes;
 }
 
-hash::Shake128 make_uniform_xof(const std::array<u8, 32>& subseed, u8 i, u8 j) {
-  hash::Shake128 xof;
-  xof.absorb(subseed);
-  const u8 idx[2] = {i, j};
-  xof.absorb(ByteSpan{idx, 2});
-  return xof;
+/// Rate blocks that hold `bytes` stream bytes.
+std::size_t blocks_for(std::size_t bytes, hash::Shake kind) {
+  const std::size_t rate = hash::shake_rate(kind);
+  return (bytes + rate - 1) / rate;
 }
 
-hash::Shake256 make_small_xof(const std::array<u8, 32>& subseed, u8 i) {
-  hash::Shake256 xof;
-  xof.absorb(subseed);
-  xof.absorb(ByteSpan{&i, 1});
-  return xof;
+/// Expands `count` SHAKE streams, stream n absorbing subseed || tag(n),
+/// up to ShakeMulti::kLanes at a time with `blocks` blocks squeezed ahead,
+/// and hands stream n to visit(n, stream) in order of n.
+template <typename Tag, typename Visit>
+void expand_streams(hash::Shake kind, std::size_t blocks,
+                    const Subseed& subseed, unsigned count, Tag tag,
+                    Visit visit) {
+  constexpr unsigned kLanes = hash::ShakeMulti::kLanes;
+  using TagBytes = std::invoke_result_t<Tag, unsigned>;
+  std::array<std::array<u8, sizeof(Subseed) + sizeof(TagBytes)>, kLanes> msgs;
+  std::array<ByteSpan, kLanes> inputs;
+  for (unsigned first = 0; first < count; first += kLanes) {
+    const unsigned n = std::min(count - first, kLanes);
+    for (unsigned l = 0; l < n; ++l) {
+      const TagBytes t = tag(first + l);
+      std::copy(t.begin(), t.end(),
+                std::copy(subseed.begin(), subseed.end(), msgs[l].begin()));
+      inputs[l] = msgs[l];
+    }
+    const hash::ShakeMulti xof(kind, std::span{inputs.data(), n}, blocks);
+    for (unsigned l = 0; l < n; ++l) {
+      hash::ShakeStream stream = xof.stream(l);
+      visit(first + l, stream);
+    }
+  }
 }
 
-void pack_poly(const Poly& p, int bytes_per_coeff, Bytes& out) {
+/// secrets[n] = the centered-binomial poly of SHAKE-256(seed_s || n).
+template <std::size_t N>
+void sample_secrets(const PolyRing& ring, const Subseed& seed_s, int eta,
+                    std::array<Poly, N>& secrets) {
+  expand_streams(
+      hash::Shake::k256, blocks_for(PolyRing::kSmallBytes, hash::Shake::k256),
+      seed_s, N,
+      [](unsigned n) { return std::array<u8, 1>{static_cast<u8>(n)}; },
+      [&](unsigned n, hash::ShakeStream& xof) {
+        secrets[n] = ring.sample_small(xof, eta);
+      });
+}
+
+/// Visits the rows x cols entries of the uniform matrix A in row-major
+/// order: visit(i, j, a_ij), a_ij sampled from SHAKE-128(seed_a || i || j).
+template <typename Visit>
+void expand_matrix(const PolyRing& ring, const Subseed& seed_a, unsigned rows,
+                   unsigned cols, Visit visit) {
+  expand_streams(
+      hash::Shake::k128, blocks_for(ring.uniform_bytes(), hash::Shake::k128),
+      seed_a, rows * cols,
+      [cols](unsigned n) {
+        return std::array<u8, 2>{static_cast<u8>(n / cols),
+                                 static_cast<u8>(n % cols)};
+      },
+      [&](unsigned n, hash::ShakeStream& xof) {
+        Poly a_ij = ring.sample_uniform(xof);
+        visit(n / cols, n % cols, a_ij);
+      });
+}
+
+/// Writes p's coefficients little-endian, bytes_per_coeff bytes each, and
+/// returns the end of what it wrote.
+u8* pack_poly(const Poly& p, int bytes_per_coeff, u8* out) {
   for (u32 c : p.c) {
     for (int b = 0; b < bytes_per_coeff; ++b)
-      out.push_back(static_cast<u8>(c >> (8 * b)));
+      *out++ = static_cast<u8>(c >> (8 * b));
   }
+  return out;
 }
 
 }  // namespace
@@ -65,24 +124,19 @@ Bytes SaberLikeKeygen::operator()(const Seed256& seed) const {
   const auto seed_a = derive_subseed(seed, 0x00);
   const auto seed_s = derive_subseed(seed, 0x01);
 
-  // Secret vector s.
   std::array<Poly, kRank> s;
-  for (int j = 0; j < kRank; ++j) {
-    auto xof = make_small_xof(seed_s, static_cast<u8>(j));
-    s[static_cast<unsigned>(j)] = ring.sample_small(xof, kEta);
-  }
+  sample_secrets(ring, seed_s, kEta, s);
 
-  // b = round(A * s); A is generated on the fly row by row.
-  Bytes pk(seed_a.begin(), seed_a.end());
-  for (int i = 0; i < kRank; ++i) {
-    Poly acc{};
-    for (int j = 0; j < kRank; ++j) {
-      auto xof = make_uniform_xof(seed_a, static_cast<u8>(i), static_cast<u8>(j));
-      const Poly a_ij = ring.sample_uniform(xof);
-      acc = ring.add(acc, ring.mul(a_ij, s[static_cast<unsigned>(j)]));
-    }
-    pack_poly(ring.round_shift(acc, kRoundBits), 2, pk);
-  }
+  // b = round(A * s).
+  std::array<Poly, kRank> acc{};
+  expand_matrix(ring, seed_a, kRank, kRank,
+                [&](unsigned i, unsigned j, const Poly& a_ij) {
+                  acc[i] = ring.add(acc[i], ring.mul(a_ij, s[j]));
+                });
+  Bytes pk(seed_a.size() + kRank * kRingDegree * 2);
+  u8* out = std::copy(seed_a.begin(), seed_a.end(), pk.data());
+  for (const Poly& b : acc)
+    out = pack_poly(ring.round_shift(b, kRoundBits), 2, out);
   return pk;
 }
 
@@ -91,31 +145,26 @@ Bytes DilithiumLikeKeygen::operator()(const Seed256& seed) const {
   const auto seed_a = derive_subseed(seed, 0x10);
   const auto seed_s = derive_subseed(seed, 0x11);
 
+  // secrets[j < kL] = s1_j, secrets[kL + i] = s2_i.
+  std::array<Poly, kL + kK> secrets;
+  sample_secrets(ring, seed_s, kEta, secrets);
+
   // Each s1_j is transformed once; row i of A*s1 is accumulated in the NTT
   // domain and brought back with one inverse: 5 + 30 + 6 = 41 NTTs, where a
   // full product per (i, j) would take 90. Exact mod q, so the key matches
   // summing the 30 coefficient-domain products.
-  std::array<Poly, kL> s1_hat;
-  for (int j = 0; j < kL; ++j) {
-    auto xof = make_small_xof(seed_s, static_cast<u8>(j));
-    s1_hat[static_cast<unsigned>(j)] = ring.sample_small(xof, kEta);
-    ring.ntt_forward(s1_hat[static_cast<unsigned>(j)]);
-  }
+  for (unsigned j = 0; j < kL; ++j) ring.ntt_forward(secrets[j]);
+  std::array<Poly, kK> t{};
+  expand_matrix(ring, seed_a, kK, kL, [&](unsigned i, unsigned j, Poly& a_ij) {
+    ring.ntt_forward(a_ij);
+    ring.pointwise_mul_acc(t[i], a_ij, secrets[j]);
+  });
 
-  Bytes pk(seed_a.begin(), seed_a.end());
-  for (int i = 0; i < kK; ++i) {
-    Poly acc{};
-    for (int j = 0; j < kL; ++j) {
-      auto xof =
-          make_uniform_xof(seed_a, static_cast<u8>(i), static_cast<u8>(j));
-      Poly a_ij = ring.sample_uniform(xof);
-      ring.ntt_forward(a_ij);
-      ring.pointwise_mul_acc(acc, a_ij, s1_hat[static_cast<unsigned>(j)]);
-    }
-    ring.ntt_inverse(acc);
-    auto xof = make_small_xof(seed_s, static_cast<u8>(kL + i));
-    const Poly s2_i = ring.sample_small(xof, kEta);
-    pack_poly(ring.add(acc, s2_i), 3, pk);
+  Bytes pk(seed_a.size() + kK * kRingDegree * 3);
+  u8* out = std::copy(seed_a.begin(), seed_a.end(), pk.data());
+  for (unsigned i = 0; i < kK; ++i) {
+    ring.ntt_inverse(t[i]);
+    out = pack_poly(ring.add(t[i], secrets[kL + i]), 3, out);
   }
   return pk;
 }
@@ -125,23 +174,20 @@ Bytes KyberLikeKeygen::operator()(const Seed256& seed) const {
   const auto seed_a = derive_subseed(seed, 0x20);
   const auto seed_s = derive_subseed(seed, 0x21);
 
-  std::array<Poly, kRank> s;
-  for (int j = 0; j < kRank; ++j) {
-    auto xof = make_small_xof(seed_s, static_cast<u8>(j));
-    s[static_cast<unsigned>(j)] = ring.sample_small(xof, kEta);
-  }
+  // secrets[j < kRank] = s_j, secrets[kRank + i] = e_i.
+  std::array<Poly, 2 * kRank> secrets;
+  sample_secrets(ring, seed_s, kEta, secrets);
 
-  Bytes pk(seed_a.begin(), seed_a.end());
-  for (int i = 0; i < kRank; ++i) {
-    Poly acc{};
-    for (int j = 0; j < kRank; ++j) {
-      auto xof = make_uniform_xof(seed_a, static_cast<u8>(i), static_cast<u8>(j));
-      acc = ring.add(acc, ring.mul(ring.sample_uniform(xof),
-                                   s[static_cast<unsigned>(j)]));
-    }
-    auto xof = make_small_xof(seed_s, static_cast<u8>(kRank + i));
-    pack_poly(ring.add(acc, ring.sample_small(xof, kEta)), 2, pk);
-  }
+  // t = A * s + e.
+  std::array<Poly, kRank> acc{};
+  expand_matrix(ring, seed_a, kRank, kRank,
+                [&](unsigned i, unsigned j, const Poly& a_ij) {
+                  acc[i] = ring.add(acc[i], ring.mul(a_ij, secrets[j]));
+                });
+  Bytes pk(seed_a.size() + kRank * kRingDegree * 2);
+  u8* out = std::copy(seed_a.begin(), seed_a.end(), pk.data());
+  for (unsigned i = 0; i < kRank; ++i)
+    out = pack_poly(ring.add(acc[i], secrets[kRank + i]), 2, out);
   return pk;
 }
 

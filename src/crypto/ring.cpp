@@ -154,7 +154,12 @@ Poly PolyRing::round_shift(const Poly& a, int bits) const noexcept {
   return r;
 }
 
-Poly PolyRing::sample_uniform(hash::Shake128& xof) const {
+std::size_t PolyRing::uniform_bytes() const noexcept {
+  const auto bits = static_cast<unsigned>(std::bit_width(q_ - 1));
+  return kRingDegree * ((bits + 7) / 8);
+}
+
+Poly PolyRing::sample_uniform(hash::ShakeStream& xof) const {
   const unsigned bits = static_cast<unsigned>(std::bit_width(q_ - 1));
   const unsigned bytes = (bits + 7) / 8;
   const u32 mask = bits >= 32 ? ~0u : (1u << bits) - 1;
@@ -176,9 +181,9 @@ Poly PolyRing::sample_uniform(hash::Shake128& xof) const {
   return r;
 }
 
-Poly PolyRing::sample_small(hash::Shake256& xof, int eta) const {
+Poly PolyRing::sample_small(hash::ShakeStream& xof, int eta) const {
   RBC_CHECK(eta >= 1 && eta <= 8);
-  std::array<u8, 2 * kRingDegree> buf;
+  std::array<u8, kSmallBytes> buf;
   xof.squeeze(buf);
   const u32 field = (1u << eta) - 1;
   Poly r;

@@ -14,6 +14,11 @@
 // coefficients in [0, q), so how a product is computed (schoolbook, NTT, or
 // accumulated in the NTT domain) never changes its value.
 //
+// The samplers read a hash::ShakeStream: one SHAKE stream of a batch that
+// the key generators expand up to 8 at a time (hash/keccak_multi.hpp). A
+// sampler reads exactly the bytes a scalar SHAKE would give it, in order,
+// so a poly does not depend on how its stream was squeezed.
+//
 // These are faithful in *structure* (dimensions, sampling, rounding) but are
 // NOT secure implementations; see DESIGN.md for the substitution rationale.
 #pragma once
@@ -22,7 +27,7 @@
 
 #include "common/check.hpp"
 #include "common/types.hpp"
-#include "hash/keccak.hpp"
+#include "hash/keccak_multi.hpp"
 
 namespace rbc::crypto {
 
@@ -74,11 +79,16 @@ class PolyRing {
   Poly round_shift(const Poly& a, int bits) const noexcept;
 
   /// Uniform polynomial from a SHAKE-128 stream (rejection sampling).
-  Poly sample_uniform(hash::Shake128& xof) const;
+  Poly sample_uniform(hash::ShakeStream& xof) const;
+
+  /// Stream bytes sample_uniform reads when it rejects no candidate:
+  /// kRingDegree candidates of ceil(log2(q) / 8) bytes.
+  std::size_t uniform_bytes() const noexcept;
 
   /// Small (secret) polynomial with coefficients in [-eta, eta], centered
-  /// binomial from a SHAKE-256 stream, stored mod q.
-  Poly sample_small(hash::Shake256& xof, int eta) const;
+  /// binomial from a SHAKE-256 stream, stored mod q. Reads kSmallBytes.
+  Poly sample_small(hash::ShakeStream& xof, int eta) const;
+  static constexpr std::size_t kSmallBytes = 2 * kRingDegree;
 
  private:
   // Every modular select below is a mask select: the wrapped difference

@@ -1,5 +1,6 @@
 // Keccak-f[1600] over lane-sliced sponge states: the one round body of the
-// multi-lane SHA3-256 kernels, and the fused scan kernel built on it.
+// multi-lane SHA3-256 and SHAKE kernels, and the fused scan kernel built on
+// it.
 //
 // keccak_round_x4 (AVX2: one Keccak lane position of 4 states per ymm) and
 // keccak_round_x8 (AVX-512: 8 states per zmm) each run one round reading
@@ -7,8 +8,8 @@
 // five B values and five theta inputs are live at once (a materialized
 // b[25] next to a[25] spills every round — a ymm register file holds 16
 // values). All helpers carry the target attribute themselves (lambdas would
-// not inherit it and fail to inline under GCC). The full-digest entries in
-// keccak_multi.cpp and the scan kernel below share these bodies.
+// not inherit it and fail to inline under GCC). The full-digest and SHAKE
+// entries in keccak_multi.cpp and the scan kernel below share these bodies.
 //
 // sha3_heads_x8_producing is §4.5's fused iterator+hash kernel on the CPU:
 // it hashes one 8-candidate block while a candidate source writes the NEXT

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "bits/seed256.hpp"
 #include "common/rng.hpp"
+#include "hash/cpu_features.hpp"
 #include "hash/keccak.hpp"
+#include "hash/keccak_multi.hpp"
 
 namespace rbc::hash {
 namespace {
@@ -234,6 +238,103 @@ TEST(KeccakSponge, ResetClearsState) {
   sponge.squeeze(MutByteSpan{d.bytes.data(), d.bytes.size()});
   EXPECT_EQ(d.to_hex(),
             "a7ffc6f8bf1ed76651c14756a061d662f580ff4de43b49fa82d80a4b80f8434a");
+}
+
+// --- ShakeMulti: up to 8 SHAKE streams expanded together -------------------
+
+std::vector<SimdLevel> available_levels() {
+  std::vector<SimdLevel> levels{SimdLevel::kScalar, SimdLevel::kSwar};
+  if (detected_simd_level() >= SimdLevel::kAvx2)
+    levels.push_back(SimdLevel::kAvx2);
+  if (detected_simd_level() >= SimdLevel::kAvx512)
+    levels.push_back(SimdLevel::kAvx512);
+  return levels;
+}
+
+/// The first `len` bytes of the scalar SHAKE stream of `input`.
+Bytes scalar_shake(Shake kind, ByteSpan input, std::size_t len) {
+  Bytes out(len);
+  if (kind == Shake::k128) {
+    Shake128 xof;
+    xof.absorb(input);
+    xof.squeeze(out);
+  } else {
+    Shake256 xof;
+    xof.absorb(input);
+    xof.squeeze(out);
+  }
+  return out;
+}
+
+/// `count` distinct inputs: lane l's bytes depend on l, and the lengths
+/// run from empty to one byte short of the rate (where the SHAKE suffix
+/// and the final pad bit share a byte).
+std::vector<Bytes> distinct_inputs(Shake kind, std::size_t count) {
+  const std::size_t rate = shake_rate(kind);
+  const std::size_t lengths[ShakeMulti::kLanes] = {0,        1,  33, 34,
+                                                   rate - 1, 100, 7, rate - 2};
+  std::vector<Bytes> inputs(count);
+  for (std::size_t l = 0; l < count; ++l) {
+    for (std::size_t i = 0; i < lengths[l]; ++i)
+      inputs[l].push_back(static_cast<u8>(l * 131 + i * 7 + count));
+  }
+  return inputs;
+}
+
+constexpr std::size_t kSqueezeLengths[] = {1, 167, 168, 169, 840, 841};
+
+TEST(ShakeMulti, EveryLaneMatchesScalarShakeAtEveryLevel) {
+  for (const Shake kind : {Shake::k128, Shake::k256}) {
+    for (std::size_t count = 1; count <= ShakeMulti::kLanes; ++count) {
+      const std::vector<Bytes> inputs = distinct_inputs(kind, count);
+      std::vector<ByteSpan> spans(inputs.begin(), inputs.end());
+      std::vector<Bytes> expected;
+      for (const Bytes& in : inputs)
+        expected.push_back(scalar_shake(kind, in, 841));
+      for (const SimdLevel level : available_levels()) {
+        // One block ahead, or the most a batch squeezes: the longer reads
+        // continue each stream past the batch on the lane's own sponge.
+        for (const std::size_t blocks :
+             {std::size_t{1}, ShakeMulti::kMaxBlocks}) {
+          const ShakeMulti xof(level, kind, spans, blocks);
+          for (const std::size_t len : kSqueezeLengths) {
+            for (std::size_t l = 0; l < count; ++l) {
+              ShakeStream stream = xof.stream(l);
+              Bytes out(len);
+              stream.squeeze(out);
+              ASSERT_TRUE(std::equal(out.begin(), out.end(),
+                                     expected[l].begin()))
+                  << "SHAKE-" << (kind == Shake::k128 ? 128 : 256) << " "
+                  << to_string(level) << " count " << count << " blocks "
+                  << blocks << " lane " << l << " len " << len;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ShakeMulti, SqueezeInPiecesMatchesOneShot) {
+  // Odd-sized reads crossing the 136-byte rate and the end of the 4 blocks
+  // the batch squeezed (544 bytes), one stream after another.
+  for (const SimdLevel level : available_levels()) {
+    const std::vector<Bytes> inputs = distinct_inputs(Shake::k256, 3);
+    const std::vector<ByteSpan> spans(inputs.begin(), inputs.end());
+    const ShakeMulti xof(level, Shake::k256, spans, 4);
+    for (std::size_t l = 0; l < inputs.size(); ++l) {
+      ShakeStream stream = xof.stream(l);
+      Bytes pieces(1000);
+      std::size_t off = 0;
+      for (const std::size_t chunk : {1u, 135u, 136u, 271u, 2u, 200u, 255u}) {
+        stream.squeeze(MutByteSpan{pieces.data() + off, chunk});
+        off += chunk;
+      }
+      ASSERT_EQ(off, pieces.size());
+      EXPECT_EQ(pieces, scalar_shake(Shake::k256, inputs[l], 1000))
+          << to_string(level) << " lane " << l;
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include "common/rng.hpp"
 #include "crypto/ring.hpp"
+#include "hash/keccak.hpp"
+#include "hash/keccak_multi.hpp"
 
 namespace rbc::crypto {
 namespace {
@@ -110,10 +112,12 @@ TEST(PolyRing, RoundShift) {
 
 TEST(PolyRing, SampleUniformInRangeAndDeterministic) {
   PolyRing ring(8380417);
-  hash::Shake128 xof1, xof2;
+  // Two streams of the same input, expanded side by side.
   const u8 seed[4] = {1, 2, 3, 4};
-  xof1.absorb(ByteSpan{seed, 4});
-  xof2.absorb(ByteSpan{seed, 4});
+  const ByteSpan inputs[2] = {ByteSpan{seed, 4}, ByteSpan{seed, 4}};
+  const hash::ShakeMulti xofs(hash::Shake::k128, inputs, 5);
+  hash::ShakeStream xof1 = xofs.stream(0);
+  hash::ShakeStream xof2 = xofs.stream(1);
   const Poly a = ring.sample_uniform(xof1);
   const Poly b = ring.sample_uniform(xof2);
   EXPECT_EQ(a, b);
@@ -129,9 +133,10 @@ TEST(PolyRing, SampleUniformInRangeAndDeterministic) {
 
 TEST(PolyRing, SampleSmallWithinEta) {
   PolyRing ring(8380417);
-  hash::Shake256 xof;
   const u8 seed[1] = {9};
-  xof.absorb(ByteSpan{seed, 1});
+  const ByteSpan inputs[1] = {ByteSpan{seed, 1}};
+  const hash::ShakeMulti xofs(hash::Shake::k256, inputs, 4);
+  hash::ShakeStream xof = xofs.stream(0);
   const int eta = 4;
   const Poly s = ring.sample_small(xof, eta);
   for (u32 c : s.c) {
@@ -143,9 +148,10 @@ TEST(PolyRing, SampleSmallWithinEta) {
 
 TEST(PolyRing, SampleSmallIsRoughlyCentered) {
   PolyRing ring(8380417);
-  hash::Shake256 xof;
   const u8 seed[1] = {10};
-  xof.absorb(ByteSpan{seed, 1});
+  const ByteSpan inputs[1] = {ByteSpan{seed, 1}};
+  const hash::ShakeMulti xofs(hash::Shake::k256, inputs, 4);
+  hash::ShakeStream xof = xofs.stream(0);
   double sum = 0;
   for (int i = 0; i < 8; ++i) {
     const Poly s = ring.sample_small(xof, 4);
@@ -333,7 +339,8 @@ TEST(PolyRing, NttMatchesSchoolbookOnExtremePolynomials) {
 }
 
 // The centered binomial sampler spelled out with std::popcount and a signed
-// branch, reading the same SHAKE-256 stream sample_small reads.
+// branch, reading the same SHAKE-256 stream sample_small reads, from the
+// scalar sponge.
 Poly reference_sample_small(hash::Shake256& xof, int eta, u32 q) {
   std::array<u8, 2 * kRingDegree> buf;
   xof.squeeze(buf);
@@ -355,10 +362,13 @@ TEST(PolyRing, SampleSmallMatchesPopcountReferenceForEveryEta) {
     for (int eta = 1; eta <= 8; ++eta) {
       for (u8 seed = 0; seed < 4; ++seed) {
         const u8 input[2] = {seed, static_cast<u8>(eta)};
-        hash::Shake256 xof, ref_xof;
-        xof.absorb(ByteSpan{input, 2});
+        const ByteSpan inputs[1] = {ByteSpan{input, 2}};
+        const hash::ShakeMulti xofs(hash::Shake::k256, inputs, 4);
+        hash::ShakeStream xof = xofs.stream(0);
+        hash::Shake256 ref_xof;
         ref_xof.absorb(ByteSpan{input, 2});
-        // Two polynomials per stream: the second starts mid-stream.
+        // Two polynomials per stream: the second starts mid-stream, past
+        // the 4 blocks the batch squeezed.
         for (int poly = 0; poly < 2; ++poly) {
           ASSERT_EQ(ring.sample_small(xof, eta),
                     reference_sample_small(ref_xof, eta, q))
