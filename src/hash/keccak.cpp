@@ -84,6 +84,16 @@ KeccakSponge::KeccakSponge(std::size_t rate_bytes, u8 suffix) noexcept
   reset();
 }
 
+KeccakSponge::KeccakSponge(std::size_t rate_bytes, u8 suffix,
+                           const u64 (&state)[25]) noexcept
+    : rate_(rate_bytes),
+      suffix_(suffix),
+      absorb_pos_(0),
+      squeeze_pos_(rate_bytes),
+      squeezing_(true) {
+  std::copy(state, state + 25, state_);
+}
+
 void KeccakSponge::reset() noexcept {
   std::memset(state_, 0, sizeof(state_));
   absorb_pos_ = 0;

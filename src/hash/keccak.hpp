@@ -51,6 +51,12 @@ class KeccakSponge {
   /// message (0x06 for SHA-3, 0x1f for SHAKE).
   KeccakSponge(std::size_t rate_bytes, u8 suffix) noexcept;
 
+  /// A sponge that is already squeezing and resumes from `state`, as if a
+  /// squeeze() had just read a whole rate block: its next squeeze()
+  /// permutes first. Continues an XOF stream that other code began.
+  KeccakSponge(std::size_t rate_bytes, u8 suffix,
+               const u64 (&state)[25]) noexcept;
+
   void reset() noexcept;
   void absorb(ByteSpan data) noexcept;
   /// Finishes absorbing (applies padding) and switches to squeezing.
