@@ -4,12 +4,16 @@
 # way to run the whole harness is:  for b in build/bench/*; do $b; done
 set(RBC_BENCH_DIR ${CMAKE_SOURCE_DIR}/bench)
 
+# `cmake --build <dir> --target benches` builds every bench and nothing else.
+add_custom_target(benches)
+
 function(rbc_add_bench name)
   add_executable(${name} ${RBC_BENCH_DIR}/${name}.cpp)
   target_link_libraries(${name} PRIVATE ${ARGN} rbc_warnings)
   target_include_directories(${name} PRIVATE ${RBC_BENCH_DIR})
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+  add_dependencies(benches ${name})
 endfunction()
 
 rbc_add_bench(bench_table1_search_space rbc_comb)

@@ -11,6 +11,8 @@
 // BM_ShakeMulti is the key generators' XOF: 8 SHAKE-128 streams of 5 blocks
 // (one Dilithium-like batch of A entries) per dispatch level, against the
 // same 8 streams on the scalar sponge (BM_ShakeMultiScalarStreams).
+// BM_EnrollDevice and BM_PufRespond are the L3 rows of the PUF reads:
+// one device's enrollment, and the simulated client's side of a session.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -27,6 +29,8 @@
 #include "hash/keccak.hpp"
 #include "hash/keccak_multi.hpp"
 #include "hash/sha1.hpp"
+#include "rbc/enrollment_db.hpp"
+#include "rbc/protocol.hpp"
 
 namespace {
 
@@ -336,6 +340,54 @@ void BM_KeygenDilithiumLike(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_KeygenDilithiumLike);
+
+// The CA's enrollment of one 64-address device (§2.1's secure-facility
+// step): 100 calibration reads per address, the masks and profiles, and the
+// record's AES-CTR encryption. The L3 cost behind perfbench's
+// rbc.enroll_ms_per_device.
+void BM_EnrollDevice(benchmark::State& state) {
+  puf::SramPufModel::Params params;
+  params.num_addresses = 64;
+  const puf::SramPufModel device(params, 0xbead);
+  const crypto::Aes128::Key key{};
+  Xoshiro256 rng(1);
+  u64 id = 0;
+  for (auto _ : state) {
+    EnrollmentDatabase db(key);
+    db.enroll(++id, device, 100, 0.02, rng);
+    benchmark::DoNotOptimize(db);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EnrollDevice)->Unit(benchmark::kMillisecond);
+
+// The simulated client's side of a session: one PUF read, a 15-read
+// majority vote, noise injected to distance 1 and the SHA-3 digest
+// (perfbench's puf.respond_us).
+void BM_PufRespond(benchmark::State& state) {
+  puf::SramPufModel::Params params;
+  params.num_addresses = 64;
+  const puf::SramPufModel device(params, 0xbead);
+  ClientConfig cfg;
+  cfg.injected_distance = 1;
+  cfg.majority_reads = 15;
+  Client client(cfg, &device, 2);
+  Xoshiro256 rng(3);
+  std::array<Seed256, 64> masks;
+  for (u32 a = 0; a < masks.size(); ++a)
+    masks[a] = puf::calibrate_cell_stats(device, a, 100, 0.02, rng)
+                   .mask.stable_bits();
+  net::Challenge challenge;
+  challenge.tapki_enabled = true;
+  for (auto _ : state) {
+    challenge.puf_address = (challenge.puf_address + 1) % 64;
+    challenge.stable_mask = masks[challenge.puf_address];
+    auto submission = client.respond(challenge);
+    benchmark::DoNotOptimize(submission);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PufRespond);
 
 }  // namespace
 

@@ -85,16 +85,18 @@ ctest --test-dir build --output-on-failure -j "$JOBS" \
 }
 
 step_7() {
-echo "=== [7/17] bench smoke: batched hash throughput ==="
-# Release-configured bench build; one quick repetition proves the batched
-# and heads-only kernels run at every advertised level, the scan runs over
-# every candidate source, the multi-stream SHAKE runs at every level and the
-# key generators run on it (full numbers: docs/perf.md).
+echo "=== [7/17] bench smoke: Release bench build + batched hash throughput ==="
+# Release-configured build of every bench, warnings are errors: -O3 inlines
+# across more calls than the default build and can warn where it does not.
+# Then one quick repetition proves the batched and heads-only kernels run at
+# every advertised level, the scan runs over every candidate source, the
+# multi-stream SHAKE runs at every level, the key generators run on it, and
+# enrollment and the client's PUF reads run (full numbers: docs/perf.md).
 if [[ "${RBC_CI_BENCH:-1}" == "1" ]]; then
-  cmake --preset release >/dev/null
-  cmake --build --preset release -j "$JOBS" --target bench_hash_throughput
+  cmake --preset release -DRBC_WERROR=ON >/dev/null
+  cmake --build --preset release -j "$JOBS" --target benches
   ./build-release/bench/bench_hash_throughput \
-    --benchmark_filter='SeedBatched|SeedHeadsBatched|SeedFixed|ScanShell|Keygen|ShakeMulti' \
+    --benchmark_filter='SeedBatched|SeedHeadsBatched|SeedFixed|ScanShell|Keygen|ShakeMulti|EnrollDevice|PufRespond' \
     --benchmark_min_time=0.05
 else
   echo "(skipped: RBC_CI_BENCH=0)"

@@ -1,5 +1,6 @@
 #include "crypto/aes128.hpp"
 
+#include <array>
 #include <cstring>
 
 namespace rbc::crypto {
@@ -7,7 +8,7 @@ namespace rbc::crypto {
 namespace {
 
 // GF(2^8) multiplication modulo the AES polynomial x^8+x^4+x^3+x+1 (0x11b).
-u8 gf_mul(u8 a, u8 b) noexcept {
+constexpr u8 gf_mul(u8 a, u8 b) noexcept {
   u8 r = 0;
   while (b) {
     if (b & 1) r ^= a;
@@ -19,47 +20,48 @@ u8 gf_mul(u8 a, u8 b) noexcept {
   return r;
 }
 
-// The S-box built from first principles: multiplicative inverse in GF(2^8)
-// followed by the FIPS-197 affine transformation.
-struct SboxTable {
-  std::array<u8, 256> fwd{};
+// Multiplication by x (0x02) without a branch: the reduction is masked in
+// from the top bit.
+constexpr u8 xtime(u8 a) noexcept {
+  return static_cast<u8>((a << 1) ^ ((a >> 7) * 0x1b));
+}
 
-  SboxTable() {
-    // Inverses by brute force — done once.
-    std::array<u8, 256> inv{};
-    for (int a = 1; a < 256; ++a) {
-      for (int b = 1; b < 256; ++b) {
-        if (gf_mul(static_cast<u8>(a), static_cast<u8>(b)) == 1) {
-          inv[static_cast<unsigned>(a)] = static_cast<u8>(b);
-          break;
-        }
+// The S-box built from first principles at compile time: multiplicative
+// inverse in GF(2^8) followed by the FIPS-197 affine transformation.
+constexpr std::array<u8, 256> make_sbox() noexcept {
+  // Inverses by brute force.
+  std::array<u8, 256> inv{};
+  for (int a = 1; a < 256; ++a) {
+    for (int b = 1; b < 256; ++b) {
+      if (gf_mul(static_cast<u8>(a), static_cast<u8>(b)) == 1) {
+        inv[static_cast<unsigned>(a)] = static_cast<u8>(b);
+        break;
       }
-    }
-    for (int x = 0; x < 256; ++x) {
-      const u8 i = inv[static_cast<unsigned>(x)];
-      u8 y = 0;
-      for (int bit = 0; bit < 8; ++bit) {
-        const int v = ((i >> bit) & 1) ^ ((i >> ((bit + 4) % 8)) & 1) ^
-                      ((i >> ((bit + 5) % 8)) & 1) ^ ((i >> ((bit + 6) % 8)) & 1) ^
-                      ((i >> ((bit + 7) % 8)) & 1) ^ ((0x63 >> bit) & 1);
-        y = static_cast<u8>(y | (v << bit));
-      }
-      fwd[static_cast<unsigned>(x)] = y;
     }
   }
-};
-
-const SboxTable& sbox_table() {
-  static const SboxTable table;
-  return table;
+  std::array<u8, 256> fwd{};
+  for (int x = 0; x < 256; ++x) {
+    const u8 i = inv[static_cast<unsigned>(x)];
+    u8 y = 0;
+    for (int bit = 0; bit < 8; ++bit) {
+      const int v = ((i >> bit) & 1) ^ ((i >> ((bit + 4) % 8)) & 1) ^
+                    ((i >> ((bit + 5) % 8)) & 1) ^ ((i >> ((bit + 6) % 8)) & 1) ^
+                    ((i >> ((bit + 7) % 8)) & 1) ^ ((0x63 >> bit) & 1);
+      y = static_cast<u8>(y | (v << bit));
+    }
+    fwd[static_cast<unsigned>(x)] = y;
+  }
+  return fwd;
 }
+
+constexpr std::array<u8, 256> kSbox = make_sbox();
 
 constexpr u8 kRcon[11] = {0x00, 0x01, 0x02, 0x04, 0x08, 0x10,
                           0x20, 0x40, 0x80, 0x1b, 0x36};
 
 }  // namespace
 
-u8 Aes128::sbox(u8 x) noexcept { return sbox_table().fwd[x]; }
+u8 Aes128::sbox(u8 x) noexcept { return kSbox[x]; }
 
 Aes128::Aes128(const Key& key) noexcept {
   std::memcpy(round_keys_[0].data(), key.data(), 16);
@@ -88,20 +90,23 @@ Aes128::Block Aes128::encrypt(const Block& plaintext) const noexcept {
     u8 t[16];
     for (int c = 0; c < 4; ++c) {
       for (int r = 0; r < 4; ++r) {
-        t[4 * c + r] = sbox_table().fwd[st[4 * ((c + r) % 4) + r]];
+        t[4 * c + r] = kSbox[st[4 * ((c + r) % 4) + r]];
       }
     }
     std::memcpy(st, t, 16);
   };
 
   auto mix_columns = [](u8* st) noexcept {
+    // 2*a0 ^ 3*a1 ^ a2 ^ a3 == a0 ^ t ^ xtime(a0 ^ a1), t = a0^a1^a2^a3,
+    // and likewise for each row.
     for (int c = 0; c < 4; ++c) {
       u8* col = st + 4 * c;
       const u8 a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-      col[0] = static_cast<u8>(gf_mul(a0, 2) ^ gf_mul(a1, 3) ^ a2 ^ a3);
-      col[1] = static_cast<u8>(a0 ^ gf_mul(a1, 2) ^ gf_mul(a2, 3) ^ a3);
-      col[2] = static_cast<u8>(a0 ^ a1 ^ gf_mul(a2, 2) ^ gf_mul(a3, 3));
-      col[3] = static_cast<u8>(gf_mul(a0, 3) ^ a1 ^ a2 ^ gf_mul(a3, 2));
+      const u8 t = static_cast<u8>(a0 ^ a1 ^ a2 ^ a3);
+      col[0] = static_cast<u8>(a0 ^ t ^ xtime(static_cast<u8>(a0 ^ a1)));
+      col[1] = static_cast<u8>(a1 ^ t ^ xtime(static_cast<u8>(a1 ^ a2)));
+      col[2] = static_cast<u8>(a2 ^ t ^ xtime(static_cast<u8>(a2 ^ a3)));
+      col[3] = static_cast<u8>(a3 ^ t ^ xtime(static_cast<u8>(a3 ^ a0)));
     }
   };
 

@@ -5,8 +5,9 @@
 // original algorithm-aware RBC search generates an AES-derived public key
 // for every candidate seed. The implementation is byte-oriented (no T-tables)
 // to mirror the register-frugal GPU kernels the prior work used; the S-box is
-// derived from the GF(2^8) inverse + affine map at first use rather than
-// transcribed, and the whole cipher is validated against FIPS-197 vectors.
+// derived from the GF(2^8) inverse + affine map at compile time rather than
+// transcribed, MixColumns doubles with a branch-free xtime, and the whole
+// cipher is validated against FIPS-197 vectors.
 //
 // Security note: this is a benchmark comparator, not hardened crypto — no
 // constant-time guarantees are claimed.

@@ -154,7 +154,9 @@ class SeedScan {
   BlockScan step(Source& source) {
     const LaneBlock& cur = blocks_[cur_];
     LaneBlock& next = blocks_[cur_ ^ 1];
-    alignas(64) std::array<u64, LaneBlock::kLanes> heads;
+    // hash_producing writes lanes [0, n), the ones judged below; the zero
+    // fill (one store per block) lets -O3 see that too.
+    alignas(64) std::array<u64, LaneBlock::kLanes> heads{};
     const std::size_t n = pending_;
     pending_ = hash_producing(cur, n, next, source, heads.data());
     cur_ ^= 1;

@@ -9,10 +9,17 @@
 //     stable "enrolled" value plus a per-cell flip probability drawn from a
 //     heavy-tailed mixture (most cells are very stable, a minority are
 //     erratic), which matches how SRAM power-up PUFs behave and is what
-//     makes TAPKI masking (§2.1) meaningful.
+//     makes TAPKI masking (§2.1) meaningful. The probabilities live in one
+//     contiguous array, 256 per address.
+//   * AddressReader — the one read kernel. It turns an address's
+//     probabilities into integer draw limits once (draw_limit), then builds
+//     each 64-cell word of a read without branches: cell i flips on a draw
+//     x exactly when (x >> 11) < limit[i], which is next_bool(p_i). Callers
+//     that read one address many times (calibration, majority votes, a
+//     client's reading plus its vote) share one reader.
 //   * EnrollmentImage — the server-side copy captured in the secure facility.
-//   * PufReader — the client-side read path: returns the enrolled word with
-//     stochastic bit flips, plus the paper's §4.1 noise-injection policy
+//   * majority_read / adjust_to_distance — the client-side read path: the
+//     client's own majority vote, plus the paper's §4.1 noise-injection policy
 //     ("a typical bit error rate from the PUF is 5 bits, and if it is lower,
 //     we perform noise injection ... to ensure that we have flipped 5 bits").
 //   * TapkiMask — Ternary Addressable PKI masking: cells whose measured error
@@ -20,7 +27,9 @@
 //     challenge, keeping the server search tractable (§2.1).
 //
 // All randomness flows through the caller-provided Xoshiro256 so trials are
-// reproducible.
+// reproducible. A read draws exactly one value per cell, in bit order, so
+// every output and the caller's RNG state are the same whichever entry point
+// reads the cells.
 #pragma once
 
 #include <array>
@@ -63,13 +72,46 @@ class SramPufModel {
   double cell_flip_probability(u32 address, int bit) const;
 
  private:
+  friend class AddressReader;
+
   Params params_;
-  std::vector<Seed256> enrolled_;               // per address
-  std::vector<std::vector<float>> flip_prob_;   // per address, per bit
+  std::vector<Seed256> enrolled_;  // per address
+  std::vector<float> flip_prob_;   // address-major, Seed256::kBits per address
 
   void check_address(u32 address) const {
     RBC_CHECK_MSG(address < params_.num_addresses, "PUF address out of range");
   }
+};
+
+/// The integer form of Xoshiro256::next_bool(p): a draw x comes out true
+/// exactly when (x >> 11) < draw_limit(p). next_double() is (x >> 11) * 2^-53,
+/// so the test is the integer (x >> 11) < p * 2^53, and for an integer that
+/// is (x >> 11) < ceil(p * 2^53); scaling by 2^53 is exact. p in [0, 1].
+inline u64 draw_limit(double p) noexcept {
+  const double y = p * 0x1.0p53;
+  // ceil(y) without a libm call: truncate, then step up if y had a fraction.
+  const auto floor_y = static_cast<i64>(y);
+  return static_cast<u64>(floor_y + (static_cast<double>(floor_y) < y));
+}
+
+/// One address of a device, ready to read: its enrolled word and its cells'
+/// draw limits, computed once. Every read of the model runs through flips().
+class AddressReader {
+ public:
+  AddressReader(const SramPufModel& device, u32 address);
+
+  /// The cells that flip on one read (the read XOR the enrolled word). Draws
+  /// one value per cell, in bit order.
+  Seed256 flips(Xoshiro256& rng) const noexcept;
+
+  /// One noisy read, as SramPufModel::read.
+  Seed256 read(Xoshiro256& rng) const noexcept { return enrolled_ ^ flips(rng); }
+
+  const Seed256& enrolled() const noexcept { return enrolled_; }
+
+ private:
+  Seed256 enrolled_;
+  std::array<u64, Seed256::kBits> limits_;
 };
 
 /// Server-side enrollment image of one client device, captured at
@@ -193,6 +235,10 @@ Calibration calibrate_cell_stats(const SramPufModel& device, u32 address,
 /// `num_reads` and stable cells this converges to the enrolled word except
 /// on erratic cells (which TAPKI masks anyway).
 Seed256 majority_read(const SramPufModel& device, u32 address, int num_reads,
+                      Xoshiro256& rng);
+
+/// The same vote on an address already set up for reading.
+Seed256 majority_read(const AddressReader& cells, int num_reads,
                       Xoshiro256& rng);
 
 /// Forces `reading` to sit at exactly `target_distance` from `reference` by

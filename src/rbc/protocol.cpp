@@ -34,8 +34,10 @@ Bytes hash_seed_bytes(const Seed256& seed, hash::HashAlgo algo) {
 }  // namespace
 
 net::DigestSubmission Client::respond(const net::Challenge& challenge) {
-  // Step: read the PUF at the challenged address.
-  Seed256 reading = device_->read(challenge.puf_address, rng_);
+  // Step: read the PUF at the challenged address. The reading and the
+  // majority vote below read the same cells, so they share one reader.
+  const puf::AddressReader cells(*device_, challenge.puf_address);
+  Seed256 reading = cells.read(rng_);
 
   // TAPKI: pin unstable cells using the helper mask from the CA. The client
   // does not know the enrolled word; pinning unstable cells to a fixed value
@@ -60,8 +62,7 @@ net::DigestSubmission Client::respond(const net::Challenge& challenge) {
             : challenge.requested_noise;
   }
   if (target_distance >= 0) {
-    Seed256 reference = puf::majority_read(*device_, challenge.puf_address,
-                                           cfg_.majority_reads, rng_);
+    Seed256 reference = puf::majority_read(cells, cfg_.majority_reads, rng_);
     if (challenge.tapki_enabled) reference &= challenge.stable_mask;
     reading = puf::adjust_to_distance(reading, reference, target_distance,
                                       challenge.stable_mask, rng_);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "puf/puf.hpp"
 
 namespace rbc::puf {
@@ -79,6 +81,38 @@ TEST(SramPufModel, CellProbabilitiesWithinClassBounds) {
     const double prob = puf.cell_flip_probability(0, bit);
     EXPECT_GE(prob, 0.0);
     EXPECT_LE(prob, 0.5);
+  }
+}
+
+TEST(DrawLimit, IsNextBoolsThreshold) {
+  // next_bool(p) is true for a draw x exactly when (x >> 11) * 2^-53 < p;
+  // the limit is the first m = x >> 11 for which it is false.
+  auto next_bool_at = [](u64 m, double p) {
+    return static_cast<double>(m) * 0x1.0p-53 < p;
+  };
+  struct Case {
+    double p;
+    u64 limit;
+  };
+  const Case cases[] = {
+      {0.0, 0},                                 // never true
+      {std::ldexp(1.0, -60), 1},                // p * 2^53 = 2^-7
+      {std::ldexp(1.0, -53), 1},                // p * 2^53 = 1, integral
+      {std::ldexp(3.0, -54), 2},                // p * 2^53 = 1.5
+      {static_cast<float>(0.004), 36028798730240},  // a float p >= 2^-30
+      {0.5, u64{1} << 52},
+      {1.0, u64{1} << 53},                      // always true
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "p = " << c.p);
+    const u64 limit = draw_limit(c.p);
+    EXPECT_EQ(limit, c.limit);
+    if (limit > 0) {
+      EXPECT_TRUE(next_bool_at(limit - 1, c.p));
+    }
+    if (limit < (u64{1} << 53)) {
+      EXPECT_FALSE(next_bool_at(limit, c.p));
+    }
   }
 }
 
