@@ -86,8 +86,8 @@ void BM_Sha3SeedGeneric(benchmark::State& state) {
 BENCHMARK(BM_Sha3SeedGeneric);
 
 // Batched multi-lane seed hashing at an explicit dispatch level (range(0):
-// 0 = scalar tail loop, 1 = SWAR lanes, 2 = AVX2, 3 = AVX-512; SHA-1 runs
-// its AVX2 kernel at level 3). Levels above what the host supports are
+// 0 = scalar tail loop, 2 = AVX2, 3 = AVX-512, the SimdLevel values; SHA-1
+// runs its AVX2 kernel at level 3). Levels above what the host supports are
 // skipped. Items processed counts SEEDS, so items/sec is
 // directly comparable with the scalar BM_*SeedFixed benches.
 template <typename Batch, typename MultiLevelFn>
@@ -116,13 +116,13 @@ void BM_Sha1SeedBatched(benchmark::State& state) {
   run_batched_bench<hash::Sha1BatchSeedHash>(state,
                                              hash::sha1_seed_multi_level);
 }
-BENCHMARK(BM_Sha1SeedBatched)->DenseRange(0, 3);
+BENCHMARK(BM_Sha1SeedBatched)->Arg(0)->Arg(2)->Arg(3);
 
 void BM_Sha3SeedBatched(benchmark::State& state) {
   run_batched_bench<hash::Sha3BatchSeedHash>(state,
                                              hash::sha3_256_seed_multi_level);
 }
-BENCHMARK(BM_Sha3SeedBatched)->DenseRange(0, 3);
+BENCHMARK(BM_Sha3SeedBatched)->Arg(0)->Arg(2)->Arg(3);
 
 // Heads-only x8 (and below): the 64-bit digest heads a scan rejects on.
 void BM_Sha3SeedHeadsBatched(benchmark::State& state) {
@@ -146,7 +146,7 @@ void BM_Sha3SeedHeadsBatched(benchmark::State& state) {
                           static_cast<int64_t>(kBlock));
   state.SetLabel(std::string(hash::to_string(level)));
 }
-BENCHMARK(BM_Sha3SeedHeadsBatched)->DenseRange(0, 3);
+BENCHMARK(BM_Sha3SeedHeadsBatched)->Arg(0)->Arg(2)->Arg(3);
 
 // hash::SeedScan (SHA-3, active SIMD level) over the first `count`
 // candidates of shell k in each source's order, against a target that
@@ -285,7 +285,7 @@ void BM_ShakeMulti(benchmark::State& state) {
                           static_cast<int64_t>(spans.size()));
   state.SetLabel(std::string(hash::to_string(level)));
 }
-BENCHMARK(BM_ShakeMulti)->DenseRange(0, 3);
+BENCHMARK(BM_ShakeMulti)->Arg(0)->Arg(2)->Arg(3);
 
 void BM_ShakeMultiScalarStreams(benchmark::State& state) {
   auto inputs = shake_inputs();

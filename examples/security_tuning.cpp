@@ -56,14 +56,11 @@ int main() {
   std::printf("\nHost-scale demonstration (budget scaled down to 0.5 s):\n");
   EngineConfig ecfg;
   auto backend = make_backend("cpu", ecfg);
-  // Plan against HOST reality: measure tiny searches and extrapolate via the
-  // per-seed rate, here simply by probing modeled times of the CPU backend.
-  const auto plan = sim::plan_injected_noise(
-      [&](int d) {
-        return backend->modeled_exhaustive_time_s(d, HashAlgo::kSha3_256);
-      },
-      20.0, 0.90, /*max_considered=*/8);
-  const int host_d = std::min(plan.max_distance, 3);  // keep the demo quick
+  // Plan against the CPU backend's modeled exhaustive search times: the
+  // distance a CA would configure for this backend.
+  const int planned = plan_ca_distance(*backend, HashAlgo::kSha3_256, T, comm,
+                                       /*max_considered=*/8);
+  const int host_d = std::min(planned, 3);  // keep the demo quick
 
   puf::SramPufModel::Params params;
   params.num_addresses = 2;
@@ -84,7 +81,7 @@ int main() {
   std::printf(
       "  planned d = %d (platform plan: %d); authenticated = %s at d = %d, "
       "search %.3f s\n",
-      host_d, plan.max_distance, session.result.authenticated ? "yes" : "NO",
+      host_d, planned, session.result.authenticated ? "yes" : "NO",
       session.result.found_distance, session.result.search_seconds);
   return session.result.authenticated ? 0 : 1;
 }

@@ -49,9 +49,9 @@ echo "=== [4/17] batched-hash equivalence under forced dispatch levels ==="
 # candidate-stream contract, the fused, ordered, GPU-emu, hetero and
 # distributed suites, and the multi-stream SHAKE suite with the key
 # generators' golden keys (which expand their streams through it) with the
-# RBC_HASH_SIMD knob capping dispatch so the scalar-tail, SWAR and (on
-# AVX-512 hosts, where auto picks avx512) AVX2 code paths are exercised too.
-for level in scalar swar avx2; do
+# RBC_HASH_SIMD knob capping dispatch so the scalar and (on AVX-512 hosts,
+# where auto picks avx512) AVX2 code paths are exercised too.
+for level in scalar avx2; do
   echo "--- RBC_HASH_SIMD=$level ---"
   RBC_HASH_SIMD="$level" ctest --test-dir build --output-on-failure \
     -j "$JOBS" \

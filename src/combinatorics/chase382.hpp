@@ -65,8 +65,10 @@ class ChaseSequence {
   const Seed256& mask() const noexcept { return state_.mask; }
 
   /// Advances to the next combination. Returns false when the sequence is
-  /// exhausted (the current mask was the last one).
-  bool advance() noexcept;
+  /// exhausted (the current mask was the last one). Like step_general, it
+  /// starts on a 64-byte line, so code linked before it moves it by whole
+  /// lines only (docs/perf.md, "Retiring the SWAR level").
+  [[gnu::aligned(64)]] bool advance() noexcept;
 
   /// advance(), reporting the bit that entered the mask (`in`) and the bit
   /// that left it (`out`): the common step inline, any other out of line.
@@ -102,7 +104,7 @@ class ChaseSequence {
   int n_bits_;
   ChaseState state_;
   /// Any step: the twiddle from the lowest set bit.
-  bool step_general(int& in, int& out) noexcept;
+  [[gnu::aligned(64)]] bool step_general(int& in, int& out) noexcept;
 
   int low_;  // the mask's lowest set bit; kSeedBits when it is empty
 };

@@ -200,11 +200,11 @@ class SeedScan {
 };
 
 /// Batched SHA-1 policy: scalar calls take the fixed-padding fast path,
-/// blocks go through the 4/8-lane multi-buffer kernels.
+/// blocks go through the 8-lane multi-buffer kernel.
 struct Sha1BatchSeedHash {
   using digest_type = Digest160;
-  /// Two AVX2 groups (or four SWAR groups) per refill — enough to amortize
-  /// the block loop, small enough to stay in L1 alongside the digests.
+  /// Two AVX2 groups per refill — enough to amortize the block loop, small
+  /// enough to stay in L1 alongside the digests.
   static constexpr std::size_t kBatch = 16;
   static constexpr std::string_view name() { return "SHA-1 (batched)"; }
   digest_type operator()(const Seed256& s) const noexcept {

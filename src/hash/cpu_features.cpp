@@ -1,6 +1,7 @@
 #include "hash/cpu_features.hpp"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -16,20 +17,22 @@ SimdLevel probe_host() noexcept {
     return SimdLevel::kAvx512;
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
 #endif
-  return SimdLevel::kSwar;
+  return SimdLevel::kScalar;
 }
 
-/// RBC_HASH_SIMD caps (never raises) the dispatch level; unknown values and
-/// "auto" leave the probed level untouched.
+/// RBC_HASH_SIMD caps (never raises) the dispatch level; "auto" and the
+/// unset variable leave the probed level untouched. Any other value exits
+/// the process, so a typo never runs a level nobody asked for.
 SimdLevel apply_env(SimdLevel probed) noexcept {
   const char* env = std::getenv("RBC_HASH_SIMD");
   if (env == nullptr || std::strcmp(env, "auto") == 0) return probed;
   if (std::strcmp(env, "scalar") == 0) return SimdLevel::kScalar;
-  if (std::strcmp(env, "swar") == 0)
-    return probed < SimdLevel::kSwar ? probed : SimdLevel::kSwar;
   if (std::strcmp(env, "avx2") == 0)
     return probed < SimdLevel::kAvx2 ? probed : SimdLevel::kAvx2;
-  return probed;
+  std::fprintf(stderr,
+               "RBC_HASH_SIMD=%s: unknown level; use scalar, avx2 or auto\n",
+               env);
+  std::exit(EXIT_FAILURE);
 }
 
 std::atomic<SimdLevel>& active_level() noexcept {

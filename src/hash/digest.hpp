@@ -34,6 +34,5 @@ struct Digest {
 
 using Digest160 = Digest<20>;  // SHA-1
 using Digest256 = Digest<32>;  // SHA3-256
-using Digest512 = Digest<64>;  // SHA3-512
 
 }  // namespace rbc::hash

@@ -152,34 +152,10 @@ void KeccakSponge::squeeze(MutByteSpan out) noexcept {
   }
 }
 
-Digest224 sha3_224(ByteSpan data) noexcept {
-  KeccakSponge sponge(144, 0x06);
-  sponge.absorb(data);
-  Digest224 d;
-  sponge.squeeze(MutByteSpan{d.bytes.data(), d.bytes.size()});
-  return d;
-}
-
-Digest384 sha3_384(ByteSpan data) noexcept {
-  KeccakSponge sponge(104, 0x06);
-  sponge.absorb(data);
-  Digest384 d;
-  sponge.squeeze(MutByteSpan{d.bytes.data(), d.bytes.size()});
-  return d;
-}
-
 Digest256 sha3_256(ByteSpan data) noexcept {
   KeccakSponge sponge(136, 0x06);
   sponge.absorb(data);
   Digest256 d;
-  sponge.squeeze(MutByteSpan{d.bytes.data(), d.bytes.size()});
-  return d;
-}
-
-Digest512 sha3_512(ByteSpan data) noexcept {
-  KeccakSponge sponge(72, 0x06);
-  sponge.absorb(data);
-  Digest512 d;
   sponge.squeeze(MutByteSpan{d.bytes.data(), d.bytes.size()});
   return d;
 }

@@ -1,5 +1,5 @@
 // Keccak-f[1600] sponge family (FIPS 202), implemented from scratch:
-// SHA3-256, SHA3-512, SHAKE-128, SHAKE-256.
+// SHA3-256, SHAKE-128, SHAKE-256.
 //
 // RBC-SALTED hashes 256-bit seeds with SHA-3 (§3). The generic sponge below
 // supports arbitrary messages and is validated against NIST vectors; the RBC
@@ -20,7 +20,7 @@ namespace rbc::hash {
 namespace detail {
 
 /// Keccak-f[1600] iota round constants, shared by the scalar permutation and
-/// the multi-lane kernels in keccak_multi.cpp.
+/// the multi-lane kernels in keccak_lanes.hpp.
 inline constexpr u64 kKeccakRoundConstants[24] = {
     0x0000000000000001ULL, 0x0000000000008082ULL, 0x800000000000808aULL,
     0x8000000080008000ULL, 0x000000000000808bULL, 0x0000000080000001ULL,
@@ -44,7 +44,7 @@ inline constexpr int kKeccakRho[25] = {0,  1,  62, 28, 27, 36, 44, 6,  55,
 void keccak_f1600(u64 state[25]) noexcept;
 
 /// Generic Keccak sponge. Parameterized at runtime by rate and the domain
-/// separation suffix so one engine serves SHA3-256/512 and SHAKE-128/256.
+/// separation suffix so one engine serves SHA3-256 and SHAKE-128/256.
 class KeccakSponge {
  public:
   /// rate_bytes: sponge rate r/8; suffix: domain bits appended after the
@@ -72,13 +72,7 @@ class KeccakSponge {
   bool squeezing_;
 };
 
-using Digest224 = Digest<28>;
-using Digest384 = Digest<48>;
-
-Digest224 sha3_224(ByteSpan data) noexcept;
 Digest256 sha3_256(ByteSpan data) noexcept;
-Digest384 sha3_384(ByteSpan data) noexcept;
-Digest512 sha3_512(ByteSpan data) noexcept;
 
 /// SHAKE XOFs used by the toy PQC key generators to expand seeds.
 class Shake128 {

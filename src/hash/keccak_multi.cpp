@@ -1,7 +1,6 @@
 #include "hash/keccak_multi.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "common/check.hpp"
@@ -12,87 +11,12 @@ namespace rbc::hash {
 
 namespace {
 
-using detail::kKeccakRho;
-using detail::kKeccakRoundConstants;
-
 /// The scalar path's head: the digest's first 8 bytes.
 u64 scalar_head(const Seed256& seed) noexcept {
   const Digest256 digest = sha3_256_seed(seed);
   u64 head;
   std::memcpy(&head, digest.bytes.data(), sizeof(head));
   return head;
-}
-
-// --- portable SWAR kernel ---------------------------------------------------
-// L sponge states side by side: s[i][l] is Keccak lane i of hash lane l.
-// word(l, t) supplies limb t of lane l's seed.
-
-template <int L, typename Word>
-void sha3_seed_lanes(u64 (&s)[25][static_cast<std::size_t>(L)],
-                     Word&& word) noexcept {
-  constexpr auto kLanes = static_cast<std::size_t>(L);
-  for (int l = 0; l < L; ++l) {
-    for (int t = 0; t < 4; ++t) s[t][l] = word(l, t);
-    s[4][l] = 0x06ULL;  // domain/pad byte at offset 32
-    for (int i = 5; i < 16; ++i) s[i][l] = 0;
-    s[16][l] = 0x8000000000000000ULL;  // final pad bit at byte 135
-    for (int i = 17; i < 25; ++i) s[i][l] = 0;
-  }
-
-  for (int round = 0; round < 24; ++round) {
-    u64 c[5][kLanes], d[5][kLanes];
-    for (int x = 0; x < 5; ++x)
-      for (int l = 0; l < L; ++l)
-        c[x][l] = s[x][l] ^ s[x + 5][l] ^ s[x + 10][l] ^ s[x + 15][l] ^
-                  s[x + 20][l];
-    for (int x = 0; x < 5; ++x)
-      for (int l = 0; l < L; ++l)
-        d[x][l] = c[(x + 4) % 5][l] ^ std::rotl(c[(x + 1) % 5][l], 1);
-    for (int i = 0; i < 25; ++i)
-      for (int l = 0; l < L; ++l) s[i][l] ^= d[i % 5][l];
-
-    u64 b[25][kLanes];
-    for (int x = 0; x < 5; ++x) {
-      for (int y = 0; y < 5; ++y) {
-        const int src = x + 5 * y;
-        const int dst = y + 5 * ((2 * x + 3 * y) % 5);
-        for (int l = 0; l < L; ++l)
-          b[dst][l] = std::rotl(s[src][l], kKeccakRho[src]);
-      }
-    }
-
-    for (int y = 0; y < 5; ++y)
-      for (int x = 0; x < 5; ++x)
-        for (int l = 0; l < L; ++l)
-          s[x + 5 * y][l] = b[x + 5 * y][l] ^ (~b[(x + 1) % 5 + 5 * y][l] &
-                                               b[(x + 2) % 5 + 5 * y][l]);
-
-    for (int l = 0; l < L; ++l) s[0][l] ^= kKeccakRoundConstants[round];
-  }
-}
-
-template <int L>
-void sha3_seed_lanes_digests(const Seed256* seeds, Digest256* out) noexcept {
-  u64 s[25][static_cast<std::size_t>(L)];
-  sha3_seed_lanes<L>(s, [&](int l, int t) { return seeds[l].word(t); });
-  for (int l = 0; l < L; ++l) {
-    u8* p = out[l].bytes.data();
-    for (int t = 0; t < 4; ++t) std::memcpy(p + 8 * t, &s[t][l], 8);
-  }
-}
-
-/// Heads of block lanes [first, first + L). A function of its own, like
-/// sha3_seed_lanes_digests: written inline in the dispatch loop, the same
-/// rounds ran slower for heads than for full digests (docs/perf.md).
-template <int L>
-void sha3_block_heads_lanes(const LaneBlock& block, std::size_t first,
-                            u64* heads) noexcept {
-  u64 s[25][static_cast<std::size_t>(L)];
-  sha3_seed_lanes<L>(s, [&](int l, int t) {
-    return block.words[static_cast<unsigned>(t)]
-                      [first + static_cast<std::size_t>(l)];
-  });
-  std::memcpy(heads, s[0], sizeof(s[0]));
 }
 
 #if RBC_HAVE_AVX2_TARGET
@@ -199,11 +123,9 @@ void sha3_256_seed_multi_level(SimdLevel level, const Seed256* seeds,
   if (level >= SimdLevel::kAvx2) {
     for (; i + 4 <= count; i += 4) sha3_seed_x4_avx2(seeds + i, out + i);
   }
+#else
+  static_cast<void>(level);
 #endif
-  if (level >= SimdLevel::kSwar) {
-    for (; i + 4 <= count; i += 4)
-      sha3_seed_lanes_digests<4>(seeds + i, out + i);
-  }
   for (; i < count; ++i) out[i] = sha3_256_seed(seeds[i]);
 }
 
@@ -224,11 +146,9 @@ void sha3_256_block_heads_level(SimdLevel level, const LaneBlock& block,
     for (; i + 4 <= count; i += 4)
       sha3_block_heads_x4_avx2(block, i, heads + i);
   }
+#else
+  static_cast<void>(level);
 #endif
-  if (level >= SimdLevel::kSwar) {
-    for (; i + 4 <= count; i += 4)
-      sha3_block_heads_lanes<4>(block, i, heads + i);
-  }
   for (; i < count; ++i) heads[i] = scalar_head(block.seed(i));
 }
 

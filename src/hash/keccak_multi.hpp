@@ -3,14 +3,14 @@
 // keccak.hpp), and up to 8 SHAKE-128/256 streams expanded together.
 //
 // One call runs Keccak-f[1600] over several independent sponge states at
-// once: the SWAR kernel carries the states as per-lane arrays (unrollable /
-// auto-vectorizable), the AVX2 kernel packs one 64-bit Keccak lane position
-// of 4 states per ymm register — the classic "times-4" construction — and
-// the AVX-512 kernel does the same for 8 states per zmm register. At the
-// AVX-512 level a seed-hash call runs 8-lane groups, then one 4-lane AVX2
-// group, then the scalar tail. Each lane computes exactly sha3_256_seed() of
-// its seed: the fixed single-block absorb (4 word stores + 2 pad constants)
-// is replicated per lane, so no padding logic runs on the hot path.
+// once: the AVX2 kernel packs one 64-bit Keccak lane position of 4 states
+// per ymm register — the classic "times-4" construction — and the AVX-512
+// kernel does the same for 8 states per zmm register. At the AVX-512 level
+// a seed-hash call runs 8-lane groups, then one 4-lane AVX2 group, then the
+// scalar tail; at the scalar level every seed takes sha3_256_seed(). Each
+// lane computes exactly sha3_256_seed() of its seed: the fixed single-block
+// absorb (4 word stores + 2 pad constants) is replicated per lane, so no
+// padding logic runs on the hot path.
 //
 // Entry points mirror sha1_multi.hpp: a dispatching form plus a forced-level
 // form for the equivalence tests and dispatch benches. The heads-only forms
@@ -28,8 +28,7 @@
 // KeccakSponge resumed from the lane's state, so a reader that wants more
 // (a rejection sampler that rejected more candidates than usual) gets that
 // exact SHAKE stream. Below AVX2 nothing is squeezed ahead and every read
-// goes to that sponge: the SWAR lanes run slower than the scalar
-// permutation (docs/perf.md).
+// goes to that sponge.
 #pragma once
 
 #include <array>

@@ -1,8 +1,5 @@
 #include "hash/sha1_multi.hpp"
 
-#include <bit>
-#include <cstring>
-
 #include "hash/sha1.hpp"
 
 #if RBC_HAVE_AVX2_TARGET
@@ -10,6 +7,8 @@
 #endif
 
 namespace rbc::hash {
+
+#if RBC_HAVE_AVX2_TARGET
 
 namespace {
 
@@ -36,81 +35,9 @@ inline void store_be32(u8* p, u32 v) noexcept {
   p[3] = static_cast<u8>(v);
 }
 
-// --- portable SWAR kernel ---------------------------------------------------
-// L independent lanes carried through the compression as small per-lane
-// arrays; every step is an L-wide loop the compiler can unroll or vectorize.
-
-template <int L>
-void sha1_seed_lanes(const Seed256* seeds, Digest160* out) noexcept {
-  constexpr auto kLanes = static_cast<std::size_t>(L);
-  u32 w[16][kLanes];
-  for (int l = 0; l < L; ++l) {
-    for (int t = 0; t < 8; ++t) w[t][l] = seed_be32(seeds[l], t);
-    w[8][l] = 0x80000000u;
-    for (int t = 9; t < 15; ++t) w[t][l] = 0;
-    w[15][l] = 256u;  // message length in bits
-  }
-
-  u32 a[kLanes], b[kLanes], c[kLanes], d[kLanes], e[kLanes];
-  for (int l = 0; l < L; ++l) {
-    a[l] = kInit[0];
-    b[l] = kInit[1];
-    c[l] = kInit[2];
-    d[l] = kInit[3];
-    e[l] = kInit[4];
-  }
-
-  auto rounds = [&](int t0, int t1, u32 k, auto&& f) {
-    for (int t = t0; t < t1; ++t) {
-      u32 wt[kLanes];
-      if (t < 16) {
-        for (int l = 0; l < L; ++l) wt[l] = w[t][l];
-      } else {
-        for (int l = 0; l < L; ++l) {
-          const u32 v = std::rotl(w[(t - 3) & 15][l] ^ w[(t - 8) & 15][l] ^
-                                      w[(t - 14) & 15][l] ^ w[t & 15][l],
-                                  1);
-          w[t & 15][l] = v;
-          wt[l] = v;
-        }
-      }
-      for (int l = 0; l < L; ++l) {
-        const u32 tmp =
-            std::rotl(a[l], 5) + f(b[l], c[l], d[l]) + e[l] + k + wt[l];
-        e[l] = d[l];
-        d[l] = c[l];
-        c[l] = std::rotl(b[l], 30);
-        b[l] = a[l];
-        a[l] = tmp;
-      }
-    }
-  };
-
-  const auto ch = [](u32 x, u32 y, u32 z) { return (x & y) | (~x & z); };
-  const auto parity = [](u32 x, u32 y, u32 z) { return x ^ y ^ z; };
-  const auto maj = [](u32 x, u32 y, u32 z) {
-    return (x & y) | (x & z) | (y & z);
-  };
-  rounds(0, 20, kK[0], ch);
-  rounds(20, 40, kK[1], parity);
-  rounds(40, 60, kK[2], maj);
-  rounds(60, 80, kK[3], parity);
-
-  for (int l = 0; l < L; ++l) {
-    u8* p = out[l].bytes.data();
-    store_be32(p, kInit[0] + a[l]);
-    store_be32(p + 4, kInit[1] + b[l]);
-    store_be32(p + 8, kInit[2] + c[l]);
-    store_be32(p + 12, kInit[3] + d[l]);
-    store_be32(p + 16, kInit[4] + e[l]);
-  }
-}
-
 // --- AVX2 kernel: 8 lanes of 32-bit state per ymm ---------------------------
 // All helpers carry the target attribute themselves (lambdas would not
 // inherit it and fail to inline under GCC).
-
-#if RBC_HAVE_AVX2_TARGET
 
 RBC_TARGET_AVX2 inline __m256i rotl32v(__m256i x, int k) noexcept {
   return _mm256_or_si256(_mm256_slli_epi32(x, k), _mm256_srli_epi32(x, 32 - k));
@@ -184,9 +111,9 @@ RBC_TARGET_AVX2 void sha1_seed_x8_avx2(const Seed256* seeds,
   }
 }
 
-#endif  // RBC_HAVE_AVX2_TARGET
-
 }  // namespace
+
+#endif  // RBC_HAVE_AVX2_TARGET
 
 void sha1_seed_multi_level(SimdLevel level, const Seed256* seeds,
                            std::size_t count, Digest160* out) noexcept {
@@ -195,10 +122,9 @@ void sha1_seed_multi_level(SimdLevel level, const Seed256* seeds,
   if (level >= SimdLevel::kAvx2) {
     for (; i + 8 <= count; i += 8) sha1_seed_x8_avx2(seeds + i, out + i);
   }
+#else
+  static_cast<void>(level);
 #endif
-  if (level >= SimdLevel::kSwar) {
-    for (; i + 4 <= count; i += 4) sha1_seed_lanes<4>(seeds + i, out + i);
-  }
   for (; i < count; ++i) out[i] = sha1_seed(seeds[i]);
 }
 

@@ -1,12 +1,13 @@
 // Multi-lane SHA-1 over fixed 32-byte seeds — the batched half of the
 // fixed-padding fast path in sha1.hpp.
 //
-// One call compresses a whole block of candidate seeds: the 80-round
-// compression runs over 4 (SWAR) or 8 (AVX2) independent message lanes at
-// once, so the per-round dependent chain of one hash overlaps with its
-// neighbours'. This is the standard multi-buffer construction used by
-// high-throughput hashing stacks; it changes nothing about the digest — each
-// lane computes exactly sha1_seed() of its seed.
+// One call compresses a whole block of candidate seeds: at AVX2 and above
+// the 80-round compression runs over 8 independent message lanes at once,
+// so the per-round dependent chain of one hash overlaps with its
+// neighbours'; the remainder below 8 seeds, and every seed at the scalar
+// level, takes sha1_seed(). This is the standard multi-buffer construction
+// used by high-throughput hashing stacks; it changes nothing about the
+// digest — each lane computes exactly sha1_seed() of its seed.
 //
 // Entry points:
 //   * sha1_seed_multi        — hashes `count` seeds under the process-wide

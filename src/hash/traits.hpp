@@ -7,7 +7,6 @@
 #pragma once
 
 #include <concepts>
-#include <cstring>
 #include <string_view>
 
 #include "bits/seed256.hpp"
@@ -41,28 +40,8 @@ struct Sha3SeedHash {
   }
 };
 
-/// Ablation variants that route through the generic streaming sponge —
-/// the "before" side of the §3.2.2 fixed-padding optimization.
-struct Sha1SeedHashGeneric {
-  using digest_type = Digest160;
-  static constexpr std::string_view name() { return "SHA-1 (generic)"; }
-  digest_type operator()(const Seed256& s) const noexcept {
-    return sha1_seed_generic(s);
-  }
-};
-
-struct Sha3SeedHashGeneric {
-  using digest_type = Digest256;
-  static constexpr std::string_view name() { return "SHA-3 (generic)"; }
-  digest_type operator()(const Seed256& s) const noexcept {
-    return sha3_256_seed_generic(s);
-  }
-};
-
 static_assert(SeedHash<Sha1SeedHash>);
 static_assert(SeedHash<Sha3SeedHash>);
-static_assert(SeedHash<Sha1SeedHashGeneric>);
-static_assert(SeedHash<Sha3SeedHashGeneric>);
 
 /// Runtime selector used at protocol boundaries (wire messages, benches).
 enum class HashAlgo : u8 { kSha1 = 1, kSha3_256 = 3 };
@@ -79,21 +58,6 @@ constexpr std::string_view to_string(HashAlgo a) {
 
 constexpr std::size_t digest_size(HashAlgo a) {
   return a == HashAlgo::kSha1 ? 20 : 32;
-}
-
-/// Hashes `seed` under `algo` into a stack digest and compares it against
-/// wire bytes in place — no heap Bytes per check. This is the verify
-/// primitive for per-candidate match confirmation (the fusion engine calls
-/// it when retiring a matched stream).
-inline bool seed_digest_equals(const Seed256& seed, ByteSpan digest,
-                               HashAlgo algo) noexcept {
-  if (digest.size() != digest_size(algo)) return false;
-  if (algo == HashAlgo::kSha1) {
-    const Digest160 d = sha1_seed(seed);
-    return std::memcmp(d.bytes.data(), digest.data(), d.bytes.size()) == 0;
-  }
-  const Digest256 d = sha3_256_seed(seed);
-  return std::memcmp(d.bytes.data(), digest.data(), d.bytes.size()) == 0;
 }
 
 }  // namespace rbc::hash

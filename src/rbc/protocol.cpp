@@ -14,8 +14,9 @@ namespace rbc {
 namespace {
 
 /// Hashes into a fixed-size stack buffer and copies once into the wire
-/// Bytes. Digest COMPARISONS never come through here — they use
-/// hash::seed_digest_equals on stack digests (no per-check allocation).
+/// Bytes. Digest COMPARISONS never come through here: the engines decode
+/// the wire digest once into the policy's typed digest (engines.cpp), and
+/// the scan compares typed digests on the stack.
 Bytes hash_seed_bytes(const Seed256& seed, hash::HashAlgo algo) {
   std::array<u8, 32> buf;
   std::size_t len;

@@ -1,6 +1,5 @@
 #include "sim/probe.hpp"
 
-#include <algorithm>
 #include <array>
 #include <string>
 
@@ -10,7 +9,6 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "hash/batch.hpp"
-#include "hash/cpu_features.hpp"
 #include "hash/keccak.hpp"
 #include "hash/sha1.hpp"
 
@@ -60,46 +58,6 @@ ProbeResult probe_hash_generic(hash::HashAlgo algo, u64 iterations) {
                         [](const Seed256& s) {
                           return hash::sha3_256_seed_generic(s);
                         });
-}
-
-namespace {
-
-template <hash::BatchSeedHash Hash>
-ProbeResult run_batched_probe(std::string what, u64 iterations) {
-  constexpr std::size_t kBlock = Hash::kBatch;
-  Xoshiro256 rng(0xbe7c);
-  Seed256 block[kBlock];
-  typename Hash::digest_type digests[kBlock];
-  for (std::size_t i = 0; i < kBlock; ++i) block[i] = Seed256::random(rng);
-  Hash hasher;
-  WallTimer timer;
-  u8 sink = 0;
-  u64 done = 0;
-  while (done < iterations) {
-    const std::size_t n =
-        static_cast<std::size_t>(std::min<u64>(kBlock, iterations - done));
-    hasher.hash_batch(block, n, digests);
-    for (std::size_t i = 0; i < n; ++i) {
-      sink ^= digests[i].bytes[0];
-      block[i].word(0) += 0x9e3779b97f4a7c15ULL + sink;
-    }
-    done += n;
-  }
-  ProbeResult r{std::move(what), iterations, timer.elapsed_s()};
-  if (sink == 0xA5) r.what += " ";
-  return r;
-}
-
-}  // namespace
-
-ProbeResult probe_hash_batched(hash::HashAlgo algo, u64 iterations) {
-  const std::string level(hash::to_string(hash::active_simd_level()));
-  if (algo == hash::HashAlgo::kSha1) {
-    return run_batched_probe<hash::Sha1BatchSeedHash>(
-        "SHA-1 seed hash (batched, " + level + ")", iterations);
-  }
-  return run_batched_probe<hash::Sha3BatchSeedHash>(
-      "SHA-3 seed hash (batched, " + level + ")", iterations);
 }
 
 ProbeResult probe_iterate_and_hash(IterAlgo iter, hash::HashAlgo hash, int k,

@@ -39,11 +39,6 @@ ProbeResult probe_hash(hash::HashAlgo algo, u64 iterations);
 /// (the "before" side of the §3.2.2 ablation).
 ProbeResult probe_hash_generic(hash::HashAlgo algo, u64 iterations);
 
-/// Seed hashing throughput through the batched multi-lane pipeline at the
-/// process-wide dispatch level (hash/batch.hpp). `iterations` counts seeds,
-/// hashed in policy-preferred blocks.
-ProbeResult probe_hash_batched(hash::HashAlgo algo, u64 iterations);
-
 /// Iterate+hash throughput for one seed-iterator family over shell k —
 /// the quantity Table 4 compares. Runs the real iterator + real hash.
 ProbeResult probe_iterate_and_hash(IterAlgo iter, hash::HashAlgo hash, int k,

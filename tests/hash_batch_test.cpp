@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -16,35 +17,14 @@
 #include "hash/sha1.hpp"
 #include "hash/sha1_multi.hpp"
 #include "search_oracle.hpp"
+#include "simd_levels.hpp"
 
 namespace rbc {
 namespace {
 
 using hash::SimdLevel;
-
-// Restores the process-wide dispatch level when a forced-level test exits.
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(SimdLevel level)
-      : saved_(hash::active_simd_level()) {
-    hash::force_simd_level(level);
-  }
-  ~ScopedSimdLevel() { hash::force_simd_level(saved_); }
-  ScopedSimdLevel(const ScopedSimdLevel&) = delete;
-  ScopedSimdLevel& operator=(const ScopedSimdLevel&) = delete;
-
- private:
-  SimdLevel saved_;
-};
-
-std::vector<SimdLevel> available_levels() {
-  std::vector<SimdLevel> levels{SimdLevel::kScalar, SimdLevel::kSwar};
-  if (hash::detected_simd_level() >= SimdLevel::kAvx2)
-    levels.push_back(SimdLevel::kAvx2);
-  if (hash::detected_simd_level() >= SimdLevel::kAvx512)
-    levels.push_back(SimdLevel::kAvx512);
-  return levels;
-}
+using simd_levels::available_levels;
+using simd_levels::ScopedSimdLevel;
 
 std::vector<Seed256> random_seeds(std::size_t n, u64 rng_seed) {
   Xoshiro256 rng(rng_seed);
@@ -239,6 +219,19 @@ TEST(HashBatch, ForcedLevelIsCappedByDetection) {
     EXPECT_LE(hash::active_simd_level(), detected);
     EXPECT_EQ(hash::active_simd_level(), std::min(level, detected));
   }
+}
+
+TEST(HashBatchDeathTest, UnknownEnvLevelStopsTheProcess) {
+  // The level is read once per process: the child re-executes the binary,
+  // so its first dispatch reads the value set here.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        ::setenv("RBC_HASH_SIMD", "avx", 1);
+        hash::active_simd_level();
+      },
+      testing::ExitedWithCode(EXIT_FAILURE),
+      "RBC_HASH_SIMD=avx: unknown level; use scalar, avx2 or auto");
 }
 
 TEST(HashBatch, HashSeedBlockDegradesToScalarPolicies) {

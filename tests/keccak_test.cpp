@@ -9,6 +9,7 @@
 #include "hash/cpu_features.hpp"
 #include "hash/keccak.hpp"
 #include "hash/keccak_multi.hpp"
+#include "simd_levels.hpp"
 
 namespace rbc::hash {
 namespace {
@@ -51,52 +52,6 @@ TEST(Sha3_256, RateBoundaryMessages) {
     sponge.squeeze(MutByteSpan{d2.bytes.data(), d2.bytes.size()});
     EXPECT_EQ(d2, d) << "len=" << len;
   }
-}
-
-TEST(Sha3_224, KnownAnswers) {
-  EXPECT_EQ(sha3_224(as_bytes("")).to_hex(),
-            "6b4e03423667dbb73b6e15454f0eb1abd4597f9a1b078e3f5b5a6bc7");
-  EXPECT_EQ(sha3_224(as_bytes("abc")).to_hex(),
-            "e642824c3f8cf24ad09234ee7d3c766fc9a3a5168d0c94ad73b46fdf");
-  EXPECT_EQ(
-      sha3_224(
-          as_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))
-          .to_hex(),
-      "8a24108b154ada21c9fd5574494479ba5c7e7ab76ef264ead0fcce33");
-}
-
-TEST(Sha3_384, KnownAnswers) {
-  EXPECT_EQ(sha3_384(as_bytes("")).to_hex(),
-            "0c63a75b845e4f7d01107d852e4c2485c51a50aaaa94fc61995e71bbee983a2a"
-            "c3713831264adb47fb6bd1e058d5f004");
-  EXPECT_EQ(sha3_384(as_bytes("abc")).to_hex(),
-            "ec01498288516fc926459f58e2c6ad8df9b473cb0fc08c2596da7cf0e49be4b2"
-            "98d88cea927ac7f539f1edf228376d25");
-  EXPECT_EQ(
-      sha3_384(
-          as_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))
-          .to_hex(),
-      "991c665755eb3a4b6bbdfb75c78a492e8c56a22c5c4d7e429bfdbc32b9d4ad5a"
-      "a04a1f076e62fea19eef51acd0657c22");
-}
-
-TEST(Sha3Family, DigestSizesMatchFips202) {
-  EXPECT_EQ(sha3_224(as_bytes("x")).bytes.size(), 28u);
-  EXPECT_EQ(sha3_256(as_bytes("x")).bytes.size(), 32u);
-  EXPECT_EQ(sha3_384(as_bytes("x")).bytes.size(), 48u);
-  EXPECT_EQ(sha3_512(as_bytes("x")).bytes.size(), 64u);
-}
-
-TEST(Sha3_512, EmptyMessage) {
-  EXPECT_EQ(sha3_512(as_bytes("")).to_hex(),
-            "a69f73cca23a9ac5c8b567dc185a756e97c982164fe25859e0d1dcc1475c80a6"
-            "15b2123af1f5f94c11e3e9402c3ac558f500199d95b6d3e301758586281dcd26");
-}
-
-TEST(Sha3_512, Abc) {
-  EXPECT_EQ(sha3_512(as_bytes("abc")).to_hex(),
-            "b751850b1a57168a5693cd924b6b096e08f621827444f70d884f5d0240d2712e"
-            "10e116e9192af3c91a7ec57647e3934057340b4cf408d5a56592f8274eec53f0");
 }
 
 TEST(Shake128, EmptyMessageStream) {
@@ -242,14 +197,7 @@ TEST(KeccakSponge, ResetClearsState) {
 
 // --- ShakeMulti: up to 8 SHAKE streams expanded together -------------------
 
-std::vector<SimdLevel> available_levels() {
-  std::vector<SimdLevel> levels{SimdLevel::kScalar, SimdLevel::kSwar};
-  if (detected_simd_level() >= SimdLevel::kAvx2)
-    levels.push_back(SimdLevel::kAvx2);
-  if (detected_simd_level() >= SimdLevel::kAvx512)
-    levels.push_back(SimdLevel::kAvx512);
-  return levels;
-}
+using simd_levels::available_levels;
 
 /// The first `len` bytes of the scalar SHAKE stream of `input`.
 Bytes scalar_shake(Shake kind, ByteSpan input, std::size_t len) {

@@ -22,34 +22,14 @@
 #include "hash/cpu_features.hpp"
 #include "parallel/tile_scheduler.hpp"
 #include "rbc/search.hpp"
+#include "simd_levels.hpp"
 
 namespace rbc {
 namespace {
 
 using hash::SimdLevel;
-
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(SimdLevel level)
-      : saved_(hash::active_simd_level()) {
-    hash::force_simd_level(level);
-  }
-  ~ScopedSimdLevel() { hash::force_simd_level(saved_); }
-  ScopedSimdLevel(const ScopedSimdLevel&) = delete;
-  ScopedSimdLevel& operator=(const ScopedSimdLevel&) = delete;
-
- private:
-  SimdLevel saved_;
-};
-
-std::vector<SimdLevel> available_levels() {
-  std::vector<SimdLevel> levels;
-  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kSwar,
-                                SimdLevel::kAvx2, SimdLevel::kAvx512}) {
-    if (level <= hash::detected_simd_level()) levels.push_back(level);
-  }
-  return levels;
-}
+using simd_levels::available_levels;
+using simd_levels::ScopedSimdLevel;
 
 Seed256 random_base(u64 seed) {
   Xoshiro256 rng(seed);
