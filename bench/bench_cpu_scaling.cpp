@@ -82,13 +82,18 @@ std::atomic<u64> slow_seeds_slept{0};
 struct SlowRegionSha1 : hash::Sha1BatchSeedHash {
   const Seed256* base = nullptr;
   const SlowRegion* slow = nullptr;
-  void hash_heads(const Seed256* seeds, std::size_t n,
-                  u64* heads) const noexcept {
-    Sha1BatchSeedHash::hash_heads(seeds, n, heads);
-    if (slow == nullptr) return;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (slow->contains(seeds[i] ^ *base)) ++slow_seeds_owed;
+  template <hash::CandidateSource Source>
+  std::size_t hash_heads_producing(hash::SimdLevel level,
+                                   const hash::LaneBlock& cur, std::size_t n,
+                                   hash::LaneBlock& next, Source& source,
+                                   u64* heads) const {
+    if (slow != nullptr) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (slow->contains(cur.seed(i) ^ *base)) ++slow_seeds_owed;
+      }
     }
+    return Sha1BatchSeedHash::hash_heads_producing(level, cur, n, next, source,
+                                                   heads);
   }
 };
 
@@ -122,7 +127,8 @@ double run_once(const Seed256& base,
   if (slow != nullptr && slow_seeds_slept == 0) {
     std::fprintf(stderr,
                  "error: a slow-region search hashed no slow seed through "
-                 "SlowRegionSha1::hash_heads, so it measured no skew\n");
+                 "SlowRegionSha1::hash_heads_producing, so it measured no "
+                 "skew\n");
     std::exit(1);
   }
   return r.host_seconds;

@@ -87,19 +87,19 @@ BENCHMARK(BM_Sha3SeedGeneric);
 
 // Batched multi-lane seed hashing at an explicit dispatch level (range(0):
 // 0 = scalar tail loop, 2 = AVX2, 3 = AVX-512, the SimdLevel values; SHA-1
-// runs its AVX2 kernel at level 3). Levels above what the host supports are
-// skipped. Items processed counts SEEDS, so items/sec is
-// directly comparable with the scalar BM_*SeedFixed benches.
-template <typename Batch, typename MultiLevelFn>
+// runs its AVX2 kernel at level 3), 16 seeds per call. Levels above what
+// the host supports are skipped. Items processed counts SEEDS, so items/sec
+// is directly comparable with the scalar BM_*SeedFixed benches.
+template <typename Digest, typename MultiLevelFn>
 void run_batched_bench(benchmark::State& state, MultiLevelFn multi) {
   const auto level = static_cast<hash::SimdLevel>(state.range(0));
   if (level > hash::detected_simd_level()) {
     state.SkipWithError("SIMD level not supported on this host");
     return;
   }
-  constexpr std::size_t kBlock = Batch::kBatch;
+  constexpr std::size_t kBlock = 16;
   std::array<Seed256, kBlock> seeds;
-  std::array<typename Batch::digest_type, kBlock> digests;
+  std::array<Digest, kBlock> digests;
   Xoshiro256 rng(0xbead);
   for (auto& s : seeds) s = Seed256::random(rng);
   for (auto _ : state) {
@@ -113,34 +113,33 @@ void run_batched_bench(benchmark::State& state, MultiLevelFn multi) {
 }
 
 void BM_Sha1SeedBatched(benchmark::State& state) {
-  run_batched_bench<hash::Sha1BatchSeedHash>(state,
-                                             hash::sha1_seed_multi_level);
+  run_batched_bench<hash::Digest160>(state, hash::sha1_seed_multi_level);
 }
 BENCHMARK(BM_Sha1SeedBatched)->Arg(0)->Arg(2)->Arg(3);
 
 void BM_Sha3SeedBatched(benchmark::State& state) {
-  run_batched_bench<hash::Sha3BatchSeedHash>(state,
-                                             hash::sha3_256_seed_multi_level);
+  run_batched_bench<hash::Digest256>(state,
+                                     hash::sha3_256_seed_multi_level);
 }
 BENCHMARK(BM_Sha3SeedBatched)->Arg(0)->Arg(2)->Arg(3);
 
-// Heads-only x8 (and below): the 64-bit digest heads a scan rejects on.
+// Heads-only, one LaneBlock of 8 seeds per call (x8 at AVX-512, two x4
+// groups at AVX2): the 64-bit digest heads a scan rejects on.
 void BM_Sha3SeedHeadsBatched(benchmark::State& state) {
   const auto level = static_cast<hash::SimdLevel>(state.range(0));
   if (level > hash::detected_simd_level()) {
     state.SkipWithError("SIMD level not supported on this host");
     return;
   }
-  constexpr std::size_t kBlock = hash::Sha3BatchSeedHash::kBatch;
-  std::array<Seed256, kBlock> seeds;
-  std::array<u64, kBlock> heads;
+  constexpr std::size_t kBlock = hash::LaneBlock::kLanes;
+  hash::LaneBlock block;
+  alignas(64) std::array<u64, kBlock> heads;
   Xoshiro256 rng(0xbead);
-  for (auto& s : seeds) s = Seed256::random(rng);
+  for (std::size_t l = 0; l < kBlock; ++l) block.set(l, Seed256::random(rng));
   for (auto _ : state) {
-    hash::sha3_256_seed_heads_multi_level(level, seeds.data(), kBlock,
-                                          heads.data());
+    hash::sha3_256_block_heads_level(level, block, kBlock, heads.data());
     benchmark::DoNotOptimize(heads);
-    seeds[0].word(0) += 1;
+    block.words[0][0] += 1;
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kBlock));

@@ -47,15 +47,16 @@ echo "=== [4/17] batched-hash equivalence under forced dispatch levels ==="
 # The auto run above already covered the host's best level; re-run the batch
 # suite, the search oracle (every search path against brute force), the
 # candidate-stream contract, the fused, ordered, GPU-emu, hetero and
-# distributed suites, and the multi-stream SHAKE suite with the key
-# generators' golden keys (which expand their streams through it) with the
-# RBC_HASH_SIMD knob capping dispatch so the scalar and (on AVX-512 hosts,
-# where auto picks avx512) AVX2 code paths are exercised too.
+# distributed suites, the multi-stream SHAKE suite with the key
+# generators' golden keys (which expand their streams through it), and
+# Table 4's scan probe with the RBC_HASH_SIMD knob capping dispatch so the
+# scalar and (on AVX-512 hosts, where auto picks avx512) AVX2 code paths are
+# exercised too.
 for level in scalar avx2; do
   echo "--- RBC_HASH_SIMD=$level ---"
   RBC_HASH_SIMD="$level" ctest --test-dir build --output-on-failure \
     -j "$JOBS" \
-    -R 'HashBatch|SearchOracle|StreamContract|Fusion|Ordered|SaltedKernel|HeteroCoSearch|DistSearch|ShakeMulti|KeygenGoldenVectors'
+    -R 'HashBatch|SearchOracle|StreamContract|Fusion|Ordered|SaltedKernel|HeteroCoSearch|DistSearch|ShakeMulti|KeygenGoldenVectors|ProbeScan'
 done
 }
 

@@ -170,7 +170,9 @@ rbc::SearchResult gpu_emulated_search(
 /// tiled search.
 ///
 /// `device_seeds_out`, when non-null, receives the device's share of the
-/// hashed seeds (for load-split reporting in benches).
+/// hashed seeds (for load-split reporting in benches). opts.quantum_hook,
+/// when set, sees every tile: host units are units 0..host_units-1 and
+/// the device (any of its threads) is unit host_units.
 template <hash::SeedHash Hash>
 rbc::SearchResult hetero_cosearch(
     par::WorkerGroup& workers, const Seed256& s_init,
@@ -215,7 +217,7 @@ rbc::SearchResult hetero_cosearch(
         rbc::detail::blocks_per_check<Hash>(opts.check_interval);
     // Host units and device threads run the same tile loop; they differ
     // only in how a claimed tile becomes an iterator (`open`).
-    const auto drain = [&](auto&& open) {
+    const auto drain = [&](int unit, auto&& open) {
       const u64 h = rbc::detail::drain_tiles(
           sched, s_init, target, hash, opts.early_exit, check_blocks,
           open, stop,
@@ -225,7 +227,9 @@ rbc::SearchResult hetero_cosearch(
             // Unified-memory exit for the device side.
             if (opts.early_exit) flag.set();
           },
-          [](u64) {});
+          [&](u64 tile_hashed) {
+            if (opts.quantum_hook) opts.quantum_hook(unit, tile_hashed);
+          });
       hashed.fetch_add(h, std::memory_order_relaxed);
       ctx.add_progress(h);
       return h;
@@ -233,7 +237,7 @@ rbc::SearchResult hetero_cosearch(
 
     workers.parallel_workers(host_units + 1, [&](int unit) {
       if (unit < host_units) {
-        drain([&](const par::TileScheduler::Tile& tile) {
+        drain(unit, [&](const par::TileScheduler::Tile& tile) {
           return plans.open(tile);
         });
         return;
@@ -248,12 +252,14 @@ rbc::SearchResult hetero_cosearch(
           [&](const KernelCtx& kctx) {
             const u64 t = kctx.global_thread_id();
             if (t >= static_cast<u64>(device_threads)) return;
-            const u64 h = drain([&](const par::TileScheduler::Tile& tile)
-                                    -> std::optional<comb::ChaseIterator> {
-              const auto plan = plans.get(tile.shell);
-              if (plan == nullptr) return std::nullopt;
-              return staged_tile(*plan, tile.index, kctx);
-            });
+            const u64 h = drain(
+                host_units,
+                [&](const par::TileScheduler::Tile& tile)
+                    -> std::optional<comb::ChaseIterator> {
+                  const auto plan = plans.get(tile.shell);
+                  if (plan == nullptr) return std::nullopt;
+                  return staged_tile(*plan, tile.index, kctx);
+                });
             device_hashed.fetch_add(h, std::memory_order_relaxed);
           });
     });

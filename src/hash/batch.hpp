@@ -3,14 +3,12 @@
 //
 // The search hot loop (rbc_search, the fused engine's sessions, the
 // emulated GPU kernels, the distributed ranks) is monomorphized over a
-// hash policy. A BatchSeedHash
-// extends the SeedHash contract with block forms — `hash_batch(seeds, n,
-// out)` for full digests and `hash_heads(seeds, n, heads)` for 64-bit
-// digest heads — that compress many candidates per call through the
-// multi-lane kernels (sha1_multi / keccak_multi) under runtime CPU-feature
-// dispatch. Every scalar SeedHash keeps working: the helpers below degrade
-// to a B = 1 loop for policies without a batch form, so the same search
-// template serves both.
+// hash policy. A BatchSeedHash extends the SeedHash contract with one block
+// form, hash_heads_producing(): the 64-bit digest heads of an 8-candidate
+// LaneBlock through the multi-lane kernels (sha1_multi / keccak_multi) at
+// the scan's dispatch level, while a candidate source writes the next
+// block. Every scalar SeedHash keeps working: the scan runs it one
+// candidate per block, so the same search template serves both.
 //
 // SeedScan is Algorithm 1's inner step for one target over a candidate
 // source (comb::candidates: S_init ^ each mask of a tile or shell): hash a
@@ -24,7 +22,7 @@
 // the current one is hashed.
 //
 // The policies' scalar operator() remains the exact fixed-padding fast path,
-// which is what makes batch-vs-scalar equivalence directly testable lane by
+// which is what makes block-vs-scalar equivalence directly testable lane by
 // lane.
 #pragma once
 
@@ -43,16 +41,6 @@
 
 namespace rbc::hash {
 
-template <typename H>
-concept BatchSeedHash =
-    SeedHash<H> &&
-    requires(const H& h, const Seed256* seeds, typename H::digest_type* out,
-             u64* heads, std::size_t n) {
-      { H::kBatch } -> std::convertible_to<std::size_t>;
-      { h.hash_batch(seeds, n, out) } noexcept;
-      { h.hash_heads(seeds, n, heads) } noexcept;
-    };
-
 /// A digest's head: its first 8 bytes as a little-endian u64 — the word
 /// every scan rejects a candidate on before the full comparison.
 template <std::size_t N>
@@ -61,18 +49,6 @@ inline u64 digest_head(const Digest<N>& digest) noexcept {
   u64 head;
   std::memcpy(&head, digest.bytes.data(), sizeof(head));
   return head;
-}
-
-/// heads[i] = digest_head(h(seeds[i])) for i in [0, n) — through the
-/// policy's heads-only kernels when it has them, a scalar loop otherwise.
-template <SeedHash H>
-inline void hash_seed_heads(const H& h, const Seed256* seeds, std::size_t n,
-                            u64* heads) noexcept {
-  if constexpr (BatchSeedHash<H>) {
-    h.hash_heads(seeds, n, heads);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) heads[i] = digest_head(h(seeds[i]));
-  }
 }
 
 /// A candidate source: next(seed) writes the next candidate and returns
@@ -104,6 +80,26 @@ std::size_t fill_lanes(Source& source, LaneBlock& block, std::size_t lanes,
   while (n < lanes && source.next(seed)) block.set(n++, seed);
   return n;
 }
+
+namespace detail {
+/// The empty source: what BatchSeedHash checks a block form against.
+struct NoCandidates {
+  bool next(Seed256&) noexcept { return false; }
+};
+}  // namespace detail
+
+/// A SeedHash with a block form: hash_heads_producing(level, cur, n, next,
+/// source, heads) writes the heads of LaneBlock cur's lanes [0, n) through
+/// the `level` kernels while `source` fills `next` (from lane 0), and
+/// returns the lanes produced. `heads` is 64-byte aligned.
+template <typename H>
+concept BatchSeedHash =
+    SeedHash<H> &&
+    requires(const H& h, SimdLevel level, const LaneBlock& cur, std::size_t n,
+             LaneBlock& next, detail::NoCandidates& source, u64* heads) {
+      { h.hash_heads_producing(level, cur, n, next, source, heads) }
+          -> std::same_as<std::size_t>;
+    };
 
 /// What one scan step found in its block.
 struct BlockScan {
@@ -176,15 +172,10 @@ class SeedScan {
   template <CandidateSource Source>
   std::size_t hash_producing(const LaneBlock& cur, std::size_t n,
                              LaneBlock& next, Source& source, u64* heads) {
-    if constexpr (requires {
-                    hash_.hash_heads_producing(level_, cur, n, next, source,
-                                               heads);
-                  }) {
+    if constexpr (BatchSeedHash<H>) {
       return hash_.hash_heads_producing(level_, cur, n, next, source, heads);
-    } else {
-      std::array<Seed256, kLanes> seeds;
-      for (std::size_t i = 0; i < n; ++i) seeds[i] = cur.seed(i);
-      hash_seed_heads(hash_, seeds.data(), n, heads);
+    } else {  // one lane, through the policy's scalar hash
+      if (n == 1) heads[0] = digest_head(hash_(cur.seed(0)));
       return fill_lanes(source, next, kLanes);
     }
   }
@@ -203,44 +194,31 @@ class SeedScan {
 /// blocks go through the 8-lane multi-buffer kernel.
 struct Sha1BatchSeedHash {
   using digest_type = Digest160;
-  /// Two AVX2 groups per refill — enough to amortize the block loop, small
-  /// enough to stay in L1 alongside the digests.
-  static constexpr std::size_t kBatch = 16;
   static constexpr std::string_view name() { return "SHA-1 (batched)"; }
   digest_type operator()(const Seed256& s) const noexcept {
     return sha1_seed(s);
   }
-  void hash_batch(const Seed256* seeds, std::size_t n,
-                  digest_type* out) const noexcept {
-    sha1_seed_multi(seeds, n, out);
-  }
-  void hash_heads(const Seed256* seeds, std::size_t n,
-                  u64* heads) const noexcept {
-    std::array<digest_type, kBatch> digests;
-    for (std::size_t i = 0; i < n; i += kBatch) {
-      const std::size_t m = std::min(n - i, kBatch);
-      sha1_seed_multi(seeds + i, m, digests.data());
-      for (std::size_t j = 0; j < m; ++j)
-        heads[i + j] = digest_head(digests[j]);
-    }
+  /// SeedScan's block form: the heads of cur's lanes [0, n) at `level`,
+  /// then `source` fills `next`. Returns the lanes produced.
+  template <CandidateSource Source>
+  std::size_t hash_heads_producing(SimdLevel level, const LaneBlock& cur,
+                                   std::size_t n, LaneBlock& next,
+                                   Source& source, u64* heads) const {
+    std::array<Seed256, LaneBlock::kLanes> seeds;
+    std::array<digest_type, LaneBlock::kLanes> digests;
+    for (std::size_t i = 0; i < n; ++i) seeds[i] = cur.seed(i);
+    sha1_seed_multi_level(level, seeds.data(), n, digests.data());
+    for (std::size_t i = 0; i < n; ++i) heads[i] = digest_head(digests[i]);
+    return fill_lanes(source, next, LaneBlock::kLanes);
   }
 };
 
 /// Batched SHA3-256 policy (§3.2.2 fixed padding replicated per lane).
 struct Sha3BatchSeedHash {
   using digest_type = Digest256;
-  static constexpr std::size_t kBatch = 16;
   static constexpr std::string_view name() { return "SHA-3 (batched)"; }
   digest_type operator()(const Seed256& s) const noexcept {
     return sha3_256_seed(s);
-  }
-  void hash_batch(const Seed256* seeds, std::size_t n,
-                  digest_type* out) const noexcept {
-    sha3_256_seed_multi(seeds, n, out);
-  }
-  void hash_heads(const Seed256* seeds, std::size_t n,
-                  u64* heads) const noexcept {
-    sha3_256_seed_heads_multi(seeds, n, heads);
   }
   /// SeedScan's block form: the heads of cur's lanes [0, n) at `level`
   /// while `source` fills `next` — inside the Keccak rounds at AVX-512 for

@@ -152,21 +152,6 @@ void sha3_256_block_heads_level(SimdLevel level, const LaneBlock& block,
   for (; i < count; ++i) heads[i] = scalar_head(block.seed(i));
 }
 
-void sha3_256_seed_heads_multi_level(SimdLevel level, const Seed256* seeds,
-                                     std::size_t count, u64* heads) noexcept {
-  LaneBlock block;
-  for (std::size_t i = 0; i < count; i += LaneBlock::kLanes) {
-    const std::size_t n = std::min(count - i, LaneBlock::kLanes);
-    for (std::size_t l = 0; l < n; ++l) block.set(l, seeds[i + l]);
-    sha3_256_block_heads_level(level, block, n, heads + i);
-  }
-}
-
-void sha3_256_seed_heads_multi(const Seed256* seeds, std::size_t count,
-                               u64* heads) noexcept {
-  sha3_256_seed_heads_multi_level(active_simd_level(), seeds, count, heads);
-}
-
 ShakeMulti::ShakeMulti(SimdLevel level, Shake kind,
                        std::span<const ByteSpan> inputs, std::size_t blocks)
     : rate_(shake_rate(kind)) {

@@ -12,12 +12,12 @@
 // absorb (4 word stores + 2 pad constants) is replicated per lane, so no
 // padding logic runs on the hot path.
 //
-// Entry points mirror sha1_multi.hpp: a dispatching form plus a forced-level
-// form for the equivalence tests and dispatch benches. The heads-only forms
-// return each lane's 64-bit digest head (its first 8 digest bytes, Keccak
-// lane 0 of the squeezed state) — all a scan needs to reject a candidate;
-// it confirms a head match with the exact scalar sha3_256_seed. They read
-// seeds either as an array or as a LaneBlock, the lane-sliced layout the
+// The digest forms take an array of seeds, at the process-wide dispatch
+// level or at a forced one (for the equivalence tests and dispatch
+// benches). The heads-only form returns each lane's 64-bit digest head (its
+// first 8 digest bytes, Keccak lane 0 of the squeezed state) — all a scan
+// needs to reject a candidate; it confirms a head match with the exact
+// scalar sha3_256_seed. It reads a LaneBlock, the lane-sliced layout the
 // scan's candidate sources write (the fused kernel is keccak_lanes.hpp's).
 //
 // ShakeMulti is the lattice key generators' XOF (crypto/pqc_keygen.hpp): it
@@ -68,16 +68,8 @@ void sha3_256_seed_multi(const Seed256* seeds, std::size_t count,
 void sha3_256_seed_multi_level(SimdLevel level, const Seed256* seeds,
                                std::size_t count, Digest256* out) noexcept;
 
-/// heads[i] = the first 8 bytes of sha3_256_seed(seeds[i]) as a
-/// little-endian u64, for i in [0, count).
-void sha3_256_seed_heads_multi(const Seed256* seeds, std::size_t count,
-                               u64* heads) noexcept;
-
-/// Forced-level variant. `level` must be supported by this host.
-void sha3_256_seed_heads_multi_level(SimdLevel level, const Seed256* seeds,
-                                     std::size_t count, u64* heads) noexcept;
-
-/// The heads of block lanes [0, count), count <= LaneBlock::kLanes, with
+/// heads[i] = the first 8 bytes of sha3_256_seed(block lane i) as a
+/// little-endian u64, for lanes [0, count), count <= LaneBlock::kLanes, with
 /// the same level split as the array forms.
 void sha3_256_block_heads_level(SimdLevel level, const LaneBlock& block,
                                 std::size_t count, u64* heads) noexcept;

@@ -128,9 +128,4 @@ void sha1_seed_multi_level(SimdLevel level, const Seed256* seeds,
   for (; i < count; ++i) out[i] = sha1_seed(seeds[i]);
 }
 
-void sha1_seed_multi(const Seed256* seeds, std::size_t count,
-                     Digest160* out) noexcept {
-  sha1_seed_multi_level(active_simd_level(), seeds, count, out);
-}
-
 }  // namespace rbc::hash

@@ -9,13 +9,11 @@
 // used by high-throughput hashing stacks; it changes nothing about the
 // digest — each lane computes exactly sha1_seed() of its seed.
 //
-// Entry points:
-//   * sha1_seed_multi        — hashes `count` seeds under the process-wide
-//                              dispatch level (cpu_features.hpp). Handles any
-//                              count, including ragged tails.
-//   * sha1_seed_multi_level  — same, at an explicit level; the level must not
-//                              exceed detected_simd_level(). Used by the
-//                              equivalence tests and the dispatch benches.
+// The one entry point, sha1_seed_multi_level, hashes `count` seeds (any
+// count, ragged tails included) at an explicit level, which must not exceed
+// detected_simd_level(): the scan's SHA-1 block form
+// (Sha1BatchSeedHash::hash_heads_producing, batch.hpp) passes the scan's
+// level, and the equivalence tests and dispatch benches force one.
 #pragma once
 
 #include "bits/seed256.hpp"
@@ -24,11 +22,8 @@
 
 namespace rbc::hash {
 
-/// out[i] = sha1_seed(seeds[i]) for i in [0, count).
-void sha1_seed_multi(const Seed256* seeds, std::size_t count,
-                     Digest160* out) noexcept;
-
-/// Forced-level variant. `level` must be supported by this host.
+/// out[i] = sha1_seed(seeds[i]) for i in [0, count), at `level`, which
+/// must be supported by this host.
 void sha1_seed_multi_level(SimdLevel level, const Seed256* seeds,
                            std::size_t count, Digest160* out) noexcept;
 

@@ -5,10 +5,10 @@
 // stalls as the steady state. FaultPlan turns that steady state into a pure
 // function of a u64 seed: every message send draws one FaultDecision from a
 // seeded stream, so an entire chaos run — and any failure it surfaces —
-// replays bit-for-bit from its seed. Plans fork() per session exactly like
-// LatencyModel::fork, so concurrent sessions draw independent fault streams
-// while 1-shard and 4-shard runs given the same per-session salts see
-// IDENTICAL faults (the base plan is deliberately not shard-salted).
+// replays bit-for-bit from its seed. Plans fork() per session, so
+// concurrent sessions draw independent fault streams while 1-shard and
+// 4-shard runs given the same per-session salts see IDENTICAL faults (the
+// base plan is deliberately not shard-salted).
 //
 // A plan whose rates are all zero is `inactive`: the channel then takes the
 // exact pre-fault code path, keeping wire bytes and latency accounting
@@ -110,9 +110,9 @@ class FaultPlan {
   u64 seed() const noexcept { return seed_; }
 
   /// Derives an independent per-session plan: same rates, decision stream
-  /// re-seeded from `salt` with the same mix LatencyModel::fork uses. Forking
-  /// from the PLAN's original seed (not its current stream position) keeps
-  /// the child a pure function of (seed, salt).
+  /// re-seeded from `salt`. Forking from the PLAN's original seed (not its
+  /// current stream position) keeps the child a pure function of (seed,
+  /// salt).
   FaultPlan fork(u64 salt) const {
     return FaultPlan(cfg_, seed_ ^ (salt * 0x9e3779b97f4a7c15ULL + 1));
   }

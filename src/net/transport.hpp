@@ -15,44 +15,24 @@
 #include <thread>
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "net/fault.hpp"
 #include "net/message.hpp"
 
 namespace rbc::net {
 
-/// Deterministic latency model: fixed cost per message plus optional jitter.
+/// Deterministic latency model: a fixed cost per message.
 class LatencyModel {
  public:
   /// Defaults reproduce the paper's 0.90 s total communication budget over
   /// the 4-message exchange (handshake, challenge, digest, result) plus the
   /// client-side PUF read: 0.15 s per message + 0.30 s PUF read.
-  explicit LatencyModel(double per_message_s = 0.15, double jitter_s = 0.0,
-                        u64 jitter_seed = 0)
-      : per_message_s_(per_message_s),
-        jitter_s_(jitter_s),
-        jitter_seed_(jitter_seed),
-        rng_(jitter_seed) {
-    RBC_CHECK(per_message_s >= 0.0 && jitter_s >= 0.0);
+  explicit LatencyModel(double per_message_s = 0.15)
+      : per_message_s_(per_message_s) {
+    RBC_CHECK(per_message_s >= 0.0);
   }
 
-  /// Derives an independent per-session model from this one: same constants
-  /// and realtime mode, jitter stream re-seeded from `salt`. Each serving
-  /// shard holds ONE base model (seeded per shard) and forks it per session,
-  /// so concurrent sessions never share a jitter RNG and shard s's latency
-  /// draws are independent of how many sessions other shards admitted.
-  LatencyModel fork(u64 salt) const {
-    LatencyModel child(per_message_s_, jitter_s_,
-                       jitter_seed_ ^ (salt * 0x9e3779b97f4a7c15ULL + 1));
-    child.realtime_ = realtime_;
-    return child;
-  }
-
-  double sample() {
-    if (jitter_s_ == 0.0) return per_message_s_;
-    return per_message_s_ + jitter_s_ * rng_.next_double();
-  }
+  double sample() const noexcept { return per_message_s_; }
 
   /// Realtime mode: sampled latencies are SLEPT in wall-clock time instead
   /// of only being charged to the logical clock. A multi-session server
@@ -67,10 +47,7 @@ class LatencyModel {
 
  private:
   double per_message_s_;
-  double jitter_s_;
-  u64 jitter_seed_;
   bool realtime_ = false;
-  Xoshiro256 rng_;
 };
 
 /// One endpoint's view of a duplex in-process channel. Sends enqueue into

@@ -135,15 +135,12 @@ DeviceModel gpu_emu_model(const EngineConfig& cfg) {
 /// CPU and GPU drain the same ball concurrently: the platforms combine as
 /// parallel servers (aggregate rate = sum of rates → harmonic time).
 DeviceModel hetero_model(const EngineConfig& cfg) {
-  RBC_CHECK_MSG(cfg.device_threads >= 1,
-                "hetero backend needs at least one device thread");
   const DeviceModel cpu = cpu_model(cfg);
   const DeviceModel gpu = gpu_model(cfg, sim::IterAlgo::kChase382);
   const auto parallel = [](double a, double b) {
     return 1.0 / (1.0 / a + 1.0 / b);
   };
   const int host_units = resolve_threads(cfg.host_threads);
-  const int device_threads = cfg.device_threads;
   par::WorkerGroup* workers = resolve_workers(cfg.workers);
   return {"SALTED-HETERO (CPU+GPU)", cpu.device_name + " + " + gpu.device_name,
           sim::IterAlgo::kChase382,
@@ -153,7 +150,7 @@ DeviceModel hetero_model(const EngineConfig& cfg) {
                 digest, algo, [&](auto hash, const auto& target) {
                   return gpu::hetero_cosearch<decltype(hash)>(
                       *workers, s_init, target, opts, host_units,
-                      device_threads, /*threads_per_block=*/32, hash,
+                      kHeteroDeviceThreads, /*threads_per_block=*/32, hash,
                       session);
                 });
           },

@@ -128,6 +128,10 @@ class SearchOffload {
       par::SearchContext* session) = 0;
 };
 
+/// Logical device threads of the heterogeneous backend ("hetero"): the
+/// emulated GPU's width when CPU and device co-search one ball.
+inline constexpr int kHeteroDeviceThreads = 64;
+
 /// The configuration make_backend builds a device's model from.
 struct EngineConfig {
   /// SPMD work units per shell (p in Algorithm 1); 0 = hardware
@@ -141,9 +145,6 @@ struct EngineConfig {
   /// shells split evenly across the simulated A100s, modeled as the slowest
   /// device plus the Fig. 4 coordination overheads.
   int num_devices = 1;
-  /// Logical device threads for the heterogeneous backend ("hetero"): the
-  /// emulated GPU's width when CPU and device co-search one ball.
-  int device_threads = 64;
   /// Compute substrate; nullptr = the process-wide WorkerGroup::shared().
   /// Engines never own threads — N engines multiplex one group instead of
   /// oversubscribing the host with N private pools.

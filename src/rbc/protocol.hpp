@@ -346,6 +346,12 @@ class CertificateAuthority {
       return ca_->process_digest(handshake, challenge, submission, report_out,
                                  session, offload);
     }
+    /// True once `device_id` has an enrollment record (records are never
+    /// removed); issue_challenge and process_digest require one.
+    bool enrolled(u64 device_id) const {
+      check_owned(device_id);
+      return ca_->db_.contains(device_id);
+    }
     const CaConfig& config() const noexcept { return ca_->config(); }
     u32 shard() const noexcept { return shard_; }
 

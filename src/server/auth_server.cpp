@@ -97,8 +97,7 @@ AuthServer::AuthServer(ServerConfig cfg, CertificateAuthority* ca,
   RBC_CHECK_MSG(cfg_.max_in_flight >= 1, "need at least one session driver");
 
   if (cfg_.flight_recorder) {
-    recorder_ = std::make_unique<obs::FlightRecorder>(
-        static_cast<std::size_t>(std::max(cfg_.max_flight_records, 1)));
+    recorder_ = std::make_unique<obs::FlightRecorder>(kMaxFlightRecords);
   }
 
   // Split the server totals evenly; every shard gets at least one queue

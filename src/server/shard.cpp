@@ -27,8 +27,7 @@ Shard::Shard(const ServerConfig& cfg, int index, int num_shards,
                               static_cast<u32>(num_shards))),
       ra_view_(ra->shard_view(static_cast<u32>(index),
                               static_cast<u32>(num_shards))),
-      base_latency_(cfg.per_message_latency_s, cfg.per_message_jitter_s,
-                    u64{0x1a7e0000} + static_cast<u64>(index)),
+      base_latency_(cfg.per_message_latency_s),
       base_faults_(cfg.fault, cfg.fault_seed),
       session_times_(512, u64{0x5e55} + static_cast<u64>(index)) {
   RBC_CHECK_MSG(queue_depth >= 1, "shard admission queue needs capacity");
@@ -74,6 +73,10 @@ std::future<SessionOutcome> Shard::submit(Client* client, double budget_s,
                client->config().puf_read_time_s;
   }
 
+  // A device without an enrollment record has nothing to be challenged
+  // from: the CA would refuse its handshake on the driver thread.
+  const bool enrolled = ca_view_.enrolled(rejection.device_id);
+
   auto session = std::make_unique<Session>(client, budget_s);
   std::future<SessionOutcome> future = session->promise.get_future();
 
@@ -93,6 +96,8 @@ std::future<SessionOutcome> Shard::submit(Client* client, double budget_s,
     RejectReason reason = RejectReason::kNone;
     if (shutdown_) {
       reason = RejectReason::kShutdown;
+    } else if (!enrolled) {
+      reason = RejectReason::kUnknownDevice;
     } else if (session->ctx.remaining_s() < floor_s) {
       reason = RejectReason::kInfeasible;
       ++counters_.shed_infeasible;
@@ -221,7 +226,7 @@ void Shard::run_session(Session& session) {
     }
     outcome.report =
         run_authentication(*session.client, ca_view_, ra_view_,
-                           base_latency_.fork(session.seq), &session.ctx,
+                           base_latency_, &session.ctx,
                            link, fusion_.get());
     outcome.authenticated = outcome.report.result.authenticated;
   }

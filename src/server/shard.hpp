@@ -58,11 +58,8 @@ struct ServerConfig {
   /// Per-session threshold T, seconds of wall clock from ADMISSION — queue
   /// wait, simulated communication and search all spend from this budget.
   double session_budget_s = 20.0;
-  /// Latency model applied to each session's simulated channel. Each shard
-  /// forks per-session models from one per-shard base, so jitter streams
-  /// are independent across shards.
+  /// Fixed latency of each message on a session's simulated channel.
   double per_message_latency_s = 0.15;
-  double per_message_jitter_s = 0.0;
   /// When true the channel SLEEPS its latencies in wall-clock time instead
   /// of only charging the logical clock. Overlapping sessions then overlap
   /// their waits exactly as a real server overlaps network I/O — this is
@@ -114,23 +111,27 @@ struct ServerConfig {
   int trace_ring_events = 4096;
   /// Flight recorder (obs/flight_recorder.hpp): capture failed sessions —
   /// transport failure, deadline expiry, unauthenticated completion — with
-  /// their net_salt replay key and (when tracing is on) span timeline.
+  /// their net_salt replay key and (when tracing is on) span timeline. It
+  /// keeps the last kMaxFlightRecords.
   bool flight_recorder = false;
-  /// Bound on retained flight records across the server (oldest evicted).
-  int max_flight_records = 64;
 };
 
-/// Why a session failed (SessionOutcome::reject_reason). The first three
-/// are admission-time refusals; kTransportFailure is the one reason set on
-/// a COMPLETED outcome (accepted=true): the exchange exhausted its
-/// retransmit budget against the fault plan, and the driver resolved the
-/// session instead of hanging on a dead link.
+/// Bound on retained flight records across the server (oldest evicted).
+inline constexpr std::size_t kMaxFlightRecords = 64;
+
+/// Why a session failed (SessionOutcome::reject_reason). All but
+/// kTransportFailure are admission-time refusals; kTransportFailure is the
+/// one reason set on a COMPLETED outcome (accepted=true): the exchange
+/// exhausted its retransmit budget against the fault plan, and the driver
+/// resolved the session instead of hanging on a dead link. The values are
+/// the admission trace event's detail, so new reasons go last.
 enum class RejectReason : u8 {
   kNone = 0,       // not rejected
   kQueueFull,      // the shard's admission queue slice was full
   kShutdown,       // server already shut down
   kInfeasible,     // budget cannot cover modeled comm + minimum search
   kTransportFailure,  // retransmits exhausted mid-exchange (completed)
+  kUnknownDevice,  // the CA holds no enrollment record for the device
 };
 
 /// What became of one submitted session.
@@ -292,6 +293,7 @@ class Shard {
   int queue_depth_ = 1;
   CertificateAuthority::ShardView ca_view_;
   RegistrationAuthority::ShardView ra_view_;
+  /// Every session's channel copies this model.
   net::LatencyModel base_latency_;
   /// Shared across shards by construction (same cfg seed, no shard salt):
   /// per-session plans depend only on (fault_seed, net_salt).

@@ -1,11 +1,14 @@
 #include "sim/probe.hpp"
 
-#include <array>
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "combinatorics/algorithm515.hpp"
+#include "combinatorics/binomial.hpp"
 #include "combinatorics/chase382.hpp"
 #include "combinatorics/gosper.hpp"
+#include "combinatorics/shell.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "hash/batch.hpp"
@@ -60,17 +63,77 @@ ProbeResult probe_hash_generic(hash::HashAlgo algo, u64 iterations) {
                         });
 }
 
-ProbeResult probe_iterate_and_hash(IterAlgo iter, hash::HashAlgo hash, int k,
-                                   u64 max_seeds) {
+namespace {
+
+/// Calls fn(source) with the candidate source over the first `max_seeds`
+/// candidates of shell k around one fixed random base (all of them if the
+/// shell is smaller), in `iter`'s order from rank 0 (Algorithm 515 in
+/// unrank-each mode, the mode Table 4 evaluates).
+template <typename Fn>
+void with_candidates(IterAlgo iter, int k, u64 max_seeds, Fn&& fn) {
   Xoshiro256 rng(0x17e7);
   const Seed256 base = Seed256::random(rng);
+  const u64 count = std::min(max_seeds, comb::binomial64(comb::kSeedBits, k));
+  switch (iter) {
+    case IterAlgo::kChase382:
+      fn(comb::candidates(
+          comb::ChaseIterator(comb::ChaseSequence(k).state(), count), base));
+      return;
+    case IterAlgo::kAlg515:
+      fn(comb::candidates(
+          comb::Algorithm515Iterator(k, 0, count,
+                                     comb::Alg515Mode::kUnrankEach),
+          base));
+      return;
+    case IterAlgo::kGosper:
+      fn(comb::candidates(comb::GosperIterator(k, 0, count), base));
+      return;
+  }
+}
+
+/// The candidates of an array, in order: a scan's input with no iterator
+/// behind it.
+class ReplayCandidates {
+ public:
+  explicit ReplayCandidates(const std::vector<Seed256>& seeds) noexcept
+      : next_(seeds.data()), end_(seeds.data() + seeds.size()) {}
+
+  bool next(Seed256& candidate) noexcept {
+    if (next_ == end_) return false;
+    candidate = *next_++;
+    return true;
+  }
+
+ private:
+  const Seed256* next_;
+  const Seed256* end_;
+};
+
+/// Times hash::SeedScan (SHA-3, the active dispatch level) over `source`
+/// to its end, against a digest no probe candidate has.
+template <typename Source>
+ProbeResult time_scan(std::string what, Source source) {
+  const hash::Sha3BatchSeedHash hash;
+  const hash::Digest256 target = hash(Seed256::ones());
+  WallTimer timer;
+  hash::SeedScan<hash::Sha3BatchSeedHash> scan(hash, target,
+                                               /*stop_at_match=*/false);
+  u64 counted = 0;
+  scan.start(source);
+  while (scan.pending()) counted += scan.step(source).counted;
+  return {std::move(what), counted, timer.elapsed_s()};
+}
+
+}  // namespace
+
+ProbeResult probe_iterate_and_hash(IterAlgo iter, hash::HashAlgo hash, int k,
+                                   u64 max_seeds) {
   u8 sink = 0;
   u64 produced = 0;
-
-  auto consume = [&](Seed256& mask_source, auto& iterator) {
-    Seed256 mask = mask_source;
-    while (iterator.next(mask)) {
-      const Seed256 candidate = base ^ mask;
+  WallTimer timer;
+  with_candidates(iter, k, max_seeds, [&](auto source) {
+    Seed256 candidate;
+    while (source.next(candidate)) {
       if (hash == hash::HashAlgo::kSha1) {
         sink ^= hash::sha1_seed(candidate).bytes[0];
       } else {
@@ -78,98 +141,28 @@ ProbeResult probe_iterate_and_hash(IterAlgo iter, hash::HashAlgo hash, int k,
       }
       ++produced;
     }
-  };
-
-  WallTimer timer;
-  Seed256 scratch;
-  switch (iter) {
-    case IterAlgo::kChase382: {
-      comb::ChaseSequence seq(k);
-      comb::ChaseIterator it(seq.state(), max_seeds);
-      consume(scratch, it);
-      break;
-    }
-    case IterAlgo::kAlg515: {
-      comb::Algorithm515Iterator it(k, 0, max_seeds,
-                                    comb::Alg515Mode::kUnrankEach);
-      consume(scratch, it);
-      break;
-    }
-    case IterAlgo::kGosper: {
-      comb::GosperIterator it(k, 0, max_seeds);
-      consume(scratch, it);
-      break;
-    }
-  }
+  });
   ProbeResult r{std::string(to_string(iter)), produced, timer.elapsed_s()};
   if (sink == 0xA5) r.what += " ";
   return r;
 }
 
-namespace {
-
-template <hash::BatchSeedHash Hash, typename Iterator>
-void consume_batched(const Seed256& base, Iterator& iterator, u8& sink,
-                     u64& produced) {
-  constexpr std::size_t kBlock = Hash::kBatch;
-  std::array<Seed256, kBlock> candidates;
-  typename Hash::digest_type digests[kBlock];
-  const Hash hasher;
-  // Iterate, then hash: Table 4 measures the two phases back to back.
-  const auto fill = [&] {
-    std::size_t n = 0;
-    Seed256 mask;
-    while (n < kBlock && iterator.next(mask)) candidates[n++] = base ^ mask;
-    return n;
-  };
-  while (const std::size_t n = fill()) {
-    hasher.hash_batch(candidates.data(), n, digests);
-    for (std::size_t i = 0; i < n; ++i) sink ^= digests[i].bytes[0];
-    produced += n;
-  }
+ProbeResult probe_scan(IterAlgo iter, int k, u64 max_seeds) {
+  ProbeResult r;
+  with_candidates(iter, k, max_seeds, [&](auto source) {
+    r = time_scan(std::string(to_string(iter)) + " (scan)", source);
+  });
+  return r;
 }
 
-}  // namespace
-
-ProbeResult probe_iterate_and_hash_batched(IterAlgo iter, hash::HashAlgo hash,
-                                           int k, u64 max_seeds) {
-  Xoshiro256 rng(0x17e7);
-  const Seed256 base = Seed256::random(rng);
-  u8 sink = 0;
-  u64 produced = 0;
-
-  auto consume = [&](auto& iterator) {
-    if (hash == hash::HashAlgo::kSha1) {
-      consume_batched<hash::Sha1BatchSeedHash>(base, iterator, sink, produced);
-    } else {
-      consume_batched<hash::Sha3BatchSeedHash>(base, iterator, sink, produced);
-    }
-  };
-
-  WallTimer timer;
-  switch (iter) {
-    case IterAlgo::kChase382: {
-      comb::ChaseSequence seq(k);
-      comb::ChaseIterator it(seq.state(), max_seeds);
-      consume(it);
-      break;
-    }
-    case IterAlgo::kAlg515: {
-      comb::Algorithm515Iterator it(k, 0, max_seeds,
-                                    comb::Alg515Mode::kUnrankEach);
-      consume(it);
-      break;
-    }
-    case IterAlgo::kGosper: {
-      comb::GosperIterator it(k, 0, max_seeds);
-      consume(it);
-      break;
-    }
-  }
-  ProbeResult r{std::string(to_string(iter)) + " (batched)", produced,
-                timer.elapsed_s()};
-  if (sink == 0xA5) r.what += " ";
-  return r;
+ProbeResult probe_scan_replay(IterAlgo iter, int k, u64 max_seeds) {
+  std::vector<Seed256> seeds;
+  with_candidates(iter, k, max_seeds, [&](auto source) {
+    Seed256 candidate;
+    while (source.next(candidate)) seeds.push_back(candidate);
+  });
+  return time_scan(std::string(to_string(iter)) + " (replay)",
+                   ReplayCandidates(seeds));
 }
 
 ProbeResult probe_keygen(crypto::KeygenAlgo algo, u64 iterations) {

@@ -39,15 +39,23 @@ ProbeResult probe_hash(hash::HashAlgo algo, u64 iterations);
 /// (the "before" side of the §3.2.2 ablation).
 ProbeResult probe_hash_generic(hash::HashAlgo algo, u64 iterations);
 
-/// Iterate+hash throughput for one seed-iterator family over shell k —
-/// the quantity Table 4 compares. Runs the real iterator + real hash.
+// The Table 4 probes walk the first `max_seeds` candidates of shell k
+// around one random base, in the family's order from rank 0 (Algorithm 515
+// in unrank-each mode), and stop at the end of the shell.
+
+/// Iterate, then hash each candidate with the scalar hash: the unfused loop
+/// §4.5's fused kernel is compared against.
 ProbeResult probe_iterate_and_hash(IterAlgo iter, hash::HashAlgo hash, int k,
                                    u64 max_seeds);
 
-/// Same loop shape as the batched search hot loop: refill a candidate block
-/// from the iterator by XOR-delta, then hash all lanes at once.
-ProbeResult probe_iterate_and_hash_batched(IterAlgo iter, hash::HashAlgo hash,
-                                           int k, u64 max_seeds);
+/// The search's own scan: hash::SeedScan (SHA-3, the active dispatch level)
+/// over the family's candidate source, with no match — at AVX-512 the Chase
+/// source steps inside the Keccak rounds (§4.5's fused kernel).
+ProbeResult probe_scan(IterAlgo iter, int k, u64 max_seeds);
+
+/// The same scan over the same candidates replayed from an array, built
+/// before the timer starts. probe_scan minus this is the iterator's share.
+ProbeResult probe_scan_replay(IterAlgo iter, int k, u64 max_seeds);
 
 /// Public-key generation throughput (legacy RBC per-candidate cost).
 ProbeResult probe_keygen(crypto::KeygenAlgo algo, u64 iterations);

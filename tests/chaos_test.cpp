@@ -220,7 +220,7 @@ TEST(ChaosChannel, InactivePlanIsByteAndClockIdenticalToDefault) {
   // The tentpole's backstop: a constructed-but-all-zero FaultPlan must take
   // the EXACT lossless path — same received bytes, same logical clocks,
   // no fault counters.
-  net::LatencyModel latency(0.15, 0.01, 0x11);
+  net::LatencyModel latency(0.15);
   net::Channel plain_a{latency}, plain_b{latency};
   net::Channel inert_a{latency, net::FaultPlan(net::FaultConfig{}, 0xF00D)},
       inert_b{latency, net::FaultPlan(net::FaultConfig{}, 0xF00D)};
@@ -347,7 +347,7 @@ TEST(ChaosProtocol, ZeroFaultLinkOptionsMatchBaselineReport) {
     ChaosFixture f(1, 1, /*id_base=*/9100);
     auto client = f.make_client(0, 0xBA5E);
     return run_authentication(*client, *f.ca, f.ra,
-                              net::LatencyModel(0.15, 0.0, 0), nullptr, link);
+                              net::LatencyModel(0.15), nullptr, link);
   };
   const SessionReport baseline = run(nullptr);
   LinkOptions inert;  // default FaultPlan: inactive
@@ -381,7 +381,7 @@ TEST(ChaosProtocol, SurvivesCompoundFaultsAndReplaysFromSeed) {
     link.faults = net::FaultPlan(faults, seed);
     link.retry = fast_retry();
     return run_authentication(*client, *f.ca, f.ra,
-                              net::LatencyModel(0.01, 0.0, 0), nullptr, &link);
+                              net::LatencyModel(0.01), nullptr, &link);
   };
 
   int survived = 0;

@@ -2,6 +2,9 @@
 // the paper's §3.2 shape.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 
 #include "common/rng.hpp"
@@ -171,27 +174,40 @@ SearchOptions hetero_opts(int max_distance, bool early_exit) {
 
 TEST(HeteroCoSearch, DeviceActuallySharesTheBall) {
   // With many small tiles and an exhaustive search, both the host units and
-  // the emulated device should each take a nonzero share. The split is a race
-  // by design (that is the point of the shared scheduler), so under heavy
-  // machine load a single run can degenerate to one side; retry a few times
-  // and require that a shared split shows up.
+  // the emulated device take a nonzero share. Which side claims tiles first
+  // is a race (that is the point of the shared scheduler), and either side
+  // can drain the whole ball before the other starts, so the quantum hook
+  // holds each side after its first tile until the other side has finished
+  // one. The hold is bounded.
+  constexpr int kHostUnits = 2;
   par::WorkerGroup pool(4);
   Xoshiro256 rng(11);
   const hash::Sha1BatchSeedHash hash;
   const Seed256 base = Seed256::random(rng);
   const Seed256 unrelated = Seed256::random(rng);
-  bool shared = false;
-  for (int attempt = 0; attempt < 10 && !shared; ++attempt) {
-    u64 device_seeds = 0;
-    const auto r = hetero_cosearch<hash::Sha1BatchSeedHash>(
-        pool, base, hash(unrelated), hetero_opts(2, /*early_exit=*/false),
-        /*host_units=*/2, /*device_threads=*/8, /*threads_per_block=*/4, hash,
-        nullptr, &device_seeds);
-    ASSERT_EQ(r.seeds_hashed, 32897u);
-    ASSERT_LE(device_seeds, 32897u);
-    shared = device_seeds > 0 && device_seeds < 32896;
-  }
-  EXPECT_TRUE(shared) << "host/device never split the ball in 10 runs";
+  std::mutex mutex;
+  std::condition_variable tiled;
+  bool side_tiled[2] = {false, false};  // a host unit, the device
+  bool gave_up = false;                 // a hold timed out
+  SearchOptions opts = hetero_opts(2, /*early_exit=*/false);
+  opts.quantum_hook = [&](int unit, u64) {
+    const int side = unit == kHostUnits ? 1 : 0;
+    std::unique_lock lock(mutex);
+    side_tiled[side] = true;
+    tiled.notify_all();
+    if (!gave_up && !side_tiled[1 - side]) {
+      gave_up = !tiled.wait_for(lock, std::chrono::seconds(30),
+                                [&] { return side_tiled[1 - side]; });
+    }
+  };
+  u64 device_seeds = 0;
+  const auto r = hetero_cosearch<hash::Sha1BatchSeedHash>(
+      pool, base, hash(unrelated), opts, kHostUnits, /*device_threads=*/8,
+      /*threads_per_block=*/4, hash, nullptr, &device_seeds);
+  EXPECT_FALSE(gave_up) << "one side finished no tile within 30 s";
+  EXPECT_EQ(r.seeds_hashed, 32897u);
+  EXPECT_GT(device_seeds, 0u);
+  EXPECT_LT(device_seeds, 32896u);
 }
 
 TEST(HeteroCoSearch, EarlyExitFindsPlantedSeedAtEachDistance) {

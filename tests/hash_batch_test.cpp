@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -139,24 +141,14 @@ u64 first_eight_bytes(const hash::Digest<N>& digest) {
 }
 
 TEST(HashBatch, Sha3HeadsMatchScalarDigestPrefixAtEveryLevel) {
-  const auto seeds = random_seeds(17, 0x4ead);
+  // The lane-sliced block form, ragged counts 1..8.
+  const auto seeds = random_seeds(hash::LaneBlock::kLanes, 0x4ead);
+  hash::LaneBlock block;
+  for (std::size_t l = 0; l < hash::LaneBlock::kLanes; ++l) {
+    block.set(l, seeds[l]);
+    EXPECT_EQ(block.seed(l), seeds[l]);
+  }
   for (const SimdLevel level : available_levels()) {
-    for (std::size_t count = 1; count <= seeds.size(); ++count) {
-      std::vector<u64> heads(count, 0);
-      hash::sha3_256_seed_heads_multi_level(level, seeds.data(), count,
-                                            heads.data());
-      for (std::size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(heads[i], first_eight_bytes(hash::sha3_256_seed(seeds[i])))
-            << "level=" << hash::to_string(level) << " count=" << count
-            << " lane=" << i;
-      }
-    }
-    // The lane-sliced block form, ragged counts 1..8.
-    hash::LaneBlock block;
-    for (std::size_t l = 0; l < hash::LaneBlock::kLanes; ++l) {
-      block.set(l, seeds[l]);
-      EXPECT_EQ(block.seed(l), seeds[l]);
-    }
     for (std::size_t count = 1; count <= hash::LaneBlock::kLanes; ++count) {
       std::vector<u64> heads(count, 0);
       hash::sha3_256_block_heads_level(level, block, count, heads.data());
@@ -169,44 +161,62 @@ TEST(HashBatch, Sha3HeadsMatchScalarDigestPrefixAtEveryLevel) {
   }
 }
 
+/// The candidates of a vector, in order, with no inline step: a block form
+/// fills `next` from it after hashing.
+struct VectorSource {
+  const std::vector<Seed256>* seeds;
+  std::size_t i = 0;
+  bool next(Seed256& seed) noexcept {
+    if (i == seeds->size()) return false;
+    seed = (*seeds)[i++];
+    return true;
+  }
+};
+
+template <typename Policy>
+void expect_block_form_matches_scalar(SimdLevel level,
+                                      const std::vector<Seed256>& seeds,
+                                      const std::vector<Seed256>& following) {
+  const Policy h;
+  hash::LaneBlock cur;
+  for (std::size_t l = 0; l < hash::LaneBlock::kLanes; ++l)
+    cur.set(l, seeds[l]);
+  for (std::size_t count = 1; count <= hash::LaneBlock::kLanes; ++count) {
+    hash::LaneBlock next;
+    VectorSource source{&following};
+    alignas(64) std::array<u64, hash::LaneBlock::kLanes> heads{};
+    const std::size_t produced =
+        h.hash_heads_producing(level, cur, count, next, source, heads.data());
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(heads[i], first_eight_bytes(h(seeds[i])))
+          << Policy::name() << " level=" << hash::to_string(level)
+          << " count=" << count << " lane=" << i;
+    }
+    ASSERT_EQ(produced, std::min(following.size(), hash::LaneBlock::kLanes));
+    for (std::size_t i = 0; i < produced; ++i)
+      EXPECT_EQ(next.seed(i), following[i]);
+  }
+}
+
 TEST(HashBatch, PolicyHeadsMatchScalarDigestPrefixAtEveryLevel) {
-  // The policies' heads-only block form (what the SHA-1 scan and the SHA-3
-  // scan's below-AVX-512 path hash through) at every forced level.
-  const auto seeds = random_seeds(17, 0x4eae);
-  const hash::Sha1BatchSeedHash h1;
-  const hash::Sha3BatchSeedHash h3;
+  // Each policy's one block form (what SeedScan hashes through) at every
+  // level and every ragged count: heads of the block's first `count` lanes,
+  // and the next block filled from the source in order — a full one, and
+  // one the source runs dry in.
+  const auto seeds = random_seeds(hash::LaneBlock::kLanes, 0x4eae);
+  const auto full = random_seeds(hash::LaneBlock::kLanes + 3, 0x4eaf);
+  const auto short_tail = random_seeds(5, 0x4eb0);
   for (const SimdLevel level : available_levels()) {
-    ScopedSimdLevel guard(level);
-    for (std::size_t count = 1; count <= seeds.size(); ++count) {
-      std::vector<u64> heads1(count, 0);
-      std::vector<u64> heads3(count, 0);
-      hash::hash_seed_heads(h1, seeds.data(), count, heads1.data());
-      hash::hash_seed_heads(h3, seeds.data(), count, heads3.data());
-      for (std::size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(heads1[i], first_eight_bytes(h1(seeds[i])))
-            << "level=" << hash::to_string(level) << " count=" << count;
-        EXPECT_EQ(heads3[i], first_eight_bytes(h3(seeds[i])))
-            << "level=" << hash::to_string(level) << " count=" << count;
-      }
+    for (const auto* following : {&full, &short_tail}) {
+      expect_block_form_matches_scalar<hash::Sha1BatchSeedHash>(level, seeds,
+                                                                *following);
+      expect_block_form_matches_scalar<hash::Sha3BatchSeedHash>(level, seeds,
+                                                                *following);
     }
   }
 }
 
 // --- policy layer ----------------------------------------------------------
-
-TEST(HashBatch, PolicyBatchMatchesPolicyScalar) {
-  const auto seeds = random_seeds(19, 0xb47c);
-  const hash::Sha1BatchSeedHash h1;
-  const hash::Sha3BatchSeedHash h3;
-  std::vector<hash::Digest160> d1(seeds.size());
-  std::vector<hash::Digest256> d3(seeds.size());
-  h1.hash_batch(seeds.data(), seeds.size(), d1.data());
-  h3.hash_batch(seeds.data(), seeds.size(), d3.data());
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    EXPECT_EQ(d1[i], h1(seeds[i]));
-    EXPECT_EQ(d3[i], h3(seeds[i]));
-  }
-}
 
 TEST(HashBatch, ForcedLevelIsCappedByDetection) {
   const SimdLevel detected = hash::detected_simd_level();
@@ -235,16 +245,28 @@ TEST(HashBatchDeathTest, UnknownEnvLevelStopsTheProcess) {
 }
 
 TEST(HashBatch, HashSeedBlockDegradesToScalarPolicies) {
-  // The block helper must also serve plain SeedHash policies via the B=1
-  // fallback — that is what keeps the scalar policies usable in the search.
+  // The scan must also serve plain SeedHash policies, one candidate per
+  // block through the scalar hash — that is what keeps the scalar policies
+  // usable in the search.
+  static_assert(!hash::BatchSeedHash<hash::Sha1SeedHash>);
   static_assert(hash::SeedScan<hash::Sha1SeedHash>::kLanes == 1);
   static_assert(hash::SeedScan<hash::Sha1BatchSeedHash>::kLanes == 8);
   const auto seeds = random_seeds(5, 0xb10c);
   const hash::Sha1SeedHash scalar;
-  std::vector<u64> heads(seeds.size());
-  hash::hash_seed_heads(scalar, seeds.data(), seeds.size(), heads.data());
-  for (std::size_t i = 0; i < seeds.size(); ++i)
-    EXPECT_EQ(heads[i], hash::digest_head(scalar(seeds[i])));
+  const auto target = scalar(seeds[3]);
+  hash::SeedScan<hash::Sha1SeedHash> scan(scalar, target, true);
+  VectorSource source{&seeds};
+  scan.start(source);
+  std::vector<std::size_t> counted;
+  std::optional<Seed256> match;
+  while (scan.pending()) {
+    const hash::BlockScan block = scan.step(source);
+    counted.push_back(block.counted);
+    if (block.found()) match = block.match;
+  }
+  EXPECT_EQ(counted, (std::vector<std::size_t>{1, 1, 1, 1}));
+  ASSERT_TRUE(match.has_value());
+  EXPECT_EQ(*match, seeds[3]);
 }
 
 // --- search-level regression: batched search == brute-force oracle ------

@@ -5,6 +5,7 @@
 #include <array>
 #include <ctime>
 #include <limits>
+#include <string>
 
 #include "sim/probe.hpp"
 
@@ -109,6 +110,21 @@ TEST(ProbeIterateAndHash, StopsAtShellExhaustion) {
   const auto r = probe_iterate_and_hash(IterAlgo::kChase382,
                                         hash::HashAlgo::kSha1, 1, 100000);
   EXPECT_EQ(r.operations, 256u);
+}
+
+TEST(ProbeScan, CountsEveryCandidateAndStopsAtTheShellEnd) {
+  // Table 4's scan rows: the scan and its replay each count every
+  // candidate asked for (5,003 ends on a ragged block), and shell k = 1's
+  // 256 seeds when asked for more.
+  for (auto iter :
+       {IterAlgo::kChase382, IterAlgo::kAlg515, IterAlgo::kGosper}) {
+    SCOPED_TRACE(std::string(to_string(iter)));
+    EXPECT_EQ(probe_scan(iter, 3, 5003).operations, 5003u);
+    EXPECT_EQ(probe_scan_replay(iter, 3, 5003).operations, 5003u);
+    EXPECT_EQ(probe_scan(iter, 1, 100000).operations, 256u);
+    EXPECT_EQ(probe_scan_replay(iter, 1, 100000).operations, 256u);
+    EXPECT_GT(probe_scan(iter, 2, 1000).ns_per_op(), 0.0);
+  }
 }
 
 TEST(ProbeKeygen, OrdersOfMagnitudeOrdering) {

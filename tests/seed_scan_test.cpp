@@ -203,41 +203,60 @@ TEST(SearchOracleScan, FusedScanMatchesFillThenHashAtEveryLevel) {
   }
 }
 
+/// Drives `hash`'s block form over the first `count` candidates of a Chase
+/// shell k = 3 of n_bits, block by block: every lane of every block is the
+/// reference's next candidate, and every head is that candidate's digest
+/// head.
+template <typename Hash>
+void expect_blocks_follow_the_source(SimdLevel level, int n_bits, u64 count) {
+  SCOPED_TRACE(std::string(Hash::name()) + " n_bits=" +
+               std::to_string(n_bits) + " count=" + std::to_string(count));
+  const Hash hash;
+  const Seed256 base = random_base(static_cast<u64>(n_bits));
+  const comb::ChaseIterator it(comb::ChaseSequence(3, n_bits).state(), count,
+                               n_bits);
+  const std::vector<Seed256> expected = reference_candidates(it, base);
+  auto source = comb::candidates(it, base);
+  std::array<hash::LaneBlock, 2> blocks{};
+  alignas(64) std::array<u64, hash::LaneBlock::kLanes> heads{};
+  std::size_t cur = 0;
+  std::size_t n = hash::fill_lanes(source, blocks[cur], 8);
+  std::size_t position = 0;
+  while (n > 0) {
+    const std::size_t next = hash.hash_heads_producing(
+        level, blocks[cur], n, blocks[cur ^ 1], source, heads.data());
+    for (std::size_t lane = 0; lane < n; ++lane, ++position) {
+      ASSERT_LT(position, expected.size());
+      ASSERT_EQ(blocks[cur].seed(lane), expected[position])
+          << "position=" << position;
+      ASSERT_EQ(heads[lane], hash::digest_head(hash(expected[position])))
+          << "position=" << position;
+    }
+    cur ^= 1;
+    n = next;
+  }
+  EXPECT_EQ(position, expected.size());
+}
+
 TEST(SearchOracleScan, EveryBlockHoldsTheSourceOrderAndItsHeads) {
-  // Block by block through the SHA-3 policy's block form (the fused kernel
-  // at AVX-512): every lane of every block is the reference's next
-  // candidate, and every head is that candidate's digest head — including
-  // the lanes filled after the rounds where the inline step declined.
-  const hash::Sha3BatchSeedHash hash;
+  // Block by block through each policy's block form (for SHA-3 the fused
+  // kernel at AVX-512), including the lanes filled after the rounds where
+  // the inline step declined, and a last block of every ragged count
+  // 1..8.
   for (const SimdLevel level : available_levels()) {
     SCOPED_TRACE(hash::to_string(level));
     for (const int n_bits : {20, 64, 256}) {
-      const comb::ChaseFactory factory(n_bits);
-      const Seed256 base = random_base(static_cast<u64>(n_bits));
       const u64 count = std::min<u64>(comb::binomial64(n_bits, 3), 4000);
-      const comb::ChaseIterator it(comb::ChaseSequence(3, n_bits).state(),
-                                   count, n_bits);
-      const std::vector<Seed256> expected = reference_candidates(it, base);
-      auto source = comb::candidates(it, base);
-      std::array<hash::LaneBlock, 2> blocks{};
-      alignas(64) std::array<u64, hash::LaneBlock::kLanes> heads{};
-      std::size_t cur = 0;
-      std::size_t n = hash::fill_lanes(source, blocks[cur], 8);
-      std::size_t position = 0;
-      while (n > 0) {
-        const std::size_t next = hash.hash_heads_producing(
-            level, blocks[cur], n, blocks[cur ^ 1], source, heads.data());
-        for (std::size_t lane = 0; lane < n; ++lane, ++position) {
-          ASSERT_LT(position, expected.size());
-          ASSERT_EQ(blocks[cur].seed(lane), expected[position])
-              << "n_bits=" << n_bits << " position=" << position;
-          ASSERT_EQ(heads[lane], hash::digest_head(hash(expected[position])))
-              << "n_bits=" << n_bits << " position=" << position;
-        }
-        cur ^= 1;
-        n = next;
-      }
-      EXPECT_EQ(position, expected.size());
+      expect_blocks_follow_the_source<hash::Sha3BatchSeedHash>(level, n_bits,
+                                                               count);
+      expect_blocks_follow_the_source<hash::Sha1BatchSeedHash>(level, n_bits,
+                                                               count);
+    }
+    for (u64 last = 1; last <= hash::LaneBlock::kLanes; ++last) {
+      expect_blocks_follow_the_source<hash::Sha3BatchSeedHash>(level, 64,
+                                                               16 + last);
+      expect_blocks_follow_the_source<hash::Sha1BatchSeedHash>(level, 64,
+                                                               16 + last);
     }
   }
 }

@@ -358,6 +358,56 @@ TEST(ShardStress, MinimumSearchFloorAppliesWithoutRealtime) {
   EXPECT_EQ(server.stats().shed_infeasible, 1u);
 }
 
+TEST(ShardStress, UnenrolledDeviceRefusedAtAdmission) {
+  // A device the CA holds no record for is refused at submit() with its own
+  // reason and admission event; the server keeps serving enrolled devices
+  // before and after it.
+  ShardFixture f(2, 1, /*id_base=*/7700);
+  ServerConfig cfg;
+  cfg.num_shards = 4;
+  cfg.session_budget_s = 600.0;
+  cfg.per_message_latency_s = 0.0;
+  cfg.trace_enabled = true;
+  AuthServer server(cfg, f.ca.get(), &f.ra);
+
+  const u64 stranger_id = 9999;
+  const puf::SramPufModel stranger_puf(device_params(), stranger_id);
+  ClientConfig stranger_cfg;
+  stranger_cfg.device_id = stranger_id;
+  stranger_cfg.injected_distance = 1;
+  Client stranger(stranger_cfg, &stranger_puf, stranger_id);
+
+  auto first = f.make_client(0, 1, 0x11);
+  auto second = f.make_client(1, 1, 0x12);
+  const SessionOutcome before = server.submit(first.get()).get();
+  const u64 stranger_salt = 0x5747;
+  const SessionOutcome refused =
+      server.submit(&stranger, 600.0, stranger_salt).get();
+  const SessionOutcome after = server.submit(second.get()).get();
+
+  EXPECT_TRUE(before.authenticated);
+  EXPECT_FALSE(refused.accepted);
+  EXPECT_FALSE(refused.authenticated);
+  EXPECT_EQ(refused.reject_reason, RejectReason::kUnknownDevice);
+  EXPECT_TRUE(after.authenticated);
+
+  bool saw_refusal = false;
+  for (const obs::TraceEvent& e : server.trace_events()) {
+    if (e.session == stranger_salt && e.kind == obs::SpanKind::kAdmission) {
+      saw_refusal = true;
+      EXPECT_EQ(e.detail, static_cast<u32>(RejectReason::kUnknownDevice));
+    }
+  }
+  EXPECT_TRUE(saw_refusal);
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.shed_infeasible, 0u);
+  expect_quiescent_invariant(stats);
+}
+
 TEST(ShardStress, ConcurrentSameDeviceSubmitsDrawDistinctSalts) {
   // Eight submitters released at once for ONE device: the default salt is
   // drawn from the admission seq under the queue lock, so no two admitted
